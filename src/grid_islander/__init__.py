@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 from .centralized import (AttachStep, CentralizedResult,
                           centralized_partition, check_initial_islands)
 from .decentralized import (Decision, DecentralizedResult, IslandRegistry,
-                            NodeAgent, agent_decide, decentralized_partition,
-                            estimate_island_power, run_decentralized,
-                            staleness_check)
+                            NodeAgent, agent_decide, estimate_island_power,
+                            run_decentralized, staleness_check)
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridError, GridIslanderError,
                      InitialIslandsOverlap, MissingSection, NoGenerator,
@@ -43,6 +42,6 @@ from .powerflow import (PowerFlowSolution, ac_power_flow, build_ybus,
                         dc_power_flow, default_slack)
 from .scenario import (ScenarioConfig, load_scenario, scenario_from_dict,
                        scenario_to_dict, with_overrides)
-from .serialize import (load_json, network_from_dict, network_to_dict,
+from .serialize import (network_from_dict, network_to_dict,
                         partition_from_dict, partition_to_dict, save_json,
                         sync_table_from_dict, sync_table_to_dict)

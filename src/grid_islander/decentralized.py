@@ -18,17 +18,20 @@ changed (they see a stale snapshot and retry next round). Enclosure
 joins skip the staleness check since they use no frequency data.
 
 The registry's published island frequency is always the analytic mean
-injection (the quantity the dynamics lock to). In simulated mode agents
-measure island and augmented frequencies from integrated trajectories
-and use the measurements for their estimates; measurement error is far
-below the staleness threshold, so the two sources interoperate.
+injection (the quantity the dynamics lock to). Analytic mode reads the
+augmented frequency from a per-run injection table and builds no
+oscillator layer. Only simulated mode builds and integrates layers:
+agents measure island and augmented frequencies from integrated
+trajectories and use the measurements for their estimates; measurement
+error is far below the staleness threshold, so the two sources
+interoperate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,8 +39,7 @@ import numpy as np
 from .centralized import check_initial_islands
 from .errors import (DegenerateEstimate, NotSynchronized, Stalled,
                      UndefinedSize)
-from .kuramoto import (CyberLayer, build_layer, integrate,
-                       measure_sync_frequency, sync_frequency)
+from .kuramoto import build_layer, integrate, measure_sync_frequency
 from .network import (Island, Partition, PowerNetwork, make_partition,
                       net_injection)
 
@@ -95,7 +97,6 @@ class NodeAgent:
     node_id: int
     injection: float
     neighbor_islands: frozenset[int]
-    local_layers: dict[int, CyberLayer]
     snapshot_freqs: dict[int, tuple[float, float]]
     decision: Decision | None = None
 
@@ -154,7 +155,12 @@ def staleness_check(agent: NodeAgent, registry: IslandRegistry,
 
 
 class _LayerCache:
-    """Memoizes layers and measured frequencies by exact node set."""
+    """Per-run frequency source for the agents.
+
+    Analytic mode reads island means from the injection table and builds
+    no layer. Simulated mode builds each layer on demand and memoizes the
+    measured frequency by exact node set.
+    """
 
     def __init__(self, network: PowerNetwork, mode: str, t_max: float,
                  dt: float, sync_tolerance: float):
@@ -163,37 +169,33 @@ class _LayerCache:
         self.t_max = t_max
         self.dt = dt
         self.sync_tolerance = sync_tolerance
-        self._layers: dict[tuple, CyberLayer] = {}
+        self.injection = {n: net_injection(network, n)
+                          for n in network.node_ids()}
         self._measured: dict[frozenset, float] = {}
 
-    def layer(self, label, nodes: frozenset) -> CyberLayer:
-        key = (label, nodes)
-        if key not in self._layers:
-            self._layers[key] = build_layer(self.network, nodes,
-                                            label=str(label))
-        return self._layers[key]
+    def mean_injection(self, nodes: Iterable[int]) -> float:
+        """Locked frequency of the layer over ``nodes``, bit for bit
+        ``sync_frequency(build_layer(network, nodes))``: the same values
+        in the same order under the same numpy mean."""
+        return float(np.mean(np.array([self.injection[n]
+                                       for n in sorted(nodes)])))
 
-    def frequency(self, label, nodes: frozenset) -> float:
-        """Locked frequency of the layer over ``nodes``, mode dependent.
-
-        Raises NotSynchronized in simulated mode when the layer never
-        settles within tolerance.
-        """
-        layer = self.layer(label, nodes)
-        if self.mode == "analytic":
-            return sync_frequency(layer)
+    def measured(self, nodes: frozenset) -> float:
+        """Locked frequency measured by integrating the layer over
+        ``nodes``. Raises NotSynchronized when it never settles within
+        tolerance."""
         if nodes not in self._measured:
             self._measured[nodes] = measure_sync_frequency(
-                layer, t_max=self.t_max, dt=self.dt,
-                tolerance=self.sync_tolerance)
+                build_layer(self.network, nodes), t_max=self.t_max,
+                dt=self.dt, tolerance=self.sync_tolerance)
         return self._measured[nodes]
 
 
-def _agreement_time(layer: CyberLayer, node: int, island_nodes: set[int],
-                    network: PowerNetwork, t_max: float, dt: float,
-                    epsilon: float) -> float:
+def _agreement_time(network: PowerNetwork, node: int, island_nodes: set[int],
+                    t_max: float, dt: float, epsilon: float) -> float:
     """Earliest sample time from which the node's frequency stays within
     epsilon of every in-island neighbor's, through the horizon end."""
+    layer = build_layer(network, island_nodes | {node})
     traj = integrate(layer, np.zeros(layer.size), t_max=t_max, dt=dt)
     j = layer.index(node)
     watch = [layer.index(p) for p in network.neighbors(node)
@@ -218,7 +220,7 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
     and the membership and frequencies of islands actually adjacent to
     it; islands elsewhere in the grid cannot influence the outcome.
     """
-    injection = net_injection(network, node)
+    injection = cache.injection[node]
     neighbors = network.neighbors(node)
     watched = sorted({lbl for lbl, members in registry.islands.items()
                       if any(p in members for p in neighbors)})
@@ -234,25 +236,23 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
                 enclosing = lbl
                 break
 
-    layers: dict[int, CyberLayer] = {}
     snapshot: dict[int, tuple[float, float]] = {}
     estimates: dict[int, float | None] = {}
     agree_times: dict[int, float] = {}
     for lbl in watched:
         members = frozenset(registry.islands[lbl])
         augmented = members | {node}
-        layers[lbl] = cache.layer((lbl, node), augmented)
         island_freq = registry.island_freq[lbl]
         try:
             if cache.mode == "analytic":
-                aug_freq = sync_frequency(layers[lbl])
+                aug_freq = cache.mean_injection(augmented)
                 agree_times[lbl] = 0.0
             else:
-                island_freq = cache.frequency(lbl, members)
-                aug_freq = cache.frequency((lbl, node), augmented)
+                island_freq = cache.measured(members)
+                aug_freq = cache.measured(augmented)
                 agree_times[lbl] = _agreement_time(
-                    layers[lbl], node, registry.islands[lbl],
-                    network, cache.t_max, cache.dt, epsilon)
+                    network, node, registry.islands[lbl],
+                    cache.t_max, cache.dt, epsilon)
         except NotSynchronized:
             snapshot[lbl] = (island_freq, math.nan)
             estimates[lbl] = None
@@ -267,7 +267,7 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
             estimates[lbl] = 0.0
     agent = NodeAgent(node_id=node, injection=injection,
                       neighbor_islands=frozenset(watched),
-                      local_layers=layers, snapshot_freqs=snapshot)
+                      snapshot_freqs=snapshot)
     agent.decision = agent_decide(agent, estimates, enclosing)
     info = {
         "estimates": {str(lbl): estimates[lbl] for lbl in watched},
@@ -448,16 +448,3 @@ def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
             attached.append(node)
             emit(node, "join", {"island": best, "reason": "fallback",
                                 "island_freq": registry.island_freq[best]})
-
-
-def decentralized_partition(network: PowerNetwork,
-                            initial_islands: Sequence[Island],
-                            config, mode: str | None = None
-                            ) -> DecentralizedResult:
-    """Adapter running the engine with a ScenarioConfig's knobs."""
-    return run_decentralized(
-        network, initial_islands,
-        mode=mode if mode is not None else config.mode,
-        epsilon=config.freq_epsilon,
-        t_max=config.t_max, dt=config.dt,
-        max_stalled_rounds=config.max_stalled_rounds)

@@ -65,15 +65,8 @@ def metric_j1(network: PowerNetwork, partition: Partition) -> float:
         for isl in partition.islands)
 
 
-def _require_converged(solutions: Mapping[int, PowerFlowSolution]) -> None:
-    for label, sol in solutions.items():
-        if not sol.converged:
-            raise NotConverged(sol.iterations, sol.mismatch)
-
-
 def metric_j2(solutions: Mapping[int, PowerFlowSolution]) -> float:
     """Mean over islands of 1 - Vmin/Vmax."""
-    _require_converged(solutions)
     if not solutions:
         raise ValueError("no island solutions")
     spreads = []
@@ -90,7 +83,6 @@ def metric_j3(solutions: Mapping[int, PowerFlowSolution]) -> float:
     Island solutions only contain intra-island branches, so summing
     their per-branch losses is exactly the intra-island total.
     """
-    _require_converged(solutions)
     return float(sum(np.sum(sol.p_loss) for sol in solutions.values()))
 
 

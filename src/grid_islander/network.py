@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBranch, NoGenerator, NotFound, Unreachable
+from .errors import DegenerateBranch, NotFound, Unreachable
 
 logger = logging.getLogger("grid_islander.network")
 
@@ -365,15 +365,11 @@ def compute_cut_set(network: PowerNetwork,
         for node in isl.node_set:
             owner[node] = isl.label
     cut = set()
-    for a, b in sorted(_distinct_edges(network)):
+    for a, b in sorted(network.edge_set()):
         la, lb = owner.get(a), owner.get(b)
         if la is not None and lb is not None and la != lb:
             cut.add((a, b))
     return tuple(sorted(cut))
-
-
-def _distinct_edges(network: PowerNetwork) -> set[tuple[int, int]]:
-    return network.edge_set()
 
 
 def make_partition(network: PowerNetwork,
@@ -435,9 +431,3 @@ def validate_partition(network: PowerNetwork,
 def island_imbalance(network: PowerNetwork, island: Island) -> float:
     """Total per-unit net injection of an island (its power imbalance)."""
     return sum(net_injection(network, node) for node in island.node_set)
-
-
-def require_generator(network: PowerNetwork, nodes: Iterable[int]) -> None:
-    """Raise NoGenerator unless some node belongs to the generator set."""
-    if not set(nodes) & network.generator_set:
-        raise NoGenerator("node set contains no generator bus")

@@ -107,7 +107,3 @@ def sync_table_from_dict(data: dict):
 
 def save_json(data: dict, path) -> None:
     Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
-def load_json(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

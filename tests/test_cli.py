@@ -3,11 +3,14 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import grid_islander
 from grid_islander import NotConverged
 from grid_islander.cli import main
 
@@ -278,8 +281,11 @@ def test_seed_override_changes_sync_times(workspace):
 
 
 def _run_cli(args, env_extra=None):
-    import os
+    # the child imports the same package this test imported
+    package_root = str(Path(grid_islander.__file__).parents[1])
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     code = ("import sys; from grid_islander.cli import main; "

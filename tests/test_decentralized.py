@@ -3,16 +3,16 @@
 import logging
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from grid_islander import (Decision, DegenerateEstimate, Island,
                            IslandRegistry, NodeAgent, Stalled, UndefinedSize,
-                           agent_decide, decentralized_partition,
-                           estimate_island_power, net_injection,
-                           run_decentralized, staleness_check,
-                           validate_partition, with_overrides)
+                           agent_decide, build_layer, estimate_island_power,
+                           net_injection, run_decentralized, staleness_check,
+                           sync_frequency, validate_partition)
 from grid_islander.decentralized import _evaluate_agent, _LayerCache
 from conftest import make_network
 
@@ -77,7 +77,7 @@ def test_estimator_undefined_size_for_balanced_island():
 def _agent(injection, watched=(1, 2)):
     return NodeAgent(node_id=7, injection=injection,
                      neighbor_islands=frozenset(watched),
-                     local_layers={}, snapshot_freqs={})
+                     snapshot_freqs={})
 
 
 def test_load_joins_largest_positive_island():
@@ -113,7 +113,7 @@ def test_enclosure_beats_estimates():
 
 def test_staleness_threshold():
     agent = NodeAgent(node_id=3, injection=-0.2,
-                      neighbor_islands=frozenset({1}), local_layers={},
+                      neighbor_islands=frozenset({1}),
                       snapshot_freqs={1: (0.5, 0.4)})
     registry = IslandRegistry(islands={1: {1, 2}}, island_freq={1: 0.5})
     assert staleness_check(agent, registry, epsilon=1e-3) == "fresh"
@@ -299,13 +299,51 @@ def test_simulated_mode_reports_agreement_times():
     assert 0.0 <= ready <= 40.0
 
 
-def test_adapter_uses_config_knobs(scenario118):
+def test_adapter_uses_config_knobs():
     net = make_network({1: -0.5, 5: -0.2, 9: -0.3},
                        [(1, 5), (5, 9)], generator_set={1, 9})
-    cfg = with_overrides(scenario118, max_stalled_rounds=1)
-    result = decentralized_partition(net, seeds({1}, {9}), cfg)
+    result = run_decentralized(net, seeds({1}, {9}), max_stalled_rounds=1)
     assert result.rounds == 1   # fallback fires after a single quiet round
     assert result.fallback_nodes == (5,)
+
+
+def test_mean_injection_is_bit_identical_to_layer_mean(net118):
+    # the analytic augmented frequency must equal the layer's mean
+    # exactly, or estimates and events.json would move
+    rng = random.Random(118)
+    cache = _LayerCache(net118, "analytic", 10.0, 0.01, 1e-4)
+    ids = net118.node_ids()
+    for _ in range(50):
+        nodes = {rng.choice(ids)}
+        target = rng.randint(2, len(ids))
+        while len(nodes) < target:
+            frontier = sorted({p for n in nodes for p in net118.neighbors(n)}
+                              - nodes)
+            nodes.add(rng.choice(frontier))
+        assert net118.subgraph_connected(nodes)
+        nodes = frozenset(nodes)
+        assert cache.mean_injection(nodes) == \
+            sync_frequency(build_layer(net118, nodes))
+
+
+def test_analytic_mode_builds_no_layer(scenario118, net118_faulted,
+                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("analytic mode built an oscillator layer")
+
+    monkeypatch.setattr("grid_islander.decentralized.build_layer", refuse)
+    islands = [Island(label=k + 1, node_set=frozenset(nodes))
+               for k, nodes in enumerate(scenario118.initial_islands)]
+    result = run_decentralized(
+        net118_faulted, islands, mode="analytic",
+        epsilon=scenario118.freq_epsilon, t_max=scenario118.t_max,
+        dt=scenario118.dt,
+        max_stalled_rounds=scenario118.max_stalled_rounds)
+    assert result.rounds == 45
+    assert result.fallback_nodes == (105, 106, 109, 107, 108)
+    actions = Counter(e["action"] for e in result.events)
+    assert actions == {"snapshot": 1038, "estimate": 1038, "stale": 949,
+                       "join": 85, "wait": 9}
 
 
 def test_unknown_mode_rejected():

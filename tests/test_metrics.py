@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grid_islander import (Island, NotConverged, PowerFlowSolution,
+from grid_islander import (Island, PowerFlowSolution,
                            ac_power_flow, compute_metrics, dc_power_flow,
                            j1_from_imbalances, make_partition, metric_j1,
                            metric_j2, metric_j3, metric_j4, metrics_to_dict)
@@ -75,15 +75,6 @@ def test_j3_sums_losses():
                           p_from=[3.0], p_to=[-2.8]),
     }
     assert metric_j3(solutions) == pytest.approx(1.5 + 0.2)
-
-
-def test_j2_j3_reject_unconverged():
-    bad = _fake_solution([1.0, 0.9])
-    object.__setattr__(bad, "converged", False)
-    with pytest.raises(NotConverged):
-        metric_j2({1: bad})
-    with pytest.raises(NotConverged):
-        metric_j3({1: bad})
 
 
 def test_j4_single_cut_line():
