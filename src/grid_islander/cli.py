@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Subcommands mirror the pipeline stages: parse, simulate, sync-times,
-partition, metrics, run-all. Every artifact is JSON or CSV; a run
+Subcommands (parse, simulate, sync-times, partition, metrics, run-all)
+are built from one staged pipeline: scenario and network, ensemble,
+sync table, partition, metrics. Every artifact is JSON or CSV; a run
 manifest ties the outputs of one invocation together. Exit codes: 0
 success, 2 input error, 3 numerical failure, 4 validation failure.
 Verbosity follows the GRID_ISLANDER_LOG environment variable (error,
@@ -32,30 +33,32 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
 from .kuramoto import build_layer, derivative, ensemble_integrate, sync_times
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
-from .network import Island, PowerNetwork, apply_fault, validate_partition
+from .network import (Island, Partition, PowerNetwork, apply_fault,
+                      island_imbalance, validate_partition)
 from .scenario import ScenarioConfig, load_scenario, with_overrides
 from .serialize import (network_to_dict, partition_from_dict,
                         partition_to_dict, save_json, sync_table_from_dict,
                         sync_table_to_dict)
-
-logger = logging.getLogger("grid_islander.cli")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
-_INPUT_ERRORS = (ConfigError, ParseError, MissingSection, SchemaError,
-                 NotFound, Unreachable, EmptyLayer, FileNotFoundError,
-                 IsADirectoryError, PermissionError)
-_NUMERICAL_ERRORS = (NotConverged, NumericalDivergence, SingularSystem,
-                     NotSynchronized, GridError, DegenerateBranch,
-                     DegenerateEstimate, UndefinedSize)
-_VALIDATION_ERRORS = (InitialIslandsOverlap, Stalled, NoGenerator)
-
 
 class _ValidationFailure(GridIslanderError):
     """Raised internally when a produced partition fails its checks."""
+
+
+# Checked in this order; a malformed JSON file is a ValueError.
+_VALIDATION_ERRORS = (_ValidationFailure, InitialIslandsOverlap, Stalled,
+                      NoGenerator)
+_NUMERICAL_ERRORS = (NotConverged, NumericalDivergence, SingularSystem,
+                     NotSynchronized, GridError, DegenerateBranch,
+                     DegenerateEstimate, UndefinedSize)
+_INPUT_ERRORS = (ConfigError, ParseError, MissingSection, SchemaError,
+                 NotFound, Unreachable, EmptyLayer, FileNotFoundError,
+                 IsADirectoryError, PermissionError, ValueError)
 
 
 def _configure_logging() -> None:
@@ -73,56 +76,123 @@ def _emit_error(exc: BaseException, code: int) -> int:
     return code
 
 
-def _scenario_network(cfg: ScenarioConfig) -> PowerNetwork:
-    case = load_case(cfg.case_path)
-    network = build_network(case, cfg.generator_set)
+# Pipeline stages. Each is written once and every subcommand is built
+# from them. They reach the library only through this module's globals,
+# so a caller that patches ``grid_islander.cli.<name>`` sees every call.
+
+def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
+    """Scenario config with CLI overrides, and its post-fault network."""
+    cfg = load_scenario(args.config)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in ("algorithm", "mode", "seed") and value is not None}
+    if overrides:
+        cfg = with_overrides(cfg, **overrides)
+    network = build_network(load_case(cfg.case_path), cfg.generator_set)
     for pair in cfg.fault_branches:
         network = apply_fault(network, pair)
-    return network
+    return cfg, network
 
 
-def _initial_islands(cfg: ScenarioConfig) -> list[Island]:
-    return [Island(label=k + 1, node_set=frozenset(nodes))
-            for k, nodes in enumerate(cfg.initial_islands)]
+def _ensemble(cfg: ScenarioConfig, network: PowerNetwork):
+    """The integrated ensemble of the whole-grid layer."""
+    layer = build_layer(network, network.node_ids(), label="grid")
+    return ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
+                              t_max=cfg.t_max, dt=cfg.dt)
 
 
-def _scenario_hash(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sync_table(cfg: ScenarioConfig, network: PowerNetwork):
+    """Ensemble sync time of every edge of the network."""
+    return sync_times(_ensemble(cfg, network), network.edge_set(),
+                      threshold=cfg.rho_threshold)
 
 
-def _manifest(cfg_path: Path, cfg: ScenarioConfig, algorithm: str,
-              artifacts: dict[str, str]) -> dict:
-    return {
-        "schema_version": 1,
-        "tool_version": __version__,
-        "scenario_hash": _scenario_hash(cfg_path),
-        "seed": cfg.seed,
-        "algorithm": algorithm,
-        "mode": cfg.mode,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "artifacts": artifacts,
-    }
+def _partition(cfg: ScenarioConfig, network: PowerNetwork,
+               sync_table=None) -> tuple[Partition, str, dict]:
+    """Grow and validate a partition; returns (partition, log name, log).
+
+    The centralized growth computes the sync table unless given one.
+    """
+    initial = [Island(label=k + 1, node_set=frozenset(nodes))
+               for k, nodes in enumerate(cfg.initial_islands)]
+    if cfg.algorithm == "centralized":
+        if sync_table is None:
+            sync_table = _sync_table(cfg, network)
+        result = centralized_partition(network, initial, sync_table)
+        log_name, log = "steps", {"steps": [
+            {"step": s.step, "island": s.island_label, "node": s.node,
+             "sync_time": ("inf" if s.sync_time == float("inf")
+                           else s.sync_time),
+             "imbalances": {str(k): v for k, v in s.imbalances.items()}}
+            for s in result.steps]}
+    else:
+        result = run_decentralized(
+            network, initial, mode=cfg.mode, epsilon=cfg.freq_epsilon,
+            t_max=cfg.t_max, dt=cfg.dt,
+            max_stalled_rounds=cfg.max_stalled_rounds)
+        log_name, log = "events", {
+            "rounds": result.rounds,
+            "layer_evaluations": list(result.layer_evaluations),
+            "evaluation_bound": result.evaluation_bound,
+            "fallback_nodes": list(result.fallback_nodes),
+            "events": list(result.events)}
+    _validate_or_fail(network, result.partition)
+    return result.partition, log_name, log
 
 
-def _write_trajectory_csv(path: Path, layer, times, phases) -> None:
-    """Rows of t,node_id,phase,frequency for one run."""
-    freqs = derivative(layer, phases)
+def _validate_or_fail(network: PowerNetwork, partition: Partition) -> None:
+    report = validate_partition(network, partition)
+    if not report.all_ok:
+        raise _ValidationFailure("; ".join(report.issues))
+
+
+class _ArtifactDir:
+    """An output directory that records its JSON artifacts, in write
+    order, for the run manifest."""
+
+    def __init__(self, path: str) -> None:
+        self.path = Path(path)
+        self.path.mkdir(parents=True, exist_ok=True)
+        self.artifacts: dict[str, str] = {}
+
+    def write(self, key: str, payload: dict) -> None:
+        save_json(payload, self.path / f"{key}.json")
+        self.artifacts[key] = f"{key}.json"
+
+    def write_partition(self, partition: Partition, log_name: str,
+                        log: dict) -> None:
+        self.write("partition", partition_to_dict(partition))
+        self.write(log_name, log)
+
+    def write_manifest(self, config_path: str, cfg: ScenarioConfig) -> None:
+        manifest = {
+            "schema_version": 1,
+            "tool_version": __version__,
+            "scenario_hash": hashlib.sha256(
+                Path(config_path).read_bytes()).hexdigest(),
+            "seed": cfg.seed,
+            "algorithm": cfg.algorithm,
+            "mode": cfg.mode,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "artifacts": self.artifacts,
+        }
+        save_json(manifest, self.path / "run_manifest.json")
+
+
+def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["t", "node_id", "phase", "frequency"])
-        for k, t in enumerate(times):
-            for a, node in enumerate(layer.node_ids):
-                writer.writerow([repr(float(t)), node,
-                                 repr(float(phases[k, a])),
-                                 repr(float(freqs[k, a]))])
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
 
 
-def _write_sync_csv(path: Path, table) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["i", "j", "t_sync"])
-        for (a, b), t in table.items():
-            writer.writerow([a, b, "inf" if t == float("inf") else repr(t)])
+def _read_json(path: str):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def _print_scores(report) -> None:
+    print(f"J1={report.j1:.1f} MW  J2={report.j2:.4f}  "
+          f"J3={report.j3:.1f} MW  J4={report.j4:.1f} MW")
 
 
 def cmd_parse(args) -> int:
@@ -139,36 +209,32 @@ def cmd_parse(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    network = _scenario_network(cfg)
-    layer = build_layer(network, network.node_ids(), label="grid")
-    ensemble = ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                                  t_max=cfg.t_max, dt=cfg.dt)
+    cfg, network = _scenario(args)
     run = args.run
-    if not 0 <= run < ensemble.n_runs:
+    if not 0 <= run < cfg.ensemble_size:
         raise ConfigError(f"run index {run} out of range "
-                          f"(ensemble has {ensemble.n_runs})")
-    final_freq = derivative(layer, ensemble.phases[run, -1])
-    print(f"simulated {ensemble.n_runs} runs x {len(ensemble.times) - 1} "
+                          f"(ensemble has {cfg.ensemble_size})")
+    runs = _ensemble(cfg, network)
+    layer, phases = runs.layer, runs.phases[run]
+    final_freq = derivative(layer, phases[-1])
+    print(f"simulated {runs.n_runs} runs x {len(runs.times) - 1} "
           f"steps on {layer.size} nodes")
     print(f"run {run}: final frequency spread "
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "
           f"{final_freq.mean():.6f} pu")
     if args.out:
-        _write_trajectory_csv(Path(args.out), layer, ensemble.times,
-                              ensemble.phases[run])
-        print(f"wrote {args.out}")
+        freqs = derivative(layer, phases)
+        _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
+            [repr(float(t)), node, repr(float(phases[k, a])),
+             repr(float(freqs[k, a]))]
+            for k, t in enumerate(runs.times)
+            for a, node in enumerate(layer.node_ids)))
     return EXIT_OK
 
 
 def cmd_sync_times(args) -> int:
-    cfg = _load_config(args)
-    network = _scenario_network(cfg)
-    layer = build_layer(network, network.node_ids(), label="grid")
-    ensemble = ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                                  t_max=cfg.t_max, dt=cfg.dt)
-    table = sync_times(ensemble, network.edge_set(),
-                       threshold=cfg.rho_threshold)
+    cfg, network = _scenario(args)
+    table = _sync_table(cfg, network)
     finite = [t for _, t in table.items() if t != float("inf")]
     print(f"{len(table.entries)} edges: {len(finite)} synchronized, "
           f"{len(table.entries) - len(finite)} never")
@@ -176,83 +242,35 @@ def cmd_sync_times(args) -> int:
         save_json(sync_table_to_dict(table), args.out)
         print(f"wrote {args.out}")
     if args.csv:
-        _write_sync_csv(Path(args.csv), table)
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, ["i", "j", "t_sync"], (
+            [a, b, "inf" if t == float("inf") else repr(t)]
+            for (a, b), t in table.items()))
     return EXIT_OK
 
 
-def _run_partition(cfg: ScenarioConfig, network: PowerNetwork,
-                   sync_table=None):
-    """Returns (partition, log_name, log_payload)."""
-    initial = _initial_islands(cfg)
-    if cfg.algorithm == "centralized":
-        if sync_table is None:
-            layer = build_layer(network, network.node_ids(), label="grid")
-            ensemble = ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                                          t_max=cfg.t_max, dt=cfg.dt)
-            sync_table = sync_times(ensemble, network.edge_set(),
-                                    threshold=cfg.rho_threshold)
-        result = centralized_partition(network, initial, sync_table)
-        log = {"steps": [
-            {"step": s.step, "island": s.island_label, "node": s.node,
-             "sync_time": ("inf" if s.sync_time == float("inf")
-                           else s.sync_time),
-             "imbalances": {str(k): v for k, v in s.imbalances.items()}}
-            for s in result.steps]}
-        return result.partition, "steps", log
-    result = run_decentralized(
-        network, initial, mode=cfg.mode, epsilon=cfg.freq_epsilon,
-        t_max=cfg.t_max, dt=cfg.dt,
-        max_stalled_rounds=cfg.max_stalled_rounds)
-    log = {"rounds": result.rounds,
-           "layer_evaluations": list(result.layer_evaluations),
-           "evaluation_bound": result.evaluation_bound,
-           "fallback_nodes": list(result.fallback_nodes),
-           "events": list(result.events)}
-    return result.partition, "events", log
-
-
-def _validate_or_fail(network: PowerNetwork, partition) -> None:
-    report = validate_partition(network, partition)
-    if not report.all_ok:
-        raise _ValidationFailure("; ".join(report.issues))
-
-
 def cmd_partition(args) -> int:
-    cfg = _load_config(args)
-    network = _scenario_network(cfg)
-    sync_table = None
-    if args.sync_table:
-        sync_table = sync_table_from_dict(
-            json.loads(Path(args.sync_table).read_text(encoding="utf-8")))
-    partition, log_name, log = _run_partition(cfg, network, sync_table)
-    _validate_or_fail(network, partition)
+    cfg, network = _scenario(args)
+    sync_table = (sync_table_from_dict(_read_json(args.sync_table))
+                  if args.sync_table else None)
+    partition, log_name, log = _partition(cfg, network, sync_table)
     for isl in partition.islands:
-        total = sum((network.bus(n).p_gen_scheduled - network.bus(n).p_demand)
-                    for n in isl.node_set)
+        imbalance = island_imbalance(network, isl) * network.base_mva
         print(f"island {isl.label}: {isl.size} nodes, "
-              f"imbalance {total:+.1f} MW")
+              f"imbalance {imbalance:+.1f} MW")
     print(f"cut set: {len(partition.cut_set)} edges")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_json(partition_to_dict(partition), out_dir / "partition.json")
-    save_json(log, out_dir / f"{log_name}.json")
-    artifacts = {"partition": "partition.json", log_name: f"{log_name}.json"}
-    save_json(_manifest(Path(args.config), cfg, cfg.algorithm, artifacts),
-              out_dir / "run_manifest.json")
-    print(f"wrote {out_dir}/partition.json")
+    out = _ArtifactDir(args.out_dir)
+    out.write_partition(partition, log_name, log)
+    out.write_manifest(args.config, cfg)
+    print(f"wrote {out.path}/partition.json")
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
-    network = _scenario_network(cfg)
-    partition = partition_from_dict(
-        json.loads(Path(args.partition).read_text(encoding="utf-8")))
+    cfg, network = _scenario(args)
+    partition = partition_from_dict(_read_json(args.partition))
     _validate_or_fail(network, partition)
     report = compute_metrics(network, partition)
-    print(f"J1={report.j1:.1f} MW  J2={report.j2:.4f}  "
-          f"J3={report.j3:.1f} MW  J4={report.j4:.1f} MW")
+    _print_scores(report)
     if args.out:
         save_json(metrics_to_dict(report), args.out)
         print(f"wrote {args.out}")
@@ -260,65 +278,24 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_run_all(args) -> int:
-    cfg = _load_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    network = _scenario_network(cfg)
-    artifacts: dict[str, str] = {}
-
-    save_json(network_to_dict(network), out_dir / "network.json")
-    artifacts["network"] = "network.json"
-
+    cfg, network = _scenario(args)
+    out = _ArtifactDir(args.out_dir)
+    out.write("network", network_to_dict(network))
     sync_table = None
     if cfg.algorithm == "centralized":
-        layer = build_layer(network, network.node_ids(), label="grid")
-        ensemble = ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                                      t_max=cfg.t_max, dt=cfg.dt)
-        sync_table = sync_times(ensemble, network.edge_set(),
-                                threshold=cfg.rho_threshold)
-        save_json(sync_table_to_dict(sync_table),
-                  out_dir / "sync_times.json")
-        artifacts["sync_times"] = "sync_times.json"
-
-    partition, log_name, log = _run_partition(cfg, network, sync_table)
-    _validate_or_fail(network, partition)
-    save_json(partition_to_dict(partition), out_dir / "partition.json")
-    save_json(log, out_dir / f"{log_name}.json")
-    artifacts["partition"] = "partition.json"
-    artifacts[log_name] = f"{log_name}.json"
-
+        sync_table = _sync_table(cfg, network)
+        out.write("sync_times", sync_table_to_dict(sync_table))
+    partition, log_name, log = _partition(cfg, network, sync_table)
+    out.write_partition(partition, log_name, log)
     report = compute_metrics(network, partition)
-    save_json(metrics_to_dict(report), out_dir / "metrics.json")
-    artifacts["metrics"] = "metrics.json"
-
-    save_json(_manifest(Path(args.config), cfg, cfg.algorithm, artifacts),
-              out_dir / "run_manifest.json")
+    out.write("metrics", metrics_to_dict(report))
+    out.write_manifest(args.config, cfg)
     sizes = ", ".join(f"{isl.label}:{isl.size}" for isl in partition.islands)
     print(f"partition ({cfg.algorithm}): islands {sizes}, "
           f"{len(partition.cut_set)} cut edges")
-    print(f"J1={report.j1:.1f} MW  J2={report.j2:.4f}  "
-          f"J3={report.j3:.1f} MW  J4={report.j4:.1f} MW")
-    print(f"wrote artifacts to {out_dir}")
+    _print_scores(report)
+    print(f"wrote artifacts to {out.path}")
     return EXIT_OK
-
-
-def _load_config(args) -> ScenarioConfig:
-    cfg = load_scenario(args.config)
-    overrides = {}
-    if getattr(args, "algorithm", None):
-        overrides["algorithm"] = args.algorithm
-    if getattr(args, "mode", None):
-        overrides["mode"] = args.mode
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return with_overrides(cfg, **overrides) if overrides else cfg
-
-
-def _add_config_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True,
-                        help="scenario JSON file")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,6 +306,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags shared by the scenario-driven subcommands
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="scenario JSON file")
+    config.add_argument("--seed", type=int, help="override the scenario seed")
+    growth = argparse.ArgumentParser(add_help=False, parents=[config])
+    growth.add_argument("--algorithm",
+                        choices=["centralized", "decentralized"])
+    growth.add_argument("--mode", choices=["analytic", "simulated"])
+    growth.add_argument("--out-dir", default=".", help="artifact directory")
 
     p = sub.add_parser("parse", help="parse a MATPOWER case file")
     p.add_argument("case", help="path to the .m case file")
@@ -337,44 +323,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write network JSON here")
     p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("simulate",
+    p = sub.add_parser("simulate", parents=[config],
                        help="integrate the post-fault oscillator ensemble")
-    _add_config_arg(p)
     p.add_argument("--run", type=int, default=0,
                    help="which run's trajectory to export (default 0)")
     p.add_argument("--out", help="trajectory CSV path")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("sync-times",
+    p = sub.add_parser("sync-times", parents=[config],
                        help="compute internode synchronization times")
-    _add_config_arg(p)
     p.add_argument("--out", help="sync table JSON path")
     p.add_argument("--csv", help="per-edge CSV path")
     p.set_defaults(func=cmd_sync_times)
 
-    p = sub.add_parser("partition", help="grow a partition")
-    _add_config_arg(p)
-    p.add_argument("--algorithm",
-                   choices=["centralized", "decentralized"])
-    p.add_argument("--mode", choices=["analytic", "simulated"])
+    p = sub.add_parser("partition", parents=[growth],
+                       help="grow a partition")
     p.add_argument("--sync-table",
                    help="reuse a sync table JSON (centralized only)")
-    p.add_argument("--out-dir", default=".", help="artifact directory")
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("metrics", help="score an existing partition")
-    _add_config_arg(p)
+    p = sub.add_parser("metrics", parents=[config],
+                       help="score an existing partition")
     p.add_argument("--partition", required=True,
                    help="partition JSON to score")
     p.add_argument("--out", help="metrics report JSON path")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("run-all", help="full pipeline, all artifacts")
-    _add_config_arg(p)
-    p.add_argument("--algorithm",
-                   choices=["centralized", "decentralized"])
-    p.add_argument("--mode", choices=["analytic", "simulated"])
-    p.add_argument("--out-dir", default=".", help="artifact directory")
+    p = sub.add_parser("run-all", parents=[growth],
+                       help="full pipeline, all artifacts")
     p.set_defaults(func=cmd_run_all)
     return parser
 
@@ -385,15 +361,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _ValidationFailure as exc:
-        return _emit_error(exc, EXIT_VALIDATION)
     except _VALIDATION_ERRORS as exc:
         return _emit_error(exc, EXIT_VALIDATION)
     except _NUMERICAL_ERRORS as exc:
         return _emit_error(exc, EXIT_NUMERICAL)
     except _INPUT_ERRORS as exc:
-        return _emit_error(exc, EXIT_INPUT)
-    except (ValueError, json.JSONDecodeError) as exc:
         return _emit_error(exc, EXIT_INPUT)
 
 

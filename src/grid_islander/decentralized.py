@@ -39,7 +39,8 @@ import numpy as np
 from .centralized import check_initial_islands
 from .errors import (DegenerateEstimate, NotSynchronized, Stalled,
                      UndefinedSize)
-from .kuramoto import build_layer, integrate, measure_sync_frequency
+from .kuramoto import (build_layer, integrate, measure_sync_frequency,
+                       settling_time)
 from .network import (Island, Partition, PowerNetwork, make_partition,
                       net_injection)
 
@@ -202,12 +203,7 @@ def _agreement_time(network: PowerNetwork, node: int, island_nodes: set[int],
              if p in island_nodes]
     diffs = np.abs(traj.frequencies[:, watch]
                    - traj.frequencies[:, [j]])
-    bad = np.any(diffs > epsilon, axis=1)
-    if not bad.any():
-        return float(traj.times[0])
-    if bad[-1]:
-        return math.inf
-    return float(traj.times[int(np.nonzero(bad)[0][-1]) + 1])
+    return settling_time(traj.times, np.any(diffs > epsilon, axis=1))
 
 
 def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,

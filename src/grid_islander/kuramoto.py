@@ -320,15 +320,20 @@ def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
         if key in entries:
             continue
         rho = order_parameter_series(ensemble, key[0], key[1])
-        below = rho <= threshold
-        if not below.any():
-            entries[key] = float(times[0])
-        elif below[-1]:
-            entries[key] = math.inf
-        else:
-            last_bad = int(np.nonzero(below)[0][-1])
-            entries[key] = float(times[last_bad + 1])
+        entries[key] = settling_time(times, rho <= threshold)
     return SyncTimeTable(entries=entries)
+
+
+def settling_time(times: np.ndarray, bad: np.ndarray) -> float:
+    """Earliest sample time from which ``bad`` stays false through the
+    last sample: ``times[0]`` if it never holds, +inf if it holds at the
+    last sample.
+    """
+    if not bad.any():
+        return float(times[0])
+    if bad[-1]:
+        return math.inf
+    return float(times[int(np.nonzero(bad)[0][-1]) + 1])
 
 
 def sync_frequency(layer: CyberLayer) -> float:

@@ -159,6 +159,21 @@ def test_simulate_writes_trajectory(workspace, capsys):
     assert rc == 2   # run index beyond the ensemble
 
 
+
+def test_simulate_rejects_bad_run_before_integrating(workspace, capsys,
+                                                     monkeypatch):
+    tmp_path, cfg = workspace
+    import grid_islander.cli as cli_module
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated an ensemble for a bad run index")
+
+    monkeypatch.setattr(cli_module, "ensemble_integrate", no_integration)
+    rc = main(["simulate", "--config", str(cfg), "--run", "9"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "run index 9 out of range (ensemble has 4)"
+
 def test_sync_times_artifacts(workspace):
     tmp_path, cfg = workspace
     out_json = tmp_path / "st.json"
@@ -279,6 +294,50 @@ def test_seed_override_changes_sync_times(workspace):
     mb = json.loads((out_b / "run_manifest.json").read_text("utf-8"))
     assert mb["seed"] == 4
 
+
+
+# The stages perfbench/spans.py times by patching them in grid_islander.cli.
+_STAGES = ("build_layer", "ensemble_integrate", "sync_times",
+           "centralized_partition", "run_decentralized", "compute_metrics")
+
+
+@pytest.mark.parametrize("argv, calls, artifacts", [
+    (["run-all"],
+     {"build_layer": 1, "ensemble_integrate": 1, "sync_times": 1,
+      "centralized_partition": 1, "compute_metrics": 1},
+     ["network", "sync_times", "partition", "steps", "metrics"]),
+    (["run-all", "--algorithm", "decentralized"],
+     {"run_decentralized": 1, "compute_metrics": 1},
+     ["network", "partition", "events", "metrics"]),
+    (["partition", "--sync-table", "SYNC"],
+     {"centralized_partition": 1}, ["partition", "steps"]),
+    (["sync-times", "--out", "SYNC"],
+     {"build_layer": 1, "ensemble_integrate": 1, "sync_times": 1}, None),
+])
+def test_pipeline_stage_calls(workspace, monkeypatch, argv, calls,
+                              artifacts):
+    tmp_path, cfg = workspace
+    sync_path = str(tmp_path / "sync.json")
+    assert main(["sync-times", "--config", str(cfg),
+                 "--out", sync_path]) == 0
+    import grid_islander.cli as cli_module
+    counts = dict.fromkeys(_STAGES, 0)
+    for name in _STAGES:
+        def counted(*args, _name=name, _func=getattr(cli_module, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(cli_module, name, counted)
+    out_dir = tmp_path / "out"
+    argv = [sync_path if arg == "SYNC" else arg for arg in argv]
+    if artifacts is not None:
+        argv += ["--out-dir", str(out_dir)]
+    assert main([*argv, "--config", str(cfg)]) == 0
+    assert counts == {**dict.fromkeys(_STAGES, 0), **calls}
+    if artifacts is not None:
+        manifest = json.loads((out_dir / "run_manifest.json")
+                              .read_text(encoding="utf-8"))
+        assert list(manifest["artifacts"]) == artifacts
 
 def _run_cli(args, env_extra=None):
     # the child imports the same package this test imported
