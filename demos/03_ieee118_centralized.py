@@ -13,8 +13,8 @@ from pathlib import Path
 import grid_islander
 from grid_islander import (Island, build_layer, build_network,
                            centralized_partition, compute_metrics,
-                           ensemble_integrate, apply_fault, load_case,
-                           load_scenario, sync_times, validate_partition)
+                           ensemble_sync_times, apply_fault, load_case,
+                           load_scenario, validate_partition)
 
 DATA = Path(grid_islander.__file__).parent / "data"
 
@@ -24,11 +24,12 @@ for pair in cfg.fault_branches:
     net = apply_fault(net, pair)
 print(f"{len(net.buses)} buses, fault on {cfg.fault_branches}")
 
-# ensemble of oscillator runs; every in-service edge gets a sync time
+# ensemble of oscillator runs; every in-service edge gets a sync time,
+# detected as the runs are integrated (no trajectory is stored)
 layer = build_layer(net, net.node_ids(), label="grid")
-ens = ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                         cfg.t_max, cfg.dt)
-table = sync_times(ens, net.edge_set(), cfg.rho_threshold)
+table = ensemble_sync_times(layer, cfg.ensemble_size, cfg.seed,
+                            net.edge_set(), cfg.rho_threshold,
+                            t_max=cfg.t_max, dt=cfg.dt)
 finite = sum(1 for _, t in table.items() if math.isfinite(t))
 print(f"sync times: {finite} finite, "
       f"{len(net.edge_set()) - finite} never synchronized")

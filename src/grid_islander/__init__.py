@@ -25,7 +25,8 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      SingularSystem, Stalled, Unreachable, UndefinedSize)
 from .kuramoto import (CyberLayer, EnsembleResult, PhaseState, SyncTimeTable,
                        Trajectory, build_layer, derivative,
-                       ensemble_integrate, integrate,
+                       ensemble_integrate, ensemble_run,
+                       ensemble_sync_times, integrate,
                        measure_sync_frequency, order_parameter,
                        order_parameter_series, sample_initial_conditions,
                        sync_frequency, sync_times)

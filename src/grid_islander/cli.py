@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands (parse, simulate, sync-times, partition, metrics, run-all)
-are built from one staged pipeline: scenario and network, ensemble,
-sync table, partition, metrics. Every artifact is JSON or CSV; a run
-manifest ties the outputs of one invocation together. Exit codes: 0
-success, 2 input error, 3 numerical failure, 4 validation failure.
-Verbosity follows the GRID_ISLANDER_LOG environment variable (error,
-warn, info, debug).
+are built from one staged pipeline: scenario and network, sync table
+(detected inside the RK4 loop), partition, metrics. Every artifact is
+JSON or CSV; a run manifest ties the outputs of one invocation
+together. Exit codes: 0 success, 2 input error, 3 numerical failure, 4
+validation failure. Verbosity follows the GRID_ISLANDER_LOG environment
+variable (error, warn, info, debug).
 """
 
 from __future__ import annotations
@@ -30,7 +30,11 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      NotConverged, NotFound, NotSynchronized,
                      NumericalDivergence, ParseError, SchemaError,
                      SingularSystem, Stalled, Unreachable, UndefinedSize)
-from .kuramoto import build_layer, derivative, ensemble_integrate, sync_times
+# ensemble_integrate and sync_times, the stored-trajectory pair, are no
+# stage here; they stay importable from this module for tracers that wrap
+# its names (perfbench/spans.py).
+from .kuramoto import (build_layer, derivative, ensemble_integrate,
+                       ensemble_run, ensemble_sync_times, sync_times)
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
@@ -93,17 +97,18 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
     return cfg, network
 
 
-def _ensemble(cfg: ScenarioConfig, network: PowerNetwork):
-    """The integrated ensemble of the whole-grid layer."""
-    layer = build_layer(network, network.node_ids(), label="grid")
-    return ensemble_integrate(layer, cfg.ensemble_size, cfg.seed,
-                              t_max=cfg.t_max, dt=cfg.dt)
+def _grid_layer(network: PowerNetwork):
+    """The whole-grid oscillator layer."""
+    return build_layer(network, network.node_ids(), label="grid")
 
 
 def _sync_table(cfg: ScenarioConfig, network: PowerNetwork):
-    """Ensemble sync time of every edge of the network."""
-    return sync_times(_ensemble(cfg, network), network.edge_set(),
-                      threshold=cfg.rho_threshold)
+    """Ensemble sync time of every edge of the network, detected inside
+    the RK4 loop with no stored trajectory."""
+    return ensemble_sync_times(_grid_layer(network), cfg.ensemble_size,
+                               cfg.seed, network.edge_set(),
+                               threshold=cfg.rho_threshold,
+                               t_max=cfg.t_max, dt=cfg.dt)
 
 
 def _partition(cfg: ScenarioConfig, network: PowerNetwork,
@@ -214,10 +219,11 @@ def cmd_simulate(args) -> int:
     if not 0 <= run < cfg.ensemble_size:
         raise ConfigError(f"run index {run} out of range "
                           f"(ensemble has {cfg.ensemble_size})")
-    runs = _ensemble(cfg, network)
-    layer, phases = runs.layer, runs.phases[run]
+    layer = _grid_layer(network)
+    times, phases = ensemble_run(layer, cfg.ensemble_size, cfg.seed, run,
+                                 t_max=cfg.t_max, dt=cfg.dt)
     final_freq = derivative(layer, phases[-1])
-    print(f"simulated {runs.n_runs} runs x {len(runs.times) - 1} "
+    print(f"simulated {cfg.ensemble_size} runs x {len(times) - 1} "
           f"steps on {layer.size} nodes")
     print(f"run {run}: final frequency spread "
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "
@@ -227,7 +233,7 @@ def cmd_simulate(args) -> int:
         _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
             [repr(float(t)), node, repr(float(phases[k, a])),
              repr(float(freqs[k, a]))]
-            for k, t in enumerate(runs.times)
+            for k, t in enumerate(times)
             for a, node in enumerate(layer.node_ids)))
     return EXIT_OK
 

@@ -203,7 +203,8 @@ def _agreement_time(network: PowerNetwork, node: int, island_nodes: set[int],
              if p in island_nodes]
     diffs = np.abs(traj.frequencies[:, watch]
                    - traj.frequencies[:, [j]])
-    return settling_time(traj.times, np.any(diffs > epsilon, axis=1))
+    bad = np.flatnonzero(np.any(diffs > epsilon, axis=1))
+    return settling_time(traj.times, int(bad[-1]) if bad.size else -1)
 
 
 def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,

@@ -9,6 +9,15 @@ susceptance of the connecting branch (parallel circuits summed). The
 right-hand side is antisymmetric in each edge, so the mean frequency
 equals the mean natural frequency at all times; tests pin that down to
 rounding error.
+
+One RK4 generator yields the (runs, n) phases of an ensemble sample by
+sample. ``ensemble_sync_times`` scans that stream as it goes, keeping
+per edge only the last step at which the order parameter was at or
+below the threshold, so its memory does not grow with the number of
+steps. ``ensemble_integrate`` stores the whole trajectory for
+inspection; ``sync_times`` on a stored ensemble runs the same scan.
+A warning is logged when an ensemble's step may leave RK4's stability
+interval.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +39,8 @@ DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 100.0
 DEFAULT_RHO_THRESHOLD = 0.99
 DEFAULT_FREQ_TOLERANCE = 1e-4
+# RK4's stability interval on the negative real axis is [-2.785, 0].
+RK4_REAL_LIMIT = 2.785
 
 
 @dataclass
@@ -219,23 +230,32 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
 
 
 def _rk4(rhs: Callable[[np.ndarray], np.ndarray], initial: np.ndarray,
-         times: np.ndarray) -> np.ndarray:
-    """Classic fixed-step RK4; stores every sample, checks finiteness."""
+         times: np.ndarray) -> Iterator[np.ndarray]:
+    """Classic fixed-step RK4: yields the state at every sample time and
+    raises NumericalDivergence at the first non-finite one. Each yielded
+    array is fresh; the generator never writes to it again."""
     dt = float(times[1] - times[0])
-    out = np.empty(times.shape + initial.shape)
     state = np.array(initial, dtype=float)
-    out[0] = state
-    # overflow is handled by the finiteness check, not by numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, times.shape[0]):
+    yield state
+    for k in range(1, times.shape[0]):
+        # overflow is handled by the finiteness check, not by numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
             k1 = rhs(state)
             k2 = rhs(state + 0.5 * dt * k1)
             k3 = rhs(state + 0.5 * dt * k2)
             k4 = rhs(state + dt * k3)
             state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state)):
-                raise NumericalDivergence(float(times[k]))
-            out[k] = state
+        if not np.all(np.isfinite(state)):
+            raise NumericalDivergence(float(times[k]))
+        yield state
+
+
+def _stored(times: np.ndarray, states: Iterable[np.ndarray],
+            shape: tuple[int, ...]) -> np.ndarray:
+    """Every sample of a state stream, stacked as (len(times), *shape)."""
+    out = np.empty(times.shape + shape)
+    for k, state in enumerate(states):
+        out[k] = state
     return out
 
 
@@ -248,7 +268,7 @@ def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray,
         raise ValueError(f"initial phases must have shape ({layer.size},)")
     times = _time_grid(t_max, dt)
     rhs = _make_rhs(layer)
-    phases = _rk4(rhs, initial, times)
+    phases = _stored(times, _rk4(rhs, initial, times), initial.shape)
     return Trajectory(layer=layer, times=times, phases=phases,
                       frequencies=rhs(phases))
 
@@ -264,23 +284,76 @@ def sample_initial_conditions(n: int, seed) -> np.ndarray:
     return 0.5 * math.pi - rng.uniform(0.0, math.pi, size=n)
 
 
-def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int,
-                       t_max: float = DEFAULT_T_MAX,
-                       dt: float = DEFAULT_DT) -> EnsembleResult:
-    """Integrate ``n_runs`` independent initial conditions on one grid.
+def _warn_if_unstable(layer: CyberLayer, dt: float) -> None:
+    """Log a warning when dt * lambda_max may leave RK4's stability
+    interval, bounding lambda_max by Gershgorin (2 * max weighted degree).
+    """
+    ratio = dt * 2.0 * float(layer.coupling.sum(axis=1).max())
+    if ratio > RK4_REAL_LIMIT:
+        logger.warning(
+            "dt * 2 * max weighted degree = %.3f exceeds RK4's real-axis "
+            "stability limit %.3f: the integration may be unstable and "
+            "sync times may be integration artifacts", ratio,
+            RK4_REAL_LIMIT)
 
-    Run r draws its initial phases from the stream keyed by
-    (seed, r), so any single run can be reproduced in isolation.
+
+def _ensemble_stream(layer: CyberLayer, n_runs: int, seed: int,
+                     t_max: float, dt: float
+                     ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
+    """Time grid and the RK4 stream of (runs, n) phase samples.
+
+    Run r draws its initial phases from the stream keyed by (seed, r),
+    so any single run can be reproduced in isolation.
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
     times = _time_grid(t_max, dt)
     initial = np.stack([sample_initial_conditions(layer.size, [seed, r])
                         for r in range(n_runs)])
-    rhs = _make_rhs(layer)
-    phases = _rk4(rhs, initial, times)          # (m+1, runs, n)
+    _warn_if_unstable(layer, dt)
+    return times, _rk4(_make_rhs(layer), initial, times)
+
+
+def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int,
+                       t_max: float = DEFAULT_T_MAX,
+                       dt: float = DEFAULT_DT) -> EnsembleResult:
+    """Integrate ``n_runs`` independent initial conditions on one grid,
+    storing every sample: (runs, m+1, n) phases. For sync times alone,
+    ``ensemble_sync_times`` needs no stored trajectory.
+    """
+    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
+    phases = _stored(times, states, (n_runs, layer.size))
     return EnsembleResult(layer=layer, times=times,
                           phases=np.swapaxes(phases, 0, 1), seed=seed)
+
+
+def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int,
+                 t_max: float = DEFAULT_T_MAX, dt: float = DEFAULT_DT
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
+
+    The run is integrated with the whole batch, so its phases equal
+    ``ensemble_integrate(...).phases[run]`` bit for bit; only its own
+    samples are stored.
+    """
+    if not 0 <= run < n_runs:
+        raise ValueError(f"run index {run} out of range ({n_runs} runs)")
+    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
+    return times, _stored(times, (state[run] for state in states),
+                          (layer.size,))
+
+
+def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
+                        edges: Iterable[tuple[int, int]],
+                        threshold: float = DEFAULT_RHO_THRESHOLD,
+                        t_max: float = DEFAULT_T_MAX,
+                        dt: float = DEFAULT_DT) -> SyncTimeTable:
+    """``sync_times(ensemble_integrate(...), edges, threshold)`` without
+    the stored trajectory: the scan runs inside the RK4 loop, in memory
+    independent of the number of steps.
+    """
+    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
+    return _sync_scan(layer, times, states, edges, threshold)
 
 
 def _grid_index(times: np.ndarray, t: float) -> int:
@@ -313,27 +386,46 @@ def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
     """Earliest grid time from which each edge's order parameter stays
     above the threshold through the end of the horizon; +inf if none.
     """
-    entries: dict[tuple[int, int], float] = {}
-    times = ensemble.times
-    for a, b in edges:
-        key = (a, b) if a < b else (b, a)
-        if key in entries:
-            continue
-        rho = order_parameter_series(ensemble, key[0], key[1])
-        entries[key] = settling_time(times, rho <= threshold)
-    return SyncTimeTable(entries=entries)
+    states = (ensemble.phases[:, k] for k in range(len(ensemble.times)))
+    return _sync_scan(ensemble.layer, ensemble.times, states, edges,
+                      threshold)
 
 
-def settling_time(times: np.ndarray, bad: np.ndarray) -> float:
-    """Earliest sample time from which ``bad`` stays false through the
-    last sample: ``times[0]`` if it never holds, +inf if it holds at the
-    last sample.
+def _sync_scan(layer: CyberLayer, times: np.ndarray,
+               states: Iterable[np.ndarray],
+               edges: Iterable[tuple[int, int]],
+               threshold: float) -> SyncTimeTable:
+    """Sync times from a stream of (runs, n) phase samples, one per entry
+    of ``times``, keeping only the last sample per edge at which the
+    order parameter is at or below the threshold.
+
+    The order parameter is ``np.mean(..., axis=0)`` over the runs of
+    cos(theta_low - theta_high) on a (runs, edges) array. numpy lays the
+    gathered columns out edge by edge, so each edge's runs are summed
+    pairwise, as in ``order_parameter_series`` on a stored trajectory;
+    a C-ordered copy would sum them sequentially and round differently.
     """
-    if not bad.any():
+    keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
+    low = np.array([layer.index(a) for a, _ in keys], dtype=np.intp)
+    high = np.array([layer.index(b) for _, b in keys], dtype=np.intp)
+    last_bad = np.full(len(keys), -1)
+    for k, state in enumerate(states):
+        rho = np.mean(np.cos(state[:, low] - state[:, high]), axis=0)
+        last_bad[rho <= threshold] = k
+    return SyncTimeTable(entries={
+        key: settling_time(times, int(last))
+        for key, last in zip(keys, last_bad)})
+
+
+def settling_time(times: np.ndarray, last_bad: int) -> float:
+    """Earliest sample time after the last bad sample ``last_bad`` (-1 if
+    none): ``times[0]`` if none, +inf if the last sample is bad.
+    """
+    if last_bad < 0:
         return float(times[0])
-    if bad[-1]:
+    if last_bad == times.shape[0] - 1:
         return math.inf
-    return float(times[int(np.nonzero(bad)[0][-1]) + 1])
+    return float(times[last_bad + 1])
 
 
 def sync_frequency(layer: CyberLayer) -> float:

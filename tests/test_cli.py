@@ -168,7 +168,7 @@ def test_simulate_rejects_bad_run_before_integrating(workspace, capsys,
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated an ensemble for a bad run index")
 
-    monkeypatch.setattr(cli_module, "ensemble_integrate", no_integration)
+    monkeypatch.setattr(cli_module, "ensemble_run", no_integration)
     rc = main(["simulate", "--config", str(cfg), "--run", "9"])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -296,14 +296,17 @@ def test_seed_override_changes_sync_times(workspace):
 
 
 
-# The stages perfbench/spans.py times by patching them in grid_islander.cli.
+# Library calls of the CLI stages, counted by patching their names in
+# grid_islander.cli as perfbench/spans.py does. The stored-trajectory pair
+# (ensemble_integrate, sync_times) is counted too: no subcommand calls it.
 _STAGES = ("build_layer", "ensemble_integrate", "sync_times",
-           "centralized_partition", "run_decentralized", "compute_metrics")
+           "ensemble_sync_times", "ensemble_run", "centralized_partition",
+           "run_decentralized", "compute_metrics")
 
 
 @pytest.mark.parametrize("argv, calls, artifacts", [
     (["run-all"],
-     {"build_layer": 1, "ensemble_integrate": 1, "sync_times": 1,
+     {"build_layer": 1, "ensemble_sync_times": 1,
       "centralized_partition": 1, "compute_metrics": 1},
      ["network", "sync_times", "partition", "steps", "metrics"]),
     (["run-all", "--algorithm", "decentralized"],
@@ -312,7 +315,12 @@ _STAGES = ("build_layer", "ensemble_integrate", "sync_times",
     (["partition", "--sync-table", "SYNC"],
      {"centralized_partition": 1}, ["partition", "steps"]),
     (["sync-times", "--out", "SYNC"],
-     {"build_layer": 1, "ensemble_integrate": 1, "sync_times": 1}, None),
+     {"build_layer": 1, "ensemble_sync_times": 1}, None),
+    (["simulate", "--run", "1"], {"build_layer": 1, "ensemble_run": 1},
+     None),
+    (["partition"],
+     {"build_layer": 1, "ensemble_sync_times": 1,
+      "centralized_partition": 1}, ["partition", "steps"]),
 ])
 def test_pipeline_stage_calls(workspace, monkeypatch, argv, calls,
                               artifacts):

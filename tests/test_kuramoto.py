@@ -1,7 +1,10 @@
 """Oscillator layer: construction, integration, coherence, sync times."""
 
+import dataclasses
+import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +13,17 @@ from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, GridError,
                            NotFound, NotSynchronized,
                            NumericalDivergence, build_layer,
                            coupling_susceptance, derivative,
-                           ensemble_integrate, integrate, measure_sync_frequency,
-                           net_injection, order_parameter,
-                           order_parameter_series, sample_initial_conditions,
-                           sync_frequency, sync_times)
+                           ensemble_integrate, ensemble_run,
+                           ensemble_sync_times, integrate,
+                           measure_sync_frequency, net_injection,
+                           order_parameter, order_parameter_series,
+                           sample_initial_conditions, sync_frequency,
+                           sync_times)
 from conftest import make_network
+
+# Stable on the faulted 118-bus layer: dt * 2 * max weighted degree is
+# 2.68, inside RK4's real-axis limit 2.785.
+STABLE_DT = 0.0035
 
 
 def two_node_layer(p1, p2, b=1.0):
@@ -311,3 +320,121 @@ def test_sync_table_lookup_orderless():
     table = sync_times(ens, [(2, 1)])
     assert table.get(1, 2) == table.get(2, 1)
     assert list(table.items()) == [((1, 2), table.get(1, 2))]
+
+
+def _reference_sync_times(ens, edges, threshold):
+    """The detection rule written out edge by edge on the stored series:
+    the sample after the last one at or below the threshold."""
+    entries = {}
+    for a, b in edges:
+        key = (a, b) if a < b else (b, a)
+        bad = np.flatnonzero(order_parameter_series(ens, *key) <= threshold)
+        if bad.size == 0:
+            entries[key] = float(ens.times[0])
+        elif bad[-1] == len(ens.times) - 1:
+            entries[key] = math.inf
+        else:
+            entries[key] = float(ens.times[bad[-1] + 1])
+    return entries
+
+
+@pytest.mark.parametrize("seed", [2, 7])
+def test_streamed_sync_times_are_exact(net118_faulted, seed):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    edges = sorted(net118_faulted.edge_set())
+    runs, t_max = 12, 300 * STABLE_DT
+    ens = ensemble_integrate(layer, runs, seed, t_max=t_max, dt=STABLE_DT)
+    # Thresholds at order-parameter values the ensemble attains, and one
+    # ulp below them: a rounding change in any mean flips a comparison.
+    # One ulp below an edge's minimum, that edge is synced from the start.
+    attained = [order_parameter_series(ens, *e)[-1] for e in edges[:8]]
+    attained.append(order_parameter_series(ens, *edges[0]).min())
+    thresholds = [0.99, *attained,
+                  *(np.nextafter(v, -np.inf) for v in attained)]
+    kinds = set()
+    for threshold in thresholds:
+        expected = _reference_sync_times(ens, edges, threshold)
+        streamed = ensemble_sync_times(layer, runs, seed, edges, threshold,
+                                       t_max=t_max, dt=STABLE_DT)
+        assert streamed.entries == expected
+        assert sync_times(ens, edges, threshold).entries == expected
+        kinds |= {"start" if t == ens.times[0] else
+                  "never" if math.isinf(t) else "settled"
+                  for t in expected.values()}
+    assert kinds == {"start", "never", "settled"}
+
+
+def test_streamed_sync_times_edge_forms(net118_faulted):
+    # Branch 1-3 with x = 0, r > 0 couples with zero weight, so 1-3 is no
+    # layer edge. PowerNetwork refuses such a branch; the layer is edited.
+    [branch] = [br for br in net118_faulted.branches
+                if (br.from_bus, br.to_bus) == (1, 3)]
+    assert coupling_susceptance(
+        dataclasses.replace(branch, resistance=0.01, reactance=0.0)) == 0.0
+    grid = build_layer(net118_faulted, net118_faulted.node_ids())
+    coupling = grid.coupling.copy()
+    a, b = grid.index(1), grid.index(3)
+    coupling[a, b] = coupling[b, a] = 0.0
+    layer = CyberLayer(grid.node_ids, grid.natural_frequency, coupling)
+    iu, jv, _ = layer._edges
+    assert (a, b) not in set(zip(iu, jv))
+    edges = [(3, 1), (1, 3), (5, 4), (4, 5), (4, 5), (1, 2)]
+    ens = ensemble_integrate(layer, 9, 3, t_max=200 * STABLE_DT,
+                             dt=STABLE_DT)
+    expected = _reference_sync_times(ens, edges, 0.9)
+    streamed = ensemble_sync_times(layer, 9, 3, edges, 0.9,
+                                   t_max=200 * STABLE_DT, dt=STABLE_DT)
+    assert list(streamed.entries) == [(1, 3), (4, 5), (1, 2)]
+    assert streamed.entries == expected
+    assert sync_times(ens, edges, 0.9).entries == expected
+    with pytest.raises(NotFound):
+        ensemble_sync_times(layer, 9, 3, [(1, 999)], t_max=1.0,
+                            dt=STABLE_DT)
+
+
+def test_streamed_sync_memory_does_not_grow_with_steps(net118_faulted):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    edges = sorted(net118_faulted.edge_set())
+
+    def peak_bytes(steps):
+        tracemalloc.start()
+        try:
+            ensemble_sync_times(layer, 4, 0, edges, t_max=steps * STABLE_DT,
+                                dt=STABLE_DT)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    steps = 250
+    # a stored trajectory would add 3 * 250 * 4 runs * 118 nodes * 8 bytes
+    # = 2.8 MB here
+    assert peak_bytes(4 * steps) - peak_bytes(steps) < 1e6
+
+
+def test_stability_warning_follows_gershgorin_bound(net118_faulted, caplog):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    bound = 2.0 * layer.coupling.sum(axis=1).max()
+    assert STABLE_DT * bound < 2.785 < 0.01 * bound
+    with caplog.at_level(logging.WARNING, logger="grid_islander.kuramoto"):
+        ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=10 * STABLE_DT,
+                            dt=STABLE_DT)
+        assert caplog.records == []
+        ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=0.1, dt=0.01)
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "integration artifacts" in record.getMessage()
+
+
+def test_ensemble_run_is_the_stored_run(net118_faulted):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    ens = ensemble_integrate(layer, 5, 3, t_max=100 * STABLE_DT,
+                             dt=STABLE_DT)
+    for run in (0, 4):
+        times, phases = ensemble_run(layer, 5, 3, run,
+                                     t_max=100 * STABLE_DT, dt=STABLE_DT)
+        assert np.array_equal(times, ens.times)
+        assert np.array_equal(phases, ens.phases[run])
+        assert np.array_equal(derivative(layer, phases),
+                              derivative(layer, ens.phases[run]))
+    with pytest.raises(ValueError):
+        ensemble_run(layer, 5, 3, 5, t_max=1.0, dt=STABLE_DT)
