@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -104,11 +104,25 @@ class NodeAgent:
 
 @dataclass
 class IslandRegistry:
-    """Shared bulletin board: membership and published frequencies."""
+    """Shared bulletin board: membership and published frequencies.
+
+    ``owner`` maps every assigned node to its island's label; it is built
+    from ``islands`` and kept in step by ``join``.
+    """
 
     islands: dict[int, set[int]]
     island_freq: dict[int, float]
     round_index: int = 0
+    owner: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.owner = {node: lbl for lbl, members in self.islands.items()
+                      for node in members}
+
+    def join(self, node: int, label: int) -> None:
+        """Commit ``node`` to island ``label``."""
+        self.islands[label].add(node)
+        self.owner[node] = label
 
 
 @dataclass(frozen=True)
@@ -214,24 +228,19 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
     neighborhood and run its estimates.
 
     Everything here reads only the agent's injection, its neighbor list,
-    and the membership and frequencies of islands actually adjacent to
-    it; islands elsewhere in the grid cannot influence the outcome.
+    its neighbors' island labels, and the membership and frequencies of
+    islands actually adjacent to it; islands elsewhere in the grid cannot
+    influence the outcome.
     """
     injection = cache.injection[node]
     neighbors = network.neighbors(node)
-    watched = sorted({lbl for lbl, members in registry.islands.items()
-                      if any(p in members for p in neighbors)})
-    # A neighbor's island is by construction one of the watched ones, so
-    # the enclosure test needs no data beyond them.
-    assigned_neighbors = {p for p in neighbors
-                          if any(p in registry.islands[lbl]
-                                 for lbl in watched)}
+    owner = registry.owner
+    watched = sorted({owner[p] for p in neighbors if p in owner})
+    # Islands are disjoint: every neighbor lies in one island exactly when
+    # every neighbor is assigned and they all share one label.
     enclosing = None
-    if len(assigned_neighbors) == len(neighbors):
-        for lbl in watched:
-            if set(neighbors) <= registry.islands[lbl]:
-                enclosing = lbl
-                break
+    if len(watched) == 1 and all(p in owner for p in neighbors):
+        enclosing = watched[0]
 
     snapshot: dict[int, tuple[float, float]] = {}
     estimates: dict[int, float | None] = {}
@@ -320,7 +329,7 @@ def run_decentralized(network: PowerNetwork,
     n_mu = len(registry.islands)
     bound = n_mu + n_mu * (n_total - n_mu)
     all_nodes = set(network.node_ids())
-    assigned = set().union(*registry.islands.values())
+    assigned = registry.owner.keys()    # live: grows with every join
     cache = _LayerCache(network, mode, t_max, dt, sync_tolerance)
     events: list[dict] = []
     eval_counts: list[int] = []
@@ -380,9 +389,8 @@ def run_decentralized(network: PowerNetwork,
                         "current": {str(lbl): registry.island_freq[lbl]
                                     for lbl in agent.snapshot_freqs}})
                     continue
-            registry.islands[decision.label].add(agent.node_id)
+            registry.join(agent.node_id, decision.label)
             _publish(registry, network, decision.label)
-            assigned.add(agent.node_id)
             progress = True
             emit(agent.node_id, "join", {
                 "island": decision.label, "reason": decision.reason,
@@ -390,8 +398,7 @@ def run_decentralized(network: PowerNetwork,
 
         stalled_rounds = 0 if progress else stalled_rounds + 1
         if not progress and stalled_rounds >= max_stalled_rounds:
-            attached = _fallback_attach(network, registry, assigned,
-                                        all_nodes, emit)
+            attached = _fallback_attach(network, registry, all_nodes, emit)
             fallback_nodes.extend(attached)
             if assigned != all_nodes:
                 raise Stalled(
@@ -410,8 +417,7 @@ def run_decentralized(network: PowerNetwork,
 
 
 def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
-                     assigned: set[int], all_nodes: set[int],
-                     emit) -> list[int]:
+                     all_nodes: set[int], emit) -> list[int]:
     """Deadlock fallback: attach whatever the islands can still reach.
 
     Loads go to the adjacent island with the largest imbalance, other
@@ -419,18 +425,18 @@ def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
     island-adjacent remains.
     """
     attached: list[int] = []
+    owner = registry.owner
     logger.warning("growth stalled; falling back to direct attachment")
     while True:
         frontier = sorted(
-            node for node in all_nodes - assigned
-            if any(p in assigned for p in network.neighbors(node)))
+            node for node in all_nodes - owner.keys()
+            if any(p in owner for p in network.neighbors(node)))
         if not frontier:
             return attached
         for node in frontier:
             injection = net_injection(network, node)
-            adjacent = sorted({
-                lbl for lbl, members in registry.islands.items()
-                if any(p in members for p in network.neighbors(node))})
+            adjacent = sorted({owner[p] for p in network.neighbors(node)
+                               if p in owner})
             imbalance = {
                 lbl: sum(net_injection(network, n)
                          for n in registry.islands[lbl])
@@ -439,9 +445,8 @@ def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
                 best = min(adjacent, key=lambda l: (-imbalance[l], l))
             else:
                 best = min(adjacent, key=lambda l: (imbalance[l], l))
-            registry.islands[best].add(node)
+            registry.join(node, best)
             _publish(registry, network, best)
-            assigned.add(node)
             attached.append(node)
             emit(node, "join", {"island": best, "reason": "fallback",
                                 "island_freq": registry.island_freq[best]})

@@ -1,7 +1,9 @@
 """AC (Newton-Raphson) and DC power flow on a network or island subset.
 
-Dense numpy implementation sized for study networks (a few hundred
-buses). Branch model is the standard pi section with off-nominal tap on
+Dense numpy implementation sized for study networks. The Newton-Raphson
+Jacobian is assembled in O(n^2) by row and column scaling of the
+admittance matrix; the dense LU solve of each step is still O(n^3).
+Branch model is the standard pi section with off-nominal tap on
 the from side. Buses holding a voltage setpoint are PV, the rest PQ;
 reactive limits are not enforced. The slack bus defaults to the
 generator-set bus with the largest scheduled output.
@@ -91,11 +93,19 @@ def default_slack(network: PowerNetwork,
     return min(gens, key=lambda n: (-network.bus(n).p_gen_scheduled, n))
 
 
-def _check_connected_subset(network: PowerNetwork,
-                            nodes: Sequence[int]) -> None:
-    if not network.subgraph_connected(nodes):
+def _solve_setup(network: PowerNetwork, nodes: Iterable[int] | None,
+                 slack: int | None
+                 ) -> tuple[tuple[int, ...], int, dict[int, int]]:
+    """Sorted connected node set, its slack bus, and each node's index."""
+    chosen = _select_nodes(network, nodes)
+    if not network.subgraph_connected(chosen):
         raise SingularSystem("node set is not connected; flow equations "
                              "are singular")
+    if slack is None:
+        slack = default_slack(network, chosen)
+    elif slack not in chosen:
+        raise NotFound(f"slack bus {slack} not in node set")
+    return chosen, slack, {n: k for k, n in enumerate(chosen)}
 
 
 def dc_power_flow(network: PowerNetwork,
@@ -105,13 +115,7 @@ def dc_power_flow(network: PowerNetwork,
 
     Branch susceptance is 1/(x * tap); the slack angle is zero.
     """
-    chosen = _select_nodes(network, nodes)
-    _check_connected_subset(network, chosen)
-    if slack is None:
-        slack = default_slack(network, chosen)
-    elif slack not in chosen:
-        raise NotFound(f"slack bus {slack} not in node set")
-    index = {n: k for k, n in enumerate(chosen)}
+    chosen, slack, index = _solve_setup(network, nodes, slack)
     n = len(chosen)
     branches = _island_branches(network, chosen)
 
@@ -168,6 +172,24 @@ def build_ybus(network: PowerNetwork, nodes: Sequence[int]
     return ybus, branches
 
 
+def _jacobian(ybus: np.ndarray, voltage: np.ndarray, current: np.ndarray,
+              pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
+    """Polar Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] at ``voltage``
+    (``current`` is ``ybus @ voltage``), angles at ``pvpq``, magnitudes at
+    ``pq``. Each dS block scales the rows of ``ybus`` by V and its columns
+    by V or V/|V|, then adds a diagonal term: O(n^2), no matrix product."""
+    diagonal = np.diag_indices(voltage.size)
+    unit = voltage / np.abs(voltage)
+    ds_dva = -1j * voltage[:, None] * np.conj(ybus * voltage)
+    ds_dva[diagonal] += 1j * voltage * np.conj(current)
+    ds_dvm = voltage[:, None] * np.conj(ybus * unit)
+    ds_dvm[diagonal] += np.conj(current) * unit
+    return np.block([[ds_dva[np.ix_(pvpq, pvpq)].real,
+                      ds_dvm[np.ix_(pvpq, pq)].real],
+                     [ds_dva[np.ix_(pq, pvpq)].imag,
+                      ds_dvm[np.ix_(pq, pq)].imag]])
+
+
 def ac_power_flow(network: PowerNetwork,
                   nodes: Iterable[int] | None = None,
                   slack: int | None = None,
@@ -180,13 +202,7 @@ def ac_power_flow(network: PowerNetwork,
     ``tol`` (per unit). Raises NotConverged with the iteration count and
     final mismatch if the limit is hit first.
     """
-    chosen = _select_nodes(network, nodes)
-    _check_connected_subset(network, chosen)
-    if slack is None:
-        slack = default_slack(network, chosen)
-    elif slack not in chosen:
-        raise NotFound(f"slack bus {slack} not in node set")
-    index = {n: k for k, n in enumerate(chosen)}
+    chosen, slack, index = _solve_setup(network, nodes, slack)
     n = len(chosen)
     ybus, branches = build_ybus(network, chosen)
 
@@ -206,8 +222,6 @@ def ac_power_flow(network: PowerNetwork,
             vm[k] = bus.voltage_setpoint
     slack_k = index[slack]
     is_pv[slack_k] = False
-    if network.bus(slack).voltage_setpoint is not None:
-        vm[slack_k] = network.bus(slack).voltage_setpoint
 
     pv = np.flatnonzero(is_pv)
     pq = np.flatnonzero(~is_pv & (np.arange(n) != slack_k))
@@ -215,44 +229,27 @@ def ac_power_flow(network: PowerNetwork,
 
     history: list[float] = []
     iterations = 0
-    converged = False
-    mismatch = np.inf
     while True:
         voltage = vm * np.exp(1j * va)
-        s_calc = voltage * np.conj(ybus @ voltage)
+        current = ybus @ voltage
+        s_calc = voltage * np.conj(current)
         dp = p_spec - s_calc.real
         dq = q_spec - s_calc.imag
         f = np.concatenate([dp[pvpq], dq[pq]])
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(mismatch)
         if mismatch < tol:
-            converged = True
             break
         if iterations >= max_iterations:
-            break
+            raise NotConverged(iterations, mismatch)
         iterations += 1
-
-        current = ybus @ voltage
-        diag_v = np.diag(voltage)
-        diag_i = np.diag(current)
-        diag_e = np.diag(voltage / np.abs(voltage))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
-        ds_dvm = diag_v @ np.conj(ybus @ diag_e) + np.conj(diag_i) @ diag_e
-
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        jac = _jacobian(ybus, voltage, current, pvpq, pq)
         try:
             dx = np.linalg.solve(jac, f)
         except np.linalg.LinAlgError:
             raise SingularSystem("power-flow Jacobian is singular") from None
         va[pvpq] += dx[:pvpq.size]
         vm[pq] += dx[pvpq.size:]
-
-    if not converged:
-        raise NotConverged(iterations, mismatch)
 
     voltage = vm * np.exp(1j * va)
     n_br = len(branches)

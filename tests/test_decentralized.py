@@ -346,6 +346,47 @@ def test_analytic_mode_builds_no_layer(scenario118, net118_faulted,
                        "join": 85, "wait": 9}
 
 
+def test_watched_islands_follow_membership():
+    """The registry's owner map gives each agent the watched islands and
+    the enclosing island a scan of every island's members gives, as
+    joins commit one by one."""
+    rng = random.Random(77)
+    enclosed = 0
+    for trial in range(20):
+        net, initial = random_instance(rng, n_islands=3)
+        registry = IslandRegistry(
+            islands={isl.label: set(isl.node_set) for isl in initial},
+            island_freq={isl.label: net_injection(net, min(isl.node_set))
+                         for isl in initial})
+        cache = _LayerCache(net, "analytic", 10.0, 0.01, 1e-4)
+        free = sorted(set(net.node_ids()) - set(registry.owner))
+        rng.shuffle(free)
+        for joiner in free:
+            for node in sorted(set(net.node_ids()) - set(registry.owner)):
+                neighbors = net.neighbors(node)
+                watched = {lbl for lbl, members in registry.islands.items()
+                           if any(p in members for p in neighbors)}
+                if not watched:
+                    continue
+                enclosing = [lbl for lbl in watched
+                             if set(neighbors) <= registry.islands[lbl]]
+                agent, _, _ = _evaluate_agent(net, registry, node, cache,
+                                              1e-3)
+                assert agent.neighbor_islands == watched, f"trial {trial}"
+                if enclosing:
+                    enclosed += 1
+                    assert agent.decision == Decision(
+                        action="join", label=enclosing[0],
+                        reason="enclosure")
+                else:
+                    assert agent.decision.reason != "enclosure"
+            registry.join(joiner, rng.choice(sorted(registry.islands)))
+            assert registry.owner == {node: lbl for lbl, members
+                                      in registry.islands.items()
+                                      for node in members}
+    assert enclosed > 0
+
+
 def test_unknown_mode_rejected():
     net, initial = figure_instance()
     with pytest.raises(ValueError):

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from grid_islander import (Branch, NoGenerator, NotConverged, NotFound,
-                           SingularSystem, ac_power_flow, build_ybus,
-                           dc_power_flow, default_slack)
+from grid_islander import (Branch, Island, NoGenerator, NotConverged,
+                           NotFound, SingularSystem, ac_power_flow,
+                           build_layer, build_ybus, centralized_partition,
+                           compute_metrics, dc_power_flow, default_slack,
+                           ensemble_sync_times, run_decentralized)
+from grid_islander.powerflow import _jacobian
 from conftest import make_network
 
 
@@ -200,3 +203,106 @@ def test_dc_full_ieee118(net118_faulted):
     assert np.abs(sol.p_loss).max() < 1e-9
     # angles stay within a sane operating range
     assert np.abs(sol.va).max() < 1.5
+
+
+def _unknown_indices(network):
+    """(pvpq, pq) index arrays over ``network.node_ids()``, by the rule
+    ``ac_power_flow`` uses: setpoint buses other than the slack are PV."""
+    nodes = network.node_ids()
+    slack = default_slack(network)
+    pv = [k for k, n in enumerate(nodes)
+          if n != slack and network.bus(n).voltage_setpoint is not None]
+    pq = [k for k, n in enumerate(nodes)
+          if n != slack and network.bus(n).voltage_setpoint is None]
+    return np.array(pv + pq), np.array(pq)
+
+
+def _diag_product_jacobian(ybus, voltage, pvpq, pq):
+    """Reference: the Jacobian as products with dense diagonal matrices."""
+    current = ybus @ voltage
+    diag_v = np.diag(voltage)
+    diag_i = np.diag(current)
+    diag_e = np.diag(voltage / np.abs(voltage))
+    ds_dva = 1j * diag_v @ np.conj(diag_i - ybus @ diag_v)
+    ds_dvm = diag_v @ np.conj(ybus @ diag_e) + np.conj(diag_i) @ diag_e
+    return np.block([[ds_dva[np.ix_(pvpq, pvpq)].real,
+                      ds_dvm[np.ix_(pvpq, pq)].real],
+                     [ds_dva[np.ix_(pq, pvpq)].imag,
+                      ds_dvm[np.ix_(pq, pq)].imag]])
+
+
+def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
+    net = net118_faulted
+    ybus, _ = build_ybus(net, net.node_ids())
+    pvpq, pq = _unknown_indices(net)
+    rng = np.random.default_rng(118)
+    vm = rng.uniform(0.9, 1.1, ybus.shape[0])
+    va = rng.uniform(-0.5, 0.5, ybus.shape[0])
+
+    def injections(x):
+        """Calculated P at pvpq and Q at pq, with the unknowns set to x."""
+        a, m = va.copy(), vm.copy()
+        a[pvpq] = x[:pvpq.size]
+        m[pq] = x[pvpq.size:]
+        v = m * np.exp(1j * a)
+        s = v * np.conj(ybus @ v)
+        return np.concatenate([s.real[pvpq], s.imag[pq]])
+
+    voltage = vm * np.exp(1j * va)
+    jac = _jacobian(ybus, voltage, ybus @ voltage, pvpq, pq)
+    size = pvpq.size + pq.size
+    assert jac.shape == (size, size)
+    scale = np.abs(jac).max()
+
+    x = np.concatenate([va[pvpq], vm[pq]])
+    step = 1e-6
+    differences = np.empty((size, size))
+    for k in range(size):
+        dx = np.zeros(size)
+        dx[k] = step
+        differences[:, k] = (injections(x + dx)
+                             - injections(x - dx)) / (2 * step)
+    assert np.abs(jac - differences).max() <= 1e-6 * scale
+
+    reference = _diag_product_jacobian(ybus, voltage, pvpq, pq)
+    assert np.abs(jac - reference).max() <= 1e-12 * scale
+
+
+def _island_solves(network, partition):
+    """(label, size, solver, AC iterations) per island: "ac" when
+    Newton-Raphson converges, else "dc" with the iterations it spent."""
+    rows = []
+    for isl in sorted(partition.islands, key=lambda i: i.label):
+        try:
+            sol = ac_power_flow(network, isl.node_set)
+            rows.append((isl.label, isl.size, "ac", sol.iterations))
+        except NotConverged as err:
+            assert err.mismatch > 1e6    # diverged, not merely slow
+            rows.append((isl.label, isl.size, "dc", err.iterations))
+    return rows
+
+
+def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
+    """Every converge/diverge decision and AC iteration count on the
+    shipped scenario, as measured with the diagonal-product Jacobian:
+    a last-ulp change to the Jacobian must not move any of them."""
+    net, cfg = net118_faulted, scenario118
+    assert ac_power_flow(net).iterations == 4
+    islands = [Island(label=k + 1, node_set=frozenset(nodes))
+               for k, nodes in enumerate(cfg.initial_islands)]
+    table = ensemble_sync_times(
+        build_layer(net, net.node_ids(), label="grid"), cfg.ensemble_size,
+        cfg.seed, net.edge_set(), threshold=cfg.rho_threshold,
+        t_max=cfg.t_max, dt=cfg.dt)
+    central = centralized_partition(net, islands, table).partition
+    assert _island_solves(net, central) == [(1, 35, "ac", 4),
+                                            (2, 83, "ac", 4)]
+    dec = run_decentralized(
+        net, islands, mode=cfg.mode, epsilon=cfg.freq_epsilon,
+        t_max=cfg.t_max, dt=cfg.dt,
+        max_stalled_rounds=cfg.max_stalled_rounds).partition
+    # island 2's Newton-Raphson diverges (mismatch 0.70 -> about 1e8 pu)
+    assert _island_solves(net, dec) == [(1, 35, "ac", 4),
+                                        (2, 83, "dc", 20)]
+    assert [row.solver for row in compute_metrics(net, dec).islands] \
+        == ["ac", "dc"]
