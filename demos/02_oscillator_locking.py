@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from grid_islander import (CyberLayer, ensemble_integrate, integrate,
-                           order_parameter_series, sync_times)
+from grid_islander import (CyberLayer, derivative, ensemble_integrate,
+                           integrate, order_parameter_series, sync_times)
 
 
 def pair(p, b=1.0):
@@ -23,10 +23,13 @@ def pair(p, b=1.0):
 
 # locking case: mismatch 0.2 pu against coupling 1.0
 layer = pair(0.1)
-traj = integrate(layer, [0.0, 0.0], t_max=100.0, dt=0.01)
-lag = traj.final.phases[0] - traj.final.phases[1]
+times, phases = integrate(layer, [0.0, 0.0], t_max=100.0, dt=0.01)
+lag = phases[-1, 0] - phases[-1, 1]
 print(f"steady lag      {lag:.6f} rad")
 print(f"arcsin(0.1)     {math.asin(0.1):.6f} rad")
+# locked: both run at the mean natural frequency, here 0
+freqs = derivative(layer, phases[-1])
+print(f"final freqs     {freqs[0]:.1e}, {freqs[1]:.1e} pu")
 
 # the sync time comes from an ensemble of random initial conditions
 ens = ensemble_integrate(layer, n_runs=20, seed=7, t_max=100.0, dt=0.01)

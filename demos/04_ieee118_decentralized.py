@@ -5,7 +5,9 @@ Letting the buses organize themselves
 The decentralized run gives every unassigned bus an agent that watches
 the islands next to it, estimates their power balance from two locked
 frequencies, and joins the one that suits its own injection. Loads
-chase surplus; everything else joins the least loaded island.
+chase surplus; everything else joins the least loaded island. A layer
+locks to its mean natural frequency, so both frequencies are mean
+injections read from a table: no oscillator is integrated.
 """
 
 from pathlib import Path
@@ -24,9 +26,7 @@ for pair in cfg.fault_branches:
 
 seeds = [Island(label=k + 1, node_set=frozenset(nodes))
          for k, nodes in enumerate(cfg.initial_islands)]
-result = run_decentralized(net, seeds, mode=cfg.mode,
-                           epsilon=cfg.freq_epsilon, t_max=cfg.t_max,
-                           dt=cfg.dt,
+result = run_decentralized(net, seeds, epsilon=cfg.freq_epsilon,
                            max_stalled_rounds=cfg.max_stalled_rounds)
 
 print(f"finished in {result.rounds} rounds")

@@ -20,16 +20,15 @@ from .decentralized import (Decision, DecentralizedResult, IslandRegistry,
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridError, GridIslanderError,
                      InitialIslandsOverlap, MissingSection, NoGenerator,
-                     NotConverged, NotFound, NotSynchronized,
-                     NumericalDivergence, ParseError, SchemaError,
-                     SingularSystem, Stalled, Unreachable, UndefinedSize)
-from .kuramoto import (CyberLayer, EnsembleResult, PhaseState, SyncTimeTable,
-                       Trajectory, build_layer, derivative,
-                       ensemble_integrate, ensemble_run,
-                       ensemble_sync_times, integrate,
-                       measure_sync_frequency, order_parameter,
-                       order_parameter_series, sample_initial_conditions,
-                       sync_frequency, sync_times)
+                     NotConverged, NotFound, NumericalDivergence,
+                     ParseError, SchemaError, SingularSystem, Stalled,
+                     Unreachable, UndefinedSize)
+from .kuramoto import (CyberLayer, EnsembleResult, SyncTimeTable,
+                       build_layer, derivative, ensemble_integrate,
+                       ensemble_run, ensemble_sync_times, integrate,
+                       order_parameter, order_parameter_series,
+                       sample_initial_conditions, sync_frequency,
+                       sync_times)
 from .matpower import RawCase, build_network, load_case, parse_case
 from .metrics import (IslandMetrics, MetricsReport, compute_metrics,
                       j1_from_imbalances, metric_j1, metric_j2, metric_j3,

@@ -27,9 +27,9 @@ from .decentralized import run_decentralized
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridError, GridIslanderError,
                      InitialIslandsOverlap, MissingSection, NoGenerator,
-                     NotConverged, NotFound, NotSynchronized,
-                     NumericalDivergence, ParseError, SchemaError,
-                     SingularSystem, Stalled, Unreachable, UndefinedSize)
+                     NotConverged, NotFound, NumericalDivergence,
+                     ParseError, SchemaError, SingularSystem, Stalled,
+                     Unreachable, UndefinedSize)
 # ensemble_integrate and sync_times, the stored-trajectory pair, are no
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
@@ -58,8 +58,8 @@ class _ValidationFailure(GridIslanderError):
 _VALIDATION_ERRORS = (_ValidationFailure, InitialIslandsOverlap, Stalled,
                       NoGenerator)
 _NUMERICAL_ERRORS = (NotConverged, NumericalDivergence, SingularSystem,
-                     NotSynchronized, GridError, DegenerateBranch,
-                     DegenerateEstimate, UndefinedSize)
+                     GridError, DegenerateBranch, DegenerateEstimate,
+                     UndefinedSize)
 _INPUT_ERRORS = (ConfigError, ParseError, MissingSection, SchemaError,
                  NotFound, Unreachable, EmptyLayer, FileNotFoundError,
                  IsADirectoryError, PermissionError, ValueError)
@@ -131,8 +131,7 @@ def _partition(cfg: ScenarioConfig, network: PowerNetwork,
             for s in result.steps]}
     else:
         result = run_decentralized(
-            network, initial, mode=cfg.mode, epsilon=cfg.freq_epsilon,
-            t_max=cfg.t_max, dt=cfg.dt,
+            network, initial, epsilon=cfg.freq_epsilon,
             max_stalled_rounds=cfg.max_stalled_rounds)
         log_name, log = "events", {
             "rounds": result.rounds,
@@ -319,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     growth = argparse.ArgumentParser(add_help=False, parents=[config])
     growth.add_argument("--algorithm",
                         choices=["centralized", "decentralized"])
-    growth.add_argument("--mode", choices=["analytic", "simulated"])
+    # one engine; the flag stays so existing command lines keep working
+    growth.add_argument("--mode", choices=["analytic"])
     growth.add_argument("--out-dir", default=".", help="artifact directory")
 
     p = sub.add_parser("parse", help="parse a MATPOWER case file")

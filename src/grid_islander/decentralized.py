@@ -17,37 +17,32 @@ order, and a commit invalidates later joiners that watched the island it
 changed (they see a stale snapshot and retry next round). Enclosure
 joins skip the staleness check since they use no frequency data.
 
-The registry's published island frequency is always the analytic mean
-injection (the quantity the dynamics lock to). Analytic mode reads the
-augmented frequency from a per-run injection table and builds no
-oscillator layer. Only simulated mode builds and integrates layers:
-agents measure island and augmented frequencies from integrated
-trajectories and use the measurements for their estimates; measurement
-error is far below the staleness threshold, so the two sources
-interoperate.
+Both frequencies are locked frequencies, and a Kuramoto layer locks to
+its mean natural frequency. So the registry publishes each island's
+mean injection, and an agent reads its augmented frequency from the
+run's {node: injection} table; no oscillator layer is built or
+integrated.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .centralized import check_initial_islands
-from .errors import (DegenerateEstimate, NotSynchronized, Stalled,
-                     UndefinedSize)
-from .kuramoto import (build_layer, integrate, measure_sync_frequency,
-                       settling_time)
+from .errors import DegenerateEstimate, Stalled, UndefinedSize
+# build_layer is no stage here; it stays importable from this module for
+# tracers that wrap its name (perfbench/spans.py).
+from .kuramoto import build_layer
 from .network import (Island, Partition, PowerNetwork, make_partition,
                       net_injection)
 
 logger = logging.getLogger("grid_islander.decentralized")
 
 DEFAULT_EPSILON = 1e-3
-DEFAULT_SYNC_TOLERANCE = 1e-4
 DEFAULT_MAX_STALLED_ROUNDS = 3
 
 
@@ -93,12 +88,16 @@ class Decision:
 
 @dataclass
 class NodeAgent:
-    """One unassigned node's view of its adjacent islands."""
+    """One unassigned node's view of its adjacent islands.
+
+    ``snapshot_freqs`` maps each watched island's label to the published
+    frequency the agent's estimate used.
+    """
 
     node_id: int
     injection: float
     neighbor_islands: frozenset[int]
-    snapshot_freqs: dict[int, tuple[float, float]]
+    snapshot_freqs: dict[int, float]
     decision: Decision | None = None
 
 
@@ -163,66 +162,22 @@ def staleness_check(agent: NodeAgent, registry: IslandRegistry,
                     epsilon: float = DEFAULT_EPSILON) -> str:
     """"fresh" if every watched island frequency still matches the
     agent's snapshot to within epsilon, else "stale"."""
-    for lbl, (island_freq, _) in agent.snapshot_freqs.items():
+    for lbl, island_freq in agent.snapshot_freqs.items():
         if abs(registry.island_freq[lbl] - island_freq) >= epsilon:
             return "stale"
     return "fresh"
 
 
-class _LayerCache:
-    """Per-run frequency source for the agents.
-
-    Analytic mode reads island means from the injection table and builds
-    no layer. Simulated mode builds each layer on demand and memoizes the
-    measured frequency by exact node set.
-    """
-
-    def __init__(self, network: PowerNetwork, mode: str, t_max: float,
-                 dt: float, sync_tolerance: float):
-        self.network = network
-        self.mode = mode
-        self.t_max = t_max
-        self.dt = dt
-        self.sync_tolerance = sync_tolerance
-        self.injection = {n: net_injection(network, n)
-                          for n in network.node_ids()}
-        self._measured: dict[frozenset, float] = {}
-
-    def mean_injection(self, nodes: Iterable[int]) -> float:
-        """Locked frequency of the layer over ``nodes``, bit for bit
-        ``sync_frequency(build_layer(network, nodes))``: the same values
-        in the same order under the same numpy mean."""
-        return float(np.mean(np.array([self.injection[n]
-                                       for n in sorted(nodes)])))
-
-    def measured(self, nodes: frozenset) -> float:
-        """Locked frequency measured by integrating the layer over
-        ``nodes``. Raises NotSynchronized when it never settles within
-        tolerance."""
-        if nodes not in self._measured:
-            self._measured[nodes] = measure_sync_frequency(
-                build_layer(self.network, nodes), t_max=self.t_max,
-                dt=self.dt, tolerance=self.sync_tolerance)
-        return self._measured[nodes]
-
-
-def _agreement_time(network: PowerNetwork, node: int, island_nodes: set[int],
-                    t_max: float, dt: float, epsilon: float) -> float:
-    """Earliest sample time from which the node's frequency stays within
-    epsilon of every in-island neighbor's, through the horizon end."""
-    layer = build_layer(network, island_nodes | {node})
-    traj = integrate(layer, np.zeros(layer.size), t_max=t_max, dt=dt)
-    j = layer.index(node)
-    watch = [layer.index(p) for p in network.neighbors(node)
-             if p in island_nodes]
-    diffs = np.abs(traj.frequencies[:, watch]
-                   - traj.frequencies[:, [j]])
-    bad = np.flatnonzero(np.any(diffs > epsilon, axis=1))
-    return settling_time(traj.times, int(bad[-1]) if bad.size else -1)
+def _mean_injection(injection: dict[int, float],
+                    nodes: Iterable[int]) -> float:
+    """Locked frequency of the layer over ``nodes``, bit for bit
+    ``sync_frequency(build_layer(network, nodes))``: the same values in
+    the same order under the same numpy mean."""
+    return float(np.mean(np.array([injection[n] for n in sorted(nodes)])))
 
 
 def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
-                    node: int, cache: _LayerCache, epsilon: float
+                    node: int, injection: dict[int, float]
                     ) -> tuple[NodeAgent, dict[int, float | None], dict]:
     """Build one agent from registry data restricted to its own
     neighborhood and run its estimates.
@@ -232,7 +187,7 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
     islands actually adjacent to it; islands elsewhere in the grid cannot
     influence the outcome.
     """
-    injection = cache.injection[node]
+    own = injection[node]
     neighbors = network.neighbors(node)
     owner = registry.owner
     watched = sorted({owner[p] for p in neighbors if p in owner})
@@ -242,73 +197,48 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
     if len(watched) == 1 and all(p in owner for p in neighbors):
         enclosing = watched[0]
 
-    snapshot: dict[int, tuple[float, float]] = {}
+    snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
     estimates: dict[int, float | None] = {}
-    agree_times: dict[int, float] = {}
-    for lbl in watched:
-        members = frozenset(registry.islands[lbl])
-        augmented = members | {node}
-        island_freq = registry.island_freq[lbl]
-        try:
-            if cache.mode == "analytic":
-                aug_freq = cache.mean_injection(augmented)
-                agree_times[lbl] = 0.0
-            else:
-                island_freq = cache.measured(members)
-                aug_freq = cache.measured(augmented)
-                agree_times[lbl] = _agreement_time(
-                    network, node, registry.islands[lbl],
-                    cache.t_max, cache.dt, epsilon)
-        except NotSynchronized:
-            snapshot[lbl] = (island_freq, math.nan)
-            estimates[lbl] = None
-            continue
-        snapshot[lbl] = (island_freq, aug_freq)
+    for lbl, island_freq in snapshot.items():
+        aug_freq = _mean_injection(injection, registry.islands[lbl] | {node})
         try:
             estimates[lbl], _ = estimate_island_power(
-                island_freq, aug_freq, injection)
+                island_freq, aug_freq, own)
         except DegenerateEstimate:
             estimates[lbl] = None
         except UndefinedSize:
             estimates[lbl] = 0.0
-    agent = NodeAgent(node_id=node, injection=injection,
+    agent = NodeAgent(node_id=node, injection=own,
                       neighbor_islands=frozenset(watched),
                       snapshot_freqs=snapshot)
     agent.decision = agent_decide(agent, estimates, enclosing)
+    # A locked frequency is known at once, so every watched island agrees
+    # at t = 0; the two time fields stay in events.json for its readers.
     info = {
         "estimates": {str(lbl): estimates[lbl] for lbl in watched},
-        "agreement_times": {str(lbl): ("inf" if math.isinf(t) else t)
-                            for lbl, t in agree_times.items()},
-        "ready_time": ("inf" if any(math.isinf(t)
-                                    for t in agree_times.values())
-                       else max(agree_times.values(), default=0.0)),
+        "agreement_times": {str(lbl): 0.0 for lbl in watched},
+        "ready_time": 0.0,
     }
     return agent, estimates, info
 
 
-def _publish(registry: IslandRegistry, network: PowerNetwork,
+def _publish(registry: IslandRegistry, injection: dict[int, float],
              label: int) -> None:
     members = registry.islands[label]
-    total = sum(net_injection(network, n) for n in members)
+    total = sum(injection[n] for n in members)
     registry.island_freq[label] = total / len(members)
 
 
 def run_decentralized(network: PowerNetwork,
                       initial_islands: Sequence[Island], *,
-                      mode: str = "analytic",
                       epsilon: float = DEFAULT_EPSILON,
-                      t_max: float = 100.0, dt: float = 0.01,
-                      sync_tolerance: float = DEFAULT_SYNC_TOLERANCE,
                       max_stalled_rounds: int = DEFAULT_MAX_STALLED_ROUNDS,
                       commit_order_seed: int | None = None
                       ) -> DecentralizedResult:
     """Run the round-based multi-agent growth to completion.
 
-    ``mode`` selects how frequencies are obtained: "analytic" uses the
-    mean-injection closed form, "simulated" measures them from
-    integrated trajectories (same decisions, much slower). Commits
-    default to ascending node id; ``commit_order_seed`` shuffles them
-    per round to probe order sensitivity.
+    Commits default to ascending node id; ``commit_order_seed`` shuffles
+    them per round to probe order sensitivity.
 
     If ``max_stalled_rounds`` consecutive rounds pass with no commit,
     remaining island-adjacent nodes are attached by a logged fallback
@@ -316,21 +246,19 @@ def run_decentralized(network: PowerNetwork,
     smallest). Raises Stalled if unassigned nodes remain that no island
     can reach.
     """
-    if mode not in ("analytic", "simulated"):
-        raise ValueError(f"unknown mode {mode!r}")
     check_initial_islands(network, initial_islands)
+    injection = {n: net_injection(network, n) for n in network.node_ids()}
     registry = IslandRegistry(
         islands={isl.label: set(isl.node_set) for isl in initial_islands},
         island_freq={})
     for lbl in registry.islands:
-        _publish(registry, network, lbl)
+        _publish(registry, injection, lbl)
 
     n_total = network.n_buses
     n_mu = len(registry.islands)
     bound = n_mu + n_mu * (n_total - n_mu)
     all_nodes = set(network.node_ids())
     assigned = registry.owner.keys()    # live: grows with every join
-    cache = _LayerCache(network, mode, t_max, dt, sync_tolerance)
     events: list[dict] = []
     eval_counts: list[int] = []
     fallback_nodes: list[int] = []
@@ -359,11 +287,11 @@ def run_decentralized(network: PowerNetwork,
         joiners: list[NodeAgent] = []
         for node in active:
             agent, estimates, info = _evaluate_agent(
-                network, registry, node, cache, epsilon)
+                network, registry, node, injection)
             evaluations += len(agent.neighbor_islands)
             emit(node, "snapshot", {
-                "islands": {str(lbl): freqs[0]
-                            for lbl, freqs in agent.snapshot_freqs.items()}})
+                "islands": {str(lbl): freq
+                            for lbl, freq in agent.snapshot_freqs.items()}})
             emit(node, "estimate", info)
             if agent.decision.action == "join":
                 joiners.append(agent)
@@ -384,13 +312,13 @@ def run_decentralized(network: PowerNetwork,
                 if staleness_check(agent, registry, epsilon) == "stale":
                     emit(agent.node_id, "stale", {
                         "island": decision.label,
-                        "snapshot": {str(lbl): freqs[0] for lbl, freqs
+                        "snapshot": {str(lbl): freq for lbl, freq
                                      in agent.snapshot_freqs.items()},
                         "current": {str(lbl): registry.island_freq[lbl]
                                     for lbl in agent.snapshot_freqs}})
                     continue
             registry.join(agent.node_id, decision.label)
-            _publish(registry, network, decision.label)
+            _publish(registry, injection, decision.label)
             progress = True
             emit(agent.node_id, "join", {
                 "island": decision.label, "reason": decision.reason,
@@ -398,7 +326,8 @@ def run_decentralized(network: PowerNetwork,
 
         stalled_rounds = 0 if progress else stalled_rounds + 1
         if not progress and stalled_rounds >= max_stalled_rounds:
-            attached = _fallback_attach(network, registry, all_nodes, emit)
+            attached = _fallback_attach(network, registry, injection,
+                                        all_nodes, emit)
             fallback_nodes.extend(attached)
             if assigned != all_nodes:
                 raise Stalled(
@@ -417,7 +346,8 @@ def run_decentralized(network: PowerNetwork,
 
 
 def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
-                     all_nodes: set[int], emit) -> list[int]:
+                     injection: dict[int, float], all_nodes: set[int],
+                     emit) -> list[int]:
     """Deadlock fallback: attach whatever the islands can still reach.
 
     Loads go to the adjacent island with the largest imbalance, other
@@ -434,19 +364,16 @@ def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
         if not frontier:
             return attached
         for node in frontier:
-            injection = net_injection(network, node)
             adjacent = sorted({owner[p] for p in network.neighbors(node)
                                if p in owner})
-            imbalance = {
-                lbl: sum(net_injection(network, n)
-                         for n in registry.islands[lbl])
-                for lbl in adjacent}
-            if injection < 0.0:
+            imbalance = {lbl: sum(injection[n] for n in registry.islands[lbl])
+                         for lbl in adjacent}
+            if injection[node] < 0.0:
                 best = min(adjacent, key=lambda l: (-imbalance[l], l))
             else:
                 best = min(adjacent, key=lambda l: (imbalance[l], l))
             registry.join(node, best)
-            _publish(registry, network, best)
+            _publish(registry, injection, best)
             attached.append(node)
             emit(node, "join", {"island": best, "reason": "fallback",
                                 "island_freq": registry.island_freq[best]})

@@ -35,10 +35,6 @@ class NumericalDivergence(GridIslanderError):
         super().__init__(message or f"non-finite state at t={t:g}")
 
 
-class NotSynchronized(GridIslanderError):
-    """Frequency spread never settled below tolerance over the horizon tail."""
-
-
 class MissingSection(GridIslanderError):
     """A required MATPOWER section is absent from the case text."""
 

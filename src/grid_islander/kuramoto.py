@@ -16,8 +16,11 @@ per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
 steps. ``ensemble_integrate`` stores the whole trajectory for
 inspection; ``sync_times`` on a stored ensemble runs the same scan.
-A warning is logged when an ensemble's step may leave RK4's stability
-interval.
+``integrate`` runs one layer from given phases and returns its time
+grid and phases; ``derivative`` turns phases into frequencies. A layer
+locks to its mean natural frequency, which ``sync_frequency`` returns
+without integrating. A warning is logged when an ensemble's step may
+leave RK4's stability interval.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (EmptyLayer, GridError, NotFound, NotSynchronized,
-                     NumericalDivergence)
+from .errors import EmptyLayer, GridError, NotFound, NumericalDivergence
 from .network import PowerNetwork, coupling_susceptance, net_injection
 
 logger = logging.getLogger("grid_islander.kuramoto")
@@ -38,7 +40,6 @@ logger = logging.getLogger("grid_islander.kuramoto")
 DEFAULT_DT = 0.01
 DEFAULT_T_MAX = 100.0
 DEFAULT_RHO_THRESHOLD = 0.99
-DEFAULT_FREQ_TOLERANCE = 1e-4
 # RK4's stability interval on the negative real axis is [-2.785, 0].
 RK4_REAL_LIMIT = 2.785
 
@@ -93,37 +94,6 @@ class CyberLayer:
             return self._index[node_id]
         except KeyError:
             raise NotFound(f"node {node_id} is not in this layer") from None
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """Phases and instantaneous frequencies at one sample time."""
-
-    time: float
-    phases: np.ndarray
-    frequencies: np.ndarray
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One integration run sampled at every step."""
-
-    layer: CyberLayer
-    times: np.ndarray          # (m+1,)
-    phases: np.ndarray         # (m+1, n)
-    frequencies: np.ndarray    # (m+1, n)
-
-    def __len__(self) -> int:
-        return self.times.shape[0]
-
-    def state(self, k: int) -> PhaseState:
-        return PhaseState(time=float(self.times[k]),
-                          phases=self.phases[k],
-                          frequencies=self.frequencies[k])
-
-    @property
-    def final(self) -> PhaseState:
-        return self.state(len(self) - 1)
 
 
 @dataclass(frozen=True)
@@ -260,17 +230,17 @@ def _stored(times: np.ndarray, states: Iterable[np.ndarray],
 
 
 def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray,
-              t_max: float = DEFAULT_T_MAX,
-              dt: float = DEFAULT_DT) -> Trajectory:
-    """Integrate one run from ``initial`` phases, sampling every step."""
+              t_max: float = DEFAULT_T_MAX, dt: float = DEFAULT_DT
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Time grid and (m+1, n) phases of one run from ``initial`` phases,
+    sampled every step; ``derivative(layer, phases)`` gives the
+    frequencies."""
     initial = np.asarray(initial, dtype=float)
     if initial.shape != (layer.size,):
         raise ValueError(f"initial phases must have shape ({layer.size},)")
     times = _time_grid(t_max, dt)
-    rhs = _make_rhs(layer)
-    phases = _stored(times, _rk4(rhs, initial, times), initial.shape)
-    return Trajectory(layer=layer, times=times, phases=phases,
-                      frequencies=rhs(phases))
+    return times, _stored(times, _rk4(_make_rhs(layer), initial, times),
+                          initial.shape)
 
 
 def sample_initial_conditions(n: int, seed) -> np.ndarray:
@@ -431,30 +401,3 @@ def settling_time(times: np.ndarray, last_bad: int) -> float:
 def sync_frequency(layer: CyberLayer) -> float:
     """Synchronized frequency of a layer: the mean natural frequency."""
     return float(np.mean(layer.natural_frequency))
-
-
-def measure_sync_frequency(layer: CyberLayer,
-                           t_max: float = DEFAULT_T_MAX,
-                           dt: float = DEFAULT_DT,
-                           tolerance: float = DEFAULT_FREQ_TOLERANCE
-                           ) -> float:
-    """Measure the locked frequency by integrating from zero phases.
-
-    Synchronization is declared when the spread of instantaneous
-    frequencies stays below ``tolerance`` at every sample in the final
-    tenth of the horizon; the median per-node frequency at the last
-    sample is returned. Raises NotSynchronized otherwise.
-
-    The median is a genuine measurement: the cross-node mean would equal
-    the analytic value identically (the dynamics conserve it), hiding
-    any failure to lock.
-    """
-    traj = integrate(layer, np.zeros(layer.size), t_max=t_max, dt=dt)
-    tail = traj.times >= 0.9 * t_max - 1e-12
-    freqs = traj.frequencies[tail]
-    spread = freqs.max(axis=1) - freqs.min(axis=1)
-    if not np.all(spread < tolerance):
-        raise NotSynchronized(
-            f"frequency spread {spread.max():.3e} exceeds tolerance "
-            f"{tolerance:g} over the final tenth of the horizon")
-    return float(np.median(traj.frequencies[-1]))

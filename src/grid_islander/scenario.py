@@ -66,7 +66,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("ensemble_size must be at least 1")
     if cfg.algorithm not in ("centralized", "decentralized"):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.mode not in ("analytic", "simulated"):
+    # "analytic" is the only engine; the key stays for existing files
+    if cfg.mode != "analytic":
         raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.max_stalled_rounds < 1:
         raise ConfigError("max_stalled_rounds must be at least 1")

@@ -13,11 +13,11 @@ import numpy as np
 from conftest import make_network
 from grid_islander import (CyberLayer, Island, IslandRegistry, SyncTimeTable,
                            ac_power_flow, build_layer, centralized_partition,
-                           compute_metrics, dc_power_flow, ensemble_integrate,
-                           estimate_island_power, integrate,
-                           j1_from_imbalances, net_injection,
+                           compute_metrics, dc_power_flow, derivative,
+                           ensemble_integrate, estimate_island_power,
+                           integrate, j1_from_imbalances, net_injection,
                            run_decentralized, sync_times, validate_partition)
-from grid_islander.decentralized import _evaluate_agent, _LayerCache
+from grid_islander.decentralized import _evaluate_agent
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -67,9 +67,10 @@ def test_criterion_2_mean_frequency_is_conserved():
                            coupling=coupling)
         mean_p = float(np.mean(layer.natural_frequency))
         initial = rng.uniform(-np.pi / 2, np.pi / 2, size=n)
-        traj = integrate(layer, initial, t_max=1.0, dt=0.01)
-        for k in range(len(traj)):
-            mean_dot = float(np.mean(traj.state(k).frequencies))
+        times, phases = integrate(layer, initial, t_max=1.0, dt=0.01)
+        freqs = derivative(layer, phases)
+        for k in range(len(times)):
+            mean_dot = float(np.mean(freqs[k]))
             worst = max(worst, abs(mean_dot - mean_p))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 30.0
@@ -85,8 +86,8 @@ def _two_node(p: float) -> CyberLayer:
 
 def test_criterion_3_two_node_lag_and_sync_time():
     locking = _two_node(0.1)
-    traj = integrate(locking, [0.0, 0.0], t_max=100.0, dt=0.01)
-    lag = float(traj.final.phases[0] - traj.final.phases[1])
+    _, phases = integrate(locking, [0.0, 0.0], t_max=100.0, dt=0.01)
+    lag = float(phases[-1, 0] - phases[-1, 1])
     lag_err = abs(lag - math.asin(0.1))
 
     ens = ensemble_integrate(locking, 20, seed=7, t_max=100.0, dt=0.01)
@@ -128,9 +129,7 @@ def test_criterion_5_ieee118_end_to_end(scenario118, net118_faulted):
 
     start = time.perf_counter()
     dec = run_decentralized(
-        net, islands, mode=scenario118.mode,
-        epsilon=scenario118.freq_epsilon, t_max=scenario118.t_max,
-        dt=scenario118.dt,
+        net, islands, epsilon=scenario118.freq_epsilon,
         max_stalled_rounds=scenario118.max_stalled_rounds)
     valid_d = validate_partition(net, dec.partition)
     metrics_d = compute_metrics(net, dec.partition)
@@ -261,12 +260,12 @@ def test_criterion_8_decisions_ignore_far_islands():
                          for isl in islands})
         assigned = set().union(*(isl.node_set for isl in islands))
         far_node = max(net.node_ids()) + 100
+        injection = {n: net_injection(net, n) for n in net.node_ids()}
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            cache = _LayerCache(net, "analytic", 10.0, 0.01, 1e-4)
             agent, estimates, _ = _evaluate_agent(
-                net, registry, node, cache, 1e-3)
+                net, registry, node, injection)
             if len(agent.neighbor_islands) == len(islands):
                 continue   # node borders every island; nothing is far
             twisted = IslandRegistry(
@@ -278,8 +277,7 @@ def test_criterion_8_decisions_ignore_far_islands():
                     twisted.island_freq[lbl] += 0.37
                     twisted.islands[lbl].add(far_node)
             again, estimates2, _ = _evaluate_agent(
-                net, twisted, node, _LayerCache(net, "analytic", 10.0, 0.01,
-                                                1e-4), 1e-3)
+                net, twisted, node, injection)
             assert again.decision == agent.decision
             assert estimates2 == estimates
             checked += 1

@@ -228,6 +228,21 @@ def test_run_all_decentralized_uses_events_log(workspace):
                for c in log["layer_evaluations"])
 
 
+# sha256 of events.json from decentralized run-all on the shipped
+# scenario, as recorded in perfbench/digests.json for ieee118-decentral.
+SHIPPED_EVENTS_SHA256 = (
+    "6c1a0b5d5d1079af2185b7786c56e4ccc974c82ed3a6fcb34a0df1b4667eed19")
+
+
+def test_shipped_decentralized_events_are_pinned(scenario118_path,
+                                                 tmp_path):
+    rc = main(["run-all", "--config", str(scenario118_path),
+               "--algorithm", "decentralized", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    events = (tmp_path / "events.json").read_bytes()
+    assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
+
+
 def test_partition_reuses_sync_table(workspace):
     tmp_path, cfg = workspace
     first = tmp_path / "first"

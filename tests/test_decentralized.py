@@ -13,13 +13,17 @@ from grid_islander import (Decision, DegenerateEstimate, Island,
                            agent_decide, build_layer, estimate_island_power,
                            net_injection, run_decentralized, staleness_check,
                            sync_frequency, validate_partition)
-from grid_islander.decentralized import _evaluate_agent, _LayerCache
+from grid_islander.decentralized import _evaluate_agent, _mean_injection
 from conftest import make_network
 
 
 def seeds(*node_sets):
     return [Island(label=k + 1, node_set=frozenset(ns))
             for k, ns in enumerate(node_sets)]
+
+
+def injection_table(net):
+    return {n: net_injection(net, n) for n in net.node_ids()}
 
 
 # ---------------------------------------------------------------- estimator
@@ -114,7 +118,7 @@ def test_enclosure_beats_estimates():
 def test_staleness_threshold():
     agent = NodeAgent(node_id=3, injection=-0.2,
                       neighbor_islands=frozenset({1}),
-                      snapshot_freqs={1: (0.5, 0.4)})
+                      snapshot_freqs={1: 0.5})
     registry = IslandRegistry(islands={1: {1, 2}}, island_freq={1: 0.5})
     assert staleness_check(agent, registry, epsilon=1e-3) == "fresh"
     registry.island_freq[1] = 0.5 + 2e-3
@@ -270,36 +274,7 @@ def test_commit_order_shuffle_still_valid():
         assert validate_partition(net, shuffled.partition).all_ok
 
 
-def test_simulated_mode_matches_analytic_decisions():
-    net, initial = figure_instance()
-    analytic = run_decentralized(net, initial, mode="analytic")
-    simulated = run_decentralized(net, initial, mode="simulated",
-                                  t_max=40.0, dt=0.01)
-    assert simulated.partition == analytic.partition
-    joins_a = [(e["node"], e["payload"]["island"])
-               for e in analytic.events if e["action"] == "join"]
-    joins_s = [(e["node"], e["payload"]["island"])
-               for e in simulated.events if e["action"] == "join"]
-    assert joins_a == joins_s
-    # the measured estimates agree with the closed form to a few 1e-6
-    est = next(e for e in simulated.events
-               if e["node"] == 4 and e["action"] == "estimate")
-    assert est["payload"]["estimates"]["1"] == pytest.approx(2.5, abs=1e-4)
-    assert est["payload"]["estimates"]["2"] == pytest.approx(1.2, abs=1e-4)
-
-
-def test_simulated_mode_reports_agreement_times():
-    net, initial = figure_instance()
-    result = run_decentralized(net, initial, mode="simulated",
-                               t_max=40.0, dt=0.01)
-    est = next(e for e in result.events
-               if e["node"] == 4 and e["action"] == "estimate")
-    ready = est["payload"]["ready_time"]
-    assert ready != "inf"
-    assert 0.0 <= ready <= 40.0
-
-
-def test_adapter_uses_config_knobs():
+def test_max_stalled_rounds_sets_fallback_round():
     net = make_network({1: -0.5, 5: -0.2, 9: -0.3},
                        [(1, 5), (5, 9)], generator_set={1, 9})
     result = run_decentralized(net, seeds({1}, {9}), max_stalled_rounds=1)
@@ -311,7 +286,7 @@ def test_mean_injection_is_bit_identical_to_layer_mean(net118):
     # the analytic augmented frequency must equal the layer's mean
     # exactly, or estimates and events.json would move
     rng = random.Random(118)
-    cache = _LayerCache(net118, "analytic", 10.0, 0.01, 1e-4)
+    injection = injection_table(net118)
     ids = net118.node_ids()
     for _ in range(50):
         nodes = {rng.choice(ids)}
@@ -322,22 +297,21 @@ def test_mean_injection_is_bit_identical_to_layer_mean(net118):
             nodes.add(rng.choice(frontier))
         assert net118.subgraph_connected(nodes)
         nodes = frozenset(nodes)
-        assert cache.mean_injection(nodes) == \
+        assert _mean_injection(injection, nodes) == \
             sync_frequency(build_layer(net118, nodes))
 
 
-def test_analytic_mode_builds_no_layer(scenario118, net118_faulted,
-                                       monkeypatch):
+def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
+                                     monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("analytic mode built an oscillator layer")
+        raise AssertionError("the decentralized run built an oscillator "
+                             "layer")
 
     monkeypatch.setattr("grid_islander.decentralized.build_layer", refuse)
     islands = [Island(label=k + 1, node_set=frozenset(nodes))
                for k, nodes in enumerate(scenario118.initial_islands)]
     result = run_decentralized(
-        net118_faulted, islands, mode="analytic",
-        epsilon=scenario118.freq_epsilon, t_max=scenario118.t_max,
-        dt=scenario118.dt,
+        net118_faulted, islands, epsilon=scenario118.freq_epsilon,
         max_stalled_rounds=scenario118.max_stalled_rounds)
     assert result.rounds == 45
     assert result.fallback_nodes == (105, 106, 109, 107, 108)
@@ -358,7 +332,7 @@ def test_watched_islands_follow_membership():
             islands={isl.label: set(isl.node_set) for isl in initial},
             island_freq={isl.label: net_injection(net, min(isl.node_set))
                          for isl in initial})
-        cache = _LayerCache(net, "analytic", 10.0, 0.01, 1e-4)
+        injection = injection_table(net)
         free = sorted(set(net.node_ids()) - set(registry.owner))
         rng.shuffle(free)
         for joiner in free:
@@ -370,8 +344,8 @@ def test_watched_islands_follow_membership():
                     continue
                 enclosing = [lbl for lbl in watched
                              if set(neighbors) <= registry.islands[lbl]]
-                agent, _, _ = _evaluate_agent(net, registry, node, cache,
-                                              1e-3)
+                agent, _, _ = _evaluate_agent(net, registry, node,
+                                              injection)
                 assert agent.neighbor_islands == watched, f"trial {trial}"
                 if enclosing:
                     enclosed += 1
@@ -385,12 +359,6 @@ def test_watched_islands_follow_membership():
                                       in registry.islands.items()
                                       for node in members}
     assert enclosed > 0
-
-
-def test_unknown_mode_rejected():
-    net, initial = figure_instance()
-    with pytest.raises(ValueError):
-        run_decentralized(net, initial, mode="psychic")
 
 
 # ----------------------------------------------------------------- locality
@@ -418,21 +386,20 @@ def test_agent_decisions_ignore_far_islands():
         for isl in initial:
             total = sum(net_injection(net, n) for n in isl.node_set)
             registry.island_freq[isl.label] = total / isl.size
-        cache = _LayerCache(net, "analytic", 10.0, 0.01, 1e-4)
+        injection = injection_table(net)
         assigned = set().union(*(isl.node_set for isl in initial))
         far_node = max(net.node_ids()) + 100
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
             agent, estimates, _ = _evaluate_agent(
-                net, registry, node, cache, 1e-3)
+                net, registry, node, injection)
             if len(agent.neighbor_islands) == len(initial):
                 continue   # node sees every island; nothing is far
             twisted = _perturb_far_islands(registry,
                                            agent.neighbor_islands, far_node)
-            cache2 = _LayerCache(net, "analytic", 10.0, 0.01, 1e-4)
             again, estimates2, _ = _evaluate_agent(
-                net, twisted, node, cache2, 1e-3)
+                net, twisted, node, injection)
             assert again.decision == agent.decision
             assert estimates2 == estimates
             assert again.snapshot_freqs == agent.snapshot_freqs

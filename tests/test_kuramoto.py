@@ -10,12 +10,10 @@ import numpy as np
 import pytest
 
 from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, GridError,
-                           NotFound, NotSynchronized,
-                           NumericalDivergence, build_layer,
+                           NotFound, NumericalDivergence, build_layer,
                            coupling_susceptance, derivative,
                            ensemble_integrate, ensemble_run,
-                           ensemble_sync_times, integrate,
-                           measure_sync_frequency, net_injection,
+                           ensemble_sync_times, integrate, net_injection,
                            order_parameter, order_parameter_series,
                            sample_initial_conditions, sync_frequency,
                            sync_times)
@@ -121,38 +119,37 @@ def test_mean_frequency_is_conserved():
     for _ in range(10):
         layer = random_layer(rng, rng.randint(2, 12))
         initial = sample_initial_conditions(layer.size, rng.randint(0, 999))
-        traj = integrate(layer, initial, t_max=2.0, dt=0.05)
+        _, phases = integrate(layer, initial, t_max=2.0, dt=0.05)
         mean_p = float(np.mean(layer.natural_frequency))
-        drift = np.abs(traj.frequencies.mean(axis=1) - mean_p)
+        drift = np.abs(derivative(layer, phases).mean(axis=1) - mean_p)
         assert drift.max() < 1e-12
 
 
 def test_single_node_linear_phase():
     layer = CyberLayer(node_ids=(7,), natural_frequency=np.array([0.5]),
                        coupling=np.zeros((1, 1)))
-    traj = integrate(layer, [0.0], t_max=2.0, dt=0.01)
-    assert traj.phases[-1, 0] == pytest.approx(1.0, abs=1e-12)
-    assert traj.final.time == pytest.approx(2.0)
-    assert len(traj) == 201
+    times, phases = integrate(layer, [0.0], t_max=2.0, dt=0.01)
+    assert phases[-1, 0] == pytest.approx(1.0, abs=1e-12)
+    assert times[-1] == pytest.approx(2.0)
+    assert len(times) == 201
 
 
 def test_integration_grid_and_states():
     layer = two_node_layer(0.1, -0.1)
-    traj = integrate(layer, [0.0, 0.0], t_max=1.0, dt=0.1)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(1.0)
-    state = traj.state(3)
-    assert state.time == pytest.approx(0.3)
-    assert state.phases.shape == (2,)
-    assert state.frequencies.shape == (2,)
+    times, phases = integrate(layer, [0.0, 0.0], t_max=1.0, dt=0.1)
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(1.0)
+    assert times[3] == pytest.approx(0.3)
+    assert phases[3].shape == (2,)
+    assert derivative(layer, phases)[3].shape == (2,)
 
 
 def test_rk4_fourth_order_convergence():
     layer = two_node_layer(0.1, -0.1)
     initial = [0.3, -0.2]
-    ref = integrate(layer, initial, t_max=4.0, dt=0.0125).phases[-1]
-    coarse = integrate(layer, initial, t_max=4.0, dt=0.2).phases[-1]
-    fine = integrate(layer, initial, t_max=4.0, dt=0.1).phases[-1]
+    ref = integrate(layer, initial, t_max=4.0, dt=0.0125)[1][-1]
+    coarse = integrate(layer, initial, t_max=4.0, dt=0.2)[1][-1]
+    fine = integrate(layer, initial, t_max=4.0, dt=0.1)[1][-1]
     e_coarse = np.abs(coarse - ref).max()
     e_fine = np.abs(fine - ref).max()
     assert e_fine > 0
@@ -166,24 +163,25 @@ def test_rotational_invariance():
     layer = random_layer(rng, 6)
     initial = sample_initial_conditions(6, 11)
     shift = 1.234
-    a = integrate(layer, initial, t_max=1.0, dt=0.02)
-    b = integrate(layer, initial + shift, t_max=1.0, dt=0.02)
-    assert np.abs((b.phases - a.phases) - shift).max() < 1e-9
+    _, a = integrate(layer, initial, t_max=1.0, dt=0.02)
+    _, b = integrate(layer, initial + shift, t_max=1.0, dt=0.02)
+    assert np.abs((b - a) - shift).max() < 1e-9
 
 
 def test_two_node_locks_at_analytic_lag():
     # fixed point: sin(lag) = (p1 - p2) / (2 b)
     layer = two_node_layer(0.1, -0.1, b=1.0)
-    traj = integrate(layer, [0.0, 0.0], t_max=50.0, dt=0.01)
-    lag = traj.phases[-1, 0] - traj.phases[-1, 1]
+    _, phases = integrate(layer, [0.0, 0.0], t_max=50.0, dt=0.01)
+    lag = phases[-1, 0] - phases[-1, 1]
     assert lag == pytest.approx(math.asin(0.1), abs=1e-6)
-    assert traj.frequencies[-1] == pytest.approx([0.0, 0.0], abs=1e-9)
+    assert derivative(layer, phases)[-1] == pytest.approx([0.0, 0.0],
+                                                           abs=1e-9)
 
 
 def test_two_node_drifts_when_imbalance_exceeds_coupling():
     layer = two_node_layer(1.5, -1.5, b=1.0)
-    traj = integrate(layer, [0.0, 0.0], t_max=20.0, dt=0.01)
-    lag = traj.phases[-1, 0] - traj.phases[-1, 1]
+    _, phases = integrate(layer, [0.0, 0.0], t_max=20.0, dt=0.01)
+    lag = phases[-1, 0] - phases[-1, 1]
     assert abs(lag) > 2 * math.pi   # phases keep separating
 
 
@@ -215,8 +213,8 @@ def test_ensemble_matches_single_runs():
     assert ens.n_runs == 5
     for run in range(5):
         initial = sample_initial_conditions(2, [17, run])
-        solo = integrate(layer, initial, t_max=1.0, dt=0.05)
-        assert np.abs(ens.phases[run] - solo.phases).max() < 1e-10
+        _, solo = integrate(layer, initial, t_max=1.0, dt=0.05)
+        assert np.abs(ens.phases[run] - solo).max() < 1e-10
 
 
 def test_ensemble_reproducible():
@@ -304,14 +302,10 @@ def test_sync_times_on_real_dynamics():
 def test_sync_frequency_analytic_and_measured():
     layer = two_node_layer(0.4, -0.2, b=3.0)
     assert sync_frequency(layer) == pytest.approx(0.1)
-    measured = measure_sync_frequency(layer, t_max=60.0, dt=0.01)
+    # measured as the median frequency at the end of an integrated run
+    _, phases = integrate(layer, [0.0, 0.0], t_max=60.0, dt=0.01)
+    measured = float(np.median(derivative(layer, phases[-1])))
     assert measured == pytest.approx(0.1, abs=1e-6)
-
-
-def test_measure_sync_frequency_rejects_drift():
-    layer = two_node_layer(3.0, -3.0, b=1.0)
-    with pytest.raises(NotSynchronized):
-        measure_sync_frequency(layer, t_max=20.0, dt=0.01)
 
 
 def test_sync_table_lookup_orderless():

@@ -298,8 +298,7 @@ def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
     assert _island_solves(net, central) == [(1, 35, "ac", 4),
                                             (2, 83, "ac", 4)]
     dec = run_decentralized(
-        net, islands, mode=cfg.mode, epsilon=cfg.freq_epsilon,
-        t_max=cfg.t_max, dt=cfg.dt,
+        net, islands, epsilon=cfg.freq_epsilon,
         max_stalled_rounds=cfg.max_stalled_rounds).partition
     # island 2's Newton-Raphson diverges (mismatch 0.70 -> about 1e8 pu)
     assert _island_solves(net, dec) == [(1, 35, "ac", 4),

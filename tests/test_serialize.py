@@ -88,7 +88,8 @@ def test_scenario_validation():
            dict(base, dt=0.0), dict(base, dt=20.0),
            dict(base, rho_threshold=1.0), dict(base, freq_epsilon=0.0),
            dict(base, ensemble_size=0), dict(base, algorithm="magic"),
-           dict(base, mode="turbo"), dict(base, generator_set=()),
+           dict(base, mode="turbo"), dict(base, mode="simulated"),
+           dict(base, generator_set=()),
            dict(base, initial_islands=((1,), ())),
            dict(base, max_stalled_rounds=0)]
     for kwargs in bad:
