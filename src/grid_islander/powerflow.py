@@ -1,8 +1,10 @@
 """AC (Newton-Raphson) and DC power flow on a network or island subset.
 
 Dense numpy implementation sized for study networks. The Newton-Raphson
-Jacobian is assembled in O(n^2) by row and column scaling of the
-admittance matrix; the dense LU solve of each step is still O(n^3).
+Jacobian is assembled in O(nnz) over the admittance matrix's nonzero
+pattern, with the sparse ``dSbus_dV`` formulas of MATPOWER (Zimmerman et
+al., IEEE Trans. Power Syst. 2011), into one dense matrix reused by every
+iteration; the dense LU solve of each step is still O(n^3).
 Branch model is the standard pi section with off-nominal tap on
 the from side. Buses holding a voltage setpoint are PV, the rest PQ;
 reactive limits are not enforced. The slack bus defaults to the
@@ -172,22 +174,50 @@ def build_ybus(network: PowerNetwork, nodes: Sequence[int]
     return ybus, branches
 
 
-def _jacobian(ybus: np.ndarray, voltage: np.ndarray, current: np.ndarray,
-              pvpq: np.ndarray, pq: np.ndarray) -> np.ndarray:
-    """Polar Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]] at ``voltage``
-    (``current`` is ``ybus @ voltage``), angles at ``pvpq``, magnitudes at
-    ``pq``. Each dS block scales the rows of ``ybus`` by V and its columns
-    by V or V/|V|, then adds a diagonal term: O(n^2), no matrix product."""
-    diagonal = np.diag_indices(voltage.size)
-    unit = voltage / np.abs(voltage)
-    ds_dva = -1j * voltage[:, None] * np.conj(ybus * voltage)
-    ds_dva[diagonal] += 1j * voltage * np.conj(current)
-    ds_dvm = voltage[:, None] * np.conj(ybus * unit)
-    ds_dvm[diagonal] += np.conj(current) * unit
-    return np.block([[ds_dva[np.ix_(pvpq, pvpq)].real,
-                      ds_dvm[np.ix_(pvpq, pq)].real],
-                     [ds_dva[np.ix_(pq, pvpq)].imag,
-                      ds_dvm[np.ix_(pq, pq)].imag]])
+class _JacobianAssembler:
+    """Polar Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]], angles at
+    ``pvpq``, magnitudes at ``pq``, evaluated only at ybus's nonzeros
+    and diagonal. Each call fills the same dense matrix: the entries of
+    the pattern are overwritten, every other entry stays zero."""
+
+    def __init__(self, ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray):
+        n = ybus.shape[0]
+        pattern = ybus != 0
+        np.fill_diagonal(pattern, True)
+        self._rows, self._cols = np.nonzero(pattern)
+        self._ybus = ybus[self._rows, self._cols]
+        self._diagonal = np.flatnonzero(self._rows == self._cols)
+        # each bus's P row and angle column, and its Q row and magnitude
+        # column, in the Jacobian; -1 where the bus has none
+        angle = np.full(n, -1)
+        angle[pvpq] = np.arange(pvpq.size)
+        magnitude = np.full(n, -1)
+        magnitude[pq] = pvpq.size + np.arange(pq.size)
+        size = pvpq.size + pq.size
+        self._matrix = np.zeros((size, size))
+        # (flat position in the matrix, pattern entry) of the four blocks
+        self._blocks = []
+        for row_of, col_of in ((angle, angle), (angle, magnitude),
+                               (magnitude, angle), (magnitude, magnitude)):
+            row, col = row_of[self._rows], col_of[self._cols]
+            entry = np.flatnonzero((row >= 0) & (col >= 0))
+            self._blocks.append((row[entry] * size + col[entry], entry))
+
+    def __call__(self, voltage: np.ndarray,
+                 current: np.ndarray) -> np.ndarray:
+        """The Jacobian at ``voltage`` (``current`` is ``ybus @ voltage``)."""
+        unit = voltage / np.abs(voltage)
+        v_row = voltage[self._rows]
+        ds_dva = -1j * v_row * np.conj(self._ybus * voltage[self._cols])
+        ds_dva[self._diagonal] += 1j * voltage * np.conj(current)
+        ds_dvm = v_row * np.conj(self._ybus * unit[self._cols])
+        ds_dvm[self._diagonal] += np.conj(current) * unit
+        flat = self._matrix.reshape(-1)
+        for (position, entry), values in zip(
+                self._blocks,
+                (ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag)):
+            flat[position] = values[entry]
+        return self._matrix
 
 
 def ac_power_flow(network: PowerNetwork,
@@ -226,6 +256,7 @@ def ac_power_flow(network: PowerNetwork,
     pv = np.flatnonzero(is_pv)
     pq = np.flatnonzero(~is_pv & (np.arange(n) != slack_k))
     pvpq = np.concatenate([pv, pq])
+    jacobian = _JacobianAssembler(ybus, pvpq, pq)
 
     history: list[float] = []
     iterations = 0
@@ -243,9 +274,8 @@ def ac_power_flow(network: PowerNetwork,
         if iterations >= max_iterations:
             raise NotConverged(iterations, mismatch)
         iterations += 1
-        jac = _jacobian(ybus, voltage, current, pvpq, pq)
         try:
-            dx = np.linalg.solve(jac, f)
+            dx = np.linalg.solve(jacobian(voltage, current), f)
         except np.linalg.LinAlgError:
             raise SingularSystem("power-flow Jacobian is singular") from None
         va[pvpq] += dx[:pvpq.size]

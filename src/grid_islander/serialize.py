@@ -1,13 +1,17 @@
 """JSON encodings of networks, partitions, sync tables, and reports.
 
 Field names here are a stable external interface; anything consuming the
-CLI artifacts relies on them.
+CLI artifacts relies on them. ``save_json`` streams an artifact through a
+temporary file beside the target, in bounded chunks, with the same bytes
+as ``json.dumps(data, indent=2)`` plus a newline; the target is replaced
+only once the whole document is written.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import os
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import SchemaError
@@ -105,5 +109,117 @@ def sync_table_from_dict(data: dict):
     return SyncTimeTable(entries=entries)
 
 
+# Pieces of text held before one write to the file.
+_FLUSH_PIECES = 8192
+
+
+def _float_text(value: float) -> str:
+    """``json``'s float spelling: repr, or NaN / Infinity / -Infinity."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_text(key) -> str:
+    """A dict key coerced to a string as ``json`` coerces it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _write_json(data, handle) -> None:
+    """Write ``json.dumps(data, indent=2)`` to ``handle`` piece by piece,
+    with ``json``'s type tests in its order and its errors."""
+    pieces: list[str] = []
+    append = pieces.append
+    containers: set[int] = set()
+
+    def enter(container) -> None:
+        if id(container) in containers:
+            raise ValueError("Circular reference detected")
+        containers.add(id(container))
+
+    def spill() -> None:
+        handle.write("".join(pieces))
+        pieces.clear()
+
+    def encode(value, indent: str) -> None:
+        if isinstance(value, str):
+            append(encode_basestring_ascii(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, int):
+            append(int.__repr__(value))
+        elif isinstance(value, float):
+            append(_float_text(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            enter(value)
+            inner = indent + "  "
+            separator = "[\n" + inner
+            for item in value:
+                append(separator)
+                separator = ",\n" + inner
+                encode(item, inner)
+                if len(pieces) >= _FLUSH_PIECES:
+                    spill()
+            append("\n" + indent + "]")
+            containers.discard(id(value))
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            enter(value)
+            inner = indent + "  "
+            separator = "{\n" + inner
+            for key, item in value.items():
+                append(separator + encode_basestring_ascii(_key_text(key))
+                       + ": ")
+                separator = ",\n" + inner
+                encode(item, inner)
+                if len(pieces) >= _FLUSH_PIECES:
+                    spill()
+            append("\n" + indent + "}")
+            containers.discard(id(value))
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} "
+                            f"is not JSON serializable")
+
+    encode(data, "")
+    append("\n")
+    spill()
+
+
 def save_json(data: dict, path) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    """Write ``data`` as indented JSON; on any error the file at ``path``
+    is left as it was and no temporary file remains."""
+    path = Path(path)
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            _write_json(data, handle)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise

@@ -1,6 +1,7 @@
 """AC Newton-Raphson and DC linear power flow."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from grid_islander import (Branch, Island, NoGenerator, NotConverged,
                            build_layer, build_ybus, centralized_partition,
                            compute_metrics, dc_power_flow, default_slack,
                            ensemble_sync_times, run_decentralized)
-from grid_islander.powerflow import _jacobian
+from grid_islander import powerflow
+from grid_islander.powerflow import _JacobianAssembler
 from conftest import make_network
 
 
@@ -205,16 +207,32 @@ def test_dc_full_ieee118(net118_faulted):
     assert np.abs(sol.va).max() < 1.5
 
 
-def _unknown_indices(network):
-    """(pvpq, pq) index arrays over ``network.node_ids()``, by the rule
-    ``ac_power_flow`` uses: setpoint buses other than the slack are PV."""
-    nodes = network.node_ids()
-    slack = default_slack(network)
+def _unknown_indices(network, nodes=None):
+    """(pvpq, pq) index arrays over ``nodes`` (default: every node), by
+    the rule ``ac_power_flow`` uses: setpoint buses other than the slack
+    are PV."""
+    nodes = network.node_ids() if nodes is None else tuple(sorted(nodes))
+    slack = default_slack(network, nodes)
     pv = [k for k, n in enumerate(nodes)
           if n != slack and network.bus(n).voltage_setpoint is not None]
     pq = [k for k, n in enumerate(nodes)
           if n != slack and network.bus(n).voltage_setpoint is None]
     return np.array(pv + pq), np.array(pq)
+
+
+def _dense_jacobian(ybus, voltage, current, pvpq, pq):
+    """Reference: every dS entry of the n x n matrices, by row and column
+    scaling of ybus, then the four blocks cut out and stacked."""
+    diagonal = np.diag_indices(voltage.size)
+    unit = voltage / np.abs(voltage)
+    ds_dva = -1j * voltage[:, None] * np.conj(ybus * voltage)
+    ds_dva[diagonal] += 1j * voltage * np.conj(current)
+    ds_dvm = voltage[:, None] * np.conj(ybus * unit)
+    ds_dvm[diagonal] += np.conj(current) * unit
+    return np.block([[ds_dva[np.ix_(pvpq, pvpq)].real,
+                      ds_dvm[np.ix_(pvpq, pq)].real],
+                     [ds_dva[np.ix_(pq, pvpq)].imag,
+                      ds_dvm[np.ix_(pq, pq)].imag]])
 
 
 def _diag_product_jacobian(ybus, voltage, pvpq, pq):
@@ -229,6 +247,12 @@ def _diag_product_jacobian(ybus, voltage, pvpq, pq):
                       ds_dvm[np.ix_(pvpq, pq)].real],
                      [ds_dva[np.ix_(pq, pvpq)].imag,
                       ds_dvm[np.ix_(pq, pq)].imag]])
+
+
+def _random_voltage(size, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.uniform(0.9, 1.1, size)
+            * np.exp(1j * rng.uniform(-0.5, 0.5, size)))
 
 
 def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
@@ -249,7 +273,7 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
         return np.concatenate([s.real[pvpq], s.imag[pq]])
 
     voltage = vm * np.exp(1j * va)
-    jac = _jacobian(ybus, voltage, ybus @ voltage, pvpq, pq)
+    jac = _JacobianAssembler(ybus, pvpq, pq)(voltage, ybus @ voltage)
     size = pvpq.size + pq.size
     assert jac.shape == (size, size)
     scale = np.abs(jac).max()
@@ -266,6 +290,62 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
 
     reference = _diag_product_jacobian(ybus, voltage, pvpq, pq)
     assert np.abs(jac - reference).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("nodes", [None, range(1, 40)],
+                         ids=["whole", "island"])
+def test_jacobian_equals_dense_reference(net118_faulted, nodes):
+    """Bit for bit (up to the sign of zero) the dense O(n^2) Jacobian,
+    at every call of one reused assembler."""
+    net = net118_faulted
+    chosen = net.node_ids() if nodes is None else tuple(nodes)
+    ybus, _ = build_ybus(net, chosen)
+    pvpq, pq = _unknown_indices(net, chosen)
+    assert 0 < pq.size < pvpq.size < len(chosen)   # PV, PQ and a slack
+    assembler = _JacobianAssembler(ybus, pvpq, pq)
+    for seed in range(3):
+        voltage = _random_voltage(len(chosen), seed)
+        current = ybus @ voltage
+        assert np.array_equal(
+            assembler(voltage, current),
+            _dense_jacobian(ybus, voltage, current, pvpq, pq))
+
+
+def test_whole_network_newton_steps_unchanged(net118_faulted, monkeypatch):
+    """The same mismatch at every iteration and the same voltages as
+    Newton-Raphson with the dense reference Jacobian."""
+    solution = ac_power_flow(net118_faulted)
+
+    class Dense:
+        def __init__(self, ybus, pvpq, pq):
+            self.args = ybus, pvpq, pq
+
+        def __call__(self, voltage, current):
+            ybus, pvpq, pq = self.args
+            return _dense_jacobian(ybus, voltage, current, pvpq, pq)
+
+    monkeypatch.setattr(powerflow, "_JacobianAssembler", Dense)
+    reference = ac_power_flow(net118_faulted)
+    assert solution.mismatch_history == reference.mismatch_history
+    assert len(solution.mismatch_history) == 5
+    assert np.array_equal(solution.vm, reference.vm)
+    assert np.array_equal(solution.va, reference.va)
+
+
+def test_jacobian_assembly_allocates_about_one_matrix(net118_faulted):
+    net = net118_faulted
+    ybus, _ = build_ybus(net, net.node_ids())
+    pvpq, pq = _unknown_indices(net)
+    voltage = _random_voltage(ybus.shape[0], 0)
+    current = ybus @ voltage
+    tracemalloc.start()
+    try:
+        jac = _JacobianAssembler(ybus, pvpq, pq)(voltage, current)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense path held several complex n x n matrices at once
+    assert peak < 2 * jac.nbytes
 
 
 def _island_solves(network, partition):

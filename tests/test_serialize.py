@@ -2,14 +2,16 @@
 
 import json
 import math
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from grid_islander import (ConfigError, Island, SchemaError, ScenarioConfig,
                            SyncTimeTable, load_scenario, make_partition,
                            network_from_dict, network_to_dict,
                            partition_from_dict, partition_to_dict,
-                           scenario_from_dict, scenario_to_dict,
+                           save_json, scenario_from_dict, scenario_to_dict,
                            sync_table_from_dict, sync_table_to_dict,
                            with_overrides)
 from conftest import make_network
@@ -126,3 +128,76 @@ def test_shipped_scenario_contents(scenario118):
     assert m1.isdisjoint(m2)
     assert m1 & set(scenario118.generator_set)
     assert m2 & set(scenario118.generator_set)
+
+
+_TEXT = (st.text()
+         | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f'
+                            '\u00e9\u2028\u2603\U0001d11e\ud800'))
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 1e-7, 1e300, math.inf, -math.inf, math.nan])
+_INTS = st.integers() | st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+_LEAVES = _TEXT | _FLOATS | _INTS | st.booleans() | st.none()
+_KEYS = _TEXT | _INTS | _FLOATS | st.booleans() | st.none()
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children)
+                      | st.lists(children).map(tuple)
+                      | st.dictionaries(_KEYS, children)),
+    max_leaves=40)
+
+
+def _dumps(data) -> bytes:
+    return (json.dumps(data, indent=2) + "\n").encode("utf-8")
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_TREES)
+def test_save_json_writes_json_dumps_bytes(tmp_path, data):
+    path = tmp_path / "out.json"
+    save_json(data, path)
+    assert path.read_bytes() == _dumps(data)
+
+
+def test_save_json_deep_nesting(tmp_path):
+    data = {"leaf": [1.5, None, True]}
+    for depth in range(300):
+        data = [data, depth] if depth % 2 else {str(depth): data, "": ()}
+    path = tmp_path / "deep.json"
+    save_json(data, path)
+    assert path.read_bytes() == _dumps(data)
+
+
+def test_save_json_spans_many_chunks(tmp_path):
+    data = {"events": [{"round": k, "payload": {str(k): k / 7, "x": [k]}}
+                       for k in range(5000)]}
+    path = tmp_path / "long.json"
+    save_json(data, path)
+    assert path.read_bytes() == _dumps(data)
+
+
+def test_save_json_coerces_keys_like_json(tmp_path):
+    data = {1: "a", "1": "b", 2.5: [], True: {}, False: 0, None: -0.0,
+            math.inf: 1e300, math.nan: 1e-7}
+    path = tmp_path / "keys.json"
+    save_json(data, path)
+    assert path.read_bytes() == _dumps(data)
+
+
+def _circular():
+    loop = [1]
+    loop.append({"back": loop})
+    return loop
+
+
+@pytest.mark.parametrize("bad", [
+    {"a": [1, 2.0, {"b": object()}]}, {"a": {(1, 2): 3}}, _circular()],
+    ids=["value", "key", "circular"])
+def test_save_json_failure_keeps_old_file(tmp_path, bad):
+    with pytest.raises((TypeError, ValueError)) as expected:
+        json.dumps(bad, indent=2)
+    path = tmp_path / "artifact.json"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        save_json(bad, path)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
