@@ -7,8 +7,7 @@ and validates a two-island split of it.
 """
 
 from grid_islander import (Branch, Bus, Island, PowerNetwork,
-                           make_partition, net_injection, shortest_path,
-                           validate_partition)
+                           make_partition, net_injection, validate_partition)
 
 # two generator buses feed three loads over a ring with one spur
 buses = (
@@ -37,9 +36,9 @@ net = PowerNetwork(buses=buses, branches=branches, base_mva=100.0,
 for node in net.node_ids():
     print(f"bus {node}: injection {net_injection(net, node):+.2f} pu")
 
-# topology helpers: neighbors and a lowest-id shortest path
+# topology helpers: neighbors and connectivity of a bus subset
 print("neighbors of bus 2:", net.neighbors(2))
-print("path 1 to 5:", shortest_path(net, 1, 5))
+print("buses 1, 3 connected on their own:", net.subgraph_connected({1, 3}))
 
 # split the ring into two islands and check every partition rule
 left = Island(label=1, node_set=frozenset({1, 2, 3}))

@@ -26,7 +26,7 @@ print(f"{len(net.buses)} buses, fault on {cfg.fault_branches}")
 
 # ensemble of oscillator runs; every in-service edge gets a sync time,
 # detected as the runs are integrated (no trajectory is stored)
-layer = build_layer(net, net.node_ids(), label="grid")
+layer = build_layer(net, net.node_ids())
 table = ensemble_sync_times(layer, cfg.ensemble_size, cfg.seed,
                             net.edge_set(), cfg.rho_threshold,
                             t_max=cfg.t_max, dt=cfg.dt)

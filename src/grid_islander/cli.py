@@ -18,6 +18,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -25,11 +26,10 @@ from . import __version__
 from .centralized import centralized_partition
 from .decentralized import run_decentralized
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
-                     EmptyLayer, GridError, GridIslanderError,
-                     InitialIslandsOverlap, MissingSection, NoGenerator,
-                     NotConverged, NotFound, NumericalDivergence,
-                     ParseError, SchemaError, SingularSystem, Stalled,
-                     Unreachable, UndefinedSize)
+                     EmptyLayer, GridIslanderError, InitialIslandsOverlap,
+                     MissingSection, NoGenerator, NotConverged, NotFound,
+                     NumericalDivergence, ParseError, SchemaError,
+                     SingularSystem, Stalled, UndefinedSize)
 # ensemble_integrate and sync_times, the stored-trajectory pair, are no
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
@@ -39,7 +39,7 @@ from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
                       island_imbalance, validate_partition)
-from .scenario import ScenarioConfig, load_scenario, with_overrides
+from .scenario import ScenarioConfig, load_scenario
 from .serialize import (network_to_dict, partition_from_dict,
                         partition_to_dict, save_json, sync_table_from_dict,
                         sync_table_to_dict)
@@ -58,11 +58,10 @@ class _ValidationFailure(GridIslanderError):
 _VALIDATION_ERRORS = (_ValidationFailure, InitialIslandsOverlap, Stalled,
                       NoGenerator)
 _NUMERICAL_ERRORS = (NotConverged, NumericalDivergence, SingularSystem,
-                     GridError, DegenerateBranch, DegenerateEstimate,
-                     UndefinedSize)
+                     DegenerateBranch, DegenerateEstimate, UndefinedSize)
 _INPUT_ERRORS = (ConfigError, ParseError, MissingSection, SchemaError,
-                 NotFound, Unreachable, EmptyLayer, FileNotFoundError,
-                 IsADirectoryError, PermissionError, ValueError)
+                 NotFound, EmptyLayer, FileNotFoundError, IsADirectoryError,
+                 PermissionError, ValueError)
 
 
 def _configure_logging() -> None:
@@ -90,7 +89,7 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
     overrides = {key: value for key, value in vars(args).items()
                  if key in ("algorithm", "mode", "seed") and value is not None}
     if overrides:
-        cfg = with_overrides(cfg, **overrides)
+        cfg = replace(cfg, **overrides)
     network = build_network(load_case(cfg.case_path), cfg.generator_set)
     for pair in cfg.fault_branches:
         network = apply_fault(network, pair)
@@ -99,7 +98,7 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
 
 def _grid_layer(network: PowerNetwork):
     """The whole-grid oscillator layer."""
-    return build_layer(network, network.node_ids(), label="grid")
+    return build_layer(network, network.node_ids())
 
 
 def _sync_table(cfg: ScenarioConfig, network: PowerNetwork):

@@ -47,8 +47,7 @@ DEFAULT_MAX_STALLED_ROUNDS = 3
 
 
 def estimate_island_power(island_freq: float, augmented_freq: float,
-                          injection: float,
-                          tol: float = 1e-9) -> tuple[float, float]:
+                          injection: float) -> tuple[float, float]:
     """Recover an island's power imbalance and size from two frequencies.
 
     ``island_freq`` is the frequency the island locks to on its own,
@@ -60,13 +59,13 @@ def estimate_island_power(island_freq: float, augmented_freq: float,
                 / (island_freq - augmented_freq)
         size  = power / island_freq
 
-    Raises DegenerateEstimate when the two frequencies coincide to
-    within ``tol`` (the node's injection equals the island mean, so the
+    Raises DegenerateEstimate when the two frequencies coincide to a
+    relative 1e-9 (the node's injection equals the island mean, so the
     attachment reveals nothing) and UndefinedSize when the island
     frequency is zero (the imbalance is zero but the size drops out).
     """
     scale = max(1.0, abs(island_freq), abs(augmented_freq))
-    if abs(island_freq - augmented_freq) <= tol * scale:
+    if abs(island_freq - augmented_freq) <= 1e-9 * scale:
         raise DegenerateEstimate(
             f"island and augmented frequencies coincide "
             f"({island_freq:.6g} vs {augmented_freq:.6g})")
@@ -232,13 +231,9 @@ def _publish(registry: IslandRegistry, injection: dict[int, float],
 def run_decentralized(network: PowerNetwork,
                       initial_islands: Sequence[Island], *,
                       epsilon: float = DEFAULT_EPSILON,
-                      max_stalled_rounds: int = DEFAULT_MAX_STALLED_ROUNDS,
-                      commit_order_seed: int | None = None
+                      max_stalled_rounds: int = DEFAULT_MAX_STALLED_ROUNDS
                       ) -> DecentralizedResult:
     """Run the round-based multi-agent growth to completion.
-
-    Commits default to ascending node id; ``commit_order_seed`` shuffles
-    them per round to probe order sensitivity.
 
     If ``max_stalled_rounds`` consecutive rounds pass with no commit,
     remaining island-adjacent nodes are attached by a logged fallback
@@ -262,8 +257,6 @@ def run_decentralized(network: PowerNetwork,
     events: list[dict] = []
     eval_counts: list[int] = []
     fallback_nodes: list[int] = []
-    rng = (np.random.default_rng(commit_order_seed)
-           if commit_order_seed is not None else None)
     stalled_rounds = 0
     round_index = 0
 
@@ -299,14 +292,9 @@ def run_decentralized(network: PowerNetwork,
                 emit(node, "wait", {"reason": agent.decision.reason})
         eval_counts.append(evaluations)
 
-        if rng is not None:
-            order = list(joiners)
-            rng.shuffle(order)
-        else:
-            order = sorted(joiners, key=lambda a: a.node_id)
-
+        # joiners are in ascending node-id order, the commit order
         progress = False
-        for agent in order:
+        for agent in joiners:
             decision = agent.decision
             if decision.reason != "enclosure":
                 if staleness_check(agent, registry, epsilon) == "stale":

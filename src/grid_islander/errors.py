@@ -15,16 +15,8 @@ class DegenerateBranch(GridIslanderError):
     """Branch has zero series impedance, so no susceptance is defined."""
 
 
-class Unreachable(GridIslanderError):
-    """No path exists between the requested nodes."""
-
-
 class EmptyLayer(GridIslanderError):
     """A cyberlayer was requested over an empty node set."""
-
-
-class GridError(GridIslanderError):
-    """A query time does not lie on the stored integration grid."""
 
 
 class NumericalDivergence(GridIslanderError):

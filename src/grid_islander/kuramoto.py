@@ -32,13 +32,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EmptyLayer, GridError, NotFound, NumericalDivergence
+from .errors import EmptyLayer, NotFound, NumericalDivergence
 from .network import PowerNetwork, coupling_susceptance, net_injection
 
 logger = logging.getLogger("grid_islander.kuramoto")
 
-DEFAULT_DT = 0.01
-DEFAULT_T_MAX = 100.0
 DEFAULT_RHO_THRESHOLD = 0.99
 # RK4's stability interval on the negative real axis is [-2.785, 0].
 RK4_REAL_LIMIT = 2.785
@@ -50,13 +48,12 @@ class CyberLayer:
 
     ``natural_frequency`` has one entry per node (order of ``node_ids``);
     ``coupling`` is the symmetric nonnegative weight matrix with zero
-    diagonal. ``label`` is free-form and only used in logs.
+    diagonal.
     """
 
     node_ids: tuple[int, ...]
     natural_frequency: np.ndarray
     coupling: np.ndarray
-    label: str = ""
     _index: dict[int, int] = field(init=False, repr=False)
     _edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False)
@@ -136,8 +133,7 @@ class SyncTimeTable:
         return sorted(self.entries.items())
 
 
-def build_layer(network: PowerNetwork, nodes: Iterable[int],
-                label: str = "") -> CyberLayer:
+def build_layer(network: PowerNetwork, nodes: Iterable[int]) -> CyberLayer:
     """Cyberlayer over ``nodes``: injections as natural frequencies,
     series susceptances of induced in-service branches as couplings.
 
@@ -160,7 +156,7 @@ def build_layer(network: PowerNetwork, nodes: Iterable[int],
         coupling[a, b] += w
         coupling[b, a] += w
     return CyberLayer(node_ids=node_ids, natural_frequency=freq,
-                      coupling=coupling, label=label)
+                      coupling=coupling)
 
 
 def _make_rhs(layer: CyberLayer) -> Callable[[np.ndarray], np.ndarray]:
@@ -229,9 +225,8 @@ def _stored(times: np.ndarray, states: Iterable[np.ndarray],
     return out
 
 
-def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray,
-              t_max: float = DEFAULT_T_MAX, dt: float = DEFAULT_DT
-              ) -> tuple[np.ndarray, np.ndarray]:
+def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray, *,
+              t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and (m+1, n) phases of one run from ``initial`` phases,
     sampled every step; ``derivative(layer, phases)`` gives the
     frequencies."""
@@ -284,9 +279,8 @@ def _ensemble_stream(layer: CyberLayer, n_runs: int, seed: int,
     return times, _rk4(_make_rhs(layer), initial, times)
 
 
-def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int,
-                       t_max: float = DEFAULT_T_MAX,
-                       dt: float = DEFAULT_DT) -> EnsembleResult:
+def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
+                       t_max: float, dt: float) -> EnsembleResult:
     """Integrate ``n_runs`` independent initial conditions on one grid,
     storing every sample: (runs, m+1, n) phases. For sync times alone,
     ``ensemble_sync_times`` needs no stored trajectory.
@@ -297,9 +291,8 @@ def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int,
                           phases=np.swapaxes(phases, 0, 1), seed=seed)
 
 
-def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int,
-                 t_max: float = DEFAULT_T_MAX, dt: float = DEFAULT_DT
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
+                 t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
 
     The run is integrated with the whole batch, so its phases equal
@@ -315,32 +308,14 @@ def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int,
 
 def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
                         edges: Iterable[tuple[int, int]],
-                        threshold: float = DEFAULT_RHO_THRESHOLD,
-                        t_max: float = DEFAULT_T_MAX,
-                        dt: float = DEFAULT_DT) -> SyncTimeTable:
+                        threshold: float = DEFAULT_RHO_THRESHOLD, *,
+                        t_max: float, dt: float) -> SyncTimeTable:
     """``sync_times(ensemble_integrate(...), edges, threshold)`` without
     the stored trajectory: the scan runs inside the RK4 loop, in memory
     independent of the number of steps.
     """
     times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
     return _sync_scan(layer, times, states, edges, threshold)
-
-
-def _grid_index(times: np.ndarray, t: float) -> int:
-    dt = float(times[1] - times[0]) if times.shape[0] > 1 else 1.0
-    k = int(round(t / dt))
-    if k < 0 or k >= times.shape[0] or abs(times[k] - t) > 1e-9:
-        raise GridError(f"t={t} is not on the stored integration grid")
-    return k
-
-
-def order_parameter(ensemble: EnsembleResult, i: int, j: int,
-                    t: float) -> float:
-    """Ensemble-averaged cos(theta_i - theta_j) at grid time t."""
-    k = _grid_index(ensemble.times, t)
-    a, b = ensemble.layer.index(i), ensemble.layer.index(j)
-    return float(np.mean(np.cos(ensemble.phases[:, k, a]
-                                - ensemble.phases[:, k, b])))
 
 
 def order_parameter_series(ensemble: EnsembleResult, i: int,

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBranch, NotFound, Unreachable
+from .errors import DegenerateBranch, NotFound
 
 logger = logging.getLogger("grid_islander.network")
 
@@ -86,16 +86,11 @@ class Partition:
                 return isl
         raise NotFound(f"no island labelled {label}")
 
-    def label_of(self, node: int) -> int:
-        for isl in self.islands:
-            if node in isl.node_set:
-                return isl.label
-        raise NotFound(f"node {node} is not assigned to any island")
-
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the partition checks, one flag per requirement."""
+    """Outcome of the partition checks, one flag per requirement; a
+    repeated island label shows in ``issues`` only."""
 
     cover_ok: bool
     disjoint_ok: bool
@@ -106,9 +101,8 @@ class ValidityReport:
 
     @property
     def all_ok(self) -> bool:
-        return (self.cover_ok and self.disjoint_ok
-                and all(self.connectivity_ok.values())
-                and all(self.generator_ok.values()))
+        """True exactly when no check raised an issue."""
+        return not self.issues
 
 
 class PowerNetwork:
@@ -165,22 +159,9 @@ class PowerNetwork:
         self._adjacency: dict[int, tuple[int, ...]] = {
             node: tuple(sorted(peers)) for node, peers in adj.items()}
 
-        self.connected = self._check_connected()
+        self.connected = self.subgraph_connected(self._by_id)
         if not self.connected:
             logger.warning("in-service branch graph is disconnected")
-
-    def _check_connected(self) -> bool:
-        if not self.buses:
-            return True
-        seen = {self.buses[0].id}
-        queue = deque(seen)
-        while queue:
-            node = queue.popleft()
-            for peer in self._adjacency[node]:
-                if peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return len(seen) == len(self.buses)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PowerNetwork):
@@ -210,9 +191,6 @@ class PowerNetwork:
         if bus_id not in self._adjacency:
             raise NotFound(f"no bus with id {bus_id}")
         return self._adjacency[bus_id]
-
-    def in_service_branches(self) -> tuple[Branch, ...]:
-        return tuple(br for br in self.branches if br.status)
 
     def edge_set(self) -> set[tuple[int, int]]:
         """Distinct in-service edges as (low id, high id) pairs.
@@ -268,68 +246,6 @@ def coupling_susceptance(branch: Branch) -> float:
     return abs(x) / denom
 
 
-def shortest_path(network: PowerNetwork, source: int,
-                  target: int) -> tuple[int, ...]:
-    """Minimum-hop path from source to target over in-service branches.
-
-    Among equal-length paths the lexicographically smallest node-id
-    sequence is returned, so results are reproducible across runs.
-    """
-    network.bus(source)
-    network.bus(target)
-    if source == target:
-        return (source,)
-    dist = _bfs_distances(network, target)
-    if source not in dist:
-        raise Unreachable(f"no path from {source} to {target}")
-    path = [source]
-    node = source
-    while node != target:
-        remaining = dist[node]
-        # Greedy descent toward the target, smallest id first, yields the
-        # lexicographically smallest among all minimum-hop paths.
-        node = min(p for p in network.neighbors(node)
-                   if dist.get(p, -1) == remaining - 1)
-        path.append(node)
-    return tuple(path)
-
-
-def _bfs_distances(network: PowerNetwork, source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for peer in network.neighbors(node):
-            if peer not in dist:
-                dist[peer] = dist[node] + 1
-                queue.append(peer)
-    return dist
-
-
-def complete_island(network: PowerNetwork, seed_nodes: Iterable[int],
-                    label: int = 0) -> Island:
-    """Connect a seed set by adding shortest-path nodes where needed.
-
-    If the induced subgraph on the seeds is already connected the seeds
-    are returned unchanged, which makes the operation idempotent. When
-    it is not, every seed pair (taken in ascending id order) contributes
-    its minimum-hop path, and the union of seeds and path nodes is
-    returned; that union always induces a connected subgraph.
-    """
-    seeds = sorted(set(seed_nodes))
-    if not seeds:
-        raise ValueError("seed set is empty")
-    for node in seeds:
-        network.bus(node)
-    if network.subgraph_connected(seeds):
-        return Island(label=label, node_set=frozenset(seeds))
-    members = set(seeds)
-    for i, a in enumerate(seeds):
-        for b in seeds[i + 1:]:
-            members.update(shortest_path(network, a, b))
-    return Island(label=label, node_set=frozenset(members))
-
-
 def apply_fault(network: PowerNetwork,
                 branch_pair: tuple[int, int]) -> PowerNetwork:
     """Return a copy of the network with one branch tripped.
@@ -382,7 +298,8 @@ def make_partition(network: PowerNetwork,
 
 def validate_partition(network: PowerNetwork,
                        partition: Partition) -> ValidityReport:
-    """Check cover, disjointness, island connectivity, generator presence.
+    """Check label uniqueness, cover, disjointness, island connectivity,
+    generator presence.
 
     Returns a report rather than raising, so callers can surface every
     violated requirement at once. The cut set is recomputed here and
@@ -408,16 +325,19 @@ def validate_partition(network: PowerNetwork,
         if extra:
             issues.append(f"unknown nodes: {extra}")
 
+    # a label shared by several islands is ok only if all of them are
     connectivity: dict[int, bool] = {}
     generator: dict[int, bool] = {}
     for isl in partition.islands:
+        if isl.label in connectivity:
+            issues.append(f"island label {isl.label} is used more than once")
         known = {n for n in isl.node_set if network.has_bus(n)}
         ok = bool(known) and network.subgraph_connected(known)
-        connectivity[isl.label] = ok
+        connectivity[isl.label] = connectivity.get(isl.label, True) and ok
         if not ok:
             issues.append(f"island {isl.label} is not connected")
         has_gen = bool(known & network.generator_set)
-        generator[isl.label] = has_gen
+        generator[isl.label] = generator.get(isl.label, True) and has_gen
         if not has_gen:
             issues.append(f"island {isl.label} has no generator")
 

@@ -47,7 +47,6 @@ class PowerFlowSolution:
     p_to: np.ndarray
     q_from: np.ndarray
     q_to: np.ndarray
-    converged: bool
     iterations: int
     mismatch: float
     mismatch_history: tuple[float, ...]
@@ -95,29 +94,24 @@ def default_slack(network: PowerNetwork,
     return min(gens, key=lambda n: (-network.bus(n).p_gen_scheduled, n))
 
 
-def _solve_setup(network: PowerNetwork, nodes: Iterable[int] | None,
-                 slack: int | None
+def _solve_setup(network: PowerNetwork, nodes: Iterable[int] | None
                  ) -> tuple[tuple[int, ...], int, dict[int, int]]:
     """Sorted connected node set, its slack bus, and each node's index."""
     chosen = _select_nodes(network, nodes)
     if not network.subgraph_connected(chosen):
         raise SingularSystem("node set is not connected; flow equations "
                              "are singular")
-    if slack is None:
-        slack = default_slack(network, chosen)
-    elif slack not in chosen:
-        raise NotFound(f"slack bus {slack} not in node set")
+    slack = default_slack(network, chosen)
     return chosen, slack, {n: k for k, n in enumerate(chosen)}
 
 
 def dc_power_flow(network: PowerNetwork,
-                  nodes: Iterable[int] | None = None,
-                  slack: int | None = None) -> PowerFlowSolution:
+                  nodes: Iterable[int] | None = None) -> PowerFlowSolution:
     """Lossless linear power flow: B theta = P with flat voltages.
 
     Branch susceptance is 1/(x * tap); the slack angle is zero.
     """
-    chosen, slack, index = _solve_setup(network, nodes, slack)
+    chosen, slack, index = _solve_setup(network, nodes)
     n = len(chosen)
     branches = _island_branches(network, chosen)
 
@@ -152,7 +146,7 @@ def dc_power_flow(network: PowerNetwork,
         method="dc", node_ids=chosen, vm=np.ones(n), va=theta,
         branch_ends=tuple((br.from_bus, br.to_bus) for br in branches),
         p_from=p_from, p_to=-p_from, q_from=zeros, q_to=zeros.copy(),
-        converged=True, iterations=0, mismatch=0.0,
+        iterations=0, mismatch=0.0,
         mismatch_history=(), slack=slack)
 
 
@@ -221,18 +215,14 @@ class _JacobianAssembler:
 
 
 def ac_power_flow(network: PowerNetwork,
-                  nodes: Iterable[int] | None = None,
-                  slack: int | None = None,
-                  tol: float = AC_TOLERANCE,
-                  max_iterations: int = AC_MAX_ITERATIONS
-                  ) -> PowerFlowSolution:
+                  nodes: Iterable[int] | None = None) -> PowerFlowSolution:
     """Full Newton-Raphson power flow in polar form, flat start.
 
     Converges when the largest active or reactive mismatch falls below
-    ``tol`` (per unit). Raises NotConverged with the iteration count and
-    final mismatch if the limit is hit first.
+    ``AC_TOLERANCE`` (per unit). Raises NotConverged with the iteration
+    count and final mismatch if ``AC_MAX_ITERATIONS`` is hit first.
     """
-    chosen, slack, index = _solve_setup(network, nodes, slack)
+    chosen, slack, index = _solve_setup(network, nodes)
     n = len(chosen)
     ybus, branches = build_ybus(network, chosen)
 
@@ -269,9 +259,9 @@ def ac_power_flow(network: PowerNetwork,
         f = np.concatenate([dp[pvpq], dq[pq]])
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(mismatch)
-        if mismatch < tol:
+        if mismatch < AC_TOLERANCE:
             break
-        if iterations >= max_iterations:
+        if iterations >= AC_MAX_ITERATIONS:
             raise NotConverged(iterations, mismatch)
         iterations += 1
         try:
@@ -304,5 +294,5 @@ def ac_power_flow(network: PowerNetwork,
         method="ac", node_ids=chosen, vm=vm, va=va,
         branch_ends=tuple((br.from_bus, br.to_bus) for br in branches),
         p_from=p_from, p_to=p_to, q_from=q_from, q_to=q_to,
-        converged=True, iterations=iterations, mismatch=mismatch,
+        iterations=iterations, mismatch=mismatch,
         mismatch_history=tuple(history), slack=slack)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -73,26 +73,6 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("max_stalled_rounds must be at least 1")
 
 
-def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "case_path": str(cfg.case_path),
-        "generator_set": list(cfg.generator_set),
-        "initial_islands": [list(isl) for isl in cfg.initial_islands],
-        "fault_branches": [list(pair) for pair in cfg.fault_branches],
-        "n_mu": cfg.n_mu,
-        "seed": cfg.seed,
-        "ensemble_size": cfg.ensemble_size,
-        "t_max": cfg.t_max,
-        "dt": cfg.dt,
-        "rho_threshold": cfg.rho_threshold,
-        "freq_epsilon": cfg.freq_epsilon,
-        "algorithm": cfg.algorithm,
-        "mode": cfg.mode,
-        "max_stalled_rounds": cfg.max_stalled_rounds,
-    }
-
-
 _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
                   "fault_branches", "n_mu", "seed", "ensemble_size",
                   "t_max", "dt", "rho_threshold", "freq_epsilon")
@@ -143,7 +123,3 @@ def load_scenario(path) -> ScenarioConfig:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return scenario_from_dict(data, base_dir=path.parent)
 
-
-def with_overrides(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Return a copy with selected fields replaced (re-validated)."""
-    return replace(cfg, **changes)

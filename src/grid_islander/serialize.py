@@ -97,13 +97,17 @@ def sync_table_to_dict(table) -> dict:
 
 
 def sync_table_from_dict(data: dict):
+    """Inverse of ``sync_table_to_dict``; a sync time must be a
+    nonnegative number or +infinity ("inf" or a bare Infinity)."""
     from .kuramoto import SyncTimeTable
     entries = {}
     try:
         for row in data["edges"]:
             t = row["t_sync"]
-            entries[(int(row["i"]), int(row["j"]))] = (
-                math.inf if t == "inf" else float(t))
+            t = math.inf if t == "inf" else float(t)
+            if not t >= 0.0:
+                raise ValueError(f"t_sync {t} is not a nonnegative time")
+            entries[(int(row["i"]), int(row["j"]))] = t
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed sync table JSON: {exc}") from None
     return SyncTimeTable(entries=entries)

@@ -117,10 +117,10 @@ def test_criterion_5_ieee118_end_to_end(scenario118, net118_faulted):
                for k, nodes in enumerate(scenario118.initial_islands)]
 
     start = time.perf_counter()
-    layer = build_layer(net, net.node_ids(), label="grid")
+    layer = build_layer(net, net.node_ids())
     ens = ensemble_integrate(layer, scenario118.ensemble_size,
-                             scenario118.seed, scenario118.t_max,
-                             scenario118.dt)
+                             scenario118.seed, t_max=scenario118.t_max,
+                             dt=scenario118.dt)
     table = sync_times(ens, net.edge_set(), scenario118.rho_threshold)
     central = centralized_partition(net, islands, table)
     valid_c = validate_partition(net, central.partition)

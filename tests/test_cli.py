@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -142,6 +143,35 @@ def test_invalid_partition_file_exit_4(workspace, capsys):
     rc = main(["metrics", "--config", str(cfg), "--partition", str(path)])
     assert rc == 4
     assert json.loads(capsys.readouterr().err)["exit_code"] == 4
+
+
+def test_duplicate_label_partition_file_exit_4(workspace, capsys):
+    # island 1:{1,3} is disconnected; the second island labelled 1 passes
+    # every check and must not hide that
+    tmp_path, cfg = workspace
+    bad_part = {"islands": [{"label": 1, "nodes": [1, 3]},
+                            {"label": 1, "nodes": [2, 4, 5]}],
+                "cut_set": []}
+    path = tmp_path / "duplicate.json"
+    path.write_text(json.dumps(bad_part), encoding="utf-8")
+    rc = main(["metrics", "--config", str(cfg), "--partition", str(path)])
+    assert rc == 4
+    err = json.loads(capsys.readouterr().err)
+    assert "island 1 is not connected" in err["message"]
+
+
+def test_nan_sync_table_exit_2(workspace, capsys):
+    tmp_path, cfg = workspace
+    edges = [(1, 2), (2, 3), (2, 4), (3, 4), (4, 5)]
+    table = tmp_path / "sync_times.json"
+    table.write_text(json.dumps({"edges": [
+        {"i": i, "j": j, "t_sync": math.nan if (i, j) == (2, 3) else 0.5}
+        for i, j in edges]}), encoding="utf-8")
+    rc = main(["partition", "--config", str(cfg), "--sync-table", str(table),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+    assert not (tmp_path / "out" / "steps.json").exists()
 
 
 def test_simulate_writes_trajectory(workspace, capsys):

@@ -200,7 +200,7 @@ def test_fallback_after_deadlock(caplog):
     assert result.fallback_nodes == (5,)
     assert result.rounds == 3
     # the load goes to the least-negative adjacent island
-    assert result.partition.label_of(5) == 2
+    assert 5 in result.partition.island(2).node_set
     fallback = next(e for e in result.events
                     if e["action"] == "join" and e["node"] == 5)
     assert fallback["payload"]["reason"] == "fallback"
@@ -264,14 +264,6 @@ def test_runs_are_deterministic():
     assert a.partition == b.partition
     assert a.events == b.events
     assert a.rounds == b.rounds
-
-
-def test_commit_order_shuffle_still_valid():
-    rng = random.Random(31)
-    for trial in range(5):
-        net, initial = random_instance(rng)
-        shuffled = run_decentralized(net, initial, commit_order_seed=trial)
-        assert validate_partition(net, shuffled.partition).all_ok
 
 
 def test_max_stalled_rounds_sets_fallback_round():

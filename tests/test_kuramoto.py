@@ -9,14 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, GridError,
-                           NotFound, NumericalDivergence, build_layer,
+from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, NotFound,
+                           NumericalDivergence, build_layer,
                            coupling_susceptance, derivative,
                            ensemble_integrate, ensemble_run,
                            ensemble_sync_times, integrate, net_injection,
-                           order_parameter, order_parameter_series,
-                           sample_initial_conditions, sync_frequency,
-                           sync_times)
+                           order_parameter_series, sample_initial_conditions,
+                           sync_frequency, sync_times)
 from conftest import make_network
 
 # Stable on the faulted 118-bus layer: dt * 2 * max weighted degree is
@@ -68,7 +67,7 @@ def test_layer_index_lookup():
 def test_build_layer_couplings_match_branches(five_path):
     layer = build_layer(five_path, five_path.node_ids())
     assert layer.node_ids == (1, 2, 3, 4, 5)
-    for br in five_path.in_service_branches():
+    for br in five_path.branches:
         a = layer.index(br.from_bus)
         b = layer.index(br.to_bus)
         expected = coupling_susceptance(br)
@@ -233,13 +232,9 @@ def test_order_parameter_basics():
     phases[:, :, 0] = 1.3          # equal phases: coherence is exactly 1
     phases[:, :, 1] = 1.3
     ens = EnsembleResult(layer=layer, times=times, phases=phases, seed=0)
-    assert order_parameter(ens, 1, 2, 0.1) == pytest.approx(1.0)
     series = order_parameter_series(ens, 1, 2)
     assert series.shape == (3,)
-    with pytest.raises(GridError):
-        order_parameter(ens, 1, 2, 0.05)
-    with pytest.raises(GridError):
-        order_parameter(ens, 1, 2, 0.3)
+    assert series == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_order_parameter_averages_over_runs():
@@ -249,7 +244,7 @@ def test_order_parameter_averages_over_runs():
     phases[0, :, 0] = 0.0          # run 0: lag 0
     phases[1, :, 0] = math.pi / 2  # run 1: lag pi/2
     ens = EnsembleResult(layer=layer, times=times, phases=phases, seed=0)
-    assert order_parameter(ens, 1, 2, 0.0) == pytest.approx(0.5)
+    assert order_parameter_series(ens, 1, 2) == pytest.approx([0.5, 0.5])
 
 
 def _scan_fixture(lags):

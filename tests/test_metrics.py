@@ -53,7 +53,7 @@ def _fake_solution(vm, p_loss=0.0, method="ac", ends=(), p_from=None,
         p_from=np.asarray(p_from if p_from is not None
                           else [p_loss / max(n_br, 1)] * n_br),
         p_to=np.asarray(p_to if p_to is not None else [0.0] * n_br),
-        q_from=np.zeros(n_br), q_to=np.zeros(n_br), converged=True,
+        q_from=np.zeros(n_br), q_to=np.zeros(n_br),
         iterations=1, mismatch=0.0, mismatch_history=(1.0, 0.0), slack=1)
 
 

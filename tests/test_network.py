@@ -8,10 +8,9 @@ import pytest
 
 from grid_islander import (Branch, Bus, DegenerateBranch,
                            InitialIslandsOverlap, Island, NotFound,
-                           Partition, PowerNetwork, Unreachable, apply_fault,
-                           complete_island, compute_cut_set,
-                           coupling_susceptance, island_imbalance,
-                           make_partition, net_injection, shortest_path,
+                           Partition, PowerNetwork, apply_fault,
+                           compute_cut_set, coupling_susceptance,
+                           island_imbalance, make_partition, net_injection,
                            validate_partition)
 from conftest import make_network
 
@@ -90,86 +89,6 @@ def test_coupling_susceptance_degenerate():
         coupling_susceptance(br)
 
 
-def _bfs_oracle(adjacency, source):
-    """Plain breadth-first distances used to cross-check shortest_path."""
-    dist = {source: 0}
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for node in frontier:
-            for peer in adjacency[node]:
-                if peer not in dist:
-                    dist[peer] = dist[node] + 1
-                    nxt.append(peer)
-        frontier = nxt
-    return dist
-
-
-def test_shortest_path_length_matches_bfs():
-    rng = random.Random(11)
-    for trial in range(30):
-        n = rng.randint(3, 12)
-        nodes = list(range(1, n + 1))
-        edges = {(i, i + 1) for i in range(1, n)}
-        for _ in range(n):
-            a, b = rng.sample(nodes, 2)
-            edges.add((min(a, b), max(a, b)))
-        net = make_network({i: (1.0 if i == 1 else -0.1) for i in nodes},
-                           sorted(edges), generator_set={1})
-        adjacency = {i: net.neighbors(i) for i in nodes}
-        a, b = rng.sample(nodes, 2)
-        dist = _bfs_oracle(adjacency, a)
-        path = shortest_path(net, a, b)
-        assert path[0] == a and path[-1] == b
-        assert len(path) - 1 == dist[b]
-        for u, v in zip(path, path[1:]):
-            assert v in net.neighbors(u)
-
-
-def test_shortest_path_prefers_low_ids():
-    # two equal-length routes 1-2-4 and 1-3-4: the low-id one wins
-    net = make_network({1: 1.0, 2: -0.3, 3: -0.3, 4: -0.4},
-                       [(1, 2), (1, 3), (2, 4), (3, 4)], generator_set={1})
-    assert shortest_path(net, 1, 4) == (1, 2, 4)
-
-
-def test_shortest_path_unreachable():
-    net = make_network({1: 1.0, 2: -1.0, 3: 0.5, 4: -0.5},
-                       [(1, 2), (3, 4)], generator_set={1, 3})
-    with pytest.raises(Unreachable):
-        shortest_path(net, 1, 4)
-
-
-def test_complete_island_connected_seeds_unchanged(five_path):
-    seeds = [2, 3, 4]
-    assert complete_island(five_path, seeds).node_set == frozenset(seeds)
-
-
-def test_complete_island_fills_gaps(five_path):
-    # seeds 1 and 5 pull in the whole path between them
-    isl = complete_island(five_path, [1, 5], label=7)
-    assert isl.node_set == frozenset({1, 2, 3, 4, 5})
-    assert isl.label == 7
-
-
-def test_complete_island_idempotent_property():
-    rng = random.Random(23)
-    for trial in range(25):
-        n = rng.randint(4, 14)
-        nodes = list(range(1, n + 1))
-        edges = {(i, i + 1) for i in range(1, n)}
-        for _ in range(n // 2):
-            a, b = rng.sample(nodes, 2)
-            edges.add((min(a, b), max(a, b)))
-        net = make_network({i: (1.0 if i == 1 else -0.1) for i in nodes},
-                           sorted(edges), generator_set={1})
-        seeds = rng.sample(nodes, rng.randint(2, min(5, n)))
-        once = complete_island(net, seeds).node_set
-        assert set(seeds) <= once
-        assert net.subgraph_connected(once)
-        assert complete_island(net, once).node_set == once
-
-
 def test_apply_fault_trips_one_circuit():
     # parallel circuits 1-2: only the first in-service one trips
     net = make_network({1: 1.0, 2: -1.0}, [(1, 2, 0.1), (1, 2, 0.2)],
@@ -201,12 +120,10 @@ def test_cut_set_and_partition(five_path):
     assert cut == ((3, 4),)
     part = make_partition(five_path, islands)
     assert part.n_islands == 2
-    assert part.label_of(2) == 1 and part.label_of(5) == 2
+    assert 2 in part.island(1).node_set and 5 in part.island(2).node_set
     assert part.island(2).size == 2
     with pytest.raises(NotFound):
         part.island(3)
-    with pytest.raises(NotFound):
-        part.label_of(77)
 
 
 def test_validate_partition_good(five_path):
@@ -242,6 +159,24 @@ def test_validate_partition_overlap(five_path):
         cut_set=frozenset())
     report = validate_partition(five_path, part)
     assert not report.disjoint_ok
+
+
+def test_validate_partition_duplicate_label_hides_nothing():
+    # island 1:{1,3} is disconnected; a second island 1:{2} that passes
+    # every check must not overwrite that result
+    net = make_network({1: 1.0, 2: 0.2, 3: -0.6, 4: 0.5, 5: -0.5},
+                       [(1, 2), (2, 3), (3, 4), (4, 5)],
+                       generator_set={1, 2, 4})
+    part = Partition(
+        islands=(Island(label=1, node_set=frozenset({1, 3})),
+                 Island(label=1, node_set=frozenset({2})),
+                 Island(label=2, node_set=frozenset({4, 5}))),
+        cut_set=())
+    report = validate_partition(net, part)
+    assert "island 1 is not connected" in report.issues
+    assert any("label 1" in issue for issue in report.issues)
+    assert report.connectivity_ok == {1: False, 2: True}
+    assert not report.all_ok
 
 
 def test_island_imbalance(five_path):

@@ -1,5 +1,6 @@
 """JSON round trips for networks, partitions, sync tables, scenarios."""
 
+import dataclasses
 import json
 import math
 import re
@@ -11,10 +12,9 @@ from grid_islander import (ConfigError, Island, SchemaError, ScenarioConfig,
                            SyncTimeTable, load_scenario, make_partition,
                            network_from_dict, network_to_dict,
                            partition_from_dict, partition_to_dict,
-                           save_json, scenario_from_dict, scenario_to_dict,
-                           sync_table_from_dict, sync_table_to_dict,
-                           with_overrides)
-from conftest import make_network
+                           save_json, scenario_from_dict,
+                           sync_table_from_dict, sync_table_to_dict)
+from conftest import DATA_DIR, GEN_SET_118, M1_118, M2_118, make_network
 
 
 def test_network_round_trip(five_path):
@@ -59,12 +59,25 @@ def test_sync_table_round_trip():
     assert again.get(2, 3) == math.inf
     assert again.get(2, 1) == pytest.approx(0.55)
     assert (1, 3) in again and (3, 7) not in again
+    bare = sync_table_from_dict(json.loads(
+        '{"edges": [{"i": 1, "j": 2, "t_sync": Infinity}]}'))
+    assert bare.get(1, 2) == math.inf
+
+
+@pytest.mark.parametrize("t_sync", ["NaN", "-0.5", '"nan"', "-Infinity"])
+def test_sync_table_rejects_nan_and_negative_times(t_sync):
+    data = json.loads('{"edges": [{"i": 1, "j": 2, "t_sync": %s}]}' % t_sync)
+    with pytest.raises(SchemaError):
+        sync_table_from_dict(data)
 
 
 def test_scenario_round_trip(scenario118):
-    data = scenario_to_dict(scenario118)
-    again = scenario_from_dict(json.loads(json.dumps(data)))
-    assert again == scenario118
+    assert scenario118 == ScenarioConfig(
+        case_path=DATA_DIR / "case118.m", generator_set=GEN_SET_118,
+        initial_islands=(M1_118, M2_118), fault_branches=((14, 15),),
+        n_mu=2, seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
+        rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized",
+        mode="analytic", max_stalled_rounds=3)
 
 
 def test_scenario_relative_case_path(tmp_path, case118_path):
@@ -107,12 +120,14 @@ def test_scenario_from_dict_missing_keys():
 
 
 def test_with_overrides_revalidates(scenario118):
-    changed = with_overrides(scenario118, algorithm="decentralized", seed=7)
+    # the CLI applies its --seed/--algorithm overrides with replace
+    changed = dataclasses.replace(scenario118, algorithm="decentralized",
+                                  seed=7)
     assert changed.algorithm == "decentralized"
     assert changed.seed == 7
     assert scenario118.seed == 42   # original untouched
     with pytest.raises(ConfigError):
-        with_overrides(scenario118, dt=-1.0)
+        dataclasses.replace(scenario118, dt=-1.0)
 
 
 def test_shipped_scenario_contents(scenario118):
