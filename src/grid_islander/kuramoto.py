@@ -14,8 +14,13 @@ One RK4 generator yields the (runs, n) phases of an ensemble sample by
 sample. ``ensemble_sync_times`` scans that stream as it goes, keeping
 per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
-steps. ``ensemble_integrate`` stores the whole trajectory for
-inspection; ``sync_times`` on a stored ensemble runs the same scan.
+steps. With two usable CPUs it integrates the upper half of the runs
+in a forked child. Both halves write cos(theta_low - theta_high) into
+a small shared buffer laid out as (sample, edge, run), and the calling
+process averages each edge's contiguous runs, so the table has the
+same bits with one process or two. ``ensemble_integrate`` stores the
+whole trajectory for inspection; ``sync_times`` on a stored ensemble
+runs the same scan.
 ``integrate`` runs one layer from given phases and returns its time
 grid and phases; ``derivative`` turns phases into frequencies. A layer
 locks to its mean natural frequency, which ``sync_frequency`` returns
@@ -25,8 +30,14 @@ leave RK4's stability interval.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import mmap
+import os
+import signal
+import struct
+import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -262,10 +273,10 @@ def _warn_if_unstable(layer: CyberLayer, dt: float) -> None:
             RK4_REAL_LIMIT)
 
 
-def _ensemble_stream(layer: CyberLayer, n_runs: int, seed: int,
-                     t_max: float, dt: float
-                     ) -> tuple[np.ndarray, Iterator[np.ndarray]]:
-    """Time grid and the RK4 stream of (runs, n) phase samples.
+def _ensemble_start(layer: CyberLayer, n_runs: int, seed: int,
+                    t_max: float, dt: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Time grid and (runs, n) initial phases of an ensemble.
 
     Run r draws its initial phases from the stream keyed by (seed, r),
     so any single run can be reproduced in isolation.
@@ -276,7 +287,26 @@ def _ensemble_stream(layer: CyberLayer, n_runs: int, seed: int,
     initial = np.stack([sample_initial_conditions(layer.size, [seed, r])
                         for r in range(n_runs)])
     _warn_if_unstable(layer, dt)
-    return times, _rk4(_make_rhs(layer), initial, times)
+    return times, initial
+
+
+def _half(n_runs: int) -> int:
+    """First run of an ensemble's upper half; ``n_runs`` (no split) when
+    a half would hold one run.
+
+    ``_make_rhs`` gives each row of a batch of two or more rows the bits
+    it has in the whole batch, so a half of at least two runs integrates
+    each run exactly as the whole ensemble does. A one-row batch takes
+    BLAS's matrix-vector path and rounds differently.
+    """
+    return n_runs // 2 if n_runs >= 4 else n_runs
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork or tell."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
@@ -285,8 +315,9 @@ def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
     storing every sample: (runs, m+1, n) phases. For sync times alone,
     ``ensemble_sync_times`` needs no stored trajectory.
     """
-    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
-    phases = _stored(times, states, (n_runs, layer.size))
+    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    phases = _stored(times, _rk4(_make_rhs(layer), initial, times),
+                     initial.shape)
     return EnsembleResult(layer=layer, times=times,
                           phases=np.swapaxes(phases, 0, 1), seed=seed)
 
@@ -295,14 +326,18 @@ def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
                  t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
 
-    The run is integrated with the whole batch, so its phases equal
+    Only the half of the ensemble that holds the run is integrated (the
+    halves of ``ensemble_sync_times``), so its phases equal
     ``ensemble_integrate(...).phases[run]`` bit for bit; only its own
     samples are stored.
     """
     if not 0 <= run < n_runs:
         raise ValueError(f"run index {run} out of range ({n_runs} runs)")
-    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
-    return times, _stored(times, (state[run] for state in states),
+    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    split = _half(n_runs)
+    first, last = (0, split) if run < split else (split, n_runs)
+    states = _rk4(_make_rhs(layer), initial[first:last], times)
+    return times, _stored(times, (state[run - first] for state in states),
                           (layer.size,))
 
 
@@ -313,9 +348,17 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
     """``sync_times(ensemble_integrate(...), edges, threshold)`` without
     the stored trajectory: the scan runs inside the RK4 loop, in memory
     independent of the number of steps.
+
+    With at least four runs and two usable CPUs, runs ``[n_runs // 2:]``
+    are integrated in a forked child while this process integrates the
+    rest; the table has the same bits either way.
     """
-    times, states = _ensemble_stream(layer, n_runs, seed, t_max, dt)
-    return _sync_scan(layer, times, states, edges, threshold)
+    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    rhs = _make_rhs(layer)
+    split = _half(n_runs) if _usable_cpus() >= 2 else n_runs
+    return _sync_scan(layer, times, edges, threshold, n_runs, split,
+                      lambda first, last: _rk4(rhs, initial[first:last],
+                                               times))
 
 
 def order_parameter_series(ensemble: EnsembleResult, i: int,
@@ -331,35 +374,181 @@ def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
     """Earliest grid time from which each edge's order parameter stays
     above the threshold through the end of the horizon; +inf if none.
     """
-    states = (ensemble.phases[:, k] for k in range(len(ensemble.times)))
-    return _sync_scan(ensemble.layer, ensemble.times, states, edges,
-                      threshold)
+    phases, n_runs = ensemble.phases, ensemble.n_runs
+    return _sync_scan(ensemble.layer, ensemble.times, edges, threshold,
+                      n_runs, n_runs,
+                      lambda first, last: (phases[first:last, k] for k
+                                           in range(len(ensemble.times))))
+
+
+# The scan buffer holds two slots of up to _BLOCK_SAMPLES float64 samples
+# each, in at most _BUFFER_BYTES unless one sample alone is larger.
+_BLOCK_SAMPLES = 8
+_BUFFER_BYTES = 1 << 20
 
 
 def _sync_scan(layer: CyberLayer, times: np.ndarray,
-               states: Iterable[np.ndarray],
-               edges: Iterable[tuple[int, int]],
-               threshold: float) -> SyncTimeTable:
-    """Sync times from a stream of (runs, n) phase samples, one per entry
-    of ``times``, keeping only the last sample per edge at which the
-    order parameter is at or below the threshold.
+               edges: Iterable[tuple[int, int]], threshold: float,
+               n_runs: int, split: int,
+               states: Callable[[int, int], Iterator[np.ndarray]]
+               ) -> SyncTimeTable:
+    """Sync times from ``states(first, last)``, the stream of
+    (last - first, n) phase samples of runs ``[first:last)``, one per
+    entry of ``times``.
 
-    The order parameter is ``np.mean(..., axis=0)`` over the runs of
-    cos(theta_low - theta_high) on a (runs, edges) array. numpy lays the
-    gathered columns out edge by edge, so each edge's runs are summed
-    pairwise, as in ``order_parameter_series`` on a stored trajectory;
-    a C-ordered copy would sum them sequentially and round differently.
+    This process reads runs ``[:split]``; a forked child reads runs
+    ``[split:]`` when ``split < n_runs``. Each writes
+    cos(theta_low - theta_high) of its runs into its columns of a shared
+    buffer laid out as (sample, edge, run), a block of samples at a time
+    into one of two slots. This process reduces each block with
+    ``np.add.reduce(..., axis=-1) / n_runs``: every edge's runs are
+    contiguous, so they are summed pairwise, as ``np.mean`` sums them in
+    ``order_parameter_series`` on a stored trajectory. Per edge it keeps
+    only the last sample at which the order parameter is at or below the
+    threshold. The earliest divergence in either half raises
+    NumericalDivergence.
     """
     keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
     low = np.array([layer.index(a) for a, _ in keys], dtype=np.intp)
     high = np.array([layer.index(b) for _, b in keys], dtype=np.intp)
+    n_samples, sample_size = times.shape[0], len(keys) * n_runs
+    block = max(1, min(_BLOCK_SAMPLES,
+                       _BUFFER_BYTES // (2 * 8 * max(sample_size, 1))))
+    size = 2 * block * sample_size
+    buffer = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float,
+                           count=size).reshape(2, block, len(keys), n_runs)
+    starts = range(0, n_samples, block)
+
+    def fill(b: int, first: int, last: int,
+             stream: Iterator[np.ndarray]) -> float | None:
+        """Write block b of runs [first:last); the divergence time, if
+        the stream diverges in it."""
+        out = buffer[b % 2, :min(block, n_samples - starts[b]), :,
+                     first:last]
+        try:
+            for row, state in zip(out, stream):
+                row[...] = np.cos(state[:, low] - state[:, high]).T
+        except NumericalDivergence as exc:
+            return exc.t
+        return None
+
+    def upper_half(child: _ForkedHalf) -> None:
+        stream = states(split, n_runs)
+        for b in range(len(starts)):
+            if b >= 2:
+                child.wait_for_slot()
+            diverged = fill(b, split, n_runs, stream)
+            child.report(diverged)
+            if diverged is not None:
+                return
+
     last_bad = np.full(len(keys), -1)
-    for k, state in enumerate(states):
-        rho = np.mean(np.cos(state[:, low] - state[:, high]), axis=0)
-        last_bad[rho <= threshold] = k
+    stream = states(0, split)
+    with (_ForkedHalf(upper_half) if split < n_runs
+          else contextlib.nullcontext()) as child:
+        for b, start in enumerate(starts):
+            diverged = [fill(b, 0, split, stream)]
+            if child is not None:
+                diverged.append(child.result())
+            diverged = [t for t in diverged if t is not None]
+            if diverged:
+                raise NumericalDivergence(min(diverged))
+            rho = np.add.reduce(buffer[b % 2, :min(block, n_samples - start)],
+                                axis=-1) / n_runs
+            bad = rho <= threshold
+            last = start + len(bad) - 1 - np.argmax(bad[::-1], axis=0)
+            hit = bad.any(axis=0)
+            last_bad[hit] = last[hit]
+            if child is not None and b + 2 < len(starts):
+                child.free_slot()
     return SyncTimeTable(entries={
         key: settling_time(times, int(last))
         for key, last in zip(keys, last_bad)})
+
+
+class _ForkedHalf:
+    """A forked child that runs ``work(self)`` and leaves only through
+    ``os._exit``.
+
+    The child reports each filled block, its divergence time or its
+    exception over one pipe, and waits on the other for the parent to
+    free a buffer slot. The parent kills the child on any error of its
+    own, and reaps it in every case.
+    """
+
+    def __init__(self, work: Callable[[_ForkedHalf], None]) -> None:
+        slot_r, slot_w = os.pipe()
+        block_r, block_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (slot_r, slot_w, block_r, block_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(slot_w)
+                os.close(block_r)
+                self._in, self._out = slot_r, block_w
+                try:
+                    work(self)
+                    code = 0
+                except BaseException:
+                    text = traceback.format_exc().encode()
+                    self._send(b"E" + struct.pack("=I", len(text)) + text)
+            finally:
+                os._exit(code)
+        os.close(slot_r)
+        os.close(block_w)
+        self._in, self._out = block_r, slot_w
+
+    def __enter__(self) -> _ForkedHalf:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        os.close(self._in)
+        os.close(self._out)
+        if exc_type is not None:
+            os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+    def _send(self, data: bytes) -> None:
+        while data:
+            data = data[os.write(self._out, data):]
+
+    def _receive(self, size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self._in, size - len(data))
+            if not chunk:
+                raise RuntimeError("ensemble worker ended without a report")
+            data += chunk
+        return data
+
+    # child side
+    def report(self, diverged: float | None) -> None:
+        self._send(b"." if diverged is None
+                   else b"D" + struct.pack("=d", diverged))
+
+    def wait_for_slot(self) -> None:
+        self._receive(1)
+
+    # parent side
+    def result(self) -> float | None:
+        """None if the child filled its block, else its divergence time;
+        raises the child's exception as RuntimeError."""
+        kind = self._receive(1)
+        if kind == b"D":
+            return struct.unpack("=d", self._receive(8))[0]
+        if kind == b"E":
+            [size] = struct.unpack("=I", self._receive(4))
+            raise RuntimeError("ensemble worker failed:\n"
+                               + self._receive(size).decode())
+        return None
+
+    def free_slot(self) -> None:
+        self._send(b".")
 
 
 def settling_time(times: np.ndarray, last_bad: int) -> float:

@@ -94,9 +94,9 @@ def metric_j4(pre_solution: PowerFlowSolution, partition: Partition
     different islands contributes (|P_from| + |P_to|) / 2.
     """
     owner: dict[int, int] = {}
-    for isl in partition.islands:
+    for position, isl in enumerate(partition.islands):
         for node in isl.node_set:
-            owner[node] = isl.label
+            owner[node] = position
     total = 0.0
     count = 0
     for k, (a, b) in enumerate(pre_solution.branch_ends):

@@ -277,9 +277,9 @@ def compute_cut_set(network: PowerNetwork,
                     islands: Sequence[Island]) -> tuple[tuple[int, int], ...]:
     """Distinct in-service edges whose endpoints sit in different islands."""
     owner: dict[int, int] = {}
-    for isl in islands:
+    for position, isl in enumerate(islands):
         for node in isl.node_set:
-            owner[node] = isl.label
+            owner[node] = position
     cut = set()
     for a, b in sorted(network.edge_set()):
         la, lb = owner.get(a), owner.get(b)

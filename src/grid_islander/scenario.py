@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -56,6 +57,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("initial islands must be non-empty")
     if not cfg.generator_set:
         raise ConfigError("generator set is empty")
+    for name in ("dt", "t_max", "freq_epsilon"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
     if cfg.dt <= 0 or cfg.t_max <= 0 or cfg.dt >= cfg.t_max:
         raise ConfigError("need 0 < dt < t_max")
     if not 0.0 < cfg.rho_threshold < 1.0:

@@ -1,5 +1,6 @@
 """Shared fixtures: the packaged 118-bus case and small hand-built grids."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,19 @@ def make_network(injections, edges, base_mva=100.0, generator_set=None,
         branches.append(Branch(from_bus=i, to_bus=j, resistance=r,
                                reactance=x))
     return PowerNetwork(buses, branches, base_mva, generator_set)
+
+
+@pytest.fixture(autouse=True)
+def _no_unreaped_child():
+    """Fail a test that leaves a child process running or unreaped, as
+    the ResourceWarning filter fails one that leaves a file open."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left child process {pid} unreaped" if pid
+                else "test left a child process running")
 
 
 @pytest.fixture(scope="session")

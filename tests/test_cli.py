@@ -106,6 +106,18 @@ def test_bad_scenario_exit_2(workspace, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_infinite_horizon_exit_2(workspace, capsys):
+    # json writes the float as the bare token Infinity, which it reads back
+    tmp_path, cfg = workspace
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    data["t_max"] = math.inf
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert "Infinity" in cfg.read_text(encoding="utf-8")
+    rc = main(["sync-times", "--config", str(cfg)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_numerical_failures_exit_3(workspace, capsys, monkeypatch):
     tmp_path, cfg = workspace
     import grid_islander.cli as cli_module

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import os
 import random
 import tracemalloc
 
@@ -16,6 +17,7 @@ from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, NotFound,
                            ensemble_sync_times, integrate, net_injection,
                            order_parameter_series, sample_initial_conditions,
                            sync_frequency, sync_times)
+from grid_islander import kuramoto
 from conftest import make_network
 
 # Stable on the faulted 118-bus layer: dt * 2 * max weighted degree is
@@ -327,8 +329,27 @@ def _reference_sync_times(ens, edges, threshold):
     return entries
 
 
+def _use_cpus(monkeypatch, cpus):
+    """Make ensemble_sync_times see ``cpus`` usable CPUs: with 2 it forks
+    a child for the upper half of the runs, with 1 it forks none."""
+    monkeypatch.setattr(kuramoto, "_usable_cpus", lambda: cpus)
+
+
+def _count_forks(monkeypatch):
+    """Pids of the forked halves started from now on."""
+    started = []
+
+    class Counted(kuramoto._ForkedHalf):
+        def __init__(self, work):
+            super().__init__(work)
+            started.append(self.pid)
+
+    monkeypatch.setattr(kuramoto, "_ForkedHalf", Counted)
+    return started
+
+
 @pytest.mark.parametrize("seed", [2, 7])
-def test_streamed_sync_times_are_exact(net118_faulted, seed):
+def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     edges = sorted(net118_faulted.edge_set())
     runs, t_max = 12, 300 * STABLE_DT
@@ -340,17 +361,139 @@ def test_streamed_sync_times_are_exact(net118_faulted, seed):
     attained.append(order_parameter_series(ens, *edges[0]).min())
     thresholds = [0.99, *attained,
                   *(np.nextafter(v, -np.inf) for v in attained)]
+    forks = _count_forks(monkeypatch)
     kinds = set()
     for threshold in thresholds:
         expected = _reference_sync_times(ens, edges, threshold)
-        streamed = ensemble_sync_times(layer, runs, seed, edges, threshold,
-                                       t_max=t_max, dt=STABLE_DT)
-        assert streamed.entries == expected
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            streamed = ensemble_sync_times(layer, runs, seed, edges,
+                                           threshold, t_max=t_max,
+                                           dt=STABLE_DT)
+            assert streamed.entries == expected
         assert sync_times(ens, edges, threshold).entries == expected
         kinds |= {"start" if t == ens.times[0] else
                   "never" if math.isinf(t) else "settled"
                   for t in expected.values()}
     assert kinds == {"start", "never", "settled"}
+    assert len(forks) == len(thresholds)
+
+
+def test_rhs_rows_keep_their_bits_in_any_split(net118_faulted):
+    # The halves of an ensemble are integrated apart. They reproduce the
+    # whole batch only because each row of the right-hand side has the
+    # same bits in any batch of two or more rows.
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    rhs = kuramoto._make_rhs(layer)
+    phases = np.stack([sample_initial_conditions(layer.size, [5, r])
+                       for r in range(20)])
+    whole = rhs(phases)
+    for split in range(2, 19):
+        assert np.array_equal(rhs(phases[:split]), whole[:split]), split
+        assert np.array_equal(rhs(phases[split:]), whole[split:]), split
+
+
+def _overflowing_layer():
+    """Three oscillators coupled so strongly that RK4 at dt = 1 overflows
+    after a number of steps that differs from run to run."""
+    coupling = np.full((3, 3), 2e307)
+    np.fill_diagonal(coupling, 0.0)
+    return CyberLayer((1, 2, 3), np.zeros(3), coupling)
+
+
+def _divergence_time(call):
+    with pytest.raises(NumericalDivergence) as err:
+        call()
+    return err.value.t
+
+
+def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
+    layer = _overflowing_layer()
+    grid = dict(t_max=50.0, dt=1.0)
+    earlier = set()
+    for seed in (0, 1, 3):
+        # ensemble_run integrates only the half of the 8 runs that holds
+        # its run, so runs 0 and 7 give each half's divergence time
+        lower, upper = (_divergence_time(
+            lambda: ensemble_run(layer, 8, seed, run, **grid))
+            for run in (0, 7))
+        whole = _divergence_time(
+            lambda: ensemble_integrate(layer, 8, seed, **grid))
+        assert whole == min(lower, upper)
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            assert _divergence_time(lambda: ensemble_sync_times(
+                layer, 8, seed, [(1, 2), (2, 3)], **grid)) == whole
+        earlier.add("lower" if lower < upper else "upper")
+    assert earlier == {"lower", "upper"}
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="lists open fds through /proc")
+def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+
+    def leaves_nothing():
+        assert _open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    layer = _overflowing_layer()
+    # seed 0 first diverges at t = 24; seed 1 in the lower half, which
+    # this process integrates, and seed 3 in the forked upper half
+    ensemble_sync_times(layer, 8, 0, [(1, 2)], t_max=20.0, dt=1.0)
+    leaves_nothing()
+    for seed in (1, 3):
+        with pytest.raises(NumericalDivergence):
+            ensemble_sync_times(layer, 8, seed, [(1, 2)], t_max=50.0,
+                                dt=1.0)
+        leaves_nothing()
+
+    # an exception in either half, from a stored ensemble's stream
+    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
+                             dt=0.01)
+
+    def failing_half(failing):
+        def states(first, last):
+            for k in range(len(ens.times)):
+                if first == failing and k == 30:
+                    raise ValueError("half failed")
+                yield ens.phases[first:last, k]
+        return states
+
+    for failing, error in ((0, ValueError), (4, RuntimeError)):
+        with pytest.raises(error, match="half failed"):
+            kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+                                failing_half(failing))
+        leaves_nothing()
+    assert len(forks) == 5
+
+
+def test_ensemble_run_integrates_one_half(monkeypatch):
+    batches = []
+    make_rhs = kuramoto._make_rhs
+
+    def recording(layer):
+        rhs = make_rhs(layer)
+
+        def recorded(phases):
+            batches.append(phases.shape[0])
+            return rhs(phases)
+        return recorded
+
+    monkeypatch.setattr(kuramoto, "_make_rhs", recording)
+    layer = two_node_layer(0.3, -0.3)
+    for n_runs, run, rows in ((20, 3, 10), (20, 10, 10), (5, 1, 2),
+                              (5, 4, 3), (3, 2, 3)):
+        batches.clear()
+        ensemble_run(layer, n_runs, 0, run, t_max=0.1, dt=0.05)
+        assert set(batches) == {rows}
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted):

@@ -103,6 +103,22 @@ def test_j4_averages_cut_branches_only():
     assert metric_j4(pre, part) == pytest.approx(20.0)
 
 
+def test_j4_separates_islands_that_share_a_label():
+    pre = _fake_solution([1.0] * 5, 0.0,
+                         ends=((1, 2), (2, 3), (3, 4), (4, 5)),
+                         p_from=[10.0, 20.0, 30.0, 40.0],
+                         p_to=[-10.0, -20.0, -30.0, -40.0])
+    net = make_network({1: 1.0, 2: -0.4, 3: -0.6, 4: 0.5, 5: -0.5},
+                       [(1, 2), (2, 3), (3, 4), (4, 5)],
+                       generator_set={1, 4})
+    part = make_partition(net,
+                          [Island(label=1, node_set=frozenset({1, 3})),
+                           Island(label=1, node_set=frozenset({2})),
+                           Island(label=2, node_set=frozenset({4, 5}))])
+    # branches (1, 2), (2, 3) and (3, 4) cross the cut
+    assert metric_j4(pre, part) == pytest.approx(20.0)
+
+
 def test_j4_no_cut_edges():
     pre = _fake_solution([1.0, 1.0], 0.0, ends=((1, 2),),
                          p_from=[10.0], p_to=[-10.0])

@@ -126,6 +126,13 @@ def test_cut_set_and_partition(five_path):
         part.island(3)
 
 
+def test_cut_set_separates_islands_that_share_a_label(five_path):
+    islands = [Island(label=1, node_set=frozenset({1, 3})),
+               Island(label=1, node_set=frozenset({2})),
+               Island(label=2, node_set=frozenset({4, 5}))]
+    assert compute_cut_set(five_path, islands) == ((1, 2), (2, 3), (3, 4))
+
+
 def test_validate_partition_good(five_path):
     part = make_partition(five_path,
                           [Island(label=1, node_set=frozenset({1, 2, 3})),

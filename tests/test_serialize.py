@@ -106,7 +106,9 @@ def test_scenario_validation():
            dict(base, mode="turbo"), dict(base, mode="simulated"),
            dict(base, generator_set=()),
            dict(base, initial_islands=((1,), ())),
-           dict(base, max_stalled_rounds=0)]
+           dict(base, max_stalled_rounds=0),
+           dict(base, dt=math.nan), dict(base, t_max=math.inf),
+           dict(base, freq_epsilon=math.nan)]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
