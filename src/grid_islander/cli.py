@@ -2,16 +2,21 @@
 
 Subcommands (parse, simulate, sync-times, partition, metrics, run-all)
 are built from one staged pipeline: scenario and network, sync table
-(detected inside the RK4 loop), partition, metrics. Every artifact is
-JSON or CSV; a run manifest ties the outputs of one invocation
-together. Exit codes: 0 success, 2 input error, 3 numerical failure, 4
-validation failure. Verbosity follows the GRID_ISLANDER_LOG environment
-variable (error, warn, info, debug).
+(detected inside the RK4 loop), partition, metrics. With two usable
+CPUs, run-all and metrics solve the whole-network AC flow, which no
+partition changes, in a forked child from the moment the network is
+built; the parent takes its outcome where metrics would solve it, so
+every byte printed or written is the same with one CPU or two. Every
+artifact is JSON or CSV; a run manifest ties the outputs of one
+invocation together. Exit codes: 0 success, 2 input error, 3 numerical
+failure, 4 validation failure. Verbosity follows the GRID_ISLANDER_LOG
+environment variable (error, warn, info, debug).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -22,7 +27,9 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__
+from . import __version__, metrics
+from ._forked import Forked
+from ._forked import usable_cpus as _usable_cpus
 from .centralized import centralized_partition
 from .decentralized import run_decentralized
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
@@ -33,8 +40,9 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
 # ensemble_integrate and sync_times, the stored-trajectory pair, are no
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
-from .kuramoto import (build_layer, derivative, ensemble_integrate,
-                       ensemble_run, ensemble_sync_times, sync_times)
+from .kuramoto import (build_layer, derivative, ensemble_half,
+                       ensemble_integrate, ensemble_run,
+                       ensemble_sync_times, sync_times)
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
@@ -142,6 +150,25 @@ def _partition(cfg: ScenarioConfig, network: PowerNetwork,
     return result.partition, log_name, log
 
 
+@contextlib.contextmanager
+def _pre_partition_flow(network: PowerNetwork):
+    """Start the whole-network AC flow that J4 needs.
+
+    No partition changes it, so with two usable CPUs a forked child
+    solves it while this process grows the partition and writes its
+    artifacts. Yields the ``pre_partition`` argument of
+    ``compute_metrics``: the child's outcome, or None to solve it there.
+    The child calls ``metrics.ac_power_flow``, the name
+    ``compute_metrics`` would call.
+    """
+    if _usable_cpus() < 2:
+        yield None
+        return
+    with Forked(lambda child: child.send(
+            metrics.ac_power_flow(network, None))) as child:
+        yield child.receive
+
+
 def _validate_or_fail(network: PowerNetwork, partition: Partition) -> None:
     report = validate_partition(network, partition)
     if not report.all_ok:
@@ -221,8 +248,9 @@ def cmd_simulate(args) -> int:
     times, phases = ensemble_run(layer, cfg.ensemble_size, cfg.seed, run,
                                  t_max=cfg.t_max, dt=cfg.dt)
     final_freq = derivative(layer, phases[-1])
-    print(f"simulated {cfg.ensemble_size} runs x {len(times) - 1} "
-          f"steps on {layer.size} nodes")
+    integrated = len(ensemble_half(cfg.ensemble_size, run))
+    print(f"simulated {integrated} of {cfg.ensemble_size} runs x "
+          f"{len(times) - 1} steps on {layer.size} nodes")
     print(f"run {run}: final frequency spread "
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "
           f"{final_freq.mean():.6f} pu")
@@ -271,9 +299,10 @@ def cmd_partition(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg, network = _scenario(args)
-    partition = partition_from_dict(_read_json(args.partition))
-    _validate_or_fail(network, partition)
-    report = compute_metrics(network, partition)
+    with _pre_partition_flow(network) as pre_partition:
+        partition = partition_from_dict(_read_json(args.partition))
+        _validate_or_fail(network, partition)
+        report = compute_metrics(network, partition, pre_partition)
     _print_scores(report)
     if args.out:
         save_json(metrics_to_dict(report), args.out)
@@ -283,15 +312,16 @@ def cmd_metrics(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, network = _scenario(args)
-    out = _ArtifactDir(args.out_dir)
-    out.write("network", network_to_dict(network))
-    sync_table = None
-    if cfg.algorithm == "centralized":
-        sync_table = _sync_table(cfg, network)
-        out.write("sync_times", sync_table_to_dict(sync_table))
-    partition, log_name, log = _partition(cfg, network, sync_table)
-    out.write_partition(partition, log_name, log)
-    report = compute_metrics(network, partition)
+    with _pre_partition_flow(network) as pre_partition:
+        out = _ArtifactDir(args.out_dir)
+        out.write("network", network_to_dict(network))
+        sync_table = None
+        if cfg.algorithm == "centralized":
+            sync_table = _sync_table(cfg, network)
+            out.write("sync_times", sync_table_to_dict(sync_table))
+        partition, log_name, log = _partition(cfg, network, sync_table)
+        out.write_partition(partition, log_name, log)
+        report = compute_metrics(network, partition, pre_partition)
     out.write("metrics", metrics_to_dict(report))
     out.write_manifest(args.config, cfg)
     sizes = ", ".join(f"{isl.label}:{isl.size}" for isl in partition.islands)

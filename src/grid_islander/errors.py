@@ -4,7 +4,21 @@ from __future__ import annotations
 
 
 class GridIslanderError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Every subclass pickles with its type, message and attributes, so a
+    forked child can hand its error back to the parent.
+    """
+
+    def __reduce__(self):
+        # Subclasses build their message in __init__ from other
+        # arguments, so the message in self.args cannot be passed back to
+        # __init__; rebuild without calling it.
+        return _rebuild, (type(self), self.args), self.__dict__
+
+
+def _rebuild(cls: type, args: tuple) -> GridIslanderError:
+    return cls.__new__(cls, *args)
 
 
 class NotFound(GridIslanderError):

@@ -15,12 +15,13 @@ sample. ``ensemble_sync_times`` scans that stream as it goes, keeping
 per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
 steps. With two usable CPUs it integrates the upper half of the runs
-in a forked child. Both halves write cos(theta_low - theta_high) into
-a small shared buffer laid out as (sample, edge, run), and the calling
-process averages each edge's contiguous runs, so the table has the
-same bits with one process or two. ``ensemble_integrate`` stores the
-whole trajectory for inspection; ``sync_times`` on a stored ensemble
-runs the same scan.
+in a forked child (``_forked.Forked``, the one fork of the package,
+which the CLI's whole-network power flow also uses). Both halves write
+cos(theta_low - theta_high) into a small shared buffer laid out as
+(sample, edge, run), and the calling process averages each edge's
+contiguous runs, so the table has the same bits with one process or
+two. ``ensemble_integrate`` stores the whole trajectory for inspection;
+``sync_times`` on a stored ensemble runs the same scan.
 ``integrate`` runs one layer from given phases and returns its time
 grid and phases; ``derivative`` turns phases into frequencies. A layer
 locks to its mean natural frequency, which ``sync_frequency`` returns
@@ -34,15 +35,13 @@ import contextlib
 import logging
 import math
 import mmap
-import os
-import signal
-import struct
-import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._forked import Forked as _ForkedHalf
+from ._forked import usable_cpus as _usable_cpus
 from .errors import EmptyLayer, NotFound, NumericalDivergence
 from .network import PowerNetwork, coupling_susceptance, net_injection
 
@@ -302,13 +301,6 @@ def _half(n_runs: int) -> int:
     return n_runs // 2 if n_runs >= 4 else n_runs
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on; 1 where it cannot fork or tell."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
 def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
                        t_max: float, dt: float) -> EnsembleResult:
     """Integrate ``n_runs`` independent initial conditions on one grid,
@@ -331,14 +323,22 @@ def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
     ``ensemble_integrate(...).phases[run]`` bit for bit; only its own
     samples are stored.
     """
+    half = ensemble_half(n_runs, run)
+    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    states = _rk4(_make_rhs(layer), initial[half.start:half.stop], times)
+    return times, _stored(times,
+                          (state[run - half.start] for state in states),
+                          (layer.size,))
+
+
+def ensemble_half(n_runs: int, run: int) -> range:
+    """The runs that ``ensemble_run`` integrates to give run ``run``:
+    the half of the ensemble that ``ensemble_sync_times`` would integrate
+    in the same process as it."""
     if not 0 <= run < n_runs:
         raise ValueError(f"run index {run} out of range ({n_runs} runs)")
-    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
     split = _half(n_runs)
-    first, last = (0, split) if run < split else (split, n_runs)
-    states = _rk4(_make_rhs(layer), initial[first:last], times)
-    return times, _stored(times, (state[run - first] for state in states),
-                          (layer.size,))
+    return range(0, split) if run < split else range(split, n_runs)
 
 
 def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
@@ -436,9 +436,9 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         stream = states(split, n_runs)
         for b in range(len(starts)):
             if b >= 2:
-                child.wait_for_slot()
+                child.receive()   # the parent freed slot b % 2
             diverged = fill(b, split, n_runs, stream)
-            child.report(diverged)
+            child.send(diverged)
             if diverged is not None:
                 return
 
@@ -449,7 +449,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         for b, start in enumerate(starts):
             diverged = [fill(b, 0, split, stream)]
             if child is not None:
-                diverged.append(child.result())
+                diverged.append(child.receive())
             diverged = [t for t in diverged if t is not None]
             if diverged:
                 raise NumericalDivergence(min(diverged))
@@ -460,95 +460,10 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
             hit = bad.any(axis=0)
             last_bad[hit] = last[hit]
             if child is not None and b + 2 < len(starts):
-                child.free_slot()
+                child.send(None)   # slot b % 2 is free
     return SyncTimeTable(entries={
         key: settling_time(times, int(last))
         for key, last in zip(keys, last_bad)})
-
-
-class _ForkedHalf:
-    """A forked child that runs ``work(self)`` and leaves only through
-    ``os._exit``.
-
-    The child reports each filled block, its divergence time or its
-    exception over one pipe, and waits on the other for the parent to
-    free a buffer slot. The parent kills the child on any error of its
-    own, and reaps it in every case.
-    """
-
-    def __init__(self, work: Callable[[_ForkedHalf], None]) -> None:
-        slot_r, slot_w = os.pipe()
-        block_r, block_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (slot_r, slot_w, block_r, block_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(slot_w)
-                os.close(block_r)
-                self._in, self._out = slot_r, block_w
-                try:
-                    work(self)
-                    code = 0
-                except BaseException:
-                    text = traceback.format_exc().encode()
-                    self._send(b"E" + struct.pack("=I", len(text)) + text)
-            finally:
-                os._exit(code)
-        os.close(slot_r)
-        os.close(block_w)
-        self._in, self._out = block_r, slot_w
-
-    def __enter__(self) -> _ForkedHalf:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        os.close(self._in)
-        os.close(self._out)
-        if exc_type is not None:
-            os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
-
-    def _send(self, data: bytes) -> None:
-        while data:
-            data = data[os.write(self._out, data):]
-
-    def _receive(self, size: int) -> bytes:
-        data = b""
-        while len(data) < size:
-            chunk = os.read(self._in, size - len(data))
-            if not chunk:
-                raise RuntimeError("ensemble worker ended without a report")
-            data += chunk
-        return data
-
-    # child side
-    def report(self, diverged: float | None) -> None:
-        self._send(b"." if diverged is None
-                   else b"D" + struct.pack("=d", diverged))
-
-    def wait_for_slot(self) -> None:
-        self._receive(1)
-
-    # parent side
-    def result(self) -> float | None:
-        """None if the child filled its block, else its divergence time;
-        raises the child's exception as RuntimeError."""
-        kind = self._receive(1)
-        if kind == b"D":
-            return struct.unpack("=d", self._receive(8))[0]
-        if kind == b"E":
-            [size] = struct.unpack("=I", self._receive(4))
-            raise RuntimeError("ensemble worker failed:\n"
-                               + self._receive(size).decode())
-        return None
-
-    def free_slot(self) -> None:
-        self._send(b".")
 
 
 def settling_time(times: np.ndarray, last_bad: int) -> float:

@@ -56,17 +56,40 @@ def make_network(injections, edges, base_mva=100.0, generator_set=None,
     return PowerNetwork(buses, branches, base_mva, generator_set)
 
 
+def _open_pipes():
+    """The pipe ends this process holds open, as ``pipe:[inode]`` by fd;
+    None where ``/proc/self/fd`` does not list them."""
+    if not os.path.isdir("/proc/self/fd"):
+        return None
+    pipes = {}
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:   # the fd of the listing itself, closed by now
+            continue
+        if target.startswith("pipe:"):
+            pipes[int(fd)] = target
+    return pipes
+
+
 @pytest.fixture(autouse=True)
 def _no_unreaped_child():
-    """Fail a test that leaves a child process running or unreaped, as
-    the ResourceWarning filter fails one that leaves a file open."""
+    """Fail a test that leaves a child process running or unreaped, or a
+    pipe open, as the ResourceWarning filter fails one that leaves a file
+    open."""
+    pipes = _open_pipes()
     yield
     try:
         pid, _ = os.waitpid(-1, os.WNOHANG)
     except ChildProcessError:
-        return
-    pytest.fail(f"test left child process {pid} unreaped" if pid
-                else "test left a child process running")
+        pass
+    else:
+        pytest.fail(f"test left child process {pid} unreaped" if pid
+                    else "test left a child process running")
+    if pipes is not None:
+        left = sorted(set(_open_pipes().items()) - set(pipes.items()))
+        if left:
+            pytest.fail(f"test left pipes open: {left}")
 
 
 @pytest.fixture(scope="session")

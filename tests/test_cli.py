@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import grid_islander
-from grid_islander import NotConverged
+import grid_islander.cli as cli_module
+from grid_islander import NotConverged, SingularSystem, kuramoto, metrics
 from grid_islander.cli import main
 
 SMALL_CASE = """\
@@ -200,6 +202,21 @@ def test_simulate_writes_trajectory(workspace, capsys):
     rc = main(["simulate", "--config", str(cfg), "--run", "9"])
     assert rc == 2   # run index beyond the ensemble
 
+
+@pytest.mark.parametrize("ensemble_size, run, integrated", [
+    (4, 1, 2), (4, 3, 2), (5, 1, 2), (5, 4, 3), (3, 2, 3)])
+def test_simulate_reports_the_runs_it_integrates(workspace, capsys,
+                                                 ensemble_size, run,
+                                                 integrated):
+    tmp_path, cfg = workspace
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    data.update(ensemble_size=ensemble_size, t_max=0.1)
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["simulate", "--config", str(cfg), "--run", str(run)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"simulated {integrated} of {ensemble_size} runs x 10 steps on "
+        f"5 nodes")
 
 
 def test_simulate_rejects_bad_run_before_integrating(workspace, capsys,
@@ -437,3 +454,180 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "grid-islander" in capsys.readouterr().out
+
+
+# The whole-network AC flow of run-all and metrics runs in a forked child
+# when two CPUs are usable. One usable CPU and two must give the same exit
+# code, stdout, stderr and artifacts.
+
+def _use_cpus(monkeypatch, cpus):
+    """Both fork sites, the flow's and the ensemble's, see ``cpus``."""
+    monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(kuramoto, "_usable_cpus", lambda: cpus)
+
+
+def _count_forks(monkeypatch):
+    """Pids forked from now on."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def _whole_network_flow(monkeypatch, replacement):
+    """Make ``metrics.ac_power_flow(network, None)`` call ``replacement``
+    instead; island flows are solved as before."""
+    solve = metrics.ac_power_flow
+
+    def patched(network, nodes=None):
+        if nodes is None:
+            return replacement(network)
+        return solve(network, nodes)
+
+    monkeypatch.setattr(metrics, "ac_power_flow", patched)
+
+
+def _outcome(argv, out_dir, capsys, caplog):
+    """Exit code, stdout, stderr and artifacts of ``main(argv)``.
+
+    Under pytest the log records go to ``caplog``, not stderr; the CLI
+    prints them, in its format, before its JSON error line.
+    """
+    out_dir.mkdir(parents=True)
+    capsys.readouterr()
+    caplog.clear()
+    code = main([arg.replace("OUT", str(out_dir)) for arg in argv])
+    captured = capsys.readouterr()
+    stderr = [f"{r.levelname} {r.name}: {r.getMessage()}"
+              for r in caplog.records] + captured.err.splitlines()
+    artifacts = {path.name: path.read_bytes()
+                 for path in sorted(out_dir.iterdir())}
+    if "run_manifest.json" in artifacts:
+        manifest = json.loads(artifacts["run_manifest.json"])
+        manifest.pop("created_utc")
+        artifacts["run_manifest.json"] = manifest
+    return (code, captured.out.replace(str(out_dir), "OUT"),
+            [line.replace(str(out_dir), "OUT") for line in stderr],
+            artifacts)
+
+
+def _one_and_two_cpus(monkeypatch, capsys, caplog, tmp_path, argv,
+                      forks_with_two):
+    """The outcome of ``argv`` with one usable CPU, after checking that
+    two give the same and fork ``forks_with_two`` children (one none)."""
+    outcomes = []
+    for cpus, want_forks in ((1, 0), (2, forks_with_two)):
+        _use_cpus(monkeypatch, cpus)
+        forks = _count_forks(monkeypatch)
+        outcomes.append(_outcome(argv, tmp_path / f"cpus{cpus}", capsys,
+                                 caplog))
+        assert len(forks) == want_forks
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.mark.parametrize("algorithm, forks", [("decentralized", 1),
+                                               ("centralized", 2)])
+def test_flow_not_converged_falls_back_after_island_warnings(
+        workspace, monkeypatch, capsys, caplog, algorithm, forks):
+    tmp_path, cfg = workspace
+
+    def not_converged(network, nodes=None):
+        raise NotConverged(20, 1.5)
+
+    monkeypatch.setattr(metrics, "ac_power_flow", not_converged)
+    code, _, stderr, artifacts = _one_and_two_cpus(
+        monkeypatch, capsys, caplog, tmp_path,
+        ["run-all", "--config", str(cfg), "--algorithm", algorithm,
+         "--out-dir", "OUT"], forks)
+    assert code == 0
+    fallback = ("WARNING grid_islander.metrics: {}: AC flow did not "
+                "converge (no convergence after 20 iterations (max "
+                "mismatch 1.500e+00)); using DC")
+    assert stderr == [fallback.format(what) for what in
+                      ("island 1", "island 2", "pre-partition network")]
+    report = json.loads(artifacts["metrics.json"])
+    assert report["provenance"]["pre_partition_solver"] == "dc"
+
+
+def test_flow_singular_system_exit_3(workspace, monkeypatch, capsys,
+                                     caplog):
+    tmp_path, cfg = workspace
+
+    def singular(network):
+        raise SingularSystem("power-flow Jacobian is singular")
+
+    _whole_network_flow(monkeypatch, singular)
+    code, _, stderr, artifacts = _one_and_two_cpus(
+        monkeypatch, capsys, caplog, tmp_path,
+        ["run-all", "--config", str(cfg), "--algorithm", "decentralized",
+         "--out-dir", "OUT"], 1)
+    assert code == 3
+    assert [json.loads(line) for line in stderr] == [
+        {"error": "SingularSystem",
+         "message": "power-flow Jacobian is singular", "exit_code": 3}]
+    assert list(artifacts) == ["events.json", "network.json",
+                               "partition.json"]
+
+
+@pytest.mark.parametrize("failure", ["stalled", "invalid partition"])
+def test_validation_failure_kills_the_flow_child(workspace, monkeypatch,
+                                                 capsys, caplog, failure):
+    # The child is still solving when this process exits 4; it must be
+    # killed, not waited for, and reaped (the autouse fixture checks that
+    # no child or pipe is left).
+    tmp_path, cfg = workspace
+    _whole_network_flow(monkeypatch, lambda network: time.sleep(60))
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    if failure == "stalled":
+        # cutting 4-5 strands bus 5 where no seed island can reach it
+        data["fault_branches"] = [[4, 5]]
+        argv = ["run-all", "--algorithm", "decentralized",
+                "--out-dir", "OUT"]
+        error, artifacts_left = "Stalled", ["network.json"]
+    else:
+        overlap = tmp_path / "overlap.json"
+        overlap.write_text(json.dumps({"islands": [
+            {"label": 1, "nodes": [1, 2, 3]},
+            {"label": 2, "nodes": [3, 4, 5]}], "cut_set": []}),
+            encoding="utf-8")
+        argv = ["metrics", "--partition", str(overlap)]
+        error, artifacts_left = "_ValidationFailure", []
+    scenario = tmp_path / "failing.json"
+    scenario.write_text(json.dumps(data), encoding="utf-8")
+    start = time.monotonic()
+    code, _, stderr, artifacts = _one_and_two_cpus(
+        monkeypatch, capsys, caplog, tmp_path,
+        [*argv, "--config", str(scenario)], 1)
+    assert time.monotonic() - start < 30
+    assert code == 4
+    assert json.loads(stderr[-1])["error"] == error
+    assert list(artifacts) == artifacts_left
+
+
+def test_shipped_scenario_same_bytes_with_one_or_two_cpus(
+        scenario118_path, monkeypatch, capsys, caplog, tmp_path):
+    config = ["--config", str(scenario118_path)]
+    for algorithm, forks in (("decentralized", 1), ("centralized", 2)):
+        code, stdout, _, artifacts = _one_and_two_cpus(
+            monkeypatch, capsys, caplog, tmp_path / algorithm,
+            ["run-all", *config, "--algorithm", algorithm,
+             "--out-dir", "OUT"], forks)
+        assert code == 0
+        assert stdout.endswith("wrote artifacts to OUT\n")
+        assert "metrics.json" in artifacts
+    partition = tmp_path / "decentralized" / "cpus1" / "partition.json"
+    code, stdout, _, artifacts = _one_and_two_cpus(
+        monkeypatch, capsys, caplog, tmp_path / "metrics",
+        ["metrics", *config, "--partition", str(partition),
+         "--out", "OUT/metrics.json"], 1)
+    assert code == 0
+    assert artifacts["metrics.json"] == (
+        tmp_path / "decentralized" / "cpus1" / "metrics.json").read_bytes()

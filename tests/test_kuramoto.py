@@ -475,6 +475,24 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
     assert len(forks) == 5
 
 
+def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
+                             dt=0.01)
+
+    def states(first, last):
+        for k in range(len(ens.times)):
+            if first == 4 and k == 30:
+                raise NotFound("node 9 is not in this layer")
+            yield ens.phases[first:last, k]
+
+    with pytest.raises(NotFound, match="node 9 is not in this layer"):
+        kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+                            states)
+    assert len(forks) == 1
+
+
 def test_ensemble_run_integrates_one_half(monkeypatch):
     batches = []
     make_rhs = kuramoto._make_rhs
@@ -494,6 +512,8 @@ def test_ensemble_run_integrates_one_half(monkeypatch):
         batches.clear()
         ensemble_run(layer, n_runs, 0, run, t_max=0.1, dt=0.05)
         assert set(batches) == {rows}
+        assert len(kuramoto.ensemble_half(n_runs, run)) == rows
+        assert run in kuramoto.ensemble_half(n_runs, run)
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted):
