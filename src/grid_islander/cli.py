@@ -4,8 +4,9 @@ Subcommands (parse, simulate, sync-times, partition, metrics, run-all)
 are built from one staged pipeline: scenario and network, sync table
 (detected inside the RK4 loop), partition, metrics. With two usable
 CPUs, run-all and metrics solve the whole-network AC flow, which no
-partition changes, in a forked child from the moment the network is
-built; the parent takes its outcome where metrics would solve it, so
+partition changes, in a forked child (``_forked.Forked``) from the
+moment the network is built; the child sends back the pickled solution
+or error, and the parent takes it where metrics would solve it, so
 every byte printed or written is the same with one CPU or two. Every
 artifact is JSON or CSV; a run manifest ties the outputs of one
 invocation together. Exit codes: 0 success, 2 input error, 3 numerical

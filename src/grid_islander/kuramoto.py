@@ -18,7 +18,8 @@ steps. With two usable CPUs it integrates the upper half of the runs
 in a forked child (``_forked.Forked``, the one fork of the package,
 which the CLI's whole-network power flow also uses). Both halves write
 cos(theta_low - theta_high) into a small shared buffer laid out as
-(sample, edge, run), and the calling process averages each edge's
+(sample, edge, run), trading one short message over the fork's pipe per
+block of samples, and the calling process averages each edge's
 contiguous runs, so the table has the same bits with one process or
 two. ``ensemble_integrate`` stores the whole trajectory for inspection;
 ``sync_times`` on a stored ensemble runs the same scan.

@@ -50,11 +50,6 @@ class RawCase:
         return self.branch_table.shape[0]
 
 
-def _strip_comment(line: str) -> str:
-    pos = line.find("%")
-    return line if pos < 0 else line[:pos]
-
-
 def _parse_row(segment: str, lineno: int, offset: int) -> list[float]:
     row = []
     for match in re.finditer(r"\S+", segment):
@@ -81,39 +76,26 @@ def parse_case(text: str) -> RawCase:
     in_cell = False
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line)
+        line = raw_line.split("%", 1)[0]
         if in_cell:
             if "}" in line:
                 in_cell = False
             continue
+        # a matrix's rows start after its opening "[" and run to its "]"
+        opening = None if current is not None else _MATRIX_RE.match(line)
+        if opening:
+            current = opening.group(1)
+            tables.setdefault(current, [])
         if current is not None:
-            body, closed = (line.split("]", 1)[0], True) if "]" in line \
-                else (line, False)
-            consumed = 0
-            for segment in body.split(";"):
+            consumed = opening.end() if opening else 0
+            body = line[consumed:]
+            for segment in body.split("]", 1)[0].split(";"):
                 row = _parse_row(segment, lineno, consumed)
                 consumed += len(segment) + 1
                 if row:
                     tables[current].append(row)
-            if closed:
+            if "]" in body:
                 current = None
-            continue
-
-        m = _MATRIX_RE.match(line)
-        if m:
-            name = m.group(1)
-            tables.setdefault(name, [])
-            current = name
-            rest = line[m.end():]
-            if "]" in rest:
-                rest = rest.split("]", 1)[0]
-                current = None
-            consumed = m.end()
-            for segment in rest.split(";"):
-                row = _parse_row(segment, lineno, consumed)
-                consumed += len(segment) + 1
-                if row:
-                    tables[name].append(row)
             continue
         if _CELL_RE.match(line):
             in_cell = "}" not in line

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import NoGenerator, NotConverged
-from .network import Partition, PowerNetwork, island_imbalance
+from .network import Partition, PowerNetwork, crossing, island_imbalance
 from .powerflow import PowerFlowSolution, ac_power_flow, dc_power_flow
 
 logger = logging.getLogger("grid_islander.metrics")
@@ -96,19 +96,12 @@ def metric_j4(pre_solution: PowerFlowSolution, partition: Partition
     Every branch of the pre-partition solution whose endpoints fall in
     different islands contributes (|P_from| + |P_to|) / 2.
     """
-    owner: dict[int, int] = {}
-    for position, isl in enumerate(partition.islands):
-        for node in isl.node_set:
-            owner[node] = position
+    cut = crossing(partition.islands, pre_solution.branch_ends)
     total = 0.0
-    count = 0
-    for k, (a, b) in enumerate(pre_solution.branch_ends):
-        la, lb = owner.get(a), owner.get(b)
-        if la is not None and lb is not None and la != lb:
-            total += 0.5 * (abs(float(pre_solution.p_from[k]))
-                            + abs(float(pre_solution.p_to[k])))
-            count += 1
-    return total / count if count else 0.0
+    for k in cut:
+        total += 0.5 * (abs(float(pre_solution.p_from[k]))
+                        + abs(float(pre_solution.p_to[k])))
+    return total / len(cut) if cut else 0.0
 
 
 def _solve_with_fallback(network: PowerNetwork, nodes, what: str,

@@ -273,19 +273,21 @@ def apply_fault(network: PowerNetwork,
                         network.generator_set)
 
 
+def crossing(islands: Sequence[Island],
+             edges: Sequence[tuple[int, int]]) -> list[int]:
+    """Positions in ``edges`` of the edges whose endpoints sit in two
+    different entries of ``islands``."""
+    owner = {node: position for position, isl in enumerate(islands)
+             for node in isl.node_set}
+    return [k for k, (a, b) in enumerate(edges)
+            if a in owner and b in owner and owner[a] != owner[b]]
+
+
 def compute_cut_set(network: PowerNetwork,
                     islands: Sequence[Island]) -> tuple[tuple[int, int], ...]:
     """Distinct in-service edges whose endpoints sit in different islands."""
-    owner: dict[int, int] = {}
-    for position, isl in enumerate(islands):
-        for node in isl.node_set:
-            owner[node] = position
-    cut = set()
-    for a, b in sorted(network.edge_set()):
-        la, lb = owner.get(a), owner.get(b)
-        if la is not None and lb is not None and la != lb:
-            cut.add((a, b))
-    return tuple(sorted(cut))
+    edges = sorted(network.edge_set())
+    return tuple(edges[k] for k in crossing(islands, edges))
 
 
 def make_partition(network: PowerNetwork,

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import NoGenerator, NotConverged, NotFound, SingularSystem
-from .network import Branch, PowerNetwork
+from .network import Branch, PowerNetwork, net_injection
 
 logger = logging.getLogger("grid_islander.powerflow")
 
@@ -124,9 +124,7 @@ def dc_power_flow(network: PowerNetwork,
         b_matrix[f, t] -= b
         b_matrix[t, f] -= b
 
-    injections = np.array([
-        (network.bus(node).p_gen_scheduled - network.bus(node).p_demand)
-        / network.base_mva for node in chosen])
+    injections = np.array([net_injection(network, node) for node in chosen])
     keep = [k for k in range(n) if k != index[slack]]
     theta = np.zeros(n)
     if keep:
@@ -150,6 +148,14 @@ def dc_power_flow(network: PowerNetwork,
         mismatch_history=(), slack=slack)
 
 
+def _pi_section(br: Branch) -> tuple[complex, complex, complex]:
+    """Admittances (y_ff, y_tt, y_ft = y_tf) of a branch's pi section."""
+    ys = 1.0 / complex(br.resistance, br.reactance)
+    shunt = 0.5j * br.charging
+    tap = br.tap_ratio
+    return (ys + shunt) / (tap * tap), ys + shunt, -ys / tap
+
+
 def build_ybus(network: PowerNetwork, nodes: Sequence[int]
                ) -> tuple[np.ndarray, list[Branch]]:
     """Bus admittance matrix over ``nodes`` plus the branches included."""
@@ -158,13 +164,11 @@ def build_ybus(network: PowerNetwork, nodes: Sequence[int]
     ybus = np.zeros((len(nodes), len(nodes)), dtype=complex)
     for br in branches:
         f, t = index[br.from_bus], index[br.to_bus]
-        ys = 1.0 / complex(br.resistance, br.reactance)
-        shunt = 0.5j * br.charging
-        tap = br.tap_ratio
-        ybus[f, f] += (ys + shunt) / (tap * tap)
-        ybus[t, t] += ys + shunt
-        ybus[f, t] += -ys / tap
-        ybus[t, f] += -ys / tap
+        y_ff, y_tt, y_ft = _pi_section(br)
+        ybus[f, f] += y_ff
+        ybus[t, t] += y_tt
+        ybus[f, t] += y_ft
+        ybus[t, f] += y_ft
     return ybus, branches
 
 
@@ -235,7 +239,7 @@ def ac_power_flow(network: PowerNetwork,
     for node in chosen:
         k = index[node]
         bus = network.bus(node)
-        p_spec[k] = (bus.p_gen_scheduled - bus.p_demand) / base
+        p_spec[k] = net_injection(network, node)
         q_spec[k] = -bus.q_demand / base
         if bus.voltage_setpoint is not None:
             is_pv[k] = True
@@ -278,13 +282,10 @@ def ac_power_flow(network: PowerNetwork,
     q_from = np.empty(n_br)
     q_to = np.empty(n_br)
     for k, br in enumerate(branches):
-        f_idx, t_idx = index[br.from_bus], index[br.to_bus]
-        ys = 1.0 / complex(br.resistance, br.reactance)
-        shunt = 0.5j * br.charging
-        tap = br.tap_ratio
-        vf, vt = voltage[f_idx], voltage[t_idx]
-        i_from = (ys + shunt) / (tap * tap) * vf - ys / tap * vt
-        i_to = (ys + shunt) * vt - ys / tap * vf
+        y_ff, y_tt, y_ft = _pi_section(br)
+        vf, vt = voltage[index[br.from_bus]], voltage[index[br.to_bus]]
+        i_from = y_ff * vf + y_ft * vt
+        i_to = y_tt * vt + y_ft * vf
         s_from = vf * np.conj(i_from) * base
         s_to = vt * np.conj(i_to) * base
         p_from[k], q_from[k] = s_from.real, s_from.imag

@@ -4,7 +4,9 @@ Field names here are a stable external interface; anything consuming the
 CLI artifacts relies on them. ``save_json`` streams an artifact through a
 temporary file beside the target, in bounded chunks, with the same bytes
 as ``json.dumps(data, indent=2)`` plus a newline; the target is replaced
-only once the whole document is written.
+only once the whole document is written. Artifacts have only ``str``
+keys and no cycles, so the writer handles nothing else: ``save_json``
+raises TypeError on any other key and RecursionError on a cycle.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ def sync_table_to_dict(table) -> dict:
 
 def sync_table_from_dict(data: dict):
     """Inverse of ``sync_table_to_dict``; a sync time must be a
-    nonnegative number or +infinity ("inf" or a bare Infinity)."""
+    nonnegative number or +infinity ("inf" or a bare Infinity). Each edge
+    joins two nodes in either order and is listed once."""
     from .kuramoto import SyncTimeTable
     entries = {}
     try:
@@ -107,7 +110,10 @@ def sync_table_from_dict(data: dict):
             t = math.inf if t == "inf" else float(t)
             if not t >= 0.0:
                 raise ValueError(f"t_sync {t} is not a nonnegative time")
-            entries[(int(row["i"]), int(row["j"]))] = t
+            i, j = sorted((int(row["i"]), int(row["j"])))
+            if i == j or (i, j) in entries:
+                raise ValueError(f"edge {i}-{j} is a loop or listed twice")
+            entries[(i, j)] = t
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed sync table JSON: {exc}") from None
     return SyncTimeTable(entries=entries)
@@ -128,35 +134,11 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-def _key_text(key) -> str:
-    """A dict key coerced to a string as ``json`` coerces it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
 def _write_json(data, handle) -> None:
     """Write ``json.dumps(data, indent=2)`` to ``handle`` piece by piece,
-    with ``json``'s type tests in its order and its errors."""
+    with ``json``'s type tests in its order and ``str`` keys only."""
     pieces: list[str] = []
     append = pieces.append
-    containers: set[int] = set()
-
-    def enter(container) -> None:
-        if id(container) in containers:
-            raise ValueError("Circular reference detected")
-        containers.add(id(container))
 
     def spill() -> None:
         handle.write("".join(pieces))
@@ -179,7 +161,6 @@ def _write_json(data, handle) -> None:
             if not value:
                 append("[]")
                 return
-            enter(value)
             inner = indent + "  "
             separator = "[\n" + inner
             for item in value:
@@ -189,23 +170,19 @@ def _write_json(data, handle) -> None:
                 if len(pieces) >= _FLUSH_PIECES:
                     spill()
             append("\n" + indent + "]")
-            containers.discard(id(value))
         elif isinstance(value, dict):
             if not value:
                 append("{}")
                 return
-            enter(value)
             inner = indent + "  "
             separator = "{\n" + inner
             for key, item in value.items():
-                append(separator + encode_basestring_ascii(_key_text(key))
-                       + ": ")
+                append(separator + encode_basestring_ascii(key) + ": ")
                 separator = ",\n" + inner
                 encode(item, inner)
                 if len(pieces) >= _FLUSH_PIECES:
                     spill()
             append("\n" + indent + "}")
-            containers.discard(id(value))
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} "
                             f"is not JSON serializable")

@@ -57,8 +57,9 @@ def make_network(injections, edges, base_mva=100.0, generator_set=None,
 
 
 def _open_pipes():
-    """The pipe ends this process holds open, as ``pipe:[inode]`` by fd;
-    None where ``/proc/self/fd`` does not list them."""
+    """The pipe and socket ends this process holds open, as
+    ``pipe:[inode]`` or ``socket:[inode]`` by fd; None where
+    ``/proc/self/fd`` does not list them."""
     if not os.path.isdir("/proc/self/fd"):
         return None
     pipes = {}
@@ -67,7 +68,7 @@ def _open_pipes():
             target = os.readlink(f"/proc/self/fd/{fd}")
         except OSError:   # the fd of the listing itself, closed by now
             continue
-        if target.startswith("pipe:"):
+        if target.startswith(("pipe:", "socket:")):
             pipes[int(fd)] = target
     return pipes
 

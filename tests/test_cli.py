@@ -302,6 +302,21 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
     assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
 
 
+@pytest.mark.parametrize("algorithm, count", [("centralized", 6),
+                                              ("decentralized", 5)])
+def test_run_all_artifacts_are_json_dumps_bytes(scenario118_path, tmp_path,
+                                                algorithm, count):
+    rc = main(["run-all", "--config", str(scenario118_path),
+               "--algorithm", algorithm, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    artifacts = sorted(tmp_path.glob("*.json"))
+    assert len(artifacts) == count
+    for path in artifacts:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2) + "\n", \
+            path.name
+
+
 def test_partition_reuses_sync_table(workspace):
     tmp_path, cfg = workspace
     first = tmp_path / "first"

@@ -1,6 +1,7 @@
 """Every error type survives pickling, as a forked child hands it back."""
 
 import inspect
+import os
 import pickle
 
 import pytest
@@ -72,3 +73,18 @@ def test_child_values_round_trip():
     with pytest.raises(RuntimeError, match="ended without a report"):
         with Forked(lambda child: None) as child:
             child.receive()
+
+
+def test_child_that_leaves_values_unread_ended_without_a_report():
+    # The child exits with a value of the parent's still unread, which
+    # resets the connection rather than closing it.
+    go_r, go_w = os.pipe()
+    try:
+        with pytest.raises(RuntimeError, match="ended without a report"):
+            with Forked(lambda child: os.read(go_r, 1)) as child:
+                child.send("never read")
+                os.write(go_w, b"x")
+                child.receive()
+    finally:
+        os.close(go_r)
+        os.close(go_w)
