@@ -22,11 +22,11 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      MissingSection, NoGenerator, NotConverged, NotFound,
                      NumericalDivergence, ParseError, SchemaError,
                      SingularSystem, Stalled, UndefinedSize)
-from .kuramoto import (CyberLayer, EnsembleResult, SyncTimeTable,
-                       build_layer, derivative, ensemble_integrate,
-                       ensemble_run, ensemble_sync_times, integrate,
-                       order_parameter_series, sample_initial_conditions,
-                       sync_frequency, sync_times)
+from .kuramoto import (CyberLayer, EnsembleResult, LockedState,
+                       SyncTimeTable, build_layer, derivative,
+                       ensemble_integrate, ensemble_run, ensemble_sync_times,
+                       integrate, locked_state, order_parameter_series,
+                       sample_initial_conditions, sync_frequency, sync_times)
 from .matpower import RawCase, build_network, load_case, parse_case
 from .metrics import (IslandMetrics, MetricsReport, compute_metrics,
                       j1_from_imbalances, metric_j1, metric_j2, metric_j3,

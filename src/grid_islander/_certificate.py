@@ -1,0 +1,283 @@
+"""The proof that stops a sync-time scan early.
+
+``lock_certificate`` builds, for an RK4 scan of a layer, a
+``LockCertificate``: from the phases of every run at one sample it
+proves that no scanned pair's order parameter crosses the threshold at
+any later sample. ``kuramoto._sync_scan`` imports this module only when
+it scans an RK4 stream, so runs that integrate nothing never load it.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .kuramoto import (_EPS, RK4_REAL_LIMIT, CyberLayer, _gershgorin,
+                       _laplacian, _lock_phases, _mismatch, logger)
+
+# Edge cosines in the certificate's region stay within a factor 1 -+ _TAU
+# of their locked values.
+_TAU = 0.1
+# The largest rounding (rad) of one executed RK4 step the region allows.
+_ETA_CAP = 1e-6
+
+
+def _rk4_decrease_factor(z: float) -> float:
+    """m(z) = P(z) (2 - z P(z)) with P(z) = 1 - z/2 + z^2/6 - z^3/24:
+    RK4 on a quadratic V with Hessian eigenvalue z/h lowers V by
+    (h/2) m(z) g^2 along that eigenvector. m falls from 2 at z = 0 to 0
+    at RK4's real stability limit."""
+    p = 1.0 - z / 2.0 + z * z / 6.0 - z ** 3 / 24.0
+    return p * (2.0 - z * p)
+
+
+class LockCertificate:
+    """A proof, from the phases of every run at one sample, that no
+    scanned pair's order parameter crosses the threshold at any later
+    sample of the executed RK4 scan.
+
+    Notation. Layer edges e with weights w_e and rows b_e
+    (b_e.x = x_i - x_j), p~ = p - mean(p), n nodes, eps the unit
+    roundoff, h = dt, ``V(x) = -p~.x - sum_e w_e cos(b_e.x)``, g = grad V,
+    H(x) = sum_e w_e cos(b_e.x) b_e b_e^T. The right-hand side is
+    ``mean(p) 1 - g``, and V and g do not change along 1 (sum p~ = 0), so
+    an RK4 step moves a run as RK4 on x' = -g does, plus a shift along 1
+    that nothing below sees; every vector below is taken across 1.
+    Lam = 2 max weighted degree bounds ||H(x)|| anywhere, and
+    z = h Lam < 2.785, or there is no certificate.
+
+    RK4 step. ||H(a) - H(b)|| <= Lam max_e |cos b_e.a - cos b_e.b|
+    <= sqrt(2) Lam ||a - b||, so g(x + v) = g(x) + H(x) v + r with
+    ||r|| <= L ||v||^2 / 2, L = sqrt(2) Lam. With P(s) = 1 - s/2 + s^2/6
+    - s^3/24, R(s) = 1 - s P(s) and m(s) = P(s)(2 - s P(s)): on
+    [0, 2.785], 0 <= P <= 1, |R| <= 1 and m decreases, so m >= mu = m(z)
+    > 0 (``_rk4_decrease_factor``). Take x where A = H(x) is positive
+    semidefinite and gamma = ||g(x)||. With every stage Hessian equal to
+    A the step is D0 = -h P(hA) g, so ||D0|| <= h gamma, g + A D0 =
+    R(hA) g, and ``g.D0 + D0.A.D0 / 2 = -(h/2) g.m(hA).g``. The stages'
+    remainders add E = D - D0: with s2 = 1 + z/2 and s3 = 1 + z s2 / 2
+    bounding the stage gradients over gamma, the stage errors are at most
+    l gamma^2 times e2 = 1/8, e3 = z e2 / 2 + s2^2 / 8 and
+    e4 = z e3 + s3^2 / 2, l = L h^2, so ||E|| <= h l gamma^2 eE with
+    eE = (2 e2 + 2 e3 + e4) / 6. Adding Taylor's remainder L ||D||^3 / 6,
+    ``V(x + D) - V(x) <= -(h/2) gamma^2 B(l gamma)`` with
+    ``B(s) = mu - 2 s eE - z s^2 eE^2 - (s/3)(1 + s eE)^3``. B is concave
+    and falls from mu to 0 at some X. Let gbar = min(X / (2 l),
+    min_e d_e / (8 h)) (d_e below). For gamma <= gbar, B >= mu/2: the step
+    lowers V by at least (h/4) mu gamma^2, and
+    ||D|| <= step = h gbar (1 + l gbar eE).
+
+    Region. theta* comes from ``locked_state``'s Newton; H* = H(theta*).
+    M is the inverse of H* without node 0's row and column, padded with
+    zeros, so that R_q = b_q.M.b_q = b_q.H*^+.b_q for any pair q (an
+    effective resistance), and by Cauchy interlacing
+    lambda2(H*) >= 1 / ||M||_inf. kappa = 16 n eps Lam ||M||_inf bounds
+    the relative rounding of M (no certificate unless kappa < 1/2); R_q
+    is taken plus 4 kappa ||M||_inf. a- = 1 - tau, a+ = 1 + tau,
+    tau = _TAU. On each layer edge t_e = |tan b_e.theta*| and d_e solves
+    d^2/2 + t_e d = tau. Q is the set where |b_e.(x - theta*)| <= d_e on
+    every layer edge. Q is convex, and on it (1 - tau) cos* <= cos <=
+    (1 + tau) cos* edge by edge, so a- H* <= H(x) <= a+ H*: V is convex
+    on Q, strongly with lamQ = a- / ((1 + kappa) ||M||_inf). With
+    res = ||g(theta*)|| plus its rounding, the exact lock xh lies within
+    dist = res / lamQ of theta*, and V(theta*) - V(xh) <= res^2 /
+    (2 lamQ). For x in Q, y = x - xh and
+    u = V(x) - V(xh): ``u = y.Hbar.y / 2`` and ``g = Htil y`` exactly,
+    Hbar and Htil being averages of H over the segment, so
+      (i)   |b_q.y|^2 <= R_q y.H*.y <= 2 R_q u / a- for any pair q;
+      (ii)  ||g||^2 <= Lam y.Htil.y <= 2 Lam (a+ / a-) u;
+      (iii) u <= ||g||^2 / (2 lamQ).
+
+    Level. c_max = min(cA, cB) with cA = gbar^2 a- / (2 Lam a+), so that
+    (ii) gives gamma <= gbar, and cB = min_e a- room_e^2 / (2 R_e),
+    room_e = d_e - sqrt(2)(dist + step + _ETA_CAP). From a point of Q with
+    u <= c <= c_max, by (i) and cB a step, even one perturbed by up to
+    _ETA_CAP, stays in Q, and by (ii) it does not raise V: the exact RK4
+    map keeps that set.
+
+    Rounding. An executed step differs from the RK4 map by at most
+    eta = 32 (1 + z) eps sqrt(n) (Theta + h (max|p| + Lam)), Theta
+    bounding the run's phases through the horizon: a generous count of
+    the roundings on each component, which the stages amplify at most
+    (1 + z) fold. That raises V by at most omega = gF eta + Lam eta^2 / 2,
+    where gF = gbar (1 + z (1 + l gbar eE)) bounds ||g|| after a step.
+    Where (h/4) mu gamma^2 >= omega the step still does not raise V;
+    elsewhere (iii) leaves u <= u_floor = omega (1 + 2 / (h mu lamQ))
+    after it. So u never exceeds max(u now, u_floor). A run's level adds
+    to the computed V(x) - V(theta*) the rounding of that sum,
+    (n + m + 16) eps times the sum of its terms' moduli, the effect of
+    the rounded phases, 4 eps sqrt(n) Theta (||p~|| + sqrt(n) Lam / 2),
+    and V(theta*) - V(xh).
+
+    Verdict. A run in Q at level c_r <= c_max keeps, at every later sample,
+    |b_q.(x - theta*)| <= D_qr = sqrt(2 R_q c_r / a-) + sqrt(2) dist, so
+    |cos b_q.x - cos*_q| <= |sin*_q| D_qr + D_qr^2 / 2. If for every
+    scanned pair the mean of that over the runs, plus the rounding of the
+    computed order parameter, is below |cos*_q - threshold|, the order
+    parameter stays on cos*_q's side of the threshold to the end.
+    """
+
+    def __init__(self, layer: CyberLayer, theta: np.ndarray, dt: float,
+                 t_max: float, low: np.ndarray, high: np.ndarray,
+                 threshold: float, n_runs: int) -> None:
+        n = layer.size
+        iu, jv, _ = layer._edges
+        p = layer.natural_frequency
+        lam = _gershgorin(layer)
+        z = dt * lam
+        mu = _rk4_decrease_factor(z)
+        s2 = 1.0 + z / 2.0
+        s3 = 1.0 + z * s2 / 2.0
+        e2 = 1.0 / 8.0
+        e3 = z * e2 / 2.0 + s2 * s2 / 8.0
+        e4 = z * e3 + s3 * s3 / 2.0
+        e_e = (2.0 * e2 + 2.0 * e3 + e4) / 6.0
+        ell = math.sqrt(2.0) * lam * dt * dt
+
+        def falls(s):   # B(s) > 0
+            return (mu - 2.0 * s * e_e - z * (s * e_e) ** 2
+                    - s * (1.0 + s * e_e) ** 3 / 3.0) > 0.0
+
+        lo, hi = 0.0, mu / (2.0 * e_e)      # B(lo) > 0 >= B(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if falls(mid) else (lo, mid)
+
+        angle = theta[iu] - theta[jv]
+        self.hessian = _laplacian(layer, np.cos(angle))
+        grounded = np.zeros((n, n))
+        try:
+            grounded[1:, 1:] = np.linalg.inv(self.hessian[1:, 1:])
+        except np.linalg.LinAlgError:     # a disconnected layer
+            grounded[1:, 1:] = np.inf
+        norm = float(np.abs(grounded).sum(axis=1).max())
+        kappa = 16.0 * n * _EPS * lam * norm
+        self.decline = None
+        if not kappa < 0.5:
+            self.decline = "the lock's Laplacian is too ill-conditioned"
+            return
+        a_lo, a_hi = 1.0 - _TAU, 1.0 + _TAU
+        lam_q = a_lo / ((1.0 + kappa) * norm)
+
+        def resistance(a, b):
+            return (grounded[a, a] + grounded[b, b] - 2.0 * grounded[a, b]
+                    + 4.0 * kappa * norm)
+
+        self.residual = float(np.linalg.norm(_mismatch(layer, theta)))
+        res = self.residual + 4.0 * n * math.sqrt(n) * _EPS * (
+            np.abs(p - p.mean()).max() + lam)
+        dist = res / lam_q
+        tan = np.abs(np.tan(angle))
+        self.d_e = np.sqrt(tan * tan + 2.0 * _TAU) - tan
+        gbar = min(0.5 * lo / ell, float(self.d_e.min()) / (8.0 * dt))
+        step = dt * gbar * (1.0 + ell * gbar * e_e)
+        room = self.d_e - math.sqrt(2.0) * (dist + step + _ETA_CAP)
+        self.c_max = min(
+            gbar ** 2 * a_lo / (2.0 * lam * a_hi),
+            float((a_lo * np.maximum(room, 0.0) ** 2
+                   / (2.0 * resistance(iu, jv))).min()))
+
+        pair = theta[low] - theta[high]
+        self.below = np.cos(pair) < threshold
+        self.margin = np.abs(np.cos(pair) - threshold)
+        self.sin_pair = np.abs(np.sin(pair))
+        self.pair_resistance = resistance(low, high) / a_lo
+        self.offset = math.sqrt(2.0) * dist
+        self.rho_rounding = (n_runs + 8) * _EPS + 4.0 * _EPS * (
+            1.0 + 2.0 * float(np.abs(theta).max()))
+        if not np.all(room > 0.0):
+            self.decline = "the region around the lock is too narrow"
+        elif self.margin.min() <= self.rho_rounding:
+            self.decline = "a scanned pair locks at the threshold"
+
+        self.layer, self.theta, self.angle = layer, theta, angle
+        self.t_max, self.lam = t_max, lam
+        self.p_tilde = p - p.mean()
+        self.drift = abs(float(p.mean()))
+        # |phase| <= |mean| + drift (t_max - t) + phase_room through the
+        # horizon: max|theta*|, the region's reach across 1, and 1 rad of
+        # slack for the rounding of the mean
+        self.phase_room = (float(np.abs(theta).max())
+                           + math.sqrt(2.0 * self.c_max / lam_q) + dist + 1.0)
+        self.eta_unit = 32.0 * (1.0 + z) * _EPS * math.sqrt(n)
+        self.eta_rhs = dt * (float(np.abs(p).max()) + lam)
+        self.gamma_f = gbar * (1.0 + z * (1.0 + ell * gbar * e_e))
+        self.floor_factor = 1.0 + 2.0 / (dt * mu * lam_q)
+        self.gradient = float(np.linalg.norm(p - p.mean())
+                              + math.sqrt(n) * lam / 2.0)
+        self.lock_rounding = res * res / (2.0 * lam_q)
+
+    def excess(self, phases: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per row of ``phases``: V - V(theta*), the sum of its terms'
+        moduli, the row's mean less theta*'s, and its largest
+        |b_e^T (x - theta*)| / d_e. Row by row, so each row has the same
+        bits in any batch."""
+        iu, jv, w = self.layer._edges
+        y = phases - self.theta
+        mean = y.mean(axis=-1, keepdims=True)
+        y = y - mean
+        half = 0.5 * (y[..., iu] - y[..., jv])
+        linear = -(y * self.p_tilde)
+        # cos(a) - cos(a + 2 half), without cancellation
+        bend = 2.0 * w * np.sin(self.angle + half) * np.sin(half)
+        return (linear.sum(axis=-1) + bend.sum(axis=-1),
+                np.abs(linear).sum(axis=-1)
+                + np.abs(2.0 * w * np.sin(half)).sum(axis=-1),
+                mean[..., 0], (2.0 * np.abs(half) / self.d_e).max(axis=-1))
+
+    def levels(self, phases: np.ndarray, t: float) -> np.ndarray:
+        """(runs, 2): each run's bound on V - V(exact lock) at every
+        sample from time t on (+inf outside the region), and the rounding
+        of its cosines in the order parameter."""
+        u, size, mean, reach = self.excess(phases)
+        bound = np.abs(mean) + self.drift * (self.t_max - t) \
+            + self.phase_room
+        eta = self.eta_unit * (bound + self.eta_rhs)
+        omega = self.gamma_f * eta + 0.5 * self.lam * eta * eta
+        evaluation = ((self.layer.size + self.angle.size + 16) * _EPS * size
+                      + 4.0 * _EPS * math.sqrt(self.layer.size) * bound
+                      * self.gradient)
+        level = np.maximum(u + evaluation + self.lock_rounding,
+                           omega * self.floor_factor)
+        inside = ((reach + 8.0 * _EPS * bound / self.d_e.min() <= 1.0)
+                  & (eta <= _ETA_CAP))
+        return np.stack([np.where(inside, level, np.inf),
+                         4.0 * _EPS * (1.0 + 2.0 * bound)], axis=-1)
+
+    def proves(self, levels: np.ndarray) -> bool:
+        """Whether the runs' ``levels`` keep every scanned pair's order
+        parameter on its locked side of the threshold from now on."""
+        level, cos_rounding = levels.T
+        if not np.all(level <= self.c_max):
+            return False
+        deviation = (np.sqrt(2.0 * level[:, None] * self.pair_resistance)
+                     + self.offset)
+        drift = (self.sin_pair * deviation + 0.5 * deviation ** 2
+                 + cos_rounding[:, None]).mean(axis=0)
+        return bool(np.all(drift + self.rho_rounding < self.margin))
+
+
+def lock_certificate(layer: CyberLayer, times: np.ndarray,
+                     low: np.ndarray, high: np.ndarray, threshold: float,
+                     n_runs: int) -> LockCertificate | None:
+    """The lock certificate of an RK4 scan on ``times``, or None, with
+    the reason logged, where no proof is possible."""
+    dt = float(times[1] - times[0])
+    theta = None
+    if not dt * _gershgorin(layer) < RK4_REAL_LIMIT:
+        reason = (f"dt * Gershgorin bound = {dt * _gershgorin(layer):.3f} "
+                  f"is not below {RK4_REAL_LIMIT}")
+    else:
+        theta = _lock_phases(layer)
+        reason = "the layer has no stable locked state"
+    if theta is not None:
+        certificate = LockCertificate(layer, theta, dt, float(times[-1]),
+                                      low, high, threshold, n_runs)
+        reason = certificate.decline
+        if reason is None:
+            return certificate
+    logger.info("no lock certificate, integrating the full horizon: %s",
+                reason)
+    return None

@@ -29,7 +29,8 @@ class Forked:
     """A forked child that runs ``work(self)`` and leaves only through
     ``os._exit``.
 
-    Each side ``send``s values that the other ``receive``s in order. If
+    Each side ``send``s values that the other ``receive``s in order; the
+    parent's sends to a child that has ended are dropped. If
     ``work`` raises, ``receive`` in the parent raises its error: a
     GridIslanderError as itself, anything else as RuntimeError with the
     child's traceback. As a context manager the parent kills the child
@@ -74,7 +75,13 @@ class Forked:
         os.waitpid(self.pid, 0)
 
     def send(self, value: Any) -> None:
-        self._connection.send(("value", value))
+        # a child that has ended can be told nothing, but what it sent
+        # before it ended is still there for ``receive``
+        try:
+            self._connection.send(("value", value))
+        except (BrokenPipeError, ConnectionResetError):
+            if self.pid == 0:
+                raise
 
     def receive(self) -> Any:
         # a child that exits with messages of ours unread resets the pipe

@@ -28,6 +28,19 @@ grid and phases; ``derivative`` turns phases into frequencies. A layer
 locks to its mean natural frequency, which ``sync_frequency`` returns
 without integrating. A warning is logged when an ensemble's step may
 leave RK4's stability interval.
+
+``ensemble_sync_times`` stops once a proof says the table is final.
+``locked_state`` gives the layer's locked phases theta* and lambda2.
+Every fourth block, each run's Lyapunov level V - V(theta*) is checked
+against a certificate (``_certificate.LockCertificate``, whose
+docstring holds the proof) that every run stays in a region around
+theta* where no scanned pair's order parameter can cross the threshold
+again, under the RK4 map as executed, rounding included. Pairs locked
+below the threshold then get +inf and the others keep their last bad
+sample, so the table has the same bits as a scan of the whole horizon.
+With no stable lock, a pair locked exactly at the threshold, or dt
+times the Gershgorin bound at or above 2.785, the scan declines and
+integrates the whole horizon. Either outcome is logged at info level.
 """
 
 from __future__ import annotations
@@ -37,7 +50,7 @@ import logging
 import math
 import mmap
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,11 +273,18 @@ def sample_initial_conditions(n: int, seed) -> np.ndarray:
     return 0.5 * math.pi - rng.uniform(0.0, math.pi, size=n)
 
 
+def _gershgorin(layer: CyberLayer) -> float:
+    """Twice the largest weighted degree: a bound on every eigenvalue's
+    modulus of any Laplacian whose weights are w_e times a factor in
+    [-1, 1]."""
+    return 2.0 * float(layer.coupling.sum(axis=1).max())
+
+
 def _warn_if_unstable(layer: CyberLayer, dt: float) -> None:
     """Log a warning when dt * lambda_max may leave RK4's stability
     interval, bounding lambda_max by Gershgorin (2 * max weighted degree).
     """
-    ratio = dt * 2.0 * float(layer.coupling.sum(axis=1).max())
+    ratio = dt * _gershgorin(layer)
     if ratio > RK4_REAL_LIMIT:
         logger.warning(
             "dt * 2 * max weighted degree = %.3f exceeds RK4's real-axis "
@@ -352,14 +372,16 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
 
     With at least four runs and two usable CPUs, runs ``[n_runs // 2:]``
     are integrated in a forked child while this process integrates the
-    rest; the table has the same bits either way.
+    rest; the table has the same bits either way. Integration stops
+    before ``t_max`` once ``_certificate.LockCertificate`` proves the
+    table final, again with the same bits.
     """
     times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
     rhs = _make_rhs(layer)
     split = _half(n_runs) if _usable_cpus() >= 2 else n_runs
     return _sync_scan(layer, times, edges, threshold, n_runs, split,
                       lambda first, last: _rk4(rhs, initial[first:last],
-                                               times))
+                                               times), certify=True)
 
 
 def order_parameter_series(ensemble: EnsembleResult, i: int,
@@ -386,13 +408,17 @@ def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
 # each, in at most _BUFFER_BYTES unless one sample alone is larger.
 _BLOCK_SAMPLES = 8
 _BUFFER_BYTES = 1 << 20
+# A certificate check costs less than one RK4 step of the runs it checks.
+# Checking every fourth block keeps that under 3% of the integration, at
+# the price of stopping up to 31 steps later.
+_CHECK_BLOCKS = 4
 
 
 def _sync_scan(layer: CyberLayer, times: np.ndarray,
                edges: Iterable[tuple[int, int]], threshold: float,
                n_runs: int, split: int,
-               states: Callable[[int, int], Iterator[np.ndarray]]
-               ) -> SyncTimeTable:
+               states: Callable[[int, int], Iterator[np.ndarray]],
+               certify: bool = False) -> SyncTimeTable:
     """Sync times from ``states(first, last)``, the stream of
     (last - first, n) phase samples of runs ``[first:last)``, one per
     entry of ``times``.
@@ -408,6 +434,16 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     only the last sample at which the order parameter is at or below the
     threshold. The earliest divergence in either half raises
     NumericalDivergence.
+
+    With ``certify`` the stream must be RK4 on the layer at the grid's
+    step. Each half then reports its runs' ``LockCertificate`` levels
+    at the last sample of every ``_CHECK_BLOCKS``-th block, and the scan
+    stops after the first such block, at least two blocks from the end,
+    whose levels prove that no order parameter crosses the threshold
+    again: pairs locked below it get +inf, the others keep their last bad
+    sample, as a full scan would give them. This process sends the child
+    a stop message in place of the next "slot free" message, and reaps
+    it.
     """
     keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
     low = np.array([layer.index(a) for a, _ in keys], dtype=np.intp)
@@ -419,39 +455,57 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     buffer = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float,
                            count=size).reshape(2, block, len(keys), n_runs)
     starts = range(0, n_samples, block)
+    certificate = None
+    if certify and keys:
+        # imported here, so that a process that integrates nothing never
+        # compiles the proof
+        from ._certificate import lock_certificate
+        certificate = lock_certificate(layer, times, low, high, threshold,
+                                       n_runs)
 
-    def fill(b: int, first: int, last: int,
-             stream: Iterator[np.ndarray]) -> float | None:
+    def checked(b: int) -> bool:
+        """Whether the certificate is checked after block b."""
+        return (certificate is not None and b + 2 < len(starts)
+                and b % _CHECK_BLOCKS == _CHECK_BLOCKS - 1)
+
+    def fill(b: int, first: int, last: int, stream: Iterator[np.ndarray]
+             ) -> tuple[float | None, np.ndarray | None]:
         """Write block b of runs [first:last); the divergence time, if
-        the stream diverges in it."""
+        the stream diverges in it, and the runs' certificate levels."""
         out = buffer[b % 2, :min(block, n_samples - starts[b]), :,
                      first:last]
         try:
             for row, state in zip(out, stream):
                 row[...] = np.cos(state[:, low] - state[:, high]).T
         except NumericalDivergence as exc:
-            return exc.t
-        return None
+            return exc.t, None
+        if not checked(b):
+            return None, None
+        return None, certificate.levels(
+            state, float(times[starts[b] + len(out) - 1]))
 
     def upper_half(child: _ForkedHalf) -> None:
         stream = states(split, n_runs)
         for b in range(len(starts)):
-            if b >= 2:
-                child.receive()   # the parent freed slot b % 2
-            diverged = fill(b, split, n_runs, stream)
-            child.send(diverged)
-            if diverged is not None:
+            # from block 2 on, wait until the parent frees slot b % 2,
+            # or tells us to stop
+            if b >= 2 and not child.receive():
+                return
+            report = fill(b, split, n_runs, stream)
+            child.send(report)
+            if report[0] is not None:
                 return
 
     last_bad = np.full(len(keys), -1)
     stream = states(0, split)
+    stop = None
     with (_ForkedHalf(upper_half) if split < n_runs
           else contextlib.nullcontext()) as child:
         for b, start in enumerate(starts):
-            diverged = [fill(b, 0, split, stream)]
+            reports = [fill(b, 0, split, stream)]
             if child is not None:
-                diverged.append(child.receive())
-            diverged = [t for t in diverged if t is not None]
+                reports.append(child.receive())
+            diverged = [t for t, _ in reports if t is not None]
             if diverged:
                 raise NumericalDivergence(min(diverged))
             rho = np.add.reduce(buffer[b % 2, :min(block, n_samples - start)],
@@ -460,8 +514,23 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
             last = start + len(bad) - 1 - np.argmax(bad[::-1], axis=0)
             hit = bad.any(axis=0)
             last_bad[hit] = last[hit]
+            if checked(b) and certificate.proves(
+                    np.concatenate([levels for _, levels in reports])):
+                stop = start + block - 1
+                last_bad[certificate.below] = n_samples - 1
             if child is not None and b + 2 < len(starts):
-                child.send(None)   # slot b % 2 is free
+                child.send(stop is None)   # slot b % 2 is free, or stop
+            if stop is not None:
+                break
+    if certificate is not None and stop is None:
+        logger.info("lock not certified within the horizon: integrated "
+                    "all %d steps", n_samples - 1)
+    elif certificate is not None and logger.isEnabledFor(logging.INFO):
+        # checked first: lambda2's eigensolver runs for the log alone
+        logger.info("lock certified at t = %.4f s (locked-state residual "
+                    "%.1e, lambda2 %.4f): integrated %d of %d steps",
+                    times[stop], certificate.residual,
+                    _lambda2(certificate.hessian), stop, n_samples - 1)
     return SyncTimeTable(entries={
         key: settling_time(times, int(last))
         for key, last in zip(keys, last_bad)})
@@ -481,3 +550,91 @@ def settling_time(times: np.ndarray, last_bad: int) -> float:
 def sync_frequency(layer: CyberLayer) -> float:
     """Synchronized frequency of a layer: the mean natural frequency."""
     return float(np.mean(layer.natural_frequency))
+
+
+class LockedState(NamedTuple):
+    """Phases ``theta*`` (mean zero) of a locked layer, and ``lambda2``,
+    the second smallest eigenvalue of the Laplacian with weights
+    w_ij cos(theta*_i - theta*_j) there."""
+
+    phases: np.ndarray
+    lambda2: float
+
+
+_EPS = float(np.finfo(float).eps)
+_NEWTON_ITERATIONS = 30
+
+
+def _laplacian(layer: CyberLayer, factors) -> np.ndarray:
+    """Laplacian with weight w_e * factors_e on layer edge e."""
+    iu, jv, w = layer._edges
+    lap = np.zeros((layer.size, layer.size))
+    lap[iu, jv] = lap[jv, iu] = -w * factors
+    lap[np.diag_indices(layer.size)] = -lap.sum(axis=1)
+    return lap
+
+
+def _mismatch(layer: CyberLayer, phases: np.ndarray) -> np.ndarray:
+    """p~_i - sum_j w_ij sin(theta_i - theta_j), p~ the natural
+    frequencies less their mean: zero at a locked state."""
+    iu, jv, w = layer._edges
+    p = layer.natural_frequency - layer.natural_frequency.mean()
+    flow = w * np.sin(phases[iu] - phases[jv])
+    return (p - np.bincount(iu, flow, layer.size)
+            + np.bincount(jv, flow, layer.size))
+
+
+def _lock_phases(layer: CyberLayer) -> np.ndarray | None:
+    """theta* of ``locked_state`` with every edge cosine positive, or
+    None."""
+    n = layer.size
+    iu, jv, _ = layer._edges
+    if n < 2 or iu.size == 0:
+        return None
+    p = layer.natural_frequency - layer.natural_frequency.mean()
+    tolerance = 64 * n * _EPS * (np.abs(p).max() + _gershgorin(layer))
+    theta = np.zeros(n)
+    try:
+        with np.errstate(all="ignore"):
+            theta[1:] = np.linalg.solve(_laplacian(layer, 1.0)[1:, 1:], p[1:])
+            for _ in range(_NEWTON_ITERATIONS):
+                mismatch = _mismatch(layer, theta)
+                if np.abs(mismatch).max() <= tolerance:
+                    break
+                cos = np.cos(theta[iu] - theta[jv])
+                theta[1:] += np.linalg.solve(_laplacian(layer, cos)[1:, 1:],
+                                             mismatch[1:])
+            else:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    theta -= theta.mean()
+    if np.cos(theta[iu] - theta[jv]).min() <= 0.0:
+        return None
+    return theta
+
+
+def _lambda2(laplacian: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(laplacian)[1])
+
+
+def locked_state(layer: CyberLayer) -> LockedState | None:
+    """The stable phase-locked state of a layer, or None.
+
+    Symmetric Kuramoto coupling locks, in the frame turning at the mean
+    natural frequency, at theta* solving
+    ``p~_i = sum_j w_ij sin(theta*_i - theta*_j)``, a lossless
+    unit-voltage power flow (Dörfler, Chertkov & Bullo, PNAS 2013).
+    Newton's method from the DC guess ``L+ p~`` finds it, node 0
+    grounded. None when Newton does not bring the mismatch down to
+    rounding level, when some edge has cos(theta*_i - theta*_j) <= 0, or
+    when lambda2 <= 0: then the layer has no stable lock to report.
+    """
+    theta = _lock_phases(layer)
+    if theta is None:
+        return None
+    iu, jv, _ = layer._edges
+    lambda2 = _lambda2(_laplacian(layer, np.cos(theta[iu] - theta[jv])))
+    if lambda2 <= 0.0:
+        return None
+    return LockedState(phases=theta, lambda2=lambda2)

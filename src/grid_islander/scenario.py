@@ -82,6 +82,15 @@ _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
                   "t_max", "dt", "rho_threshold", "freq_epsilon")
 
 
+def _integer(name: str, value) -> int:
+    """``int(value)``, refusing a bool or a number with a fraction, which
+    ``int`` would silently take as 1, 0 or the truncated number."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def scenario_from_dict(data: dict, base_dir: Path | None = None
                        ) -> ScenarioConfig:
     if not isinstance(data, dict):
@@ -103,16 +112,17 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
                                   for isl in data["initial_islands"]),
             fault_branches=tuple(tuple(pair)
                                  for pair in data["fault_branches"]),
-            n_mu=int(data["n_mu"]),
-            seed=int(data["seed"]),
-            ensemble_size=int(data["ensemble_size"]),
+            n_mu=_integer("n_mu", data["n_mu"]),
+            seed=_integer("seed", data["seed"]),
+            ensemble_size=_integer("ensemble_size", data["ensemble_size"]),
             t_max=float(data["t_max"]),
             dt=float(data["dt"]),
             rho_threshold=float(data["rho_threshold"]),
             freq_epsilon=float(data["freq_epsilon"]),
             algorithm=data.get("algorithm", "centralized"),
             mode=data.get("mode", "analytic"),
-            max_stalled_rounds=int(data.get("max_stalled_rounds", 3)),
+            max_stalled_rounds=_integer(
+                "max_stalled_rounds", data.get("max_stalled_rounds", 3)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from None

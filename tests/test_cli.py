@@ -100,12 +100,14 @@ def test_parse_error_exit_2(tmp_path, capsys):
 
 def test_bad_scenario_exit_2(workspace, capsys):
     tmp_path, cfg = workspace
-    data = json.loads(cfg.read_text(encoding="utf-8"))
-    data["rho_threshold"] = 2.0
-    cfg.write_text(json.dumps(data), encoding="utf-8")
-    rc = main(["sync-times", "--config", str(cfg)])
-    assert rc == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    good = json.loads(cfg.read_text(encoding="utf-8"))
+    for key, value in (("rho_threshold", 2.0), ("ensemble_size", 20.7),
+                       ("seed", True)):
+        cfg.write_text(json.dumps(dict(good, **{key: value})),
+                       encoding="utf-8")
+        rc = main(["sync-times", "--config", str(cfg)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 def test_infinite_horizon_exit_2(workspace, capsys):

@@ -3,21 +3,26 @@
 import dataclasses
 import logging
 import math
+import mmap
 import os
 import random
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, NotFound,
                            NumericalDivergence, build_layer,
                            coupling_susceptance, derivative,
                            ensemble_integrate, ensemble_run,
-                           ensemble_sync_times, integrate, net_injection,
-                           order_parameter_series, sample_initial_conditions,
-                           sync_frequency, sync_times)
-from grid_islander import kuramoto
+                           ensemble_sync_times, integrate, locked_state,
+                           net_injection, order_parameter_series,
+                           sample_initial_conditions, sync_frequency,
+                           sync_times)
+from grid_islander import _certificate, kuramoto
 from conftest import make_network
 
 # Stable on the faulted 118-bus layer: dt * 2 * max weighted degree is
@@ -590,3 +595,237 @@ def test_ensemble_run_is_the_stored_run(net118_faulted):
                               derivative(layer, ens.phases[run]))
     with pytest.raises(ValueError):
         ensemble_run(layer, 5, 3, 5, t_max=1.0, dt=STABLE_DT)
+
+
+def test_locked_state_of_a_pair_and_past_its_limit():
+    lock = locked_state(two_node_layer(0.1, -0.1))
+    assert lock.phases[0] - lock.phases[1] == pytest.approx(math.asin(0.1),
+                                                            abs=1e-14)
+    assert lock.phases.sum() == pytest.approx(0.0, abs=1e-15)
+    assert lock.lambda2 == pytest.approx(2.0 * math.cos(math.asin(0.1)))
+    # half the frequency gap beyond the coupling: no phase lag balances it
+    assert locked_state(two_node_layer(1.5, -1.5)) is None
+    assert locked_state(CyberLayer((1,), np.zeros(1), np.zeros((1, 1)))) \
+        is None
+
+
+def test_locked_state_of_the_faulted_grid(net118_faulted):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    lock = locked_state(layer)
+    assert np.abs(kuramoto._mismatch(layer, lock.phases)).max() < 1e-12
+    assert lock.lambda2 == pytest.approx(0.2918, abs=1e-4)
+
+
+def test_rk4_polynomial_facts_the_certificate_uses():
+    z = np.linspace(0.0, kuramoto.RK4_REAL_LIMIT, 100001)
+    p = 1.0 - z / 2.0 + z ** 2 / 6.0 - z ** 3 / 24.0
+    m = _certificate._rk4_decrease_factor(z)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    assert np.all(np.abs(1.0 - z * p) <= 1.0)
+    assert np.all(np.diff(m) < 0.0) and m[0] == 2.0 and m[-1] > 0.0
+
+
+def _never_certified(monkeypatch):
+    """Keep every certificate check failing, so scans run the full
+    horizon."""
+    monkeypatch.setattr(_certificate.LockCertificate, "proves",
+                        lambda self, levels: False)
+
+
+def _stop_messages(caplog):
+    return [r.getMessage() for r in caplog.records
+            if "certified" in r.getMessage()]
+
+
+# 2, 3 and 7 were used while the certificate was written; 13 and 29 were
+# not.
+@pytest.mark.parametrize("seed", [2, 3, 7, 13, 29])
+def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
+                                             monkeypatch, caplog):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    edges = net118_faulted.edge_set()
+    grid = dict(t_max=35.0, dt=STABLE_DT)
+    caplog.set_level(logging.INFO, logger="grid_islander.kuramoto")
+    stopped = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        caplog.clear()
+        stopped.append((ensemble_sync_times(layer, 20, seed, edges, **grid),
+                        _stop_messages(caplog)))
+    _never_certified(monkeypatch)
+    caplog.clear()
+    full = ensemble_sync_times(layer, 20, seed, edges, **grid)
+    assert _stop_messages(caplog) == [
+        "lock not certified within the horizon: integrated all 10000 steps"]
+    for table, messages in stopped:
+        assert table.entries == full.entries
+        [message] = messages
+        steps = int(re.search(r"integrated (\d+) of 10000", message)[1])
+        assert steps < 5000
+    # one process and two stop at the same sample
+    assert stopped[0][1] == stopped[1][1]
+
+
+def test_scan_declines_without_stable_step_or_lock(net118_faulted, caplog):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    drifting = two_node_layer(1.5, -1.5)
+    locking = two_node_layer(0.1, -0.1)
+    lag = locked_state(locking).phases
+    caplog.set_level(logging.INFO, logger="grid_islander.kuramoto")
+    for scan_layer, threshold, grid, reason in (
+            (layer, 0.99, dict(t_max=0.5, dt=0.01), "dt * Gershgorin bound"),
+            (drifting, 0.99, dict(t_max=50.0, dt=0.01),
+             "no stable locked state"),
+            # the order parameter settles exactly on the threshold
+            (locking, float(np.cos(lag[0] - lag[1])),
+             dict(t_max=50.0, dt=0.01), "locks at the threshold")):
+        caplog.clear()
+        ensemble_sync_times(scan_layer, 4, 0, [(1, 2)], threshold, **grid)
+        [message] = [r.getMessage() for r in caplog.records
+                     if r.levelno == logging.INFO]
+        assert message.startswith("no lock certificate, integrating the "
+                                  "full horizon") and reason in message
+    caplog.clear()
+    ensemble_sync_times(locking, 4, 0, [(1, 2)], t_max=50.0, dt=0.01)
+    [message] = _stop_messages(caplog)
+    assert message.startswith("lock certified at t = ")
+
+
+@st.composite
+def _locking_layers(draw):
+    """A connected layer of 2 to 6 nodes whose injections are small
+    against its couplings, a step with 1 <= dt * Gershgorin <= 2.7, and a
+    threshold at least 0.01 from every locked cosine."""
+    n = draw(st.integers(2, 6))
+    weight = st.floats(0.5, 2.0)
+    coupling = np.zeros((n, n))
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        coupling[i, j] = coupling[j, i] = draw(weight)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if coupling[i, j] == 0.0 and draw(st.booleans()):
+                coupling[i, j] = coupling[j, i] = draw(weight)
+    p = np.array(draw(st.lists(st.floats(-0.4, 0.4), min_size=n,
+                               max_size=n)))
+    layer = CyberLayer(tuple(range(1, n + 1)), p, coupling)
+    dt = draw(st.floats(1.0, 2.7)) / kuramoto._gershgorin(layer)
+    lock = locked_state(layer)
+    iu, jv, _ = layer._edges
+    cos = np.cos(lock.phases[iu] - lock.phases[jv])
+    threshold = draw(st.floats(0.5, 0.999).filter(
+        lambda t: np.abs(cos - t).min() >= 0.01))
+    return layer, dt, threshold
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_locking_layers(), seed=st.integers(0, 1000))
+def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
+    layer, dt, threshold = case
+    edges = list(zip(*(np.array(layer.node_ids)[k]
+                       for k in layer._edges[:2])))
+    t_max, runs = 200.0, 4
+    times, initial = kuramoto._ensemble_start(layer, runs, seed, t_max, dt)
+    low = np.array([layer.index(a) for a, _ in edges])
+    high = np.array([layer.index(b) for _, b in edges])
+    certificate = _certificate.lock_certificate(layer, times, low, high,
+                                                threshold, runs)
+    phases = ensemble_integrate(layer, runs, seed, t_max=t_max,
+                                dt=dt).phases
+    proven = [k for k in range(7, len(times), 8)
+              if certificate.proves(certificate.levels(phases[:, k],
+                                                       times[k]))]
+    assert proven, "no sample certified"
+    k = proven[0]
+    level = certificate.levels(phases[:, k], times[k])[:, 0]
+    u, size, _, _ = certificate.excess(phases[:, k + 1:])
+    rounding = (layer.size + len(edges) + 16) * kuramoto._EPS * size
+    assert np.all(u - rounding <= level[:, None])
+    # the stop leaves the table as the full scan gives it
+    assert ensemble_sync_times(layer, runs, seed, edges, threshold,
+                               t_max=t_max, dt=dt).entries \
+        == sync_times(EnsembleResult(layer, times, phases, seed), edges,
+                      threshold).entries
+
+
+def test_stop_reaches_the_child_a_block_ahead(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
+                             dt=0.01)
+    block = kuramoto._BLOCK_SAMPLES
+    first_check = kuramoto._CHECK_BLOCKS - 1
+    # the last sample the forked half has read, in memory both share
+    reached = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    reached[0] = -1
+
+    def states(first, last):
+        for k in range(len(ens.times)):
+            if first > 0:
+                reached[0] = k
+            yield ens.phases[first:last, k]
+
+    class Stops:
+        below = np.array([False])
+        residual, hessian = 0.0, np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+        def levels(self, phases, t):
+            return np.zeros((len(phases), 2))
+
+        def proves(self, levels):
+            # stop once the child has filled the block after this one
+            deadline = time.monotonic() + 30.0
+            while reached[0] < (first_check + 2) * block - 1:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            return True
+
+    monkeypatch.setattr(_certificate, "lock_certificate",
+                        lambda *args: Stops())
+    table = kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+                                states, certify=True)
+    # the child read no sample past that block: it stopped on the message
+    assert reached[0] == (first_check + 2) * block - 1
+    assert len(forks) == 1
+    assert list(table.entries) == [(1, 2)]
+
+
+def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
+    # The forked half diverges a block ahead and ends before the parent
+    # sends its next "slot free": the parent must raise the divergence.
+    _use_cpus(monkeypatch, 2)
+    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
+                             dt=0.01)
+    block = kuramoto._BLOCK_SAMPLES
+    first_check = kuramoto._CHECK_BLOCKS - 1
+    diverging = (first_check + 1) * block + 2
+    ended = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+    ended[0] = 0
+
+    def states(first, last):
+        for k in range(len(ens.times)):
+            if first > 0 and k == diverging:
+                ended[0] = 1
+                raise NumericalDivergence(float(ens.times[k]))
+            yield ens.phases[first:last, k]
+
+    class Waits:
+        below = np.array([False])
+
+        def levels(self, phases, t):
+            return np.zeros((len(phases), 2))
+
+        def proves(self, levels):
+            deadline = time.monotonic() + 30.0
+            while not ended[0]:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            time.sleep(0.2)   # for the child to send its report and exit
+            return False
+
+    monkeypatch.setattr(_certificate, "lock_certificate",
+                        lambda *args: Waits())
+    with pytest.raises(NumericalDivergence) as err:
+        kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+                            states, certify=True)
+    assert err.value.t == ens.times[diverging]

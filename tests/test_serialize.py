@@ -123,6 +123,16 @@ def test_scenario_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
+    # int() would take these as 20, 1, 2 and 1 runs, seeds or rounds
+    data = dict(base, case_path="x.m", max_stalled_rounds=3)
+    assert scenario_from_dict(dict(data, ensemble_size=20.0)).ensemble_size \
+        == 20
+    for key, value in (("ensemble_size", 20.7), ("seed", True),
+                       ("seed", False), ("n_mu", 2.9),
+                       ("max_stalled_rounds", 1.5), ("ensemble_size", True),
+                       ("seed", math.inf), ("n_mu", math.nan)):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict(dict(data, **{key: value}))
 
 
 def test_scenario_from_dict_missing_keys():
