@@ -96,7 +96,7 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
     """Scenario config with CLI overrides, and its post-fault network."""
     cfg = load_scenario(args.config)
     overrides = {key: value for key, value in vars(args).items()
-                 if key in ("algorithm", "mode", "seed") and value is not None}
+                 if key in ("algorithm", "seed") and value is not None}
     if overrides:
         cfg = replace(cfg, **overrides)
     network = build_network(load_case(cfg.case_path), cfg.generator_set)
@@ -158,16 +158,18 @@ def _pre_partition_flow(network: PowerNetwork):
     No partition changes it, so with two usable CPUs a forked child
     solves it while this process grows the partition and writes its
     artifacts. Yields the ``pre_partition`` argument of
-    ``compute_metrics``: the child's outcome, or None to solve it there.
+    ``compute_metrics``: the child's outcome, or None to solve it there
+    (one CPU, or a fork refused at a process limit).
     The child calls ``metrics.ac_power_flow``, the name
     ``compute_metrics`` would call.
     """
-    if _usable_cpus() < 2:
-        yield None
-        return
-    with Forked(lambda child: child.send(
-            metrics.ac_power_flow(network, None))) as child:
-        yield child.receive
+    child = None
+    if _usable_cpus() >= 2:
+        with contextlib.suppress(OSError):
+            child = Forked(lambda child: child.send(
+                metrics.ac_power_flow(network, None)))
+    with child or contextlib.nullcontext():
+        yield child and child.receive
 
 
 def _validate_or_fail(network: PowerNetwork, partition: Partition) -> None:
@@ -202,7 +204,6 @@ class _ArtifactDir:
                 Path(config_path).read_bytes()).hexdigest(),
             "seed": cfg.seed,
             "algorithm": cfg.algorithm,
-            "mode": cfg.mode,
             "created_utc": datetime.now(timezone.utc).isoformat(),
             "artifacts": self.artifacts,
         }
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     growth = argparse.ArgumentParser(add_help=False, parents=[config])
     growth.add_argument("--algorithm",
                         choices=["centralized", "decentralized"])
-    # one engine; the flag stays so existing command lines keep working
+    # one engine; the flag sets nothing, so old command lines still work
     growth.add_argument("--mode", choices=["analytic"])
     growth.add_argument("--out-dir", default=".", help="artifact directory")
 

@@ -14,8 +14,12 @@ or wait:
 Rounds are synchronous and deterministic. All agents evaluate against
 the round-start registry; joins commit at round end in ascending node-id
 order, and a commit invalidates later joiners that watched the island it
-changed (they see a stale snapshot and retry next round). Enclosure
+changed (they read stale frequencies and retry next round). Enclosure
 joins skip the staleness check since they use no frequency data.
+Each evaluation emits one ``estimate`` event, ``{"islands": {label:
+frequency read}, "estimates": {label: estimate or null}}``, then a
+``wait`` or, at commit, a ``join`` or ``stale`` (``{"island",
+"current"}``: the frequencies at commit time).
 
 Both frequencies are locked frequencies, and a Kuramoto layer locks to
 its mean natural frequency. So the registry publishes each island's
@@ -211,13 +215,8 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
                       neighbor_islands=frozenset(watched),
                       snapshot_freqs=snapshot)
     agent.decision = agent_decide(agent, estimates, enclosing)
-    # A locked frequency is known at once, so every watched island agrees
-    # at t = 0; the two time fields stay in events.json for its readers.
-    info = {
-        "estimates": {str(lbl): estimates[lbl] for lbl in watched},
-        "agreement_times": {str(lbl): 0.0 for lbl in watched},
-        "ready_time": 0.0,
-    }
+    info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
+            "estimates": {str(lbl): estimates[lbl] for lbl in watched}}
     return agent, estimates, info
 
 
@@ -282,9 +281,6 @@ def run_decentralized(network: PowerNetwork,
             agent, estimates, info = _evaluate_agent(
                 network, registry, node, injection)
             evaluations += len(agent.neighbor_islands)
-            emit(node, "snapshot", {
-                "islands": {str(lbl): freq
-                            for lbl, freq in agent.snapshot_freqs.items()}})
             emit(node, "estimate", info)
             if agent.decision.action == "join":
                 joiners.append(agent)
@@ -300,8 +296,6 @@ def run_decentralized(network: PowerNetwork,
                 if staleness_check(agent, registry, epsilon) == "stale":
                     emit(agent.node_id, "stale", {
                         "island": decision.label,
-                        "snapshot": {str(lbl): freq for lbl, freq
-                                     in agent.snapshot_freqs.items()},
                         "current": {str(lbl): registry.island_freq[lbl]
                                     for lbl in agent.snapshot_freqs}})
                     continue

@@ -424,7 +424,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     entry of ``times``.
 
     This process reads runs ``[:split]``; a forked child reads runs
-    ``[split:]`` when ``split < n_runs``. Each writes
+    ``[split:]`` when ``split < n_runs`` and it can be forked. Each writes
     cos(theta_low - theta_high) of its runs into its columns of a shared
     buffer laid out as (sample, edge, run), a block of samples at a time
     into one of two slots. This process reduces each block with
@@ -496,11 +496,14 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
             if report[0] is not None:
                 return
 
+    try:
+        child = _ForkedHalf(upper_half) if split < n_runs else None
+    except OSError:    # refused at a process limit: read every run here
+        child, split = None, n_runs
     last_bad = np.full(len(keys), -1)
     stream = states(0, split)
     stop = None
-    with (_ForkedHalf(upper_half) if split < n_runs
-          else contextlib.nullcontext()) as child:
+    with child or contextlib.nullcontext():
         for b, start in enumerate(starts):
             reports = [fill(b, 0, split, stream)]
             if child is not None:

@@ -33,7 +33,6 @@ class ScenarioConfig:
     rho_threshold: float
     freq_epsilon: float
     algorithm: str = "centralized"
-    mode: str = "analytic"
     max_stalled_rounds: int = 3
 
     def __post_init__(self):
@@ -66,13 +65,12 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("rho_threshold must lie in (0, 1)")
     if cfg.freq_epsilon <= 0:
         raise ConfigError("freq_epsilon must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.ensemble_size < 1:
         raise ConfigError("ensemble_size must be at least 1")
     if cfg.algorithm not in ("centralized", "decentralized"):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    # "analytic" is the only engine; the key stays for existing files
-    if cfg.mode != "analytic":
-        raise ConfigError(f"unknown mode {cfg.mode!r}")
     if cfg.max_stalled_rounds < 1:
         raise ConfigError("max_stalled_rounds must be at least 1")
 
@@ -101,6 +99,8 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
     missing = [k for k in _REQUIRED_KEYS if k not in data]
     if missing:
         raise ConfigError(f"scenario config missing keys: {missing}")
+    if data.get("mode", "analytic") != "analytic":   # the one engine
+        raise ConfigError(f"unknown mode {data['mode']!r}")
     case_path = Path(data["case_path"])
     if base_dir is not None and not case_path.is_absolute():
         case_path = base_dir / case_path
@@ -120,7 +120,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
             rho_threshold=float(data["rho_threshold"]),
             freq_epsilon=float(data["freq_epsilon"]),
             algorithm=data.get("algorithm", "centralized"),
-            mode=data.get("mode", "analytic"),
             max_stalled_rounds=_integer(
                 "max_stalled_rounds", data.get("max_stalled_rounds", 3)),
         )

@@ -1,6 +1,7 @@
 """Command-line pipeline: artifacts, exit codes, determinism."""
 
 import csv
+import errno
 import hashlib
 import json
 import math
@@ -102,12 +103,21 @@ def test_bad_scenario_exit_2(workspace, capsys):
     tmp_path, cfg = workspace
     good = json.loads(cfg.read_text(encoding="utf-8"))
     for key, value in (("rho_threshold", 2.0), ("ensemble_size", 20.7),
-                       ("seed", True)):
+                       ("seed", True), ("seed", -3), ("mode", "simulated")):
         cfg.write_text(json.dumps(dict(good, **{key: value})),
                        encoding="utf-8")
         rc = main(["sync-times", "--config", str(cfg)])
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    # a negative seed is refused before run-all writes any artifact
+    cfg.write_text(json.dumps(good), encoding="utf-8")
+    for algorithm in ("centralized", "decentralized"):
+        out_dir = tmp_path / algorithm
+        rc = main(["run-all", "--config", str(cfg), "--seed", "-3",
+                   "--algorithm", algorithm, "--out-dir", str(out_dir)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert not out_dir.exists()
 
 
 def test_infinite_horizon_exit_2(workspace, capsys):
@@ -290,9 +300,10 @@ def test_run_all_decentralized_uses_events_log(workspace):
 
 
 # sha256 of events.json from decentralized run-all on the shipped
-# scenario, as recorded in perfbench/digests.json for ieee118-decentral.
+# scenario. perfbench/digests.json records the sha256 of the earlier
+# format, with a snapshot event per evaluation, for ieee118-decentral.
 SHIPPED_EVENTS_SHA256 = (
-    "6c1a0b5d5d1079af2185b7786c56e4ccc974c82ed3a6fcb34a0df1b4667eed19")
+    "8a65977cbbfe677aa60ad9b0b7c352db350a89e390ecfc5c0e8e5b1d9ef90616")
 
 
 def test_shipped_decentralized_events_are_pinned(scenario118_path,
@@ -302,6 +313,28 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
     assert rc == 0
     events = (tmp_path / "events.json").read_bytes()
     assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
+
+
+def test_shipped_events_record_each_fact_once(scenario118_path, tmp_path):
+    rc = main(["run-all", "--config", str(scenario118_path),
+               "--algorithm", "decentralized", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    log = json.loads((tmp_path / "events.json").read_text(encoding="utf-8"))
+    read = {}
+    for event in log["events"]:
+        payload = event["payload"]
+        if event["action"] == "estimate":
+            assert set(payload) == {"islands", "estimates"}
+            assert set(payload["islands"]) == set(payload["estimates"])
+            read[event["round"], event["node"]] = payload["islands"]
+        elif event["action"] == "stale":
+            assert set(payload) == {"island", "current"}
+            # the frequencies the agent read are in its estimate
+            assert set(payload["current"]) == \
+                set(read[event["round"], event["node"]])
+    manifest = json.loads((tmp_path / "run_manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert "mode" not in manifest
 
 
 @pytest.mark.parametrize("algorithm, count", [("centralized", 6),
@@ -648,3 +681,28 @@ def test_shipped_scenario_same_bytes_with_one_or_two_cpus(
     assert code == 0
     assert artifacts["metrics.json"] == (
         tmp_path / "decentralized" / "cpus1" / "metrics.json").read_bytes()
+
+
+def test_failed_fork_falls_back_to_in_process_work(
+        scenario118_path, monkeypatch, capsys, caplog, tmp_path):
+    # At a process limit os.fork raises EAGAIN; both fork sites then do
+    # the child's work in this process, as with one CPU.
+    attempts = []
+
+    def eagain():
+        attempts.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", eagain)
+    for algorithm, forks in (("decentralized", 1), ("centralized", 2)):
+        argv = ["run-all", "--config", str(scenario118_path),
+                "--algorithm", algorithm, "--out-dir", "OUT"]
+        outcomes = []
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            attempts.clear()
+            outcomes.append(_outcome(argv, tmp_path / algorithm / str(cpus),
+                                     capsys, caplog))
+            assert len(attempts) == (cpus - 1) * forks
+        assert outcomes[0][0] == 0
+        assert outcomes[0] == outcomes[1]

@@ -308,8 +308,7 @@ def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
     assert result.rounds == 45
     assert result.fallback_nodes == (105, 106, 109, 107, 108)
     actions = Counter(e["action"] for e in result.events)
-    assert actions == {"snapshot": 1038, "estimate": 1038, "stale": 949,
-                       "join": 85, "wait": 9}
+    assert actions == {"estimate": 1038, "stale": 949, "join": 85, "wait": 9}
 
 
 def test_watched_islands_follow_membership():

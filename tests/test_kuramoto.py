@@ -1,6 +1,7 @@
 """Oscillator layer: construction, integration, coherence, sync times."""
 
 import dataclasses
+import errno
 import logging
 import math
 import mmap
@@ -829,3 +830,24 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
         kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
                             states, certify=True)
     assert err.value.t == ens.times[diverging]
+
+
+def test_failed_fork_integrates_every_run_here(net118_faulted, monkeypatch):
+    # At a process limit os.fork raises EAGAIN; the scan then integrates
+    # the upper half in this process too, with the table's bits.
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    edges = sorted(net118_faulted.edge_set())
+    grid = dict(t_max=300 * STABLE_DT, dt=STABLE_DT)
+    _use_cpus(monkeypatch, 1)
+    expected = ensemble_sync_times(layer, 12, 5, edges, **grid)
+    attempts = []
+
+    def eagain():
+        attempts.append(1)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", eagain)
+    _use_cpus(monkeypatch, 2)
+    assert ensemble_sync_times(layer, 12, 5, edges,
+                               **grid).entries == expected.entries
+    assert len(attempts) == 1

@@ -88,7 +88,7 @@ def test_scenario_round_trip(scenario118):
         initial_islands=(M1_118, M2_118), fault_branches=((14, 15),),
         n_mu=2, seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
         rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized",
-        mode="analytic", max_stalled_rounds=3)
+        max_stalled_rounds=3)
 
 
 def test_scenario_relative_case_path(tmp_path, case118_path):
@@ -114,8 +114,7 @@ def test_scenario_validation():
            dict(base, dt=0.0), dict(base, dt=20.0),
            dict(base, rho_threshold=1.0), dict(base, freq_epsilon=0.0),
            dict(base, ensemble_size=0), dict(base, algorithm="magic"),
-           dict(base, mode="turbo"), dict(base, mode="simulated"),
-           dict(base, generator_set=()),
+           dict(base, seed=-1), dict(base, generator_set=()),
            dict(base, initial_islands=((1,), ())),
            dict(base, max_stalled_rounds=0),
            dict(base, dt=math.nan), dict(base, t_max=math.inf),
@@ -133,6 +132,12 @@ def test_scenario_validation():
                        ("seed", math.inf), ("n_mu", math.nan)):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict(dict(data, **{key: value}))
+    # "mode" keeps its one value, so existing files load; it sets nothing
+    assert scenario_from_dict(dict(data, mode="analytic")) == \
+        scenario_from_dict(data)
+    for mode in ("turbo", "simulated"):
+        with pytest.raises(ConfigError, match="mode"):
+            scenario_from_dict(dict(data, mode=mode))
 
 
 def test_scenario_from_dict_missing_keys():
