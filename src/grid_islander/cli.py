@@ -41,9 +41,8 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
 # ensemble_integrate and sync_times, the stored-trajectory pair, are no
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
-from .kuramoto import (build_layer, derivative, ensemble_half,
-                       ensemble_integrate, ensemble_run,
-                       ensemble_sync_times, sync_times)
+from .kuramoto import (build_layer, derivative, ensemble_integrate,
+                       ensemble_run, ensemble_sync_times, sync_times)
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
@@ -250,8 +249,7 @@ def cmd_simulate(args) -> int:
     times, phases = ensemble_run(layer, cfg.ensemble_size, cfg.seed, run,
                                  t_max=cfg.t_max, dt=cfg.dt)
     final_freq = derivative(layer, phases[-1])
-    integrated = len(ensemble_half(cfg.ensemble_size, run))
-    print(f"simulated {integrated} of {cfg.ensemble_size} runs x "
+    print(f"simulated 1 of {cfg.ensemble_size} runs x "
           f"{len(times) - 1} steps on {layer.size} nodes")
     print(f"run {run}: final frequency spread "
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "

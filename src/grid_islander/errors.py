@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer check that
+every reader of ids and counts applies."""
 
 from __future__ import annotations
 
@@ -19,6 +20,16 @@ class GridIslanderError(Exception):
 
 def _rebuild(cls: type, args: tuple) -> GridIslanderError:
     return cls.__new__(cls, *args)
+
+
+def integer(name: str, value, error: type[Exception] = ValueError) -> int:
+    """``int(value)``, raising ``error`` on a bool or a number with a
+    fraction, which ``int`` would silently take as 1, 0 or the truncated
+    number."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class NotFound(GridIslanderError):

@@ -339,27 +339,18 @@ def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
                  t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
 
-    Only the half of the ensemble that holds the run is integrated (the
-    halves of ``ensemble_sync_times``), so its phases equal
-    ``ensemble_integrate(...).phases[run]`` bit for bit; only its own
-    samples are stored.
+    The run is integrated alone, as a batch of two copies of its initial
+    phases (one row for a one-run ensemble), so its phases equal
+    ``ensemble_integrate(...).phases[run]`` bit for bit (see ``_half``);
+    only its own samples are stored. NumericalDivergence means this run
+    diverged.
     """
-    half = ensemble_half(n_runs, run)
-    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
-    states = _rk4(_make_rhs(layer), initial[half.start:half.stop], times)
-    return times, _stored(times,
-                          (state[run - half.start] for state in states),
-                          (layer.size,))
-
-
-def ensemble_half(n_runs: int, run: int) -> range:
-    """The runs that ``ensemble_run`` integrates to give run ``run``:
-    the half of the ensemble that ``ensemble_sync_times`` would integrate
-    in the same process as it."""
     if not 0 <= run < n_runs:
         raise ValueError(f"run index {run} out of range ({n_runs} runs)")
-    split = _half(n_runs)
-    return range(0, split) if run < split else range(split, n_runs)
+    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    states = _rk4(_make_rhs(layer), initial[[run] * min(n_runs, 2)], times)
+    return times, _stored(times, (state[0] for state in states),
+                          (layer.size,))
 
 
 def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,

@@ -8,7 +8,6 @@ Row order of every table is preserved.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 from typing import Iterable
@@ -17,8 +16,6 @@ import numpy as np
 
 from .errors import ConfigError, MissingSection, ParseError, SchemaError
 from .network import Branch, Bus, PowerNetwork
-
-logger = logging.getLogger("grid_islander.matpower")
 
 # Minimum column counts per table, from the MATPOWER data format.
 _MIN_COLUMNS = {"bus": 13, "gen": 10, "branch": 11}
@@ -203,8 +200,4 @@ def build_network(case: RawCase,
             status=True,
         ))
 
-    network = PowerNetwork(buses, branches, case.base_mva, v_gen)
-    if not network.connected:
-        logger.warning("case network is disconnected after dropping "
-                       "out-of-service branches")
-    return network
+    return PowerNetwork(buses, branches, case.base_mva, v_gen)

@@ -89,14 +89,8 @@ class Partition:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the partition checks, one flag per requirement; a
-    repeated island label shows in ``issues`` only."""
+    """Outcome of the partition checks: one message per violation."""
 
-    cover_ok: bool
-    disjoint_ok: bool
-    connectivity_ok: dict[int, bool]
-    generator_ok: dict[int, bool]
-    cut_set: tuple[tuple[int, int], ...]
     issues: tuple[str, ...]
 
     @property
@@ -300,54 +294,39 @@ def make_partition(network: PowerNetwork,
 
 def validate_partition(network: PowerNetwork,
                        partition: Partition) -> ValidityReport:
-    """Check label uniqueness, cover, disjointness, island connectivity,
+    """Check cover, disjointness, label uniqueness, island connectivity,
     generator presence.
 
     Returns a report rather than raising, so callers can surface every
-    violated requirement at once. The cut set is recomputed here and
-    included in the report.
+    violated requirement at once.
     """
     issues: list[str] = []
     all_nodes = set(network.node_ids())
     seen: set[int] = set()
-    disjoint = True
     for isl in partition.islands:
         overlap = seen & isl.node_set
         if overlap:
-            disjoint = False
             issues.append(f"island {isl.label} overlaps earlier islands "
                           f"on {sorted(overlap)}")
         seen |= isl.node_set
-    cover = seen == all_nodes
-    if not cover:
-        missing = sorted(all_nodes - seen)
-        extra = sorted(seen - all_nodes)
-        if missing:
-            issues.append(f"uncovered nodes: {missing}")
-        if extra:
-            issues.append(f"unknown nodes: {extra}")
+    missing = sorted(all_nodes - seen)
+    extra = sorted(seen - all_nodes)
+    if missing:
+        issues.append(f"uncovered nodes: {missing}")
+    if extra:
+        issues.append(f"unknown nodes: {extra}")
 
-    # a label shared by several islands is ok only if all of them are
-    connectivity: dict[int, bool] = {}
-    generator: dict[int, bool] = {}
+    labels: set[int] = set()
     for isl in partition.islands:
-        if isl.label in connectivity:
+        if isl.label in labels:
             issues.append(f"island label {isl.label} is used more than once")
+        labels.add(isl.label)
         known = {n for n in isl.node_set if network.has_bus(n)}
-        ok = bool(known) and network.subgraph_connected(known)
-        connectivity[isl.label] = connectivity.get(isl.label, True) and ok
-        if not ok:
+        if not (known and network.subgraph_connected(known)):
             issues.append(f"island {isl.label} is not connected")
-        has_gen = bool(known & network.generator_set)
-        generator[isl.label] = generator.get(isl.label, True) and has_gen
-        if not has_gen:
+        if not known & network.generator_set:
             issues.append(f"island {isl.label} has no generator")
-
-    cut = compute_cut_set(network, partition.islands)
-    return ValidityReport(cover_ok=cover, disjoint_ok=disjoint,
-                          connectivity_ok=connectivity,
-                          generator_ok=generator,
-                          cut_set=cut, issues=tuple(issues))
+    return ValidityReport(issues=tuple(issues))
 
 
 def island_imbalance(network: PowerNetwork, island: Island) -> float:

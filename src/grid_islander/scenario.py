@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, integer
 
 SCHEMA_VERSION = 1
 
@@ -17,15 +17,15 @@ class ScenarioConfig:
     """Everything a partitioning run needs besides the case file itself.
 
     ``initial_islands`` holds the seed node sets in label order (island 1
-    first). ``freq_epsilon`` is the frequency-agreement threshold used by
-    the decentralized staleness check, in per-unit.
+    first); ``n_mu`` is their number. ``freq_epsilon`` is the
+    frequency-agreement threshold used by the decentralized staleness
+    check, in per-unit.
     """
 
     case_path: Path
     generator_set: tuple[int, ...]
     initial_islands: tuple[tuple[int, ...], ...]
     fault_branches: tuple[tuple[int, int], ...]
-    n_mu: int
     seed: int
     ensemble_size: int
     t_max: float
@@ -38,18 +38,24 @@ class ScenarioConfig:
     def __post_init__(self):
         object.__setattr__(self, "case_path", Path(self.case_path))
         object.__setattr__(self, "generator_set",
-                           tuple(int(b) for b in self.generator_set))
+                           _ids("generator_set", self.generator_set))
         object.__setattr__(self, "initial_islands", tuple(
-            tuple(int(n) for n in isl) for isl in self.initial_islands))
+            _ids("initial_islands", isl) for isl in self.initial_islands))
         object.__setattr__(self, "fault_branches", tuple(
-            (int(a), int(b)) for a, b in self.fault_branches))
+            _ids("fault_branches", (a, b)) for a, b in self.fault_branches))
         _validate(self)
+
+    @property
+    def n_mu(self) -> int:
+        return len(self.initial_islands)
+
+
+def _ids(name: str, values) -> tuple[int, ...]:
+    return tuple(integer(f"bus id in {name}", value, ConfigError)
+                 for value in values)
 
 
 def _validate(cfg: ScenarioConfig) -> None:
-    if cfg.n_mu != len(cfg.initial_islands):
-        raise ConfigError(f"n_mu is {cfg.n_mu} but {len(cfg.initial_islands)} "
-                          f"initial islands were given")
     if cfg.n_mu < 2:
         raise ConfigError("at least two initial islands are required")
     if any(len(isl) == 0 for isl in cfg.initial_islands):
@@ -76,17 +82,8 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 
 _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
-                  "fault_branches", "n_mu", "seed", "ensemble_size",
+                  "fault_branches", "seed", "ensemble_size",
                   "t_max", "dt", "rho_threshold", "freq_epsilon")
-
-
-def _integer(name: str, value) -> int:
-    """``int(value)``, refusing a bool or a number with a fraction, which
-    ``int`` would silently take as 1, 0 or the truncated number."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None
@@ -105,6 +102,12 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
     if base_dir is not None and not case_path.is_absolute():
         case_path = base_dir / case_path
     try:
+        if "n_mu" in data:    # optional; it can only repeat the count
+            n_mu = integer("n_mu", data["n_mu"], ConfigError)
+            if n_mu != len(data["initial_islands"]):
+                raise ConfigError(
+                    f"n_mu is {n_mu} but {len(data['initial_islands'])} "
+                    f"initial islands were given")
         return ScenarioConfig(
             case_path=case_path,
             generator_set=tuple(data["generator_set"]),
@@ -112,16 +115,17 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
                                   for isl in data["initial_islands"]),
             fault_branches=tuple(tuple(pair)
                                  for pair in data["fault_branches"]),
-            n_mu=_integer("n_mu", data["n_mu"]),
-            seed=_integer("seed", data["seed"]),
-            ensemble_size=_integer("ensemble_size", data["ensemble_size"]),
+            seed=integer("seed", data["seed"], ConfigError),
+            ensemble_size=integer("ensemble_size", data["ensemble_size"],
+                                  ConfigError),
             t_max=float(data["t_max"]),
             dt=float(data["dt"]),
             rho_threshold=float(data["rho_threshold"]),
             freq_epsilon=float(data["freq_epsilon"]),
             algorithm=data.get("algorithm", "centralized"),
-            max_stalled_rounds=_integer(
-                "max_stalled_rounds", data.get("max_stalled_rounds", 3)),
+            max_stalled_rounds=integer(
+                "max_stalled_rounds", data.get("max_stalled_rounds", 3),
+                ConfigError),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from None

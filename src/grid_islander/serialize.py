@@ -16,7 +16,7 @@ import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import SchemaError, integer
 from .network import Branch, Bus, Island, Partition, PowerNetwork
 
 NETWORK_SCHEMA_VERSION = 1
@@ -80,10 +80,12 @@ def partition_to_dict(partition: Partition) -> dict:
 def partition_from_dict(data: dict) -> Partition:
     try:
         islands = tuple(
-            Island(label=int(row["label"]),
-                   node_set=frozenset(int(n) for n in row["nodes"]))
+            Island(label=integer("label", row["label"]),
+                   node_set=frozenset(integer("node", n)
+                                      for n in row["nodes"]))
             for row in data["islands"])
-        cut = tuple((int(a), int(b)) for a, b in data["cut_set"])
+        cut = tuple((integer("cut_set node", a), integer("cut_set node", b))
+                    for a, b in data["cut_set"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed partition JSON: {exc}") from None
     return Partition(islands=islands, cut_set=cut)
@@ -110,7 +112,7 @@ def sync_table_from_dict(data: dict):
             t = math.inf if t == "inf" else float(t)
             if not t >= 0.0:
                 raise ValueError(f"t_sync {t} is not a nonnegative time")
-            i, j = sorted((int(row["i"]), int(row["j"])))
+            i, j = sorted((integer("i", row["i"]), integer("j", row["j"])))
             if i == j or (i, j) in entries:
                 raise ValueError(f"edge {i}-{j} is a loop or listed twice")
             entries[(i, j)] = t

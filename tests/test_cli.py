@@ -103,7 +103,10 @@ def test_bad_scenario_exit_2(workspace, capsys):
     tmp_path, cfg = workspace
     good = json.loads(cfg.read_text(encoding="utf-8"))
     for key, value in (("rho_threshold", 2.0), ("ensemble_size", 20.7),
-                       ("seed", True), ("seed", -3), ("mode", "simulated")):
+                       ("seed", True), ("seed", -3), ("mode", "simulated"),
+                       ("n_mu", 3), ("generator_set", [1.5, 4]),
+                       ("initial_islands", [[1], [True]]),
+                       ("fault_branches", [[4.5, 5]])):
         cfg.write_text(json.dumps(dict(good, **{key: value})),
                        encoding="utf-8")
         rc = main(["sync-times", "--config", str(cfg)])
@@ -200,6 +203,32 @@ def test_nan_sync_table_exit_2(workspace, capsys):
     assert not (tmp_path / "out" / "steps.json").exists()
 
 
+def test_fractional_ids_in_files_exit_2(workspace, capsys):
+    # int() would read node 2.5 as 2, label 1.7 as 1, true as 1 and
+    # i = 1.25 as edge 1-2
+    tmp_path, cfg = workspace
+    islands = [{"label": 1, "nodes": [1, 2, 3]},
+               {"label": 2, "nodes": [4, 5]}]
+    for bad in ({"label": 1.7}, {"nodes": [1, 2.5, 3]}, {"nodes": [True, 3]}):
+        path = tmp_path / "partition.json"
+        path.write_text(json.dumps({"islands": [dict(islands[0], **bad),
+                                                islands[1]],
+                                    "cut_set": [[3, 4]]}), encoding="utf-8")
+        rc = main(["metrics", "--config", str(cfg), "--partition", str(path),
+                   "--out", str(tmp_path / "metrics.json")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+    table = tmp_path / "sync_times.json"
+    table.write_text(json.dumps({"edges": [
+        {"i": 1.25, "j": 2, "t_sync": 0.5}]}), encoding="utf-8")
+    rc = main(["partition", "--config", str(cfg), "--sync-table", str(table),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
+    assert not (tmp_path / "metrics.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_writes_trajectory(workspace, capsys):
     tmp_path, cfg = workspace
     out = tmp_path / "traj.csv"
@@ -215,20 +244,25 @@ def test_simulate_writes_trajectory(workspace, capsys):
     assert rc == 2   # run index beyond the ensemble
 
 
-@pytest.mark.parametrize("ensemble_size, run, integrated", [
-    (4, 1, 2), (4, 3, 2), (5, 1, 2), (5, 4, 3), (3, 2, 3)])
+@pytest.mark.parametrize("ensemble_size, run, rows", [
+    (4, 1, 2), (4, 3, 2), (5, 1, 2), (5, 4, 2), (3, 2, 2), (1, 0, 1)])
 def test_simulate_reports_the_runs_it_integrates(workspace, capsys,
-                                                 ensemble_size, run,
-                                                 integrated):
+                                                 monkeypatch, ensemble_size,
+                                                 run, rows):
+    # one batch: two copies of the run's initial phases, or the one run
     tmp_path, cfg = workspace
     data = json.loads(cfg.read_text(encoding="utf-8"))
     data.update(ensemble_size=ensemble_size, t_max=0.1)
     cfg.write_text(json.dumps(data), encoding="utf-8")
+    batches = []
+    rk4 = kuramoto._rk4
+    monkeypatch.setattr(kuramoto, "_rk4", lambda rhs, initial, times: (
+        batches.append(len(initial)) or rk4(rhs, initial, times)))
     rc = main(["simulate", "--config", str(cfg), "--run", str(run)])
     assert rc == 0
+    assert batches == [rows]
     assert capsys.readouterr().out.splitlines()[0] == (
-        f"simulated {integrated} of {ensemble_size} runs x 10 steps on "
-        f"5 nodes")
+        f"simulated 1 of {ensemble_size} runs x 10 steps on 5 nodes")
 
 
 def test_simulate_rejects_bad_run_before_integrating(workspace, capsys,
@@ -471,7 +505,7 @@ def test_pipeline_stage_calls(workspace, monkeypatch, argv, calls,
                               .read_text(encoding="utf-8"))
         assert list(manifest["artifacts"]) == artifacts
 
-def _run_cli(args, env_extra=None):
+def _run_cli(args, env_extra=None, before_exit="pass"):
     # the child imports the same package this test imported
     package_root = str(Path(grid_islander.__file__).parents[1])
     env = dict(os.environ)
@@ -480,9 +514,31 @@ def _run_cli(args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     code = ("import sys; from grid_islander.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
+            f"rc = main(sys.argv[1:]); {before_exit}; sys.exit(rc)")
     return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, env=env)
+
+
+def test_parse_and_decentralized_runs_skip_lazy_imports(
+        workspace, case118_path, scenario118_path):
+    # The lock proof and multiprocessing are imported inside the functions
+    # that need them, which keeps their import time out of these commands.
+    tmp_path, cfg = workspace
+    lazy = ("grid_islander._certificate", "multiprocessing")
+
+    def loaded(args):
+        proc = _run_cli(args, before_exit=(
+            f"print(*(m for m in {lazy!r} if m in sys.modules))"))
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.splitlines()[-1].split())
+
+    assert loaded(["parse", str(case118_path)]) == set()
+    assert "grid_islander._certificate" not in loaded(
+        ["run-all", "--config", str(scenario118_path), "--algorithm",
+         "decentralized", "--out-dir", str(tmp_path / "decentralized")])
+    # the probe sees the proof where a sync table is scanned
+    assert "grid_islander._certificate" in loaded(
+        ["sync-times", "--config", str(cfg)])
 
 
 def test_log_env_variable_controls_verbosity(workspace):

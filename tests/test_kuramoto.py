@@ -416,13 +416,15 @@ def _divergence_time(call):
 def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
     layer = _overflowing_layer()
     grid = dict(t_max=50.0, dt=1.0)
-    earlier = set()
+    rhs = kuramoto._make_rhs(layer)
+    earlier, quiet = set(), 0
     for seed in (0, 1, 3):
-        # ensemble_run integrates only the half of the 8 runs that holds
-        # its run, so runs 0 and 7 give each half's divergence time
+        times, initial = kuramoto._ensemble_start(layer, 8, seed, **grid)
+        # with two CPUs ensemble_sync_times integrates runs [:4] here and
+        # runs [4:] in a forked child
         lower, upper = (_divergence_time(
-            lambda: ensemble_run(layer, 8, seed, run, **grid))
-            for run in (0, 7))
+            lambda: list(kuramoto._rk4(rhs, initial[rows], times)))
+            for rows in (slice(0, 4), slice(4, 8)))
         whole = _divergence_time(
             lambda: ensemble_integrate(layer, 8, seed, **grid))
         assert whole == min(lower, upper)
@@ -431,7 +433,17 @@ def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
             assert _divergence_time(lambda: ensemble_sync_times(
                 layer, 8, seed, [(1, 2), (2, 3)], **grid)) == whole
         earlier.add("lower" if lower < upper else "upper")
+        # ensemble_run raises only when its own run diverges
+        own = []
+        for run in range(8):
+            try:
+                ensemble_run(layer, 8, seed, run, **grid)
+            except NumericalDivergence as exc:
+                own.append(exc.t)
+        assert min(own) == whole
+        quiet += 8 - len(own)
     assert earlier == {"lower", "upper"}
+    assert quiet > 0
 
 
 def _open_fds():
@@ -499,7 +511,7 @@ def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
     assert len(forks) == 1
 
 
-def test_ensemble_run_integrates_one_half(monkeypatch):
+def test_ensemble_run_integrates_its_run_alone(monkeypatch):
     batches = []
     make_rhs = kuramoto._make_rhs
 
@@ -513,13 +525,10 @@ def test_ensemble_run_integrates_one_half(monkeypatch):
 
     monkeypatch.setattr(kuramoto, "_make_rhs", recording)
     layer = two_node_layer(0.3, -0.3)
-    for n_runs, run, rows in ((20, 3, 10), (20, 10, 10), (5, 1, 2),
-                              (5, 4, 3), (3, 2, 3)):
+    for n_runs, run in ((20, 3), (20, 10), (5, 4), (3, 2), (2, 1), (1, 0)):
         batches.clear()
         ensemble_run(layer, n_runs, 0, run, t_max=0.1, dt=0.05)
-        assert set(batches) == {rows}
-        assert len(kuramoto.ensemble_half(n_runs, run)) == rows
-        assert run in kuramoto.ensemble_half(n_runs, run)
+        assert batches and set(batches) == {min(n_runs, 2)}
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted):
@@ -585,15 +594,15 @@ def test_stability_warning_follows_gershgorin_bound(net118_faulted, caplog):
 
 def test_ensemble_run_is_the_stored_run(net118_faulted):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
-    ens = ensemble_integrate(layer, 5, 3, t_max=100 * STABLE_DT,
-                             dt=STABLE_DT)
-    for run in (0, 4):
-        times, phases = ensemble_run(layer, 5, 3, run,
-                                     t_max=100 * STABLE_DT, dt=STABLE_DT)
-        assert np.array_equal(times, ens.times)
-        assert np.array_equal(phases, ens.phases[run])
-        assert np.array_equal(derivative(layer, phases),
-                              derivative(layer, ens.phases[run]))
+    grid = dict(t_max=100 * STABLE_DT, dt=STABLE_DT)
+    for n_runs, runs in ((5, (0, 4)), (2, (1,)), (1, (0,))):
+        ens = ensemble_integrate(layer, n_runs, 3, **grid)
+        for run in runs:
+            times, phases = ensemble_run(layer, n_runs, 3, run, **grid)
+            assert np.array_equal(times, ens.times)
+            assert np.array_equal(phases, ens.phases[run])
+            assert np.array_equal(derivative(layer, phases),
+                                  derivative(layer, ens.phases[run]))
     with pytest.raises(ValueError):
         ensemble_run(layer, 5, 3, 5, t_max=1.0, dt=STABLE_DT)
 

@@ -1,5 +1,7 @@
 """Case-file parsing and network construction."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,17 @@ def test_out_of_service_branch_dropped():
         "\t1\t2\t0.02\t0.08\t0.02\t250\t250\t250\t0\t0\t0\t-360\t360;")
     net = build_network(parse_case(off))
     assert len(net.branches) == 1
+
+
+def test_disconnected_case_warns_once(caplog):
+    # taking the only branch out of service isolates bus 2
+    off = MINIMAL_CASE.replace("\t0\t0\t1\t-360\t360;",
+                               "\t0\t0\t0\t-360\t360;")
+    with caplog.at_level(logging.WARNING, logger="grid_islander"):
+        net = build_network(parse_case(off))
+    assert not net.connected
+    assert [record.getMessage() for record in caplog.records] == [
+        "in-service branch graph is disconnected"]
 
 
 def test_ieee118_case_counts(case118_path):

@@ -139,9 +139,6 @@ def test_validate_partition_good(five_path):
                            Island(label=2, node_set=frozenset({4, 5}))])
     report = validate_partition(five_path, part)
     assert report.all_ok
-    assert report.cover_ok and report.disjoint_ok
-    assert report.connectivity_ok == {1: True, 2: True}
-    assert report.generator_ok == {1: True, 2: True}
     assert report.issues == ()
 
 
@@ -153,10 +150,9 @@ def test_validate_partition_flags_problems(five_path):
         cut_set=frozenset())
     report = validate_partition(five_path, part)
     assert not report.all_ok
-    assert not report.cover_ok
-    assert report.connectivity_ok[1] is False   # {1,2,4} has a gap at 3
-    assert report.generator_ok[2] is False
-    assert any("5" in issue for issue in report.issues)
+    assert report.issues == ("uncovered nodes: [5]",
+                             "island 1 is not connected",   # gap at 3
+                             "island 2 has no generator")
 
 
 def test_validate_partition_overlap(five_path):
@@ -165,7 +161,7 @@ def test_validate_partition_overlap(five_path):
                  Island(label=2, node_set=frozenset({3, 4, 5}))),
         cut_set=frozenset())
     report = validate_partition(five_path, part)
-    assert not report.disjoint_ok
+    assert report.issues == ("island 2 overlaps earlier islands on [3]",)
 
 
 def test_validate_partition_duplicate_label_hides_nothing():
@@ -180,10 +176,32 @@ def test_validate_partition_duplicate_label_hides_nothing():
                  Island(label=2, node_set=frozenset({4, 5}))),
         cut_set=())
     report = validate_partition(net, part)
-    assert "island 1 is not connected" in report.issues
-    assert any("label 1" in issue for issue in report.issues)
-    assert report.connectivity_ok == {1: False, 2: True}
+    assert report.issues == ("island 1 is not connected",
+                             "island label 1 is used more than once")
     assert not report.all_ok
+
+
+def test_validate_partition_lists_every_issue_in_order(five_path):
+    # overlaps, then cover, then per island its repeated label,
+    # connectivity and generator; island 4 has no known bus at all
+    part = Partition(
+        islands=(Island(label=1, node_set=frozenset({1, 2})),
+                 Island(label=2, node_set=frozenset({2, 3, 9})),
+                 Island(label=2, node_set=frozenset({5})),
+                 Island(label=3, node_set=frozenset({1, 3})),
+                 Island(label=4, node_set=frozenset({8}))),
+        cut_set=())
+    assert validate_partition(five_path, part).issues == (
+        "island 2 overlaps earlier islands on [2]",
+        "island 3 overlaps earlier islands on [1, 3]",
+        "uncovered nodes: [4]",
+        "unknown nodes: [8, 9]",
+        "island 2 has no generator",
+        "island label 2 is used more than once",
+        "island 2 has no generator",
+        "island 3 is not connected",
+        "island 4 is not connected",
+        "island 4 has no generator")
 
 
 def test_island_imbalance(five_path):

@@ -48,6 +48,22 @@ def test_partition_round_trip(five_path):
     assert again == part
 
 
+def test_partition_ids_must_be_integers():
+    # int() would truncate the fractions and read true and false as 1 and 0
+    good = {"islands": [{"label": 1, "nodes": [36, 37]}], "cut_set": [[1, 2]]}
+    assert partition_from_dict(dict(good, islands=[
+        {"label": 1.0, "nodes": [36.0, 37]}])) == partition_from_dict(good)
+    for bad in ({"label": 1.7, "nodes": [36, 37]},
+                {"label": 1, "nodes": [36.5, 37]},
+                {"label": 1, "nodes": [True, 37]},
+                {"label": False, "nodes": [36, 37]}):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            partition_from_dict(dict(good, islands=[bad]))
+    for cut in ([[1.5, 2]], [[1, True]]):
+        with pytest.raises(SchemaError, match="must be an integer"):
+            partition_from_dict(dict(good, cut_set=cut))
+
+
 def test_sync_table_round_trip():
     table = SyncTimeTable(entries={(1, 2): 0.55, (2, 3): math.inf,
                                    (1, 3): 0.0})
@@ -65,11 +81,13 @@ def test_sync_table_round_trip():
 
 def test_sync_table_from_dict_orders_pairs_and_rejects_repeats():
     table = sync_table_from_dict(
-        {"edges": [{"i": 5, "j": 3, "t_sync": 1.5}]})
+        {"edges": [{"i": 5, "j": 3.0, "t_sync": 1.5}]})
     assert table.entries == {(3, 5): 1.5}
     assert table.get(3, 5) == table.get(5, 3) == 1.5
+    # int() would read the last three as edges 1-2
     for edges in ([[4, 4, 0.0]], [[1, 2, 0.5], [2, 1, 0.7]],
-                  [[1, 2, 0.5], [1, 2, 0.5]]):
+                  [[1, 2, 0.5], [1, 2, 0.5]], [[1.25, 2, 0.5]],
+                  [[1, 2.5, 0.5]], [[True, 2, 0.5]]):
         with pytest.raises(SchemaError):
             sync_table_from_dict({"edges": [
                 {"i": i, "j": j, "t_sync": t} for i, j, t in edges]})
@@ -86,7 +104,7 @@ def test_scenario_round_trip(scenario118):
     assert scenario118 == ScenarioConfig(
         case_path=DATA_DIR / "case118.m", generator_set=GEN_SET_118,
         initial_islands=(M1_118, M2_118), fault_branches=((14, 15),),
-        n_mu=2, seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
+        seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
         rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized",
         max_stalled_rounds=3)
 
@@ -107,10 +125,10 @@ def test_scenario_relative_case_path(tmp_path, case118_path):
 def test_scenario_validation():
     base = dict(case_path="x.m", generator_set=(1,),
                 initial_islands=((1,), (2,)), fault_branches=(),
-                n_mu=2, seed=0, ensemble_size=5, t_max=10.0, dt=0.01,
+                seed=0, ensemble_size=5, t_max=10.0, dt=0.01,
                 rho_threshold=0.99, freq_epsilon=1e-3)
-    ScenarioConfig(**base)   # sanity: the base config is fine
-    bad = [dict(base, n_mu=3), dict(base, n_mu=1, initial_islands=((1,),)),
+    assert ScenarioConfig(**base).n_mu == 2   # the base config is fine
+    bad = [dict(base, initial_islands=((1,),)),
            dict(base, dt=0.0), dict(base, dt=20.0),
            dict(base, rho_threshold=1.0), dict(base, freq_epsilon=0.0),
            dict(base, ensemble_size=0), dict(base, algorithm="magic"),
@@ -118,7 +136,11 @@ def test_scenario_validation():
            dict(base, initial_islands=((1,), ())),
            dict(base, max_stalled_rounds=0),
            dict(base, dt=math.nan), dict(base, t_max=math.inf),
-           dict(base, freq_epsilon=math.nan)]
+           dict(base, freq_epsilon=math.nan),
+           # int() would take these as buses 1, 3 and 14
+           dict(base, generator_set=(1.5,)), dict(base, generator_set=(True,)),
+           dict(base, initial_islands=((3.5,), (2,))),
+           dict(base, fault_branches=((14.5, 15),))]
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
@@ -126,6 +148,21 @@ def test_scenario_validation():
     data = dict(base, case_path="x.m", max_stalled_rounds=3)
     assert scenario_from_dict(dict(data, ensemble_size=20.0)).ensemble_size \
         == 20
+    # n_mu is optional; given, it must be an integer and match the islands
+    assert scenario_from_dict(dict(data, n_mu=2.0)) == \
+        scenario_from_dict(data) == scenario_from_dict(dict(data, n_mu=2))
+    with pytest.raises(ConfigError, match="n_mu is 3 but 2 initial islands"):
+        scenario_from_dict(dict(data, n_mu=3))
+    assert scenario_from_dict(dict(data, initial_islands=[[1.0], [2]],
+                                   fault_branches=[[1, 2.0]])) == \
+        dataclasses.replace(scenario_from_dict(data),
+                            fault_branches=((1, 2),))
+    for key, value in (("generator_set", [36.5]),
+                       ("initial_islands", [[3.5], [46]]),
+                       ("fault_branches", [[14.5, 15]]),
+                       ("fault_branches", [[14, True]])):
+        with pytest.raises(ConfigError, match=f"bus id in {key}"):
+            scenario_from_dict(dict(data, **{key: value}))
     for key, value in (("ensemble_size", 20.7), ("seed", True),
                        ("seed", False), ("n_mu", 2.9),
                        ("max_stalled_rounds", 1.5), ("ensemble_size", True),
