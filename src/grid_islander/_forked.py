@@ -1,6 +1,7 @@
-"""A forked child process that talks to its parent over one duplex
+"""A forked child process that reports to its parent over a
 ``multiprocessing`` pipe, in pickled ``("value", v)``, ``("raise", exc)``
-and ``("crash", traceback)`` messages.
+and ``("crash", traceback)`` messages. Messages go one way only: the
+parent never writes to the child.
 
 The upper half of a sync-time ensemble (``kuramoto``) and the
 whole-network power flow of ``run-all`` and ``metrics`` (``cli``) each
@@ -29,17 +30,18 @@ class Forked:
     """A forked child that runs ``work(self)`` and leaves only through
     ``os._exit``.
 
-    Each side ``send``s values that the other ``receive``s in order; the
-    parent's sends to a child that has ended are dropped. If
-    ``work`` raises, ``receive`` in the parent raises its error: a
-    GridIslanderError as itself, anything else as RuntimeError with the
-    child's traceback. As a context manager the parent kills the child
-    on any error of its own, and reaps it in every case.
+    The child ``send``s values that the parent ``receive``s in order,
+    also after the child has ended. If ``work`` raises, ``receive``
+    raises its error: a GridIslanderError as itself, anything else as
+    RuntimeError with the child's traceback. As a context manager the
+    parent, on leaving, kills the child wherever it is and reaps it.
     """
 
     def __init__(self, work: Callable[[Forked], None]) -> None:
         # imported here, so that a run that never forks skips the import
         from multiprocessing.connection import Pipe
+        # a duplex Pipe() is a socketpair; the os.pipe of
+        # Pipe(duplex=False), with its 64 KB buffer, slowed the ensemble
         mine, theirs = Pipe()
         try:
             self.pid = os.fork()
@@ -70,24 +72,16 @@ class Forked:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._connection.close()
-        if exc_type is not None:
-            os.kill(self.pid, signal.SIGKILL)
+        os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
     def send(self, value: Any) -> None:
-        # a child that has ended can be told nothing, but what it sent
-        # before it ended is still there for ``receive``
-        try:
-            self._connection.send(("value", value))
-        except (BrokenPipeError, ConnectionResetError):
-            if self.pid == 0:
-                raise
+        self._connection.send(("value", value))
 
     def receive(self) -> Any:
-        # a child that exits with messages of ours unread resets the pipe
         try:
             kind, body = self._connection.recv()
-        except (EOFError, ConnectionResetError):
+        except EOFError:
             raise RuntimeError("forked child ended without a report") \
                 from None
         if kind == "value":

@@ -256,11 +256,12 @@ def cmd_simulate(args) -> int:
           f"{final_freq.mean():.6f} pu")
     if args.out:
         freqs = derivative(layer, phases)
+        # csv spells a Python float with repr, which reads back exactly
         _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
-            [repr(float(t)), node, repr(float(phases[k, a])),
-             repr(float(freqs[k, a]))]
-            for k, t in enumerate(times)
-            for a, node in enumerate(layer.node_ids)))
+            [t, node, phase, freq]
+            for t, row, freq_row in zip(times.tolist(), phases, freqs)
+            for node, phase, freq in zip(layer.node_ids, row.tolist(),
+                                         freq_row.tolist())))
     return EXIT_OK
 
 
@@ -275,8 +276,7 @@ def cmd_sync_times(args) -> int:
         print(f"wrote {args.out}")
     if args.csv:
         _write_csv(args.csv, ["i", "j", "t_sync"], (
-            [a, b, "inf" if t == float("inf") else repr(t)]
-            for (a, b), t in table.items()))
+            [a, b, t] for (a, b), t in table.items()))
     return EXIT_OK
 
 

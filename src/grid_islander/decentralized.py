@@ -114,7 +114,6 @@ class IslandRegistry:
 
     islands: dict[int, set[int]]
     island_freq: dict[int, float]
-    round_index: int = 0
     owner: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -265,7 +264,6 @@ def run_decentralized(network: PowerNetwork,
 
     while assigned != all_nodes:
         round_index += 1
-        registry.round_index = round_index
         active = sorted(
             node for node in all_nodes - assigned
             if any(p in assigned for p in network.neighbors(node)))

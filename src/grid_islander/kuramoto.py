@@ -16,18 +16,17 @@ per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
 steps. With two usable CPUs it integrates the upper half of the runs
 in a forked child (``_forked.Forked``, the one fork of the package,
-which the CLI's whole-network power flow also uses). Both halves write
-cos(theta_low - theta_high) into a small shared buffer laid out as
-(sample, edge, run), trading one short message over the fork's pipe per
-block of samples, and the calling process averages each edge's
-contiguous runs, so the table has the same bits with one process or
-two. ``ensemble_integrate`` stores the whole trajectory for inspection;
-``sync_times`` on a stored ensemble runs the same scan.
-``integrate`` runs one layer from given phases and returns its time
-grid and phases; ``derivative`` turns phases into frequencies. A layer
-locks to its mean natural frequency, which ``sync_frequency`` returns
-without integrating. A warning is logged when an ensemble's step may
-leave RK4's stability interval.
+which the CLI's whole-network power flow also uses). The child sends
+its cos(theta_low - theta_high), a (sample, edge, run) block at a time,
+over the fork's pipe; the calling process puts them after its own runs
+and averages each edge's contiguous runs, so the table has the same
+bits with one process or two. ``ensemble_integrate`` stores the whole
+trajectory for inspection; ``sync_times`` on a stored ensemble runs the
+same scan. ``integrate`` runs one layer from given phases and returns
+its time grid and phases; ``derivative`` turns phases into frequencies.
+A layer locks to its mean natural frequency, which ``sync_frequency``
+returns without integrating. A warning is logged when an ensemble's step
+may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
@@ -48,7 +47,6 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-import mmap
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -187,10 +185,6 @@ def _make_rhs(layer: CyberLayer) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized right-hand side accepting (..., n) phase arrays."""
     p = layer.natural_frequency
     iu, jv, w = layer._edges
-    if iu.size == 0:
-        def rhs(phases: np.ndarray) -> np.ndarray:
-            return np.broadcast_to(p, phases.shape).copy()
-        return rhs
     # Signed, weighted incidence: edge e adds +w_e sin(theta_jv - theta_iu)
     # at node iu and the negative at node jv.
     incidence = np.zeros((iu.size, layer.size))
@@ -395,10 +389,7 @@ def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
                                            in range(len(ensemble.times))))
 
 
-# The scan buffer holds two slots of up to _BLOCK_SAMPLES float64 samples
-# each, in at most _BUFFER_BYTES unless one sample alone is larger.
 _BLOCK_SAMPLES = 8
-_BUFFER_BYTES = 1 << 20
 # A certificate check costs less than one RK4 step of the runs it checks.
 # Checking every fourth block keeps that under 3% of the integration, at
 # the price of stopping up to 31 steps later.
@@ -415,10 +406,11 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     entry of ``times``.
 
     This process reads runs ``[:split]``; a forked child reads runs
-    ``[split:]`` when ``split < n_runs`` and it can be forked. Each writes
-    cos(theta_low - theta_high) of its runs into its columns of a shared
-    buffer laid out as (sample, edge, run), a block of samples at a time
-    into one of two slots. This process reduces each block with
+    ``[split:]`` when ``split < n_runs`` and it can be forked. Both take
+    cos(theta_low - theta_high) of their runs, ``_BLOCK_SAMPLES`` samples
+    at a time, as a (sample, edge, run) block; the child sends each of its
+    blocks to this process in its report. This process puts the child's
+    runs after its own and reduces each block with
     ``np.add.reduce(..., axis=-1) / n_runs``: every edge's runs are
     contiguous, so they are summed pairwise, as ``np.mean`` sums them in
     ``order_parameter_series`` on a stored trajectory. Per edge it keeps
@@ -432,20 +424,14 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     stops after the first such block, at least two blocks from the end,
     whose levels prove that no order parameter crosses the threshold
     again: pairs locked below it get +inf, the others keep their last bad
-    sample, as a full scan would give them. This process sends the child
-    a stop message in place of the next "slot free" message, and reaps
-    it.
+    sample, as a full scan would give them. The child, which never waits
+    for this process, is then killed and reaped.
     """
     keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
     low = np.array([layer.index(a) for a, _ in keys], dtype=np.intp)
     high = np.array([layer.index(b) for _, b in keys], dtype=np.intp)
-    n_samples, sample_size = times.shape[0], len(keys) * n_runs
-    block = max(1, min(_BLOCK_SAMPLES,
-                       _BUFFER_BYTES // (2 * 8 * max(sample_size, 1))))
-    size = 2 * block * sample_size
-    buffer = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), dtype=float,
-                           count=size).reshape(2, block, len(keys), n_runs)
-    starts = range(0, n_samples, block)
+    n_samples = times.shape[0]
+    starts = range(0, n_samples, _BLOCK_SAMPLES)
     certificate = None
     if certify and keys:
         # imported here, so that a process that integrates nothing never
@@ -459,12 +445,11 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         return (certificate is not None and b + 2 < len(starts)
                 and b % _CHECK_BLOCKS == _CHECK_BLOCKS - 1)
 
-    def fill(b: int, first: int, last: int, stream: Iterator[np.ndarray]
+    def fill(b: int, stream: Iterator[np.ndarray], out: np.ndarray
              ) -> tuple[float | None, np.ndarray | None]:
-        """Write block b of runs [first:last); the divergence time, if
-        the stream diverges in it, and the runs' certificate levels."""
-        out = buffer[b % 2, :min(block, n_samples - starts[b]), :,
-                     first:last]
+        """Write block b of the stream's cosines into ``out``, a row per
+        sample; the divergence time, if the stream diverges in it, and
+        the runs' certificate levels."""
         try:
             for row, state in zip(out, stream):
                 row[...] = np.cos(state[:, low] - state[:, high]).T
@@ -477,14 +462,12 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
 
     def upper_half(child: _ForkedHalf) -> None:
         stream = states(split, n_runs)
-        for b in range(len(starts)):
-            # from block 2 on, wait until the parent frees slot b % 2,
-            # or tells us to stop
-            if b >= 2 and not child.receive():
-                return
-            report = fill(b, split, n_runs, stream)
-            child.send(report)
-            if report[0] is not None:
+        cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs - split))
+        for b, start in enumerate(starts):
+            rows = cos[:n_samples - start]
+            t, levels = fill(b, stream, rows)
+            child.send((t, levels, rows))
+            if t is not None:
                 return
 
     try:
@@ -493,28 +476,27 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         child, split = None, n_runs
     last_bad = np.full(len(keys), -1)
     stream = states(0, split)
+    cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs))
     stop = None
     with child or contextlib.nullcontext():
         for b, start in enumerate(starts):
-            reports = [fill(b, 0, split, stream)]
-            if child is not None:
-                reports.append(child.receive())
+            rows = cos[:n_samples - start]
+            reports = [fill(b, stream, rows[..., :split])]
+            if child is not None:   # its runs go after this process's
+                t, levels, rows[..., split:] = child.receive()
+                reports.append((t, levels))
             diverged = [t for t, _ in reports if t is not None]
             if diverged:
                 raise NumericalDivergence(min(diverged))
-            rho = np.add.reduce(buffer[b % 2, :min(block, n_samples - start)],
-                                axis=-1) / n_runs
+            rho = np.add.reduce(rows, axis=-1) / n_runs
             bad = rho <= threshold
             last = start + len(bad) - 1 - np.argmax(bad[::-1], axis=0)
             hit = bad.any(axis=0)
             last_bad[hit] = last[hit]
             if checked(b) and certificate.proves(
                     np.concatenate([levels for _, levels in reports])):
-                stop = start + block - 1
+                stop = start + _BLOCK_SAMPLES - 1
                 last_bad[certificate.below] = n_samples - 1
-            if child is not None and b + 2 < len(starts):
-                child.send(stop is None)   # slot b % 2 is free, or stop
-            if stop is not None:
                 break
     if certificate is not None and stop is None:
         logger.info("lock not certified within the horizon: integrated "

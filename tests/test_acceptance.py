@@ -270,8 +270,7 @@ def test_criterion_8_decisions_ignore_far_islands():
                 continue   # node borders every island; nothing is far
             twisted = IslandRegistry(
                 islands={lbl: set(m) for lbl, m in registry.islands.items()},
-                island_freq=dict(registry.island_freq),
-                round_index=registry.round_index)
+                island_freq=dict(registry.island_freq))
             for lbl in twisted.islands:
                 if lbl not in agent.neighbor_islands:
                     twisted.island_freq[lbl] += 0.37

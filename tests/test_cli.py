@@ -15,7 +15,9 @@ import pytest
 
 import grid_islander
 import grid_islander.cli as cli_module
-from grid_islander import NotConverged, SingularSystem, kuramoto, metrics
+from grid_islander import (NotConverged, SingularSystem, build_layer,
+                           build_network, derivative, ensemble_run,
+                           kuramoto, load_case, metrics)
 from grid_islander.cli import main
 
 SMALL_CASE = """\
@@ -240,6 +242,16 @@ def test_simulate_writes_trajectory(workspace, capsys):
     assert rows[0] == ["t", "node_id", "phase", "frequency"]
     assert len(rows) == 1 + 2001 * 5
     assert rows[1][0] == "0.0" and rows[1][1] == "1"
+    # every cell reads back as the exact float
+    network = build_network(load_case(tmp_path / "case5.m"), [1, 4])
+    layer = build_layer(network, network.node_ids())
+    times, phases = ensemble_run(layer, 4, 3, 1, t_max=20.0, dt=0.01)
+    freqs = derivative(layer, phases)
+    assert [[float(t), int(node), float(phase), float(freq)]
+            for t, node, phase, freq in rows[1:]] == [
+        [t, node, phases[k, a], freqs[k, a]]
+        for k, t in enumerate(times)
+        for a, node in enumerate(layer.node_ids)]
     rc = main(["simulate", "--config", str(cfg), "--run", "9"])
     assert rc == 2   # run index beyond the ensemble
 
@@ -292,6 +304,17 @@ def test_sync_times_artifacts(workspace):
         rows = list(csv.reader(handle))
     assert rows[0] == ["i", "j", "t_sync"]
     assert len(rows) == 6
+    # a horizon too short for edge 1-2 to sync
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    data.update(t_max=0.15)
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["sync-times", "--config", str(cfg), "--csv", str(out_csv)])
+    assert rc == 0
+    with open(out_csv, newline="", encoding="utf-8") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[1:] == [["1", "2", "inf"], ["2", "3", "0.13"],
+                        ["2", "4", "0.11"], ["3", "4", "0.12"],
+                        ["4", "5", "0.1"]]
 
 
 def test_run_all_centralized_artifacts(workspace, capsys):

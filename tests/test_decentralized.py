@@ -358,8 +358,7 @@ def _perturb_far_islands(registry, watched, far_node):
     """Copy the registry, then distort every island the agent ignores."""
     clone = IslandRegistry(
         islands={lbl: set(m) for lbl, m in registry.islands.items()},
-        island_freq=dict(registry.island_freq),
-        round_index=registry.round_index)
+        island_freq=dict(registry.island_freq))
     for lbl in clone.islands:
         if lbl not in watched:
             clone.island_freq[lbl] += 0.37

@@ -758,21 +758,21 @@ def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
                       threshold).entries
 
 
-def test_stop_reaches_the_child_a_block_ahead(monkeypatch):
+def test_certified_stop_kills_a_stalled_child(monkeypatch):
+    # The forked half reads nothing from this process. Its stream stalls
+    # for a minute after the certified block, so only a kill ends it in
+    # time.
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
                              dt=0.01)
-    block = kuramoto._BLOCK_SAMPLES
-    first_check = kuramoto._CHECK_BLOCKS - 1
-    # the last sample the forked half has read, in memory both share
-    reached = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-    reached[0] = -1
+    # the first sample after the first checked block
+    after = kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
 
     def states(first, last):
         for k in range(len(ens.times)):
-            if first > 0:
-                reached[0] = k
+            if first > 0 and k == after:
+                time.sleep(60)
             yield ens.phases[first:last, k]
 
     class Stops:
@@ -783,26 +783,26 @@ def test_stop_reaches_the_child_a_block_ahead(monkeypatch):
             return np.zeros((len(phases), 2))
 
         def proves(self, levels):
-            # stop once the child has filled the block after this one
-            deadline = time.monotonic() + 30.0
-            while reached[0] < (first_check + 2) * block - 1:
-                assert time.monotonic() < deadline
-                time.sleep(0.001)
             return True
 
     monkeypatch.setattr(_certificate, "lock_certificate",
                         lambda *args: Stops())
-    table = kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+    started = time.monotonic()
+    table = kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.7, 8, 4,
                                 states, certify=True)
-    # the child read no sample past that block: it stopped on the message
-    assert reached[0] == (first_check + 2) * block - 1
+    assert time.monotonic() - started < 30.0
+    # synced before the stop, so the stop leaves the full scan's table
+    expected = sync_times(ens, [(1, 2)], 0.7).entries
+    assert ens.times[0] < expected[(1, 2)] < ens.times[after]
+    assert table.entries == expected
     assert len(forks) == 1
-    assert list(table.entries) == [(1, 2)]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
     # The forked half diverges a block ahead and ends before the parent
-    # sends its next "slot free": the parent must raise the divergence.
+    # reads that block's report: the parent must raise the divergence.
     _use_cpus(monkeypatch, 2)
     ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
                              dt=0.01)
