@@ -100,7 +100,10 @@ class LockCertificate:
     eta = 32 (1 + z) eps sqrt(n) (Theta + h (max|p| + Lam)), Theta
     bounding the run's phases through the horizon: a generous count of
     the roundings on each component, which the stages amplify at most
-    (1 + z) fold. That raises V by at most omega = gF eta + Lam eta^2 / 2,
+    (1 + z) fold. It covers the d sequential adds at a node of degree d,
+    which round by at most (d + 1) eps (|p_i| + Lam / 2), for degrees far
+    above 9, the 118-bus grid's largest. That raises V by at most
+    omega = gF eta + Lam eta^2 / 2,
     where gF = gbar (1 + z (1 + l gbar eE)) bounds ||g|| after a step.
     Where (h/4) mu gamma^2 >= omega the step still does not raise V;
     elsewhere (iii) leaves u <= u_floor = omega (1 + 2 / (h mu lamQ))

@@ -255,13 +255,13 @@ def cmd_simulate(args) -> int:
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "
           f"{final_freq.mean():.6f} pu")
     if args.out:
-        freqs = derivative(layer, phases)
-        # csv spells a Python float with repr, which reads back exactly
+        # csv spells a Python float with repr, which reads back exactly;
+        # frequencies a sample at a time, not over the whole trajectory
         _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
             [t, node, phase, freq]
-            for t, row, freq_row in zip(times.tolist(), phases, freqs)
+            for t, row in zip(times.tolist(), phases)
             for node, phase, freq in zip(layer.node_ids, row.tolist(),
-                                         freq_row.tolist())))
+                                         derivative(layer, row).tolist())))
     return EXIT_OK
 
 

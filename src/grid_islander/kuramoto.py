@@ -19,14 +19,15 @@ in a forked child (``_forked.Forked``, the one fork of the package,
 which the CLI's whole-network power flow also uses). The child sends
 its cos(theta_low - theta_high), a (sample, edge, run) block at a time,
 over the fork's pipe; the calling process puts them after its own runs
-and averages each edge's contiguous runs, so the table has the same
-bits with one process or two. ``ensemble_integrate`` stores the whole
-trajectory for inspection; ``sync_times`` on a stored ensemble runs the
-same scan. ``integrate`` runs one layer from given phases and returns
-its time grid and phases; ``derivative`` turns phases into frequencies.
-A layer locks to its mean natural frequency, which ``sync_frequency``
-returns without integrating. A warning is logged when an ensemble's step
-may leave RK4's stability interval.
+and averages each edge's contiguous runs. The right-hand side gives a
+run the same bits in a batch of any size, one run included, so the
+table has the same bits with one process or two. ``ensemble_integrate``
+stores the whole trajectory for inspection; ``sync_times`` on a stored
+ensemble runs the same scan. ``integrate`` runs one layer from given
+phases and returns its time grid and phases; ``derivative`` turns
+phases into frequencies. A layer locks to its mean natural frequency,
+which ``sync_frequency`` returns without integrating. A warning is
+logged when an ensemble's step may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
@@ -182,19 +183,26 @@ def build_layer(network: PowerNetwork, nodes: Iterable[int]) -> CyberLayer:
 
 
 def _make_rhs(layer: CyberLayer) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized right-hand side accepting (..., n) phase arrays."""
+    """Right-hand side of (..., n) phases: one scatter-add of the edge
+    flows w_e sin(theta_jv - theta_iu), + at iu and - at jv. Each node sums
+    its flows in one order, so a row has the same bits in any batch."""
     p = layer.natural_frequency
     iu, jv, w = layer._edges
-    # Signed, weighted incidence: edge e adds +w_e sin(theta_jv - theta_iu)
-    # at node iu and the negative at node jv.
-    incidence = np.zeros((iu.size, layer.size))
-    rows = np.arange(iu.size)
-    incidence[rows, iu] = w
-    incidence[rows, jv] = -w
+    n, m = layer.size, w.size
+    ends = np.concatenate([iu, jv])
+    # flat (row * n + node) targets, built once per batch shape
+    targets: dict[tuple[int, ...], np.ndarray] = {}
 
     def rhs(phases: np.ndarray) -> np.ndarray:
-        s = np.sin(phases[..., jv] - phases[..., iu])
-        return p + s @ incidence
+        batch = phases.shape[:-1]
+        if batch not in targets:
+            rows = np.arange(math.prod(batch))[:, None] * n
+            targets[batch] = (rows + ends).ravel()
+        at_ends = phases.take(ends, axis=-1)
+        flow = w * np.sin(at_ends[..., m:] - at_ends[..., :m])
+        flows = np.concatenate([flow, -flow], axis=-1)
+        return p + np.bincount(targets[batch], flows.ravel(),
+                               phases.size).reshape(phases.shape)
 
     return rhs
 
@@ -304,18 +312,6 @@ def _ensemble_start(layer: CyberLayer, n_runs: int, seed: int,
     return times, initial
 
 
-def _half(n_runs: int) -> int:
-    """First run of an ensemble's upper half; ``n_runs`` (no split) when
-    a half would hold one run.
-
-    ``_make_rhs`` gives each row of a batch of two or more rows the bits
-    it has in the whole batch, so a half of at least two runs integrates
-    each run exactly as the whole ensemble does. A one-row batch takes
-    BLAS's matrix-vector path and rounds differently.
-    """
-    return n_runs // 2 if n_runs >= 4 else n_runs
-
-
 def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
                        t_max: float, dt: float) -> EnsembleResult:
     """Integrate ``n_runs`` independent initial conditions on one grid,
@@ -333,18 +329,16 @@ def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
                  t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
 
-    The run is integrated alone, as a batch of two copies of its initial
-    phases (one row for a one-run ensemble), so its phases equal
-    ``ensemble_integrate(...).phases[run]`` bit for bit (see ``_half``);
-    only its own samples are stored. NumericalDivergence means this run
-    diverged.
+    The run is integrated alone from its own initial phases; its phases
+    equal ``ensemble_integrate(...).phases[run]`` bit for bit, because
+    each row of the right-hand side has the same bits in any batch.
+    NumericalDivergence means this run diverged.
     """
     if not 0 <= run < n_runs:
         raise ValueError(f"run index {run} out of range ({n_runs} runs)")
-    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
-    states = _rk4(_make_rhs(layer), initial[[run] * min(n_runs, 2)], times)
-    return times, _stored(times, (state[0] for state in states),
-                          (layer.size,))
+    _warn_if_unstable(layer, dt)
+    initial = sample_initial_conditions(layer.size, [seed, run])
+    return integrate(layer, initial, t_max=t_max, dt=dt)
 
 
 def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
@@ -355,15 +349,15 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
     the stored trajectory: the scan runs inside the RK4 loop, in memory
     independent of the number of steps.
 
-    With at least four runs and two usable CPUs, runs ``[n_runs // 2:]``
-    are integrated in a forked child while this process integrates the
-    rest; the table has the same bits either way. Integration stops
-    before ``t_max`` once ``_certificate.LockCertificate`` proves the
-    table final, again with the same bits.
+    With two usable CPUs, runs ``[(n_runs + 1) // 2:]`` are integrated in
+    a forked child while this process integrates the rest; the table has
+    the same bits either way. Integration stops before ``t_max`` once
+    ``_certificate.LockCertificate`` proves the table final, again with
+    the same bits.
     """
     times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
     rhs = _make_rhs(layer)
-    split = _half(n_runs) if _usable_cpus() >= 2 else n_runs
+    split = (n_runs + 1) // 2 if _usable_cpus() >= 2 else n_runs
     return _sync_scan(layer, times, edges, threshold, n_runs, split,
                       lambda first, last: _rk4(rhs, initial[first:last],
                                                times), certify=True)

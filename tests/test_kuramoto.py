@@ -358,45 +358,56 @@ def _count_forks(monkeypatch):
 def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     edges = sorted(net118_faulted.edge_set())
-    runs, t_max = 12, 300 * STABLE_DT
-    ens = ensemble_integrate(layer, runs, seed, t_max=t_max, dt=STABLE_DT)
-    # Thresholds at order-parameter values the ensemble attains, and one
-    # ulp below them: a rounding change in any mean flips a comparison.
-    # One ulp below an edge's minimum, that edge is synced from the start.
-    attained = [order_parameter_series(ens, *e)[-1] for e in edges[:8]]
-    attained.append(order_parameter_series(ens, *edges[0]).min())
-    thresholds = [0.99, *attained,
-                  *(np.nextafter(v, -np.inf) for v in attained)]
+    t_max = 300 * STABLE_DT
     forks = _count_forks(monkeypatch)
-    kinds = set()
-    for threshold in thresholds:
-        expected = _reference_sync_times(ens, edges, threshold)
-        for cpus in (1, 2):
-            _use_cpus(monkeypatch, cpus)
-            streamed = ensemble_sync_times(layer, runs, seed, edges,
-                                           threshold, t_max=t_max,
-                                           dt=STABLE_DT)
-            assert streamed.entries == expected
-        assert sync_times(ens, edges, threshold).entries == expected
-        kinds |= {"start" if t == ens.times[0] else
-                  "never" if math.isinf(t) else "settled"
-                  for t in expected.values()}
-    assert kinds == {"start", "never", "settled"}
-    assert len(forks) == len(thresholds)
+    # With two CPUs 12 runs split 6 + 6 and 3 runs split 2 + 1: the child
+    # integrates its one run as a one-row batch.
+    for runs in (3, 12):
+        ens = ensemble_integrate(layer, runs, seed, t_max=t_max,
+                                 dt=STABLE_DT)
+        # Thresholds at order-parameter values the ensemble attains, and
+        # one ulp below them: a rounding change in any mean flips a
+        # comparison. One ulp below an edge's minimum, that edge is
+        # synced from the start.
+        attained = [order_parameter_series(ens, *e)[-1] for e in edges[:8]]
+        attained.append(order_parameter_series(ens, *edges[0]).min())
+        thresholds = [0.99, *attained,
+                      *(np.nextafter(v, -np.inf) for v in attained)]
+        forks.clear()
+        kinds = set()
+        for threshold in thresholds:
+            expected = _reference_sync_times(ens, edges, threshold)
+            for cpus in (1, 2):
+                _use_cpus(monkeypatch, cpus)
+                streamed = ensemble_sync_times(layer, runs, seed, edges,
+                                               threshold, t_max=t_max,
+                                               dt=STABLE_DT)
+                assert streamed.entries == expected
+            assert sync_times(ens, edges, threshold).entries == expected
+            kinds |= {"start" if t == ens.times[0] else
+                      "never" if math.isinf(t) else "settled"
+                      for t in expected.values()}
+        assert kinds == {"start", "never", "settled"}
+        assert len(forks) == len(thresholds)
 
 
 def test_rhs_rows_keep_their_bits_in_any_split(net118_faulted):
-    # The halves of an ensemble are integrated apart. They reproduce the
-    # whole batch only because each row of the right-hand side has the
-    # same bits in any batch of two or more rows.
+    # The halves of an ensemble are integrated apart, and ensemble_run
+    # integrates one run as a bare (n,) vector. They reproduce the whole
+    # batch only because each row of the right-hand side has the same
+    # bits in any batch, a single row included.
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     rhs = kuramoto._make_rhs(layer)
     phases = np.stack([sample_initial_conditions(layer.size, [5, r])
                        for r in range(20)])
     whole = rhs(phases)
-    for split in range(2, 19):
+    for split in range(1, 20):
         assert np.array_equal(rhs(phases[:split]), whole[:split]), split
         assert np.array_equal(rhs(phases[split:]), whole[split:]), split
+    for row, expected in zip(phases, whole):
+        assert np.array_equal(rhs(row), expected)
+    assert np.array_equal(rhs(phases.reshape(4, 5, -1)).reshape(20, -1),
+                          whole)
 
 
 def _overflowing_layer():
@@ -463,11 +474,12 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
             os.waitpid(-1, os.WNOHANG)
 
     layer = _overflowing_layer()
-    # seed 0 first diverges at t = 24; seed 1 in the lower half, which
-    # this process integrates, and seed 3 in the forked upper half
-    ensemble_sync_times(layer, 8, 0, [(1, 2)], t_max=20.0, dt=1.0)
+    # seed 11 first diverges at t = 17; seed 1 at t = 8 in the lower
+    # half, which this process integrates, and seed 0 at t = 4 in the
+    # forked upper half
+    ensemble_sync_times(layer, 8, 11, [(1, 2)], t_max=16.0, dt=1.0)
     leaves_nothing()
-    for seed in (1, 3):
+    for seed in (1, 0):
         with pytest.raises(NumericalDivergence):
             ensemble_sync_times(layer, 8, seed, [(1, 2)], t_max=50.0,
                                 dt=1.0)
@@ -519,7 +531,7 @@ def test_ensemble_run_integrates_its_run_alone(monkeypatch):
         rhs = make_rhs(layer)
 
         def recorded(phases):
-            batches.append(phases.shape[0])
+            batches.append(phases.shape)
             return rhs(phases)
         return recorded
 
@@ -528,7 +540,8 @@ def test_ensemble_run_integrates_its_run_alone(monkeypatch):
     for n_runs, run in ((20, 3), (20, 10), (5, 4), (3, 2), (2, 1), (1, 0)):
         batches.clear()
         ensemble_run(layer, n_runs, 0, run, t_max=0.1, dt=0.05)
-        assert batches and set(batches) == {min(n_runs, 2)}
+        # one (n,) phase vector, never a batch
+        assert batches and set(batches) == {(2,)}
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted):
