@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from grid_islander import (CyberLayer, derivative, ensemble_integrate,
-                           integrate, locked_state, order_parameter_series,
-                           sync_times)
+from grid_islander import (CyberLayer, derivative, ensemble_sync_times,
+                           integrate, locked_state,
+                           sample_initial_conditions)
 
 
 def pair(p, b=1.0):
@@ -36,19 +36,24 @@ lock = locked_state(layer)
 print(f"locked lag      {lock.phases[0] - lock.phases[1]:.6f} rad, "
       f"lambda2 {lock.lambda2:.4f}")
 
-# the sync time comes from an ensemble of random initial conditions
-ens = ensemble_integrate(layer, n_runs=20, seed=7, t_max=100.0, dt=0.01)
-table = sync_times(ens, [(1, 2)], threshold=0.99)
+# the sync time comes from an ensemble of random initial conditions,
+# detected as the ensemble is integrated
+table = ensemble_sync_times(layer, n_runs=20, seed=7, edges=[(1, 2)],
+                            threshold=0.99, t_max=100.0, dt=0.01)
 print(f"sync time       {table.get(1, 2):.2f} s")
 
 # stronger mismatch: the pair still locks, but with a 30 degree lag,
 # so the order parameter tops out near cos(30deg) = 0.866 and the
 # 0.99 threshold is never reached
 wide = pair(0.5)
-ens_wide = ensemble_integrate(wide, n_runs=20, seed=7, t_max=100.0, dt=0.01)
-rho = order_parameter_series(ens_wide, 1, 2)
+# integrate takes a (runs, n) batch of initial phases as well as one run
+initial = np.stack([sample_initial_conditions(2, [7, r]) for r in range(20)])
+_, phases = integrate(wide, initial, t_max=100.0, dt=0.01)
+# the order parameter: cos of the pair's lag, averaged over the runs
+rho = np.cos(phases[:, :, 0] - phases[:, :, 1]).mean(axis=1)
 print(f"late rho        {float(np.mean(rho[-1000:])):.3f}")
-print(f"sync time       {sync_times(ens_wide, [(1, 2)]).get(1, 2)}")
+table = ensemble_sync_times(wide, 20, 7, [(1, 2)], t_max=100.0, dt=0.01)
+print(f"sync time       {table.get(1, 2)}")
 
 # past the locking limit, mismatch 3.0 pu against coupling 1.0: no phase
 # lag balances the pair, so there is no locked state

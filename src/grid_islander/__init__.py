@@ -22,10 +22,9 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      MissingSection, NoGenerator, NotConverged, NotFound,
                      NumericalDivergence, ParseError, SchemaError,
                      SingularSystem, Stalled, UndefinedSize)
-from .kuramoto import (CyberLayer, EnsembleResult, LockedState,
-                       SyncTimeTable, build_layer, derivative,
-                       ensemble_integrate, ensemble_run, ensemble_sync_times,
-                       integrate, locked_state, order_parameter_series,
+from .kuramoto import (CyberLayer, LockedState, SyncTimeTable, Trajectory,
+                       build_layer, derivative, ensemble_integrate,
+                       ensemble_sync_times, integrate, locked_state,
                        sample_initial_conditions, sync_frequency, sync_times)
 from .matpower import RawCase, build_network, load_case, parse_case
 from .metrics import (IslandMetrics, MetricsReport, compute_metrics,
@@ -38,6 +37,6 @@ from .network import (Branch, Bus, Island, Partition, PowerNetwork,
 from .powerflow import (PowerFlowSolution, ac_power_flow, build_ybus,
                         dc_power_flow, default_slack)
 from .scenario import ScenarioConfig, load_scenario, scenario_from_dict
-from .serialize import (network_from_dict, network_to_dict,
-                        partition_from_dict, partition_to_dict, save_json,
-                        sync_table_from_dict, sync_table_to_dict)
+from .serialize import (network_to_dict, partition_from_dict,
+                        partition_to_dict, save_json, sync_table_from_dict,
+                        sync_table_to_dict)

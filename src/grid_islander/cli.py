@@ -42,7 +42,8 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
 from .kuramoto import (build_layer, derivative, ensemble_integrate,
-                       ensemble_run, ensemble_sync_times, sync_times)
+                       ensemble_sync_times, integrate,
+                       sample_initial_conditions, sync_times)
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
@@ -246,8 +247,9 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"run index {run} out of range "
                           f"(ensemble has {cfg.ensemble_size})")
     layer = _grid_layer(network)
-    times, phases = ensemble_run(layer, cfg.ensemble_size, cfg.seed, run,
-                                 t_max=cfg.t_max, dt=cfg.dt)
+    times, phases = integrate(
+        layer, sample_initial_conditions(layer.size, [cfg.seed, run]),
+        t_max=cfg.t_max, dt=cfg.dt)
     final_freq = derivative(layer, phases[-1])
     print(f"simulated 1 of {cfg.ensemble_size} runs x "
           f"{len(times) - 1} steps on {layer.size} nodes")

@@ -11,7 +11,10 @@ equals the mean natural frequency at all times; tests pin that down to
 rounding error.
 
 One RK4 generator yields the (runs, n) phases of an ensemble sample by
-sample. ``ensemble_sync_times`` scans that stream as it goes, keeping
+sample. ``integrate`` stores every sample of one run or of a batch of
+runs, and ``ensemble_integrate`` applies it to an ensemble's seeded
+initial phases; ``derivative`` turns phases into frequencies.
+``ensemble_sync_times`` scans the stream as it goes instead, keeping
 per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
 steps. With two usable CPUs it integrates the upper half of the runs
@@ -21,13 +24,11 @@ its cos(theta_low - theta_high), a (sample, edge, run) block at a time,
 over the fork's pipe; the calling process puts them after its own runs
 and averages each edge's contiguous runs. The right-hand side gives a
 run the same bits in a batch of any size, one run included, so the
-table has the same bits with one process or two. ``ensemble_integrate``
-stores the whole trajectory for inspection; ``sync_times`` on a stored
-ensemble runs the same scan. ``integrate`` runs one layer from given
-phases and returns its time grid and phases; ``derivative`` turns
-phases into frequencies. A layer locks to its mean natural frequency,
-which ``sync_frequency`` returns without integrating. A warning is
-logged when an ensemble's step may leave RK4's stability interval.
+table has the same bits with one process or two. ``sync_times``
+applies the detection rule directly to a stored trajectory, with no
+scan, and gives the same bits. A layer locks to its mean natural
+frequency, which ``sync_frequency`` returns without integrating. A
+warning is logged when a step may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
@@ -116,20 +117,6 @@ class CyberLayer:
             raise NotFound(f"node {node_id} is not in this layer") from None
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Phase trajectories of all runs on a shared time grid."""
-
-    layer: CyberLayer
-    times: np.ndarray          # (m+1,)
-    phases: np.ndarray         # (runs, m+1, n)
-    seed: int
-
-    @property
-    def n_runs(self) -> int:
-        return self.phases.shape[0]
-
-
 @dataclass
 class SyncTimeTable:
     """Internode synchronization times, +inf when never achieved.
@@ -147,10 +134,6 @@ class SyncTimeTable:
         except KeyError:
             raise NotFound(f"no sync time recorded for edge {i}-{j}") \
                 from None
-
-    def __contains__(self, pair) -> bool:
-        i, j = pair
-        return ((i, j) if i < j else (j, i)) in self.entries
 
     def items(self):
         return sorted(self.entries.items())
@@ -242,26 +225,32 @@ def _rk4(rhs: Callable[[np.ndarray], np.ndarray], initial: np.ndarray,
         yield state
 
 
-def _stored(times: np.ndarray, states: Iterable[np.ndarray],
-            shape: tuple[int, ...]) -> np.ndarray:
-    """Every sample of a state stream, stacked as (len(times), *shape)."""
-    out = np.empty(times.shape + shape)
-    for k, state in enumerate(states):
-        out[k] = state
-    return out
+class Trajectory(NamedTuple):
+    """Time grid and phases of an integration, sampled every step:
+    ``phases[k]`` is the state at ``times[k]``."""
+
+    times: np.ndarray
+    phases: np.ndarray
 
 
 def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray, *,
-              t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and (m+1, n) phases of one run from ``initial`` phases,
-    sampled every step; ``derivative(layer, phases)`` gives the
-    frequencies."""
+              t_max: float, dt: float) -> Trajectory:
+    """Integrate from ``initial`` phases, (n,) for one run or (runs, n)
+    for an ensemble; the phases have shape (m+1, n) or (m+1, runs, n).
+    ``derivative(layer, phases)`` gives the frequencies. Each run has the
+    same bits in a batch of any size, one run included. A warning is
+    logged when the step may leave RK4's stability interval.
+    """
     initial = np.asarray(initial, dtype=float)
-    if initial.shape != (layer.size,):
-        raise ValueError(f"initial phases must have shape ({layer.size},)")
+    if initial.ndim not in (1, 2) or initial.shape[-1] != layer.size:
+        raise ValueError(f"initial phases must have shape ({layer.size},) "
+                         f"or (runs, {layer.size})")
     times = _time_grid(t_max, dt)
-    return times, _stored(times, _rk4(_make_rhs(layer), initial, times),
-                          initial.shape)
+    _warn_if_unstable(layer, dt)
+    phases = np.empty(times.shape + initial.shape)
+    for k, state in enumerate(_rk4(_make_rhs(layer), initial, times)):
+        phases[k] = state
+    return Trajectory(times, phases)
 
 
 def sample_initial_conditions(n: int, seed) -> np.ndarray:
@@ -295,59 +284,34 @@ def _warn_if_unstable(layer: CyberLayer, dt: float) -> None:
             RK4_REAL_LIMIT)
 
 
-def _ensemble_start(layer: CyberLayer, n_runs: int, seed: int,
-                    t_max: float, dt: float
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and (runs, n) initial phases of an ensemble.
-
-    Run r draws its initial phases from the stream keyed by (seed, r),
-    so any single run can be reproduced in isolation.
-    """
+def _ensemble_initial(layer: CyberLayer, n_runs: int,
+                      seed: int) -> np.ndarray:
+    """(runs, n) initial phases of an ensemble. Run r draws from the
+    stream keyed by (seed, r), so any single run can be reproduced in
+    isolation."""
     if n_runs < 1:
         raise ValueError("need at least one run")
-    times = _time_grid(t_max, dt)
-    initial = np.stack([sample_initial_conditions(layer.size, [seed, r])
-                        for r in range(n_runs)])
-    _warn_if_unstable(layer, dt)
-    return times, initial
+    return np.stack([sample_initial_conditions(layer.size, [seed, r])
+                     for r in range(n_runs)])
 
 
 def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
-                       t_max: float, dt: float) -> EnsembleResult:
-    """Integrate ``n_runs`` independent initial conditions on one grid,
-    storing every sample: (runs, m+1, n) phases. For sync times alone,
+                       t_max: float, dt: float) -> Trajectory:
+    """``integrate`` of the ensemble's (runs, n) initial phases, storing
+    every sample: (m+1, runs, n) phases. For sync times alone,
     ``ensemble_sync_times`` needs no stored trajectory.
     """
-    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
-    phases = _stored(times, _rk4(_make_rhs(layer), initial, times),
-                     initial.shape)
-    return EnsembleResult(layer=layer, times=times,
-                          phases=np.swapaxes(phases, 0, 1), seed=seed)
-
-
-def ensemble_run(layer: CyberLayer, n_runs: int, seed: int, run: int, *,
-                 t_max: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Time grid and (m+1, n) phases of run ``run`` of the ensemble.
-
-    The run is integrated alone from its own initial phases; its phases
-    equal ``ensemble_integrate(...).phases[run]`` bit for bit, because
-    each row of the right-hand side has the same bits in any batch.
-    NumericalDivergence means this run diverged.
-    """
-    if not 0 <= run < n_runs:
-        raise ValueError(f"run index {run} out of range ({n_runs} runs)")
-    _warn_if_unstable(layer, dt)
-    initial = sample_initial_conditions(layer.size, [seed, run])
-    return integrate(layer, initial, t_max=t_max, dt=dt)
+    return integrate(layer, _ensemble_initial(layer, n_runs, seed),
+                     t_max=t_max, dt=dt)
 
 
 def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
                         edges: Iterable[tuple[int, int]],
                         threshold: float = DEFAULT_RHO_THRESHOLD, *,
                         t_max: float, dt: float) -> SyncTimeTable:
-    """``sync_times(ensemble_integrate(...), edges, threshold)`` without
-    the stored trajectory: the scan runs inside the RK4 loop, in memory
-    independent of the number of steps.
+    """``sync_times(layer, *ensemble_integrate(...), edges, threshold)``
+    without the stored trajectory: the scan runs inside the RK4 loop, in
+    memory independent of the number of steps.
 
     With two usable CPUs, runs ``[(n_runs + 1) // 2:]`` are integrated in
     a forked child while this process integrates the rest; the table has
@@ -355,32 +319,32 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
     ``_certificate.LockCertificate`` proves the table final, again with
     the same bits.
     """
-    times, initial = _ensemble_start(layer, n_runs, seed, t_max, dt)
+    initial = _ensemble_initial(layer, n_runs, seed)
+    times = _time_grid(t_max, dt)
+    _warn_if_unstable(layer, dt)
     rhs = _make_rhs(layer)
     split = (n_runs + 1) // 2 if _usable_cpus() >= 2 else n_runs
     return _sync_scan(layer, times, edges, threshold, n_runs, split,
                       lambda first, last: _rk4(rhs, initial[first:last],
-                                               times), certify=True)
+                                               times))
 
 
-def order_parameter_series(ensemble: EnsembleResult, i: int,
-                           j: int) -> np.ndarray:
-    """Order parameter of one node pair at every sample time."""
-    a, b = ensemble.layer.index(i), ensemble.layer.index(j)
-    return np.mean(np.cos(ensemble.phases[:, :, a]
-                          - ensemble.phases[:, :, b]), axis=0)
-
-
-def sync_times(ensemble: EnsembleResult, edges: Iterable[tuple[int, int]],
+def sync_times(layer: CyberLayer, times: np.ndarray, phases: np.ndarray,
+               edges: Iterable[tuple[int, int]],
                threshold: float = DEFAULT_RHO_THRESHOLD) -> SyncTimeTable:
-    """Earliest grid time from which each edge's order parameter stays
-    above the threshold through the end of the horizon; +inf if none.
+    """Sync times of stored (m+1, runs, n) ensemble phases, by the rule
+    itself: an edge's order parameter at a sample is the mean over runs
+    of cos(theta_low - theta_high), and its sync time is the sample after
+    the last one at or below the threshold (``settling_time``).
     """
-    phases, n_runs = ensemble.phases, ensemble.n_runs
-    return _sync_scan(ensemble.layer, ensemble.times, edges, threshold,
-                      n_runs, n_runs,
-                      lambda first, last: (phases[first:last, k] for k
-                                           in range(len(ensemble.times))))
+    entries = {}
+    for a, b in edges:
+        key = (a, b) if a < b else (b, a)
+        rho = np.mean(np.cos(phases[:, :, layer.index(key[0])]
+                             - phases[:, :, layer.index(key[1])]), axis=1)
+        bad = np.flatnonzero(rho <= threshold)
+        entries[key] = settling_time(times, int(bad[-1]) if bad.size else -1)
+    return SyncTimeTable(entries=entries)
 
 
 _BLOCK_SAMPLES = 8
@@ -393,11 +357,11 @@ _CHECK_BLOCKS = 4
 def _sync_scan(layer: CyberLayer, times: np.ndarray,
                edges: Iterable[tuple[int, int]], threshold: float,
                n_runs: int, split: int,
-               states: Callable[[int, int], Iterator[np.ndarray]],
-               certify: bool = False) -> SyncTimeTable:
-    """Sync times from ``states(first, last)``, the stream of
-    (last - first, n) phase samples of runs ``[first:last)``, one per
-    entry of ``times``.
+               states: Callable[[int, int], Iterator[np.ndarray]]
+               ) -> SyncTimeTable:
+    """Sync times from ``states(first, last)``, the RK4 stream of
+    (last - first, n) phase samples of runs ``[first:last)`` on the layer,
+    one per entry of ``times``.
 
     This process reads runs ``[:split]``; a forked child reads runs
     ``[split:]`` when ``split < n_runs`` and it can be forked. Both take
@@ -407,15 +371,13 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     runs after its own and reduces each block with
     ``np.add.reduce(..., axis=-1) / n_runs``: every edge's runs are
     contiguous, so they are summed pairwise, as ``np.mean`` sums them in
-    ``order_parameter_series`` on a stored trajectory. Per edge it keeps
-    only the last sample at which the order parameter is at or below the
-    threshold. The earliest divergence in either half raises
-    NumericalDivergence.
+    ``sync_times`` on a stored trajectory. Per edge it keeps only the last
+    sample at which the order parameter is at or below the threshold. The
+    earliest divergence in either half raises NumericalDivergence.
 
-    With ``certify`` the stream must be RK4 on the layer at the grid's
-    step. Each half then reports its runs' ``LockCertificate`` levels
-    at the last sample of every ``_CHECK_BLOCKS``-th block, and the scan
-    stops after the first such block, at least two blocks from the end,
+    Each half also reports its runs' ``LockCertificate`` levels at the
+    last sample of every ``_CHECK_BLOCKS``-th block, and the scan stops
+    after the first such block, at least two blocks from the end,
     whose levels prove that no order parameter crosses the threshold
     again: pairs locked below it get +inf, the others keep their last bad
     sample, as a full scan would give them. The child, which never waits
@@ -427,7 +389,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     n_samples = times.shape[0]
     starts = range(0, n_samples, _BLOCK_SAMPLES)
     certificate = None
-    if certify and keys:
+    if keys:
         # imported here, so that a process that integrates nothing never
         # compiles the proof
         from ._certificate import lock_certificate

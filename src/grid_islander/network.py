@@ -157,14 +157,6 @@ class PowerNetwork:
         if not self.connected:
             logger.warning("in-service branch graph is disconnected")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PowerNetwork):
-            return NotImplemented
-        return (self.buses == other.buses
-                and self.branches == other.branches
-                and self.base_mva == other.base_mva
-                and self.generator_set == other.generator_set)
-
     @property
     def n_buses(self) -> int:
         return len(self.buses)

@@ -84,6 +84,8 @@ def _validate(cfg: ScenarioConfig) -> None:
 _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
                   "fault_branches", "seed", "ensemble_size",
                   "t_max", "dt", "rho_threshold", "freq_epsilon")
+_KEYS = frozenset(_REQUIRED_KEYS + ("schema_version", "n_mu", "algorithm",
+                                    "mode", "max_stalled_rounds"))
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None
@@ -96,6 +98,9 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
     missing = [k for k in _REQUIRED_KEYS if k not in data]
     if missing:
         raise ConfigError(f"scenario config missing keys: {missing}")
+    unknown = sorted(set(data) - _KEYS)
+    if unknown:    # a misspelt optional key would silently take its default
+        raise ConfigError(f"unknown scenario config keys: {unknown}")
     if data.get("mode", "analytic") != "analytic":   # the one engine
         raise ConfigError(f"unknown mode {data['mode']!r}")
     case_path = Path(data["case_path"])

@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import SchemaError, integer
-from .network import Branch, Bus, Island, Partition, PowerNetwork
+from .network import Island, Partition, PowerNetwork
 
 NETWORK_SCHEMA_VERSION = 1
 
@@ -52,19 +52,6 @@ def network_to_dict(network: PowerNetwork) -> dict:
             for br in network.branches
         ],
     }
-
-
-def network_from_dict(data: dict) -> PowerNetwork:
-    version = data.get("schema_version", NETWORK_SCHEMA_VERSION)
-    if version != NETWORK_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported network schema_version {version}")
-    try:
-        buses = tuple(Bus(**row) for row in data["buses"])
-        branches = tuple(Branch(**row) for row in data["branches"])
-        return PowerNetwork(buses, branches, data["base_mva"],
-                            data["generator_set"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed network JSON: {exc}") from None
 
 
 def partition_to_dict(partition: Partition) -> dict:

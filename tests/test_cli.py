@@ -16,8 +16,8 @@ import pytest
 import grid_islander
 import grid_islander.cli as cli_module
 from grid_islander import (NotConverged, SingularSystem, build_layer,
-                           build_network, derivative, ensemble_run,
-                           kuramoto, load_case, metrics)
+                           build_network, derivative, integrate, kuramoto,
+                           load_case, metrics, sample_initial_conditions)
 from grid_islander.cli import main
 
 SMALL_CASE = """\
@@ -123,6 +123,28 @@ def test_bad_scenario_exit_2(workspace, capsys):
         assert rc == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
         assert not out_dir.exists()
+
+
+def test_unknown_scenario_key_exit_2(workspace, capsys):
+    # a misspelt optional key would otherwise run with its default
+    tmp_path, cfg = workspace
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    cfg.write_text(json.dumps(dict(data, max_staled_rounds=1)),
+                   encoding="utf-8")
+    for algorithm in ("centralized", "decentralized"):
+        out_dir = tmp_path / algorithm
+        rc = main(["run-all", "--config", str(cfg), "--algorithm", algorithm,
+                   "--out-dir", str(out_dir)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "['max_staled_rounds']" in err["message"]
+        assert not out_dir.exists()
+    # every optional key is known
+    cfg.write_text(json.dumps(dict(data, max_stalled_rounds=1)),
+                   encoding="utf-8")
+    assert main(["run-all", "--config", str(cfg), "--algorithm",
+                 "decentralized", "--out-dir", str(tmp_path / "ok")]) == 0
 
 
 def test_infinite_horizon_exit_2(workspace, capsys):
@@ -245,7 +267,9 @@ def test_simulate_writes_trajectory(workspace, capsys):
     # every cell reads back as the exact float
     network = build_network(load_case(tmp_path / "case5.m"), [1, 4])
     layer = build_layer(network, network.node_ids())
-    times, phases = ensemble_run(layer, 4, 3, 1, t_max=20.0, dt=0.01)
+    times, phases = integrate(layer,
+                              sample_initial_conditions(5, [3, 1]),
+                              t_max=20.0, dt=0.01)
     freqs = derivative(layer, phases)
     assert [[float(t), int(node), float(phase), float(freq)]
             for t, node, phase, freq in rows[1:]] == [
@@ -285,7 +309,7 @@ def test_simulate_rejects_bad_run_before_integrating(workspace, capsys,
     def no_integration(*args, **kwargs):
         raise AssertionError("integrated an ensemble for a bad run index")
 
-    monkeypatch.setattr(cli_module, "ensemble_run", no_integration)
+    monkeypatch.setattr(cli_module, "integrate", no_integration)
     rc = main(["simulate", "--config", str(cfg), "--run", "9"])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
@@ -481,7 +505,7 @@ def test_seed_override_changes_sync_times(workspace):
 # grid_islander.cli as perfbench/spans.py does. The stored-trajectory pair
 # (ensemble_integrate, sync_times) is counted too: no subcommand calls it.
 _STAGES = ("build_layer", "ensemble_integrate", "sync_times",
-           "ensemble_sync_times", "ensemble_run", "centralized_partition",
+           "ensemble_sync_times", "integrate", "centralized_partition",
            "run_decentralized", "compute_metrics")
 
 
@@ -497,7 +521,7 @@ _STAGES = ("build_layer", "ensemble_integrate", "sync_times",
      {"centralized_partition": 1}, ["partition", "steps"]),
     (["sync-times", "--out", "SYNC"],
      {"build_layer": 1, "ensemble_sync_times": 1}, None),
-    (["simulate", "--run", "1"], {"build_layer": 1, "ensemble_run": 1},
+    (["simulate", "--run", "1"], {"build_layer": 1, "integrate": 1},
      None),
     (["partition"],
      {"build_layer": 1, "ensemble_sync_times": 1,

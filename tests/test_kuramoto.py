@@ -15,12 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grid_islander import (CyberLayer, EmptyLayer, EnsembleResult, NotFound,
+from grid_islander import (CyberLayer, EmptyLayer, NotFound,
                            NumericalDivergence, build_layer,
                            coupling_susceptance, derivative,
-                           ensemble_integrate, ensemble_run,
-                           ensemble_sync_times, integrate, locked_state,
-                           net_injection, order_parameter_series,
+                           ensemble_integrate, ensemble_sync_times,
+                           integrate, locked_state, net_injection,
                            sample_initial_conditions, sync_frequency,
                            sync_times)
 from grid_islander import _certificate, kuramoto
@@ -216,12 +215,11 @@ def test_initial_conditions_range_and_reproducibility():
 def test_ensemble_matches_single_runs():
     layer = two_node_layer(0.3, -0.3, b=2.0)
     ens = ensemble_integrate(layer, 5, seed=17, t_max=1.0, dt=0.05)
-    assert ens.phases.shape == (5, 21, 2)
-    assert ens.n_runs == 5
+    assert ens.phases.shape == (21, 5, 2)
     for run in range(5):
         initial = sample_initial_conditions(2, [17, run])
         _, solo = integrate(layer, initial, t_max=1.0, dt=0.05)
-        assert np.abs(ens.phases[run] - solo).max() < 1e-10
+        assert np.abs(ens.phases[:, run] - solo).max() < 1e-10
 
 
 def test_ensemble_reproducible():
@@ -236,70 +234,73 @@ def test_ensemble_reproducible():
 def test_order_parameter_basics():
     layer = two_node_layer(0.0, 0.0)
     times = np.array([0.0, 0.1, 0.2])
-    phases = np.zeros((3, 3, 2))
-    phases[:, :, 0] = 1.3          # equal phases: coherence is exactly 1
-    phases[:, :, 1] = 1.3
-    ens = EnsembleResult(layer=layer, times=times, phases=phases, seed=0)
-    series = order_parameter_series(ens, 1, 2)
-    assert series.shape == (3,)
-    assert series == pytest.approx([1.0, 1.0, 1.0])
+    phases = np.full((3, 3, 2), 1.3)   # equal phases: coherence is exactly 1
+    below_one = np.nextafter(1.0, 0.0)
+    assert sync_times(layer, times, phases, [(1, 2)],
+                      below_one).get(1, 2) == 0.0
+    # at the threshold counts as not synchronized, up to the last sample
+    assert sync_times(layer, times, phases, [(1, 2)],
+                      1.0).get(1, 2) == math.inf
 
 
 def test_order_parameter_averages_over_runs():
     layer = two_node_layer(0.0, 0.0)
     times = np.array([0.0, 0.1])
     phases = np.zeros((2, 2, 2))
-    phases[0, :, 0] = 0.0          # run 0: lag 0
-    phases[1, :, 0] = math.pi / 2  # run 1: lag pi/2
-    ens = EnsembleResult(layer=layer, times=times, phases=phases, seed=0)
-    assert order_parameter_series(ens, 1, 2) == pytest.approx([0.5, 0.5])
+    phases[:, 1, 0] = math.pi / 2  # run 0: lag 0, run 1: lag pi/2
+    # order parameter (cos 0 + cos(pi/2)) / 2, which rounds to 0.5
+    assert sync_times(layer, times, phases, [(1, 2)],
+                      np.nextafter(0.5, 0.0)).get(1, 2) == 0.0
+    assert sync_times(layer, times, phases, [(1, 2)],
+                      0.5).get(1, 2) == math.inf
 
 
 def _scan_fixture(lags):
-    """One-run ensemble whose pair lag follows the given sequence."""
+    """Layer, times and one-run phases whose pair lag follows the given
+    sequence."""
     layer = two_node_layer(0.0, 0.0)
     m = len(lags)
     times = np.arange(m) * 0.1
-    phases = np.zeros((1, m, 2))
-    phases[0, :, 0] = np.asarray(lags)
-    return EnsembleResult(layer=layer, times=times, phases=phases, seed=0)
+    phases = np.zeros((m, 1, 2))
+    phases[:, 0, 0] = np.asarray(lags)
+    return layer, times, phases
 
 
 def test_sync_time_scan_semantics():
     big, small = 1.0, 0.01           # cos: 0.54 vs 0.99995
     ens = _scan_fixture([big, big, small, small, small])
-    table = sync_times(ens, [(1, 2)], threshold=0.99)
+    table = sync_times(*ens, [(1, 2)], threshold=0.99)
     assert table.get(1, 2) == pytest.approx(0.2)
 
     ens = _scan_fixture([small] * 4)
-    assert sync_times(ens, [(1, 2)], 0.99).get(1, 2) == 0.0
+    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == 0.0
 
     ens = _scan_fixture([small, small, big])
-    assert sync_times(ens, [(1, 2)], 0.99).get(1, 2) == math.inf
+    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == math.inf
 
     # a dip back below the threshold pushes the sync time past it
     ens = _scan_fixture([small, big, small, small])
-    assert sync_times(ens, [(1, 2)], 0.99).get(1, 2) == pytest.approx(0.2)
+    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == pytest.approx(0.2)
 
 
 def test_sync_time_threshold_is_strict():
     # coherence exactly at the threshold does not count as synchronized
     edge = math.acos(0.99)
     ens = _scan_fixture([edge, 0.01, 0.01])
-    table = sync_times(ens, [(1, 2)], threshold=0.99)
+    table = sync_times(*ens, [(1, 2)], threshold=0.99)
     assert table.get(1, 2) == pytest.approx(0.1)
 
 
 def test_sync_times_on_real_dynamics():
     locking = two_node_layer(0.1, -0.1, b=1.0)
     ens = ensemble_integrate(locking, 10, seed=2, t_max=50.0, dt=0.01)
-    t_lock = sync_times(ens, [(1, 2)]).get(1, 2)
+    t_lock = sync_times(locking, *ens, [(1, 2)]).get(1, 2)
     assert math.isfinite(t_lock)
     assert 0.0 <= t_lock < 50.0
 
     drifting = two_node_layer(0.5, -0.5, b=1.0)
     ens = ensemble_integrate(drifting, 10, seed=2, t_max=50.0, dt=0.01)
-    assert sync_times(ens, [(1, 2)]).get(1, 2) == math.inf
+    assert sync_times(drifting, *ens, [(1, 2)]).get(1, 2) == math.inf
 
 
 def test_sync_frequency_analytic_and_measured():
@@ -314,25 +315,9 @@ def test_sync_frequency_analytic_and_measured():
 def test_sync_table_lookup_orderless():
     layer = two_node_layer(0.1, -0.1)
     ens = ensemble_integrate(layer, 3, seed=1, t_max=10.0, dt=0.01)
-    table = sync_times(ens, [(2, 1)])
+    table = sync_times(layer, *ens, [(2, 1)])
     assert table.get(1, 2) == table.get(2, 1)
     assert list(table.items()) == [((1, 2), table.get(1, 2))]
-
-
-def _reference_sync_times(ens, edges, threshold):
-    """The detection rule written out edge by edge on the stored series:
-    the sample after the last one at or below the threshold."""
-    entries = {}
-    for a, b in edges:
-        key = (a, b) if a < b else (b, a)
-        bad = np.flatnonzero(order_parameter_series(ens, *key) <= threshold)
-        if bad.size == 0:
-            entries[key] = float(ens.times[0])
-        elif bad[-1] == len(ens.times) - 1:
-            entries[key] = math.inf
-        else:
-            entries[key] = float(ens.times[bad[-1] + 1])
-    return entries
 
 
 def _use_cpus(monkeypatch, cpus):
@@ -365,25 +350,30 @@ def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
     for runs in (3, 12):
         ens = ensemble_integrate(layer, runs, seed, t_max=t_max,
                                  dt=STABLE_DT)
+
+        def rho(i, j):
+            """The order parameter of pair i-j at every sample."""
+            return np.mean(np.cos(ens.phases[:, :, layer.index(i)]
+                                  - ens.phases[:, :, layer.index(j)]), axis=1)
+
         # Thresholds at order-parameter values the ensemble attains, and
         # one ulp below them: a rounding change in any mean flips a
         # comparison. One ulp below an edge's minimum, that edge is
         # synced from the start.
-        attained = [order_parameter_series(ens, *e)[-1] for e in edges[:8]]
-        attained.append(order_parameter_series(ens, *edges[0]).min())
+        attained = [rho(*e)[-1] for e in edges[:8]]
+        attained.append(rho(*edges[0]).min())
         thresholds = [0.99, *attained,
                       *(np.nextafter(v, -np.inf) for v in attained)]
         forks.clear()
         kinds = set()
         for threshold in thresholds:
-            expected = _reference_sync_times(ens, edges, threshold)
+            expected = sync_times(layer, *ens, edges, threshold).entries
             for cpus in (1, 2):
                 _use_cpus(monkeypatch, cpus)
                 streamed = ensemble_sync_times(layer, runs, seed, edges,
                                                threshold, t_max=t_max,
                                                dt=STABLE_DT)
                 assert streamed.entries == expected
-            assert sync_times(ens, edges, threshold).entries == expected
             kinds |= {"start" if t == ens.times[0] else
                       "never" if math.isinf(t) else "settled"
                       for t in expected.values()}
@@ -392,7 +382,7 @@ def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
 
 
 def test_rhs_rows_keep_their_bits_in_any_split(net118_faulted):
-    # The halves of an ensemble are integrated apart, and ensemble_run
+    # The halves of an ensemble are integrated apart, and simulate
     # integrates one run as a bare (n,) vector. They reproduce the whole
     # batch only because each row of the right-hand side has the same
     # bits in any batch, a single row included.
@@ -429,8 +419,9 @@ def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
     grid = dict(t_max=50.0, dt=1.0)
     rhs = kuramoto._make_rhs(layer)
     earlier, quiet = set(), 0
+    times = kuramoto._time_grid(**grid)
     for seed in (0, 1, 3):
-        times, initial = kuramoto._ensemble_start(layer, 8, seed, **grid)
+        initial = kuramoto._ensemble_initial(layer, 8, seed)
         # with two CPUs ensemble_sync_times integrates runs [:4] here and
         # runs [4:] in a forked child
         lower, upper = (_divergence_time(
@@ -444,11 +435,11 @@ def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
             assert _divergence_time(lambda: ensemble_sync_times(
                 layer, 8, seed, [(1, 2), (2, 3)], **grid)) == whole
         earlier.add("lower" if lower < upper else "upper")
-        # ensemble_run raises only when its own run diverges
+        # a run integrated alone raises only when it diverges itself
         own = []
         for run in range(8):
             try:
-                ensemble_run(layer, 8, seed, run, **grid)
+                integrate(layer, initial[run], **grid)
             except NumericalDivergence as exc:
                 own.append(exc.t)
         assert min(own) == whole
@@ -486,20 +477,20 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
         leaves_nothing()
 
     # an exception in either half, from a stored ensemble's stream
-    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
-                             dt=0.01)
+    pair = two_node_layer(0.1, -0.1)
+    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
 
     def failing_half(failing):
         def states(first, last):
             for k in range(len(ens.times)):
                 if first == failing and k == 30:
                     raise ValueError("half failed")
-                yield ens.phases[first:last, k]
+                yield ens.phases[k, first:last]
         return states
 
     for failing, error in ((0, ValueError), (4, RuntimeError)):
         with pytest.raises(error, match="half failed"):
-            kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
+            kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4,
                                 failing_half(failing))
         leaves_nothing()
     assert len(forks) == 5
@@ -508,40 +499,18 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
 def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
-                             dt=0.01)
+    pair = two_node_layer(0.1, -0.1)
+    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
 
     def states(first, last):
         for k in range(len(ens.times)):
             if first == 4 and k == 30:
                 raise NotFound("node 9 is not in this layer")
-            yield ens.phases[first:last, k]
+            yield ens.phases[k, first:last]
 
     with pytest.raises(NotFound, match="node 9 is not in this layer"):
-        kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
-                            states)
+        kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4, states)
     assert len(forks) == 1
-
-
-def test_ensemble_run_integrates_its_run_alone(monkeypatch):
-    batches = []
-    make_rhs = kuramoto._make_rhs
-
-    def recording(layer):
-        rhs = make_rhs(layer)
-
-        def recorded(phases):
-            batches.append(phases.shape)
-            return rhs(phases)
-        return recorded
-
-    monkeypatch.setattr(kuramoto, "_make_rhs", recording)
-    layer = two_node_layer(0.3, -0.3)
-    for n_runs, run in ((20, 3), (20, 10), (5, 4), (3, 2), (2, 1), (1, 0)):
-        batches.clear()
-        ensemble_run(layer, n_runs, 0, run, t_max=0.1, dt=0.05)
-        # one (n,) phase vector, never a batch
-        assert batches and set(batches) == {(2,)}
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted):
@@ -561,15 +530,16 @@ def test_streamed_sync_times_edge_forms(net118_faulted):
     edges = [(3, 1), (1, 3), (5, 4), (4, 5), (4, 5), (1, 2)]
     ens = ensemble_integrate(layer, 9, 3, t_max=200 * STABLE_DT,
                              dt=STABLE_DT)
-    expected = _reference_sync_times(ens, edges, 0.9)
+    expected = sync_times(layer, *ens, edges, 0.9).entries
     streamed = ensemble_sync_times(layer, 9, 3, edges, 0.9,
                                    t_max=200 * STABLE_DT, dt=STABLE_DT)
     assert list(streamed.entries) == [(1, 3), (4, 5), (1, 2)]
     assert streamed.entries == expected
-    assert sync_times(ens, edges, 0.9).entries == expected
     with pytest.raises(NotFound):
         ensemble_sync_times(layer, 9, 3, [(1, 999)], t_max=1.0,
                             dt=STABLE_DT)
+    with pytest.raises(NotFound):
+        sync_times(layer, *ens, [(1, 999)])
 
 
 def test_streamed_sync_memory_does_not_grow_with_steps(net118_faulted):
@@ -598,26 +568,34 @@ def test_stability_warning_follows_gershgorin_bound(net118_faulted, caplog):
     with caplog.at_level(logging.WARNING, logger="grid_islander.kuramoto"):
         ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=10 * STABLE_DT,
                             dt=STABLE_DT)
+        integrate(layer, np.zeros(layer.size), t_max=10 * STABLE_DT,
+                  dt=STABLE_DT)
         assert caplog.records == []
         ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=0.1, dt=0.01)
-    [record] = caplog.records
-    assert record.levelno == logging.WARNING
-    assert "integration artifacts" in record.getMessage()
+        integrate(layer, np.zeros(layer.size), t_max=0.1, dt=0.01)
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        assert record.levelno == logging.WARNING
+        assert "integration artifacts" in record.getMessage()
 
 
-def test_ensemble_run_is_the_stored_run(net118_faulted):
+def test_a_run_integrated_alone_is_the_stored_run(net118_faulted):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     grid = dict(t_max=100 * STABLE_DT, dt=STABLE_DT)
     for n_runs, runs in ((5, (0, 4)), (2, (1,)), (1, (0,))):
         ens = ensemble_integrate(layer, n_runs, 3, **grid)
         for run in runs:
-            times, phases = ensemble_run(layer, n_runs, 3, run, **grid)
+            initial = sample_initial_conditions(layer.size, [3, run])
+            times, phases = integrate(layer, initial, **grid)
             assert np.array_equal(times, ens.times)
-            assert np.array_equal(phases, ens.phases[run])
+            assert np.array_equal(phases, ens.phases[:, run])
             assert np.array_equal(derivative(layer, phases),
-                                  derivative(layer, ens.phases[run]))
+                                  derivative(layer, ens.phases[:, run]))
+    for shape in ((layer.size - 1,), (2, 3, layer.size)):
+        with pytest.raises(ValueError):
+            integrate(layer, np.zeros(shape), **grid)
     with pytest.raises(ValueError):
-        ensemble_run(layer, 5, 3, 5, t_max=1.0, dt=STABLE_DT)
+        ensemble_integrate(layer, 0, 3, **grid)
 
 
 def test_locked_state_of_a_pair_and_past_its_limit():
@@ -748,27 +726,25 @@ def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
     edges = list(zip(*(np.array(layer.node_ids)[k]
                        for k in layer._edges[:2])))
     t_max, runs = 200.0, 4
-    times, initial = kuramoto._ensemble_start(layer, runs, seed, t_max, dt)
+    times, phases = ensemble_integrate(layer, runs, seed, t_max=t_max,
+                                       dt=dt)
     low = np.array([layer.index(a) for a, _ in edges])
     high = np.array([layer.index(b) for _, b in edges])
     certificate = _certificate.lock_certificate(layer, times, low, high,
                                                 threshold, runs)
-    phases = ensemble_integrate(layer, runs, seed, t_max=t_max,
-                                dt=dt).phases
     proven = [k for k in range(7, len(times), 8)
-              if certificate.proves(certificate.levels(phases[:, k],
+              if certificate.proves(certificate.levels(phases[k],
                                                        times[k]))]
     assert proven, "no sample certified"
     k = proven[0]
-    level = certificate.levels(phases[:, k], times[k])[:, 0]
-    u, size, _, _ = certificate.excess(phases[:, k + 1:])
+    level = certificate.levels(phases[k], times[k])[:, 0]
+    u, size, _, _ = certificate.excess(phases[k + 1:])
     rounding = (layer.size + len(edges) + 16) * kuramoto._EPS * size
-    assert np.all(u - rounding <= level[:, None])
+    assert np.all(u - rounding <= level)
     # the stop leaves the table as the full scan gives it
     assert ensemble_sync_times(layer, runs, seed, edges, threshold,
                                t_max=t_max, dt=dt).entries \
-        == sync_times(EnsembleResult(layer, times, phases, seed), edges,
-                      threshold).entries
+        == sync_times(layer, times, phases, edges, threshold).entries
 
 
 def test_certified_stop_kills_a_stalled_child(monkeypatch):
@@ -777,8 +753,8 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
     # time.
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
-    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
-                             dt=0.01)
+    pair = two_node_layer(0.1, -0.1)
+    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
     # the first sample after the first checked block
     after = kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
 
@@ -786,7 +762,7 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
         for k in range(len(ens.times)):
             if first > 0 and k == after:
                 time.sleep(60)
-            yield ens.phases[first:last, k]
+            yield ens.phases[k, first:last]
 
     class Stops:
         below = np.array([False])
@@ -801,11 +777,11 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
     monkeypatch.setattr(_certificate, "lock_certificate",
                         lambda *args: Stops())
     started = time.monotonic()
-    table = kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.7, 8, 4,
-                                states, certify=True)
+    table = kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.7, 8, 4,
+                                states)
     assert time.monotonic() - started < 30.0
     # synced before the stop, so the stop leaves the full scan's table
-    expected = sync_times(ens, [(1, 2)], 0.7).entries
+    expected = sync_times(pair, *ens, [(1, 2)], 0.7).entries
     assert ens.times[0] < expected[(1, 2)] < ens.times[after]
     assert table.entries == expected
     assert len(forks) == 1
@@ -817,8 +793,8 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
     # The forked half diverges a block ahead and ends before the parent
     # reads that block's report: the parent must raise the divergence.
     _use_cpus(monkeypatch, 2)
-    ens = ensemble_integrate(two_node_layer(0.1, -0.1), 8, 2, t_max=1.0,
-                             dt=0.01)
+    pair = two_node_layer(0.1, -0.1)
+    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
     block = kuramoto._BLOCK_SAMPLES
     first_check = kuramoto._CHECK_BLOCKS - 1
     diverging = (first_check + 1) * block + 2
@@ -830,7 +806,7 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
             if first > 0 and k == diverging:
                 ended[0] = 1
                 raise NumericalDivergence(float(ens.times[k]))
-            yield ens.phases[first:last, k]
+            yield ens.phases[k, first:last]
 
     class Waits:
         below = np.array([False])
@@ -849,8 +825,7 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
     monkeypatch.setattr(_certificate, "lock_certificate",
                         lambda *args: Waits())
     with pytest.raises(NumericalDivergence) as err:
-        kuramoto._sync_scan(ens.layer, ens.times, [(1, 2)], 0.99, 8, 4,
-                            states, certify=True)
+        kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4, states)
     assert err.value.t == ens.times[diverging]
 
 

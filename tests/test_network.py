@@ -215,14 +215,6 @@ def test_island_requires_nonempty():
         Island(label=1, node_set=frozenset())
 
 
-def test_network_equality(five_path):
-    same = make_network({1: 1.0, 2: -0.4, 3: -0.6, 4: 0.5, 5: -0.5},
-                        [(1, 2), (2, 3), (3, 4), (4, 5)],
-                        generator_set={1, 4})
-    assert five_path == same
-    assert five_path != apply_fault(five_path, (1, 2))
-
-
 def test_disconnected_network_flagged_not_rejected():
     net = make_network({1: 1.0, 2: -1.0, 3: 0.5, 4: -0.5},
                        [(1, 2), (3, 4)], generator_set={1, 3})
