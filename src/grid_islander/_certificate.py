@@ -45,28 +45,32 @@ class LockCertificate:
     an RK4 step moves a run as RK4 on x' = -g does, plus a shift along 1
     that nothing below sees; every vector below is taken across 1.
     Lam = 2 max weighted degree bounds ||H(x)|| anywhere, and
-    z = h Lam < 2.785, or there is no certificate.
+    z = h Lam < 2.785, or there is no certificate. LamQ <= Lam bounds
+    ||H(x)|| on the region Q (below), and zQ = h LamQ.
 
     RK4 step. ||H(a) - H(b)|| <= Lam max_e |cos b_e.a - cos b_e.b|
     <= sqrt(2) Lam ||a - b||, so g(x + v) = g(x) + H(x) v + r with
-    ||r|| <= L ||v||^2 / 2, L = sqrt(2) Lam. With P(s) = 1 - s/2 + s^2/6
-    - s^3/24, R(s) = 1 - s P(s) and m(s) = P(s)(2 - s P(s)): on
-    [0, 2.785], 0 <= P <= 1, |R| <= 1 and m decreases, so m >= mu = m(z)
-    > 0 (``_rk4_decrease_factor``). Take x where A = H(x) is positive
-    semidefinite and gamma = ||g(x)||. With every stage Hessian equal to
-    A the step is D0 = -h P(hA) g, so ||D0|| <= h gamma, g + A D0 =
-    R(hA) g, and ``g.D0 + D0.A.D0 / 2 = -(h/2) g.m(hA).g``. The stages'
-    remainders add E = D - D0: with s2 = 1 + z/2 and s3 = 1 + z s2 / 2
-    bounding the stage gradients over gamma, the stage errors are at most
-    l gamma^2 times e2 = 1/8, e3 = z e2 / 2 + s2^2 / 8 and
-    e4 = z e3 + s3^2 / 2, l = L h^2, so ||E|| <= h l gamma^2 eE with
+    ||r|| <= L ||v||^2 / 2, L = sqrt(2) Lam, wherever x + v lies. With
+    P(s) = 1 - s/2 + s^2/6 - s^3/24, R(s) = 1 - s P(s) and
+    m(s) = P(s)(2 - s P(s)): on [0, 2.785], 0 <= P <= 1, |R| <= 1 and m
+    decreases, so m >= mu = m(zQ) > 0 on [0, zQ]
+    (``_rk4_decrease_factor``). Take x in Q, where A = H(x) is positive
+    semidefinite with ||A|| <= LamQ, and gamma = ||g(x)||. With every
+    stage Hessian equal to A the step is D0 = -h P(hA) g, so
+    ||D0|| <= h gamma, g + A D0 = R(hA) g, and
+    ``g.D0 + D0.A.D0 / 2 = -(h/2) g.m(hA).g``. The stages' remainders add
+    E = D - D0: with s2 = 1 + zQ/2 and s3 = 1 + zQ s2 / 2 bounding the
+    stage gradients over gamma, the stage errors are at most l gamma^2
+    times e2 = 1/8, e3 = zQ e2 / 2 + s2^2 / 8 and e4 = zQ e3 + s3^2 / 2,
+    l = L h^2, so ||E|| <= h l gamma^2 eE with
     eE = (2 e2 + 2 e3 + e4) / 6. Adding Taylor's remainder L ||D||^3 / 6,
     ``V(x + D) - V(x) <= -(h/2) gamma^2 B(l gamma)`` with
-    ``B(s) = mu - 2 s eE - z s^2 eE^2 - (s/3)(1 + s eE)^3``. B is concave
-    and falls from mu to 0 at some X. Let gbar = min(X / (2 l),
-    min_e d_e / (8 h)) (d_e below). For gamma <= gbar, B >= mu/2: the step
-    lowers V by at least (h/4) mu gamma^2, and
-    ||D|| <= step = h gbar (1 + l gbar eE).
+    ``B(s) = mu - 2 s eE - zQ s^2 eE^2 - (s/3)(1 + s eE)^3``. Only A
+    enters through zQ; the remainders, whose stage points may leave Q,
+    keep the global L. B is concave and falls from mu to 0 at some X.
+    Let gbar = min(X / (2 l), min_e d_e / (8 h)) (d_e below). For
+    gamma <= gbar, B >= mu/2: the step lowers V by at least
+    (h/4) mu gamma^2, and ||D|| <= step = h gbar (1 + l gbar eE).
 
     Region. theta* comes from ``locked_state``'s Newton; H* = H(theta*).
     M is the inverse of H* without node 0's row and column, padded with
@@ -79,17 +83,20 @@ class LockCertificate:
     d^2/2 + t_e d = tau. Q is the set where |b_e.(x - theta*)| <= d_e on
     every layer edge. Q is convex, and on it (1 - tau) cos* <= cos <=
     (1 + tau) cos* edge by edge, so a- H* <= H(x) <= a+ H*: V is convex
-    on Q, strongly with lamQ = a- / ((1 + kappa) ||M||_inf). With
-    res = ||g(theta*)|| plus its rounding, the exact lock xh lies within
-    dist = res / lamQ of theta*, and V(theta*) - V(xh) <= res^2 /
-    (2 lamQ). For x in Q, y = x - xh and
-    u = V(x) - V(xh): ``u = y.Hbar.y / 2`` and ``g = Htil y`` exactly,
-    Hbar and Htil being averages of H over the segment, so
+    on Q, strongly with sigma = a- / ((1 + kappa) ||M||_inf), and
+    ||H(x)|| <= LamQ = min(Lam, a+ lmax) on Q, lmax being H*'s top
+    eigenvalue as computed plus 16 n eps Lam, which covers the rounding
+    of H*'s entries and of the eigensolver. With res = ||g(theta*)|| plus
+    its rounding, the exact lock xh lies within dist = res / sigma of
+    theta*, and V(theta*) - V(xh) <= res^2 / (2 sigma). For x in Q,
+    y = x - xh and u = V(x) - V(xh): ``u = y.Hbar.y / 2`` and
+    ``g = Htil y`` exactly, Hbar and Htil being averages of H over the
+    segment, which lies in Q (xh does: room_e > 0 below), so
       (i)   |b_q.y|^2 <= R_q y.H*.y <= 2 R_q u / a- for any pair q;
-      (ii)  ||g||^2 <= Lam y.Htil.y <= 2 Lam (a+ / a-) u;
-      (iii) u <= ||g||^2 / (2 lamQ).
+      (ii)  ||g||^2 <= LamQ y.Htil.y <= 2 LamQ (a+ / a-) u;
+      (iii) u <= ||g||^2 / (2 sigma).
 
-    Level. c_max = min(cA, cB) with cA = gbar^2 a- / (2 Lam a+), so that
+    Level. c_max = min(cA, cB) with cA = gbar^2 a- / (2 LamQ a+), so that
     (ii) gives gamma <= gbar, and cB = min_e a- room_e^2 / (2 R_e),
     room_e = d_e - sqrt(2)(dist + step + _ETA_CAP). From a point of Q with
     u <= c <= c_max, by (i) and cB a step, even one perturbed by up to
@@ -100,13 +107,15 @@ class LockCertificate:
     eta = 32 (1 + z) eps sqrt(n) (Theta + h (max|p| + Lam)), Theta
     bounding the run's phases through the horizon: a generous count of
     the roundings on each component, which the stages amplify at most
-    (1 + z) fold. It covers the d sequential adds at a node of degree d,
-    which round by at most (d + 1) eps (|p_i| + Lam / 2), for degrees far
-    above 9, the 118-bus grid's largest. That raises V by at most
-    omega = gF eta + Lam eta^2 / 2,
-    where gF = gbar (1 + z (1 + l gbar eE)) bounds ||g|| after a step.
+    (1 + z) fold (z, not zQ: a stage point may lie farther than step
+    from x, outside Q). It covers the d sequential adds at a node of
+    degree d, which round by at most (d + 1) eps (|p_i| + Lam / 2), for
+    degrees far above 9, the 118-bus grid's largest. That raises V by at
+    most omega = gF eta + Lam eta^2 / 2,
+    where gF = gbar (1 + zQ (1 + l gbar eE)) bounds ||g|| after a step,
+    whose segment lies in Q.
     Where (h/4) mu gamma^2 >= omega the step still does not raise V;
-    elsewhere (iii) leaves u <= u_floor = omega (1 + 2 / (h mu lamQ))
+    elsewhere (iii) leaves u <= u_floor = omega (1 + 2 / (h mu sigma))
     after it. So u never exceeds max(u now, u_floor). A run's level adds
     to the computed V(x) - V(theta*) the rounding of that sum,
     (n + m + 16) eps times the sum of its terms' moduli, the effect of
@@ -128,18 +137,25 @@ class LockCertificate:
         iu, jv, _ = layer._edges
         p = layer.natural_frequency
         lam = _gershgorin(layer)
-        z = dt * lam
-        mu = _rk4_decrease_factor(z)
-        s2 = 1.0 + z / 2.0
-        s3 = 1.0 + z * s2 / 2.0
+        angle = theta[iu] - theta[jv]
+        hessian = _laplacian(layer, np.cos(angle))
+        spectrum = np.linalg.eigvalsh(hessian)
+        self.lambda2 = float(spectrum[1])
+        a_lo, a_hi = 1.0 - _TAU, 1.0 + _TAU
+        self.lam_q = min(lam, a_hi * (float(spectrum[-1])
+                                      + 16.0 * n * _EPS * lam))
+        z_q = dt * self.lam_q
+        mu = _rk4_decrease_factor(z_q)
+        s2 = 1.0 + z_q / 2.0
+        s3 = 1.0 + z_q * s2 / 2.0
         e2 = 1.0 / 8.0
-        e3 = z * e2 / 2.0 + s2 * s2 / 8.0
-        e4 = z * e3 + s3 * s3 / 2.0
+        e3 = z_q * e2 / 2.0 + s2 * s2 / 8.0
+        e4 = z_q * e3 + s3 * s3 / 2.0
         e_e = (2.0 * e2 + 2.0 * e3 + e4) / 6.0
         ell = math.sqrt(2.0) * lam * dt * dt
 
         def falls(s):   # B(s) > 0
-            return (mu - 2.0 * s * e_e - z * (s * e_e) ** 2
+            return (mu - 2.0 * s * e_e - z_q * (s * e_e) ** 2
                     - s * (1.0 + s * e_e) ** 3 / 3.0) > 0.0
 
         lo, hi = 0.0, mu / (2.0 * e_e)      # B(lo) > 0 >= B(hi)
@@ -147,11 +163,9 @@ class LockCertificate:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if falls(mid) else (lo, mid)
 
-        angle = theta[iu] - theta[jv]
-        self.hessian = _laplacian(layer, np.cos(angle))
         grounded = np.zeros((n, n))
         try:
-            grounded[1:, 1:] = np.linalg.inv(self.hessian[1:, 1:])
+            grounded[1:, 1:] = np.linalg.inv(hessian[1:, 1:])
         except np.linalg.LinAlgError:     # a disconnected layer
             grounded[1:, 1:] = np.inf
         norm = float(np.abs(grounded).sum(axis=1).max())
@@ -160,8 +174,7 @@ class LockCertificate:
         if not kappa < 0.5:
             self.decline = "the lock's Laplacian is too ill-conditioned"
             return
-        a_lo, a_hi = 1.0 - _TAU, 1.0 + _TAU
-        lam_q = a_lo / ((1.0 + kappa) * norm)
+        sigma = a_lo / ((1.0 + kappa) * norm)
 
         def resistance(a, b):
             return (grounded[a, a] + grounded[b, b] - 2.0 * grounded[a, b]
@@ -170,14 +183,14 @@ class LockCertificate:
         self.residual = float(np.linalg.norm(_mismatch(layer, theta)))
         res = self.residual + 4.0 * n * math.sqrt(n) * _EPS * (
             np.abs(p - p.mean()).max() + lam)
-        dist = res / lam_q
+        dist = res / sigma
         tan = np.abs(np.tan(angle))
         self.d_e = np.sqrt(tan * tan + 2.0 * _TAU) - tan
         gbar = min(0.5 * lo / ell, float(self.d_e.min()) / (8.0 * dt))
         step = dt * gbar * (1.0 + ell * gbar * e_e)
         room = self.d_e - math.sqrt(2.0) * (dist + step + _ETA_CAP)
         self.c_max = min(
-            gbar ** 2 * a_lo / (2.0 * lam * a_hi),
+            gbar ** 2 * a_lo / (2.0 * self.lam_q * a_hi),
             float((a_lo * np.maximum(room, 0.0) ** 2
                    / (2.0 * resistance(iu, jv))).min()))
 
@@ -202,14 +215,14 @@ class LockCertificate:
         # horizon: max|theta*|, the region's reach across 1, and 1 rad of
         # slack for the rounding of the mean
         self.phase_room = (float(np.abs(theta).max())
-                           + math.sqrt(2.0 * self.c_max / lam_q) + dist + 1.0)
-        self.eta_unit = 32.0 * (1.0 + z) * _EPS * math.sqrt(n)
+                           + math.sqrt(2.0 * self.c_max / sigma) + dist + 1.0)
+        self.eta_unit = 32.0 * (1.0 + dt * lam) * _EPS * math.sqrt(n)
         self.eta_rhs = dt * (float(np.abs(p).max()) + lam)
-        self.gamma_f = gbar * (1.0 + z * (1.0 + ell * gbar * e_e))
-        self.floor_factor = 1.0 + 2.0 / (dt * mu * lam_q)
+        self.gamma_f = gbar * (1.0 + z_q * (1.0 + ell * gbar * e_e))
+        self.floor_factor = 1.0 + 2.0 / (dt * mu * sigma)
         self.gradient = float(np.linalg.norm(p - p.mean())
                               + math.sqrt(n) * lam / 2.0)
-        self.lock_rounding = res * res / (2.0 * lam_q)
+        self.lock_rounding = res * res / (2.0 * sigma)
 
     def excess(self, phases: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -268,10 +281,11 @@ def lock_certificate(layer: CyberLayer, times: np.ndarray,
     """The lock certificate of an RK4 scan on ``times``, or None, with
     the reason logged, where no proof is possible."""
     dt = float(times[1] - times[0])
+    ratio = dt * _gershgorin(layer)
     theta = None
-    if not dt * _gershgorin(layer) < RK4_REAL_LIMIT:
-        reason = (f"dt * Gershgorin bound = {dt * _gershgorin(layer):.3f} "
-                  f"is not below {RK4_REAL_LIMIT}")
+    if not ratio < RK4_REAL_LIMIT:
+        reason = (f"dt * Gershgorin bound = {ratio:.3f} is not below "
+                  f"{RK4_REAL_LIMIT}")
     else:
         theta = _lock_phases(layer)
         reason = "the layer has no stable locked state"

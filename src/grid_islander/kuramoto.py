@@ -457,12 +457,13 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
     if certificate is not None and stop is None:
         logger.info("lock not certified within the horizon: integrated "
                     "all %d steps", n_samples - 1)
-    elif certificate is not None and logger.isEnabledFor(logging.INFO):
-        # checked first: lambda2's eigensolver runs for the log alone
+    elif certificate is not None:
         logger.info("lock certified at t = %.4f s (locked-state residual "
-                    "%.1e, lambda2 %.4f): integrated %d of %d steps",
-                    times[stop], certificate.residual,
-                    _lambda2(certificate.hessian), stop, n_samples - 1)
+                    "%.1e, lambda2 %.4f, dt * LamQ %.3f): integrated %d of "
+                    "%d steps", times[stop], certificate.residual,
+                    certificate.lambda2,
+                    (times[1] - times[0]) * certificate.lam_q, stop,
+                    n_samples - 1)
     return SyncTimeTable(entries={
         key: settling_time(times, int(last))
         for key, last in zip(keys, last_bad)})
@@ -546,10 +547,6 @@ def _lock_phases(layer: CyberLayer) -> np.ndarray | None:
     return theta
 
 
-def _lambda2(laplacian: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(laplacian)[1])
-
-
 def locked_state(layer: CyberLayer) -> LockedState | None:
     """The stable phase-locked state of a layer, or None.
 
@@ -566,7 +563,8 @@ def locked_state(layer: CyberLayer) -> LockedState | None:
     if theta is None:
         return None
     iu, jv, _ = layer._edges
-    lambda2 = _lambda2(_laplacian(layer, np.cos(theta[iu] - theta[jv])))
+    lambda2 = float(np.linalg.eigvalsh(
+        _laplacian(layer, np.cos(theta[iu] - theta[jv])))[1])
     if lambda2 <= 0.0:
         return None
     return LockedState(phases=theta, lambda2=lambda2)

@@ -662,9 +662,29 @@ def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
         assert table.entries == full.entries
         [message] = messages
         steps = int(re.search(r"integrated (\d+) of 10000", message)[1])
-        assert steps < 5000
+        assert steps < 3600
     # one process and two stop at the same sample
     assert stopped[0][1] == stopped[1][1]
+
+
+def test_pair_margins_not_the_level_cap_set_the_stop(net118_faulted,
+                                                    monkeypatch):
+    # At the check before the stop every run's level is already within
+    # c_max: the stop waits on the pairs' margins, not on the level cap.
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    checks = []
+    proves = _certificate.LockCertificate.proves
+
+    def spy(self, levels):
+        checks.append((bool(np.all(levels[:, 0] <= self.c_max)),
+                       proves(self, levels)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(_certificate.LockCertificate, "proves", spy)
+    ensemble_sync_times(layer, 20, 2, net118_faulted.edge_set(), t_max=35.0,
+                        dt=STABLE_DT)
+    assert len(checks) >= 2 and checks[-1][1]
+    assert checks[-2] == (True, False)
 
 
 def test_scan_declines_without_stable_step_or_lock(net118_faulted, caplog):
@@ -747,6 +767,38 @@ def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
         == sync_times(layer, times, phases, edges, threshold).entries
 
 
+def _hessian_within_region_bound(layer, dt, threshold, rng):
+    """At points x of the certificate's region Q, |b_e.(x - theta*)| <=
+    d_e on every edge, H(x)'s top eigenvalue is within LamQ <= Lam."""
+    iu, jv, _ = layer._edges
+    theta = locked_state(layer).phases
+    certificate = _certificate.LockCertificate(layer, theta, dt, 1.0, iu, jv,
+                                               threshold, 4)
+    assert certificate.lam_q <= certificate.lam
+    # -theta* turns every edge toward zero lag, raising all its cosines
+    for y in [-theta] + [rng.standard_normal(layer.size) for _ in range(50)]:
+        reach = (np.abs(y[iu] - y[jv]) / certificate.d_e).max()
+        if reach == 0.0:
+            continue
+        for scale in (1.0, rng.uniform()):
+            x = theta + scale * y / reach
+            hessian = kuramoto._laplacian(layer, np.cos(x[iu] - x[jv]))
+            assert np.linalg.eigvalsh(hessian)[-1] <= certificate.lam_q
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_locking_layers(), seed=st.integers(0, 1000))
+def test_region_bound_holds_on_small_locking_layers(case, seed):
+    _hessian_within_region_bound(*case, np.random.default_rng(seed))
+
+
+def test_region_bound_holds_on_the_faulted_grid(net118_faulted):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    _hessian_within_region_bound(layer, STABLE_DT,
+                                 kuramoto.DEFAULT_RHO_THRESHOLD,
+                                 np.random.default_rng(0))
+
+
 def test_certified_stop_kills_a_stalled_child(monkeypatch):
     # The forked half reads nothing from this process. Its stream stalls
     # for a minute after the certified block, so only a kill ends it in
@@ -766,7 +818,7 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
 
     class Stops:
         below = np.array([False])
-        residual, hessian = 0.0, np.array([[1.0, -1.0], [-1.0, 1.0]])
+        residual, lambda2, lam_q = 0.0, 2.0, 2.0
 
         def levels(self, phases, t):
             return np.zeros((len(phases), 2))
