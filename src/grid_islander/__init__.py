@@ -14,9 +14,9 @@ __version__ = "0.1.0"
 
 from .centralized import (AttachStep, CentralizedResult,
                           centralized_partition, check_initial_islands)
-from .decentralized import (Decision, DecentralizedResult, IslandRegistry,
-                            NodeAgent, agent_decide, estimate_island_power,
-                            run_decentralized, staleness_check)
+from .decentralized import (DecentralizedResult, IslandRegistry,
+                            agent_decide, estimate_island_power,
+                            run_decentralized)
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridIslanderError, InitialIslandsOverlap,
                      MissingSection, NoGenerator, NotConverged, NotFound,

@@ -9,13 +9,15 @@ or wait:
 * enclosure first: if every neighbor lies in one island, join it;
 * loads (negative injection) join the adjacent island with the largest
   estimated imbalance, provided it is positive, else wait;
-* other nodes join the adjacent island with the smallest estimate.
+* other nodes join the adjacent island with the smallest estimate;
+* ties go to the lowest label.
 
 Rounds are synchronous and deterministic. All agents evaluate against
 the round-start registry; joins commit at round end in ascending node-id
-order, and a commit invalidates later joiners that watched the island it
-changed (they read stale frequencies and retry next round). Enclosure
-joins skip the staleness check since they use no frequency data.
+order, and a commit makes later joiners stale if an island they read has
+moved by epsilon or more (they retry next round). Enclosure joins use no
+frequency data, so they are never stale. After ``max_stalled_rounds``
+quiet rounds a fallback applies the same rule to exact island sums.
 Each evaluation emits one ``estimate`` event, ``{"islands": {label:
 frequency read}, "estimates": {label: estimate or null}}``, then a
 ``wait`` or, at commit, a ``join`` or ``stale`` (``{"island",
@@ -80,50 +82,34 @@ def estimate_island_power(island_freq: float, augmented_freq: float,
     return power, power / island_freq
 
 
-@dataclass(frozen=True)
-class Decision:
-    """What an agent chose to do this round."""
-
-    action: str                 # "join" or "wait"
-    label: int | None = None
-    reason: str = ""
-
-
-@dataclass
-class NodeAgent:
-    """One unassigned node's view of its adjacent islands.
-
-    ``snapshot_freqs`` maps each watched island's label to the published
-    frequency the agent's estimate used.
-    """
-
-    node_id: int
-    injection: float
-    neighbor_islands: frozenset[int]
-    snapshot_freqs: dict[int, float]
-    decision: Decision | None = None
-
-
 @dataclass
 class IslandRegistry:
-    """Shared bulletin board: membership and published frequencies.
+    """Shared bulletin board over the run's {node: injection} table.
 
-    ``owner`` maps every assigned node to its island's label; it is built
-    from ``islands`` and kept in step by ``join``.
+    Each island publishes its mean injection, its locked frequency, in
+    ``island_freq``; ``owner`` maps every assigned node to its island's
+    label. Both are built from ``islands`` and kept in step by ``join``.
     """
 
     islands: dict[int, set[int]]
-    island_freq: dict[int, float]
+    injection: dict[int, float]
+    island_freq: dict[int, float] = field(init=False)
     owner: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.owner = {node: lbl for lbl, members in self.islands.items()
                       for node in members}
+        self.island_freq = {lbl: self._freq(lbl) for lbl in self.islands}
 
     def join(self, node: int, label: int) -> None:
-        """Commit ``node`` to island ``label``."""
+        """Commit ``node`` to island ``label`` and republish its frequency."""
         self.islands[label].add(node)
         self.owner[node] = label
+        self.island_freq[label] = self._freq(label)
+
+    def _freq(self, label: int) -> float:
+        members = self.islands[label]
+        return sum(self.injection[n] for n in members) / len(members)
 
 
 @dataclass(frozen=True)
@@ -136,38 +122,44 @@ class DecentralizedResult:
     fallback_nodes: tuple[int, ...]
 
 
-def agent_decide(agent: NodeAgent, estimates: dict[int, float | None],
-                 enclosing: int | None = None) -> Decision:
+def _preferred(injection: float, values: dict[int, float]) -> int:
+    """The join rule: a load (negative injection) takes the island with
+    the largest value, any other node the smallest; ties go to the lowest
+    label."""
+    if injection < 0.0:
+        return min(values, key=lambda lbl: (-values[lbl], lbl))
+    return min(values, key=lambda lbl: (values[lbl], lbl))
+
+
+def agent_decide(injection: float, estimates: dict[int, float | None],
+                 enclosing: int | None = None) -> tuple[int | None, str]:
     """Apply the join rules to one agent's estimates.
 
     ``estimates`` maps every adjacent island label to its estimated
     imbalance, or None when the estimate was degenerate. ``enclosing``
     names the island containing all of the agent's neighbors, if any.
-    Ties break toward the lowest label.
+    Returns the label to join, or None to wait, and the reason. Loads
+    consider only islands with a positive estimate.
     """
     if enclosing is not None:
-        return Decision(action="join", label=enclosing, reason="enclosure")
+        return enclosing, "enclosure"
     usable = {lbl: est for lbl, est in estimates.items() if est is not None}
-    if agent.injection < 0.0:
-        positive = {lbl: est for lbl, est in usable.items() if est > 0.0}
-        if not positive:
-            return Decision(action="wait", reason="no positive island")
-        best = min(positive, key=lambda lbl: (-positive[lbl], lbl))
-        return Decision(action="join", label=best, reason="largest imbalance")
+    if injection < 0.0:
+        usable = {lbl: est for lbl, est in usable.items() if est > 0.0}
+        if not usable:
+            return None, "no positive island"
+        return _preferred(injection, usable), "largest imbalance"
     if not usable:
-        return Decision(action="wait", reason="no usable estimate")
-    best = min(usable, key=lambda lbl: (usable[lbl], lbl))
-    return Decision(action="join", label=best, reason="smallest imbalance")
+        return None, "no usable estimate"
+    return _preferred(injection, usable), "smallest imbalance"
 
 
-def staleness_check(agent: NodeAgent, registry: IslandRegistry,
-                    epsilon: float = DEFAULT_EPSILON) -> str:
-    """"fresh" if every watched island frequency still matches the
-    agent's snapshot to within epsilon, else "stale"."""
-    for lbl, island_freq in agent.snapshot_freqs.items():
-        if abs(registry.island_freq[lbl] - island_freq) >= epsilon:
-            return "stale"
-    return "fresh"
+def _stale(registry: IslandRegistry, snapshot: dict[int, float],
+           epsilon: float) -> bool:
+    """Whether any watched island's published frequency has moved by
+    epsilon or more since the agent read ``snapshot``."""
+    return any(abs(registry.island_freq[lbl] - freq) >= epsilon
+               for lbl, freq in snapshot.items())
 
 
 def _mean_injection(injection: dict[int, float],
@@ -179,16 +171,18 @@ def _mean_injection(injection: dict[int, float],
 
 
 def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
-                    node: int, injection: dict[int, float]
-                    ) -> tuple[NodeAgent, dict[int, float | None], dict]:
-    """Build one agent from registry data restricted to its own
-    neighborhood and run its estimates.
+                    node: int
+                    ) -> tuple[dict[int, float], tuple[int | None, str], dict]:
+    """One agent's evaluation from registry data restricted to its own
+    neighborhood: the snapshot it read (watched label -> published
+    frequency), its decision, and its ``estimate`` event payload.
 
     Everything here reads only the agent's injection, its neighbor list,
     its neighbors' island labels, and the membership and frequencies of
     islands actually adjacent to it; islands elsewhere in the grid cannot
     influence the outcome.
     """
+    injection = registry.injection
     own = injection[node]
     neighbors = network.neighbors(node)
     owner = registry.owner
@@ -210,20 +204,9 @@ def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
             estimates[lbl] = None
         except UndefinedSize:
             estimates[lbl] = 0.0
-    agent = NodeAgent(node_id=node, injection=own,
-                      neighbor_islands=frozenset(watched),
-                      snapshot_freqs=snapshot)
-    agent.decision = agent_decide(agent, estimates, enclosing)
     info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
             "estimates": {str(lbl): estimates[lbl] for lbl in watched}}
-    return agent, estimates, info
-
-
-def _publish(registry: IslandRegistry, injection: dict[int, float],
-             label: int) -> None:
-    members = registry.islands[label]
-    total = sum(injection[n] for n in members)
-    registry.island_freq[label] = total / len(members)
+    return snapshot, agent_decide(own, estimates, enclosing), info
 
 
 def run_decentralized(network: PowerNetwork,
@@ -234,18 +217,13 @@ def run_decentralized(network: PowerNetwork,
     """Run the round-based multi-agent growth to completion.
 
     If ``max_stalled_rounds`` consecutive rounds pass with no commit,
-    remaining island-adjacent nodes are attached by a logged fallback
-    (loads to the largest-imbalance adjacent island, others to the
-    smallest). Raises Stalled if unassigned nodes remain that no island
-    can reach.
+    remaining island-adjacent nodes are attached by a logged fallback.
+    Raises Stalled if unassigned nodes remain that no island can reach.
     """
     check_initial_islands(network, initial_islands)
-    injection = {n: net_injection(network, n) for n in network.node_ids()}
     registry = IslandRegistry(
         islands={isl.label: set(isl.node_set) for isl in initial_islands},
-        island_freq={})
-    for lbl in registry.islands:
-        _publish(registry, injection, lbl)
+        injection={n: net_injection(network, n) for n in network.node_ids()})
 
     n_total = network.n_buses
     n_mu = len(registry.islands)
@@ -264,9 +242,7 @@ def run_decentralized(network: PowerNetwork,
 
     while assigned != all_nodes:
         round_index += 1
-        active = sorted(
-            node for node in all_nodes - assigned
-            if any(p in assigned for p in network.neighbors(node)))
+        active = _frontier(network, registry, all_nodes)
         if not active:
             raise Stalled(
                 f"{len(all_nodes - assigned)} nodes are unreachable from "
@@ -274,41 +250,37 @@ def run_decentralized(network: PowerNetwork,
                 blocked=tuple(sorted(all_nodes - assigned)))
 
         evaluations = n_mu
-        joiners: list[NodeAgent] = []
+        joiners = []
         for node in active:
-            agent, estimates, info = _evaluate_agent(
-                network, registry, node, injection)
-            evaluations += len(agent.neighbor_islands)
+            snapshot, (label, reason), info = _evaluate_agent(
+                network, registry, node)
+            evaluations += len(snapshot)
             emit(node, "estimate", info)
-            if agent.decision.action == "join":
-                joiners.append(agent)
+            if label is None:
+                emit(node, "wait", {"reason": reason})
             else:
-                emit(node, "wait", {"reason": agent.decision.reason})
+                joiners.append((node, snapshot, label, reason))
         eval_counts.append(evaluations)
 
-        # joiners are in ascending node-id order, the commit order
+        # joiners are in ascending node-id order, the commit order;
+        # enclosure joins use no frequency data, so they cannot be stale
         progress = False
-        for agent in joiners:
-            decision = agent.decision
-            if decision.reason != "enclosure":
-                if staleness_check(agent, registry, epsilon) == "stale":
-                    emit(agent.node_id, "stale", {
-                        "island": decision.label,
-                        "current": {str(lbl): registry.island_freq[lbl]
-                                    for lbl in agent.snapshot_freqs}})
-                    continue
-            registry.join(agent.node_id, decision.label)
-            _publish(registry, injection, decision.label)
+        for node, snapshot, label, reason in joiners:
+            if reason != "enclosure" and _stale(registry, snapshot, epsilon):
+                emit(node, "stale", {
+                    "island": label,
+                    "current": {str(lbl): registry.island_freq[lbl]
+                                for lbl in snapshot}})
+                continue
+            registry.join(node, label)
             progress = True
-            emit(agent.node_id, "join", {
-                "island": decision.label, "reason": decision.reason,
-                "island_freq": registry.island_freq[decision.label]})
+            emit(node, "join", {"island": label, "reason": reason,
+                                "island_freq": registry.island_freq[label]})
 
         stalled_rounds = 0 if progress else stalled_rounds + 1
         if not progress and stalled_rounds >= max_stalled_rounds:
-            attached = _fallback_attach(network, registry, injection,
-                                        all_nodes, emit)
-            fallback_nodes.extend(attached)
+            fallback_nodes.extend(
+                _fallback_attach(network, registry, all_nodes, emit))
             if assigned != all_nodes:
                 raise Stalled(
                     "growth deadlocked and fallback could not reach "
@@ -325,35 +297,34 @@ def run_decentralized(network: PowerNetwork,
         fallback_nodes=tuple(fallback_nodes))
 
 
+def _frontier(network: PowerNetwork, registry: IslandRegistry,
+              all_nodes: set[int]) -> list[int]:
+    """Unassigned nodes with an assigned neighbor, in ascending order."""
+    owner = registry.owner
+    return sorted(node for node in all_nodes - owner.keys()
+                  if any(p in owner for p in network.neighbors(node)))
+
+
 def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
-                     injection: dict[int, float], all_nodes: set[int],
-                     emit) -> list[int]:
+                     all_nodes: set[int], emit) -> list[int]:
     """Deadlock fallback: attach whatever the islands can still reach.
 
-    Loads go to the adjacent island with the largest imbalance, other
-    nodes to the smallest, in ascending node-id sweeps until nothing
+    Each node joins the adjacent island the join rule prefers over the
+    islands' exact imbalances, in ascending node-id sweeps until nothing
     island-adjacent remains.
     """
     attached: list[int] = []
     owner = registry.owner
+    injection = registry.injection
     logger.warning("growth stalled; falling back to direct attachment")
-    while True:
-        frontier = sorted(
-            node for node in all_nodes - owner.keys()
-            if any(p in owner for p in network.neighbors(node)))
-        if not frontier:
-            return attached
+    while frontier := _frontier(network, registry, all_nodes):
         for node in frontier:
-            adjacent = sorted({owner[p] for p in network.neighbors(node)
-                               if p in owner})
             imbalance = {lbl: sum(injection[n] for n in registry.islands[lbl])
-                         for lbl in adjacent}
-            if injection[node] < 0.0:
-                best = min(adjacent, key=lambda l: (-imbalance[l], l))
-            else:
-                best = min(adjacent, key=lambda l: (imbalance[l], l))
+                         for lbl in {owner[p] for p in network.neighbors(node)
+                                     if p in owner}}
+            best = _preferred(injection[node], imbalance)
             registry.join(node, best)
-            _publish(registry, injection, best)
             attached.append(node)
             emit(node, "join", {"island": best, "reason": "fallback",
                                 "island_freq": registry.island_freq[best]})
+    return attached

@@ -23,11 +23,12 @@ def _rebuild(cls: type, args: tuple) -> GridIslanderError:
 
 
 def integer(name: str, value, error: type[Exception] = ValueError) -> int:
-    """``int(value)``, raising ``error`` on a bool or a number with a
-    fraction, which ``int`` would silently take as 1, 0 or the truncated
-    number."""
-    if isinstance(value, bool) or (isinstance(value, float)
-                                   and not value.is_integer()):
+    """``int(value)``, raising ``error`` on a bool, a string or a number
+    with a fraction, which ``int`` would silently take as 1, 0, the
+    number the digits spell or the truncated number. A string is refused
+    even as one id: a reader that iterates it reads each digit as an id."""
+    if isinstance(value, (bool, str, bytes)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
 

@@ -17,9 +17,9 @@ class ScenarioConfig:
     """Everything a partitioning run needs besides the case file itself.
 
     ``initial_islands`` holds the seed node sets in label order (island 1
-    first); ``n_mu`` is their number. ``freq_epsilon`` is the
-    frequency-agreement threshold used by the decentralized staleness
-    check, in per-unit.
+    first); ``n_mu`` is their number. ``freq_epsilon`` is the drift, in
+    per-unit, of an island's published frequency at which a decentralized
+    agent's reading of it counts as stale.
     """
 
     case_path: Path

@@ -258,29 +258,26 @@ def test_criterion_8_decisions_ignore_far_islands():
         net, islands = _three_seed_instance(rng)
         registry = IslandRegistry(
             islands={isl.label: set(isl.node_set) for isl in islands},
-            island_freq={isl.label: net_injection(net, min(isl.node_set))
-                         for isl in islands})
+            injection={n: net_injection(net, n) for n in net.node_ids()})
         assigned = set().union(*(isl.node_set for isl in islands))
         far_node = max(net.node_ids()) + 100
-        injection = {n: net_injection(net, n) for n in net.node_ids()}
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            agent, estimates, _ = _evaluate_agent(
-                net, registry, node, injection)
-            if len(agent.neighbor_islands) == len(islands):
+            snapshot, decision, info = _evaluate_agent(net, registry, node)
+            if len(snapshot) == len(islands):
                 continue   # node borders every island; nothing is far
             twisted = IslandRegistry(
                 islands={lbl: set(m) for lbl, m in registry.islands.items()},
-                island_freq=dict(registry.island_freq))
+                injection=registry.injection)
+            twisted.island_freq = dict(registry.island_freq)
             for lbl in twisted.islands:
-                if lbl not in agent.neighbor_islands:
+                if lbl not in snapshot:
                     twisted.island_freq[lbl] += 0.37
                     twisted.islands[lbl].add(far_node)
-            again, estimates2, _ = _evaluate_agent(
-                net, twisted, node, injection)
-            assert again.decision == agent.decision
-            assert estimates2 == estimates
+            _, decision2, info2 = _evaluate_agent(net, twisted, node)
+            assert decision2 == decision
+            assert info2["estimates"] == info["estimates"]
             checked += 1
     ok = checked >= 10
     _report(8, ok, f"{checked} agent decisions unchanged under "

@@ -105,7 +105,8 @@ def test_bad_scenario_exit_2(workspace, capsys):
     tmp_path, cfg = workspace
     good = json.loads(cfg.read_text(encoding="utf-8"))
     for key, value in (("rho_threshold", 2.0), ("ensemble_size", 20.7),
-                       ("seed", True), ("seed", -3), ("mode", "simulated"),
+                       ("seed", True), ("seed", -3), ("seed", "42"),
+                       ("mode", "simulated"),
                        ("n_mu", 3), ("generator_set", [1.5, 4]),
                        ("initial_islands", [[1], [True]]),
                        ("fault_branches", [[4.5, 5]])):
@@ -228,12 +229,13 @@ def test_nan_sync_table_exit_2(workspace, capsys):
 
 
 def test_fractional_ids_in_files_exit_2(workspace, capsys):
-    # int() would read node 2.5 as 2, label 1.7 as 1, true as 1 and
-    # i = 1.25 as edge 1-2
+    # int() would read node 2.5 as 2, label 1.7 as 1, true as 1, the
+    # string "123" as nodes 1, 2 and 3, and i = 1.25 as edge 1-2
     tmp_path, cfg = workspace
     islands = [{"label": 1, "nodes": [1, 2, 3]},
                {"label": 2, "nodes": [4, 5]}]
-    for bad in ({"label": 1.7}, {"nodes": [1, 2.5, 3]}, {"nodes": [True, 3]}):
+    for bad in ({"label": 1.7}, {"nodes": [1, 2.5, 3]}, {"nodes": [True, 3]},
+                {"nodes": "123"}):
         path = tmp_path / "partition.json"
         path.write_text(json.dumps({"islands": [dict(islands[0], **bad),
                                                 islands[1]],
@@ -394,6 +396,34 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
     assert rc == 0
     events = (tmp_path / "events.json").read_bytes()
     assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
+
+
+# sha256 of events.json and partition.json from decentralized run-all on
+# two tie-linked copies of case118 (perfbench's tiling at its fixed seed):
+# 47 rounds with 14 fallback nodes, where the shipped run has 5.
+TILED2_SHA256 = {
+    "events.json":
+        "5a8877520decf66b4fbb0887b89aca7a6dd0147b5ba2fd194c8eca0773733287",
+    "partition.json":
+        "0dfbfeae5bb81c476c9fb04165b731da5f91f0a146f9142e199615dd18b22a11",
+}
+
+
+def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import workloads
+
+    scenario = workloads.write_tiled(tmp_path / "in", 2,
+                                     workloads.TILING_SEED)
+    out_dir = tmp_path / "out"
+    rc = main(["run-all", "--config", str(scenario),
+               "--algorithm", "decentralized", "--out-dir", str(out_dir)])
+    assert rc == 0
+    log = json.loads((out_dir / "events.json").read_text(encoding="utf-8"))
+    assert (log["rounds"], len(log["fallback_nodes"])) == (47, 14)
+    assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in TILED2_SHA256} == TILED2_SHA256
 
 
 def test_shipped_events_record_each_fact_once(scenario118_path, tmp_path):

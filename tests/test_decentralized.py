@@ -8,12 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grid_islander import (Decision, DegenerateEstimate, Island,
-                           IslandRegistry, NodeAgent, Stalled, UndefinedSize,
-                           agent_decide, build_layer, estimate_island_power,
-                           net_injection, run_decentralized, staleness_check,
-                           sync_frequency, validate_partition)
-from grid_islander.decentralized import _evaluate_agent, _mean_injection
+from grid_islander import (DegenerateEstimate, Island, IslandRegistry,
+                           Stalled, UndefinedSize, agent_decide, build_layer,
+                           estimate_island_power, net_injection,
+                           run_decentralized, sync_frequency,
+                           validate_partition)
+from grid_islander.decentralized import (_evaluate_agent, _mean_injection,
+                                         _stale)
 from conftest import make_network
 
 
@@ -78,54 +79,46 @@ def test_estimator_undefined_size_for_balanced_island():
 
 # --------------------------------------------------------------- join rules
 
-def _agent(injection, watched=(1, 2)):
-    return NodeAgent(node_id=7, injection=injection,
-                     neighbor_islands=frozenset(watched),
-                     snapshot_freqs={})
-
-
 def test_load_joins_largest_positive_island():
-    d = agent_decide(_agent(-0.5), {1: 2.0, 2: 3.0})
-    assert d == Decision(action="join", label=2, reason="largest imbalance")
+    assert agent_decide(-0.5, {1: 2.0, 2: 3.0}) == (2, "largest imbalance")
     # ties break to the lowest label
-    d = agent_decide(_agent(-0.5), {1: 2.0, 2: 2.0})
-    assert d.label == 1
+    label, _ = agent_decide(-0.5, {1: 2.0, 2: 2.0})
+    assert label == 1
     # zero or negative islands cannot feed a load
-    d = agent_decide(_agent(-0.5), {1: 0.0, 2: -1.0})
-    assert d.action == "wait"
+    label, _ = agent_decide(-0.5, {1: 0.0, 2: -1.0})
+    assert label is None
     # degenerate estimates are ignored
-    d = agent_decide(_agent(-0.5), {1: None, 2: 1.5})
-    assert d.label == 2
+    label, _ = agent_decide(-0.5, {1: None, 2: 1.5})
+    assert label == 2
 
 
 def test_generator_joins_smallest_island():
-    d = agent_decide(_agent(0.5), {1: 2.0, 2: -1.0})
-    assert d == Decision(action="join", label=2, reason="smallest imbalance")
-    d = agent_decide(_agent(0.5), {1: 1.0, 2: 1.0})
-    assert d.label == 1
-    d = agent_decide(_agent(0.0), {1: None, 2: None})
-    assert d.action == "wait"
+    assert agent_decide(0.5, {1: 2.0, 2: -1.0}) == (2, "smallest imbalance")
+    label, _ = agent_decide(0.5, {1: 1.0, 2: 1.0})
+    assert label == 1
+    label, _ = agent_decide(0.0, {1: None, 2: None})
+    assert label is None
 
 
 def test_enclosure_beats_estimates():
-    d = agent_decide(_agent(-0.5), {1: 3.0, 2: 1.0}, enclosing=2)
-    assert d == Decision(action="join", label=2, reason="enclosure")
+    assert agent_decide(-0.5, {1: 3.0, 2: 1.0}, enclosing=2) == \
+        (2, "enclosure")
     # even with nothing usable
-    d = agent_decide(_agent(0.5), {}, enclosing=1)
-    assert d.label == 1
+    label, _ = agent_decide(0.5, {}, enclosing=1)
+    assert label == 1
 
 
 def test_staleness_threshold():
-    agent = NodeAgent(node_id=3, injection=-0.2,
-                      neighbor_islands=frozenset({1}),
-                      snapshot_freqs={1: 0.5})
-    registry = IslandRegistry(islands={1: {1, 2}}, island_freq={1: 0.5})
-    assert staleness_check(agent, registry, epsilon=1e-3) == "fresh"
+    registry = IslandRegistry(islands={1: {1, 2}},
+                              injection={1: 0.75, 2: 0.25})
+    snapshot = {1: 0.5}
+    assert registry.island_freq == snapshot
+    assert not _stale(registry, snapshot, epsilon=1e-3)
     registry.island_freq[1] = 0.5 + 2e-3
-    assert staleness_check(agent, registry, epsilon=1e-3) == "stale"
+    assert _stale(registry, snapshot, epsilon=1e-3)
     # drift exactly at epsilon already counts as stale
     registry.island_freq[1] = 0.5 + 1e-3
-    assert staleness_check(agent, registry, epsilon=1e-3) == "stale"
+    assert _stale(registry, snapshot, epsilon=1e-3)
 
 
 # ------------------------------------------------------------------- engine
@@ -205,6 +198,31 @@ def test_fallback_after_deadlock(caplog):
                     if e["action"] == "join" and e["node"] == 5)
     assert fallback["payload"]["reason"] == "fallback"
     assert any("stalled" in rec.message for rec in caplog.records)
+
+
+def test_fallback_sends_other_nodes_to_smallest_island():
+    # node 5 sits at both islands' mean, so neither estimate is usable
+    # and it waits; the fallback then weighs the exact island sums
+    net = make_network({1: 0.2, 2: 0.2, 5: 0.2, 9: 0.2},
+                       [(1, 2), (2, 5), (5, 9)], generator_set={1, 9})
+    result = run_decentralized(net, seeds({1, 2}, {9}))
+    waits = [e for e in result.events if e["action"] == "wait"]
+    assert {e["payload"]["reason"] for e in waits} == {"no usable estimate"}
+    assert result.fallback_nodes == (5,)
+    # 0.2 beats 0.4: the smaller sum, not the larger or the lower label
+    assert 5 in result.partition.island(2).node_set
+
+
+@pytest.mark.parametrize("injection", [-0.2, 0.2])
+def test_fallback_tie_goes_to_lowest_label(injection):
+    # equal islands on both sides: a load finds no surplus and a
+    # generator no usable estimate, so both wait for the fallback
+    side = -0.3 if injection < 0 else injection
+    net = make_network({1: side, 5: injection, 9: side},
+                       [(1, 5), (5, 9)], generator_set={1, 9})
+    result = run_decentralized(net, seeds({1}, {9}))
+    assert result.fallback_nodes == (5,)
+    assert 5 in result.partition.island(1).node_set
 
 
 def test_stalled_when_unreachable():
@@ -321,9 +339,7 @@ def test_watched_islands_follow_membership():
         net, initial = random_instance(rng, n_islands=3)
         registry = IslandRegistry(
             islands={isl.label: set(isl.node_set) for isl in initial},
-            island_freq={isl.label: net_injection(net, min(isl.node_set))
-                         for isl in initial})
-        injection = injection_table(net)
+            injection=injection_table(net))
         free = sorted(set(net.node_ids()) - set(registry.owner))
         rng.shuffle(free)
         for joiner in free:
@@ -335,20 +351,22 @@ def test_watched_islands_follow_membership():
                     continue
                 enclosing = [lbl for lbl in watched
                              if set(neighbors) <= registry.islands[lbl]]
-                agent, _, _ = _evaluate_agent(net, registry, node,
-                                              injection)
-                assert agent.neighbor_islands == watched, f"trial {trial}"
+                snapshot, (label, reason), _ = _evaluate_agent(
+                    net, registry, node)
+                assert set(snapshot) == watched, f"trial {trial}"
                 if enclosing:
                     enclosed += 1
-                    assert agent.decision == Decision(
-                        action="join", label=enclosing[0],
-                        reason="enclosure")
+                    assert (label, reason) == (enclosing[0], "enclosure")
                 else:
-                    assert agent.decision.reason != "enclosure"
+                    assert reason != "enclosure"
             registry.join(joiner, rng.choice(sorted(registry.islands)))
             assert registry.owner == {node: lbl for lbl, members
                                       in registry.islands.items()
                                       for node in members}
+            # join republishes the island's mean injection
+            assert registry.island_freq == pytest.approx(
+                {lbl: np.mean([registry.injection[n] for n in members])
+                 for lbl, members in registry.islands.items()})
     assert enclosed > 0
 
 
@@ -358,7 +376,8 @@ def _perturb_far_islands(registry, watched, far_node):
     """Copy the registry, then distort every island the agent ignores."""
     clone = IslandRegistry(
         islands={lbl: set(m) for lbl, m in registry.islands.items()},
-        island_freq=dict(registry.island_freq))
+        injection=registry.injection)
+    clone.island_freq = dict(registry.island_freq)
     for lbl in clone.islands:
         if lbl not in watched:
             clone.island_freq[lbl] += 0.37
@@ -372,24 +391,17 @@ def test_agent_decisions_ignore_far_islands():
         net, initial = random_instance(rng, n_islands=3)
         registry = IslandRegistry(
             islands={isl.label: set(isl.node_set) for isl in initial},
-            island_freq={})
-        for isl in initial:
-            total = sum(net_injection(net, n) for n in isl.node_set)
-            registry.island_freq[isl.label] = total / isl.size
-        injection = injection_table(net)
+            injection=injection_table(net))
         assigned = set().union(*(isl.node_set for isl in initial))
         far_node = max(net.node_ids()) + 100
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            agent, estimates, _ = _evaluate_agent(
-                net, registry, node, injection)
-            if len(agent.neighbor_islands) == len(initial):
+            snapshot, decision, info = _evaluate_agent(net, registry, node)
+            if len(snapshot) == len(initial):
                 continue   # node sees every island; nothing is far
-            twisted = _perturb_far_islands(registry,
-                                           agent.neighbor_islands, far_node)
-            again, estimates2, _ = _evaluate_agent(
-                net, twisted, node, injection)
-            assert again.decision == agent.decision
-            assert estimates2 == estimates
-            assert again.snapshot_freqs == agent.snapshot_freqs
+            twisted = _perturb_far_islands(registry, snapshot, far_node)
+            snapshot2, decision2, info2 = _evaluate_agent(net, twisted, node)
+            assert decision2 == decision
+            assert info2["estimates"] == info["estimates"]
+            assert snapshot2 == snapshot

@@ -42,17 +42,22 @@ def test_partition_round_trip(five_path):
 
 
 def test_partition_ids_must_be_integers():
-    # int() would truncate the fractions and read true and false as 1 and 0
+    # int() would truncate the fractions, read true and false as 1 and 0,
+    # and the readers would take the digits of a string as ids 3, 6 and 7
     good = {"islands": [{"label": 1, "nodes": [36, 37]}], "cut_set": [[1, 2]]}
     assert partition_from_dict(dict(good, islands=[
         {"label": 1.0, "nodes": [36.0, 37]}])) == partition_from_dict(good)
     for bad in ({"label": 1.7, "nodes": [36, 37]},
                 {"label": 1, "nodes": [36.5, 37]},
                 {"label": 1, "nodes": [True, 37]},
-                {"label": False, "nodes": [36, 37]}):
+                {"label": False, "nodes": [36, 37]},
+                {"label": 1, "nodes": "367"},
+                {"label": 1, "nodes": ["36", 37]},
+                {"label": "1", "nodes": [36, 37]},
+                {"label": b"1", "nodes": [36, 37]}):
         with pytest.raises(SchemaError, match="must be an integer"):
             partition_from_dict(dict(good, islands=[bad]))
-    for cut in ([[1.5, 2]], [[1, True]]):
+    for cut in ([[1.5, 2]], [[1, True]], ["12"], [["1", 2]]):
         with pytest.raises(SchemaError, match="must be an integer"):
             partition_from_dict(dict(good, cut_set=cut))
 
@@ -153,13 +158,18 @@ def test_scenario_validation():
     for key, value in (("generator_set", [36.5]),
                        ("initial_islands", [[3.5], [46]]),
                        ("fault_branches", [[14.5, 15]]),
-                       ("fault_branches", [[14, True]])):
+                       ("fault_branches", [[14, True]]),
+                       ("generator_set", ["36"]),
+                       ("initial_islands", ["3589", [46]]),
+                       ("fault_branches", ["45"])):
         with pytest.raises(ConfigError, match=f"bus id in {key}"):
             scenario_from_dict(dict(data, **{key: value}))
     for key, value in (("ensemble_size", 20.7), ("seed", True),
                        ("seed", False), ("n_mu", 2.9),
                        ("max_stalled_rounds", 1.5), ("ensemble_size", True),
-                       ("seed", math.inf), ("n_mu", math.nan)):
+                       ("seed", math.inf), ("n_mu", math.nan),
+                       ("seed", "42"), ("ensemble_size", "20"),
+                       ("n_mu", "2"), ("max_stalled_rounds", "3")):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict(dict(data, **{key: value}))
     # "mode" keeps its one value, so existing files load; it sets nothing
