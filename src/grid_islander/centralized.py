@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InitialIslandsOverlap, NoGenerator, Stalled
+from .errors import (ConfigError, InitialIslandsOverlap, NoGenerator,
+                     Stalled)
 from .kuramoto import SyncTimeTable
 from .network import (Island, Partition, PowerNetwork, make_partition,
                       net_injection)
@@ -52,7 +53,8 @@ def check_initial_islands(network: PowerNetwork,
         for node in isl.node_set:
             network.bus(node)
         if not network.subgraph_connected(isl.node_set):
-            raise ValueError(f"initial island {isl.label} is not connected")
+            raise ConfigError(
+                f"initial island {isl.label} is not connected")
         if not isl.node_set & network.generator_set:
             raise NoGenerator(f"initial island {isl.label} has no generator")
 

@@ -100,8 +100,8 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
     if overrides:
         cfg = replace(cfg, **overrides)
     network = build_network(load_case(cfg.case_path), cfg.generator_set)
-    for pair in cfg.fault_branches:
-        network = apply_fault(network, pair)
+    if cfg.fault_branches:
+        network = apply_fault(network, *cfg.fault_branches)
     return cfg, network
 
 

@@ -27,7 +27,9 @@ Both frequencies are locked frequencies, and a Kuramoto layer locks to
 its mean natural frequency. So the registry publishes each island's
 mean injection, and an agent reads its augmented frequency from the
 run's {node: injection} table; no oscillator layer is built or
-integrated.
+integrated. A round evaluates its agents in one batch: each island next
+to an active agent gets one numpy matrix with a row per agent watching
+it, and each row reduces to the bits of that agent's own layer mean.
 """
 
 from __future__ import annotations
@@ -52,6 +54,20 @@ DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_STALLED_ROUNDS = 3
 
 
+def _imbalance(island_freq, augmented_freq, injection):
+    """The estimated power imbalance, elementwise over arrays or scalars,
+    and whether each pair of frequencies coincides to a relative 1e-9
+    (``estimate_island_power`` states the formula)."""
+    augmented_freq = np.asarray(augmented_freq, dtype=float)
+    scale = np.maximum(np.maximum(1.0, np.abs(island_freq)),
+                       np.abs(augmented_freq))
+    degenerate = np.abs(island_freq - augmented_freq) <= 1e-9 * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = island_freq * (augmented_freq - injection) \
+            / (island_freq - augmented_freq)
+    return power, degenerate
+
+
 def estimate_island_power(island_freq: float, augmented_freq: float,
                           injection: float) -> tuple[float, float]:
     """Recover an island's power imbalance and size from two frequencies.
@@ -70,15 +86,14 @@ def estimate_island_power(island_freq: float, augmented_freq: float,
     attachment reveals nothing) and UndefinedSize when the island
     frequency is zero (the imbalance is zero but the size drops out).
     """
-    scale = max(1.0, abs(island_freq), abs(augmented_freq))
-    if abs(island_freq - augmented_freq) <= 1e-9 * scale:
+    power, degenerate = _imbalance(island_freq, augmented_freq, injection)
+    if degenerate:
         raise DegenerateEstimate(
             f"island and augmented frequencies coincide "
             f"({island_freq:.6g} vs {augmented_freq:.6g})")
     if island_freq == 0.0:
         raise UndefinedSize("island frequency is zero; size unrecoverable")
-    power = island_freq * (augmented_freq - injection) \
-        / (island_freq - augmented_freq)
+    power = float(power)
     return power, power / island_freq
 
 
@@ -162,51 +177,80 @@ def _stale(registry: IslandRegistry, snapshot: dict[int, float],
                for lbl, freq in snapshot.items())
 
 
-def _mean_injection(injection: dict[int, float],
-                    nodes: Iterable[int]) -> float:
-    """Locked frequency of the layer over ``nodes``, bit for bit
-    ``sync_frequency(build_layer(network, nodes))``: the same values in
-    the same order under the same numpy mean."""
-    return float(np.mean(np.array([injection[n] for n in sorted(nodes)])))
+def _augmented_frequencies(injection: dict[int, float],
+                           members: Iterable[int],
+                           agents: Sequence[int]) -> np.ndarray:
+    """Locked frequency of the layer over ``members`` plus each agent,
+    bit for bit ``sync_frequency(build_layer(network, members | {agent}))``.
+
+    Row ``i`` of one ``(agents, k + 1)`` matrix holds the island's
+    injections in id order with agent ``i``'s own inserted at its sorted
+    position, the values and order of that layer; ``np.add.reduce`` of a
+    row has the bits of ``np.mean`` of that row alone.
+    """
+    ids = sorted(members)
+    k = len(ids)
+    base = np.array([injection[n] for n in ids] + [0.0])
+    position = np.searchsorted(np.array(ids), agents)
+    column = np.arange(k + 1)
+    rows = base[column - (column > position[:, None])]
+    rows[np.arange(len(agents)), position] = [injection[a] for a in agents]
+    return np.add.reduce(rows, axis=1) / (k + 1)
 
 
-def _evaluate_agent(network: PowerNetwork, registry: IslandRegistry,
-                    node: int
-                    ) -> tuple[dict[int, float], tuple[int | None, str], dict]:
-    """One agent's evaluation from registry data restricted to its own
+def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
+                    nodes: Sequence[int]
+                    ) -> list[tuple[dict[int, float],
+                                    tuple[int | None, str], dict]]:
+    """Each agent's evaluation from registry data restricted to its own
     neighborhood: the snapshot it read (watched label -> published
-    frequency), its decision, and its ``estimate`` event payload.
+    frequency), its decision, and its ``estimate`` event payload, in the
+    order of ``nodes``.
 
-    Everything here reads only the agent's injection, its neighbor list,
-    its neighbors' island labels, and the membership and frequencies of
-    islands actually adjacent to it; islands elsewhere in the grid cannot
-    influence the outcome.
+    An agent reads only its injection, its neighbor list, its neighbors'
+    island labels, and the membership and frequencies of islands
+    actually adjacent to it; islands elsewhere in the grid and the other
+    agents of the round cannot influence its outcome.
     """
     injection = registry.injection
-    own = injection[node]
-    neighbors = network.neighbors(node)
     owner = registry.owner
-    watched = sorted({owner[p] for p in neighbors if p in owner})
-    # Islands are disjoint: every neighbor lies in one island exactly when
-    # every neighbor is assigned and they all share one label.
-    enclosing = None
-    if len(watched) == 1 and all(p in owner for p in neighbors):
-        enclosing = watched[0]
+    agents: list[tuple[int, list[int], int | None]] = []
+    observers: dict[int, list[int]] = {}     # label -> agents watching it
+    for node in nodes:
+        neighbors = network.neighbors(node)
+        watched = sorted({owner[p] for p in neighbors if p in owner})
+        # Islands are disjoint: every neighbor lies in one island exactly
+        # when every neighbor is assigned and they all share one label.
+        enclosing = None
+        if len(watched) == 1 and all(p in owner for p in neighbors):
+            enclosing = watched[0]
+        agents.append((node, watched, enclosing))
+        for lbl in watched:
+            observers.setdefault(lbl, []).append(node)
 
-    snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
-    estimates: dict[int, float | None] = {}
-    for lbl, island_freq in snapshot.items():
-        aug_freq = _mean_injection(injection, registry.islands[lbl] | {node})
-        try:
-            estimates[lbl], _ = estimate_island_power(
-                island_freq, aug_freq, own)
-        except DegenerateEstimate:
-            estimates[lbl] = None
-        except UndefinedSize:
-            estimates[lbl] = 0.0
-    info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
-            "estimates": {str(lbl): estimates[lbl] for lbl in watched}}
-    return snapshot, agent_decide(own, estimates, enclosing), info
+    # label -> {agent: estimate, or None when degenerate}
+    estimates: dict[int, dict[int, float | None]] = {}
+    for lbl, watching in observers.items():
+        island_freq = registry.island_freq[lbl]
+        power, degenerate = _imbalance(
+            island_freq,
+            _augmented_frequencies(injection, registry.islands[lbl],
+                                   watching),
+            np.array([injection[a] for a in watching]))
+        estimates[lbl] = {
+            agent: None if coincide else 0.0 if island_freq == 0.0 else value
+            for agent, value, coincide in zip(watching, power.tolist(),
+                                              degenerate.tolist())}
+
+    evaluations = []
+    for node, watched, enclosing in agents:
+        snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
+        read = {lbl: estimates[lbl][node] for lbl in watched}
+        info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
+                "estimates": {str(lbl): read[lbl] for lbl in watched}}
+        evaluations.append(
+            (snapshot, agent_decide(injection[node], read, enclosing), info))
+    return evaluations
 
 
 def run_decentralized(network: PowerNetwork,
@@ -251,9 +295,8 @@ def run_decentralized(network: PowerNetwork,
 
         evaluations = n_mu
         joiners = []
-        for node in active:
-            snapshot, (label, reason), info = _evaluate_agent(
-                network, registry, node)
+        for node, (snapshot, (label, reason), info) in zip(
+                active, _evaluate_round(network, registry, active)):
             evaluations += len(snapshot)
             emit(node, "estimate", info)
             if label is None:

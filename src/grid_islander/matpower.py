@@ -48,15 +48,19 @@ class RawCase:
 
 
 def _parse_row(segment: str, lineno: int, offset: int) -> list[float]:
-    row = []
-    for match in re.finditer(r"\S+", segment):
-        token = match.group(0)
-        try:
-            row.append(float(token))
-        except ValueError:
-            raise ParseError(lineno, offset + match.start() + 1,
-                             f"not a number: {token!r}") from None
-    return row
+    try:
+        return [float(token) for token in segment.split()]
+    except ValueError:
+        # \S+ cuts the tokens str.split does; scan them only to place the
+        # error
+        for match in re.finditer(r"\S+", segment):
+            token = match.group(0)
+            try:
+                float(token)
+            except ValueError:
+                raise ParseError(lineno, offset + match.start() + 1,
+                                 f"not a number: {token!r}") from None
+        raise
 
 
 def parse_case(text: str) -> RawCase:

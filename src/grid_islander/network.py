@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import DegenerateBranch, NotFound
@@ -233,29 +233,24 @@ def coupling_susceptance(branch: Branch) -> float:
 
 
 def apply_fault(network: PowerNetwork,
-                branch_pair: tuple[int, int]) -> PowerNetwork:
-    """Return a copy of the network with one branch tripped.
+                *branch_pairs: tuple[int, int]) -> PowerNetwork:
+    """Return a copy of the network with one branch tripped per pair.
 
-    The first in-service branch joining the pair (either orientation) is
-    set out of service; everything else is untouched. Parallel circuits
-    on the same corridor need one call each.
+    For each pair in turn, the first branch joining it (either
+    orientation) that is still in service is set out of service;
+    everything else is untouched. Parallel circuits on the same corridor
+    need the pair once each. The copy is built once, and equals
+    tripping the pairs by one call each.
     """
-    a, b = branch_pair
-    new_branches = []
-    tripped = False
-    for br in network.branches:
-        if (not tripped and br.status
-                and {br.from_bus, br.to_bus} == {a, b}):
-            new_branches.append(Branch(
-                from_bus=br.from_bus, to_bus=br.to_bus,
-                resistance=br.resistance, reactance=br.reactance,
-                charging=br.charging, tap_ratio=br.tap_ratio, status=False))
-            tripped = True
+    branches = list(network.branches)
+    for a, b in branch_pairs:
+        for k, br in enumerate(branches):
+            if br.status and {br.from_bus, br.to_bus} == {a, b}:
+                branches[k] = replace(br, status=False)
+                break
         else:
-            new_branches.append(br)
-    if not tripped:
-        raise NotFound(f"no in-service branch between {a} and {b}")
-    return PowerNetwork(network.buses, new_branches, network.base_mva,
+            raise NotFound(f"no in-service branch between {a} and {b}")
+    return PowerNetwork(network.buses, branches, network.base_mva,
                         network.generator_set)
 
 

@@ -123,15 +123,67 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
+# Spelling of each exact scalar type ``json`` writes. An exact scalar or
+# container fails every type test before its own, so it skips them; a
+# subclass (a numpy float, an IntEnum) takes them in ``json``'s order.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+
+
 def _write_json(data, handle) -> None:
     """Write ``json.dumps(data, indent=2)`` to ``handle`` piece by piece,
     with ``json``'s type tests in its order and ``str`` keys only."""
     pieces: list[str] = []
     append = pieces.append
+    scalar_text = _SCALAR_TEXT.get
 
     def spill() -> None:
         handle.write("".join(pieces))
         pieces.clear()
+
+    def sequence(value, indent: str) -> None:
+        if not value:
+            append("[]")
+            return
+        inner = indent + "  "
+        separator, comma = "[\n" + inner, ",\n" + inner
+        for item in value:
+            text = scalar_text(item.__class__)
+            if text is None:
+                append(separator)
+                writer_for(item.__class__, encode)(item, inner)
+            else:
+                append(separator + text(item))
+            separator = comma
+            if len(pieces) >= _FLUSH_PIECES:
+                spill()
+        append("\n" + indent + "]")
+
+    def mapping(value, indent: str) -> None:
+        if not value:
+            append("{}")
+            return
+        inner = indent + "  "
+        separator, comma = "{\n" + inner, ",\n" + inner
+        for key, item in value.items():
+            head = separator + encode_basestring_ascii(key) + ": "
+            text = scalar_text(item.__class__)
+            if text is None:
+                append(head)
+                writer_for(item.__class__, encode)(item, inner)
+            else:
+                append(head + text(item))
+            separator = comma
+            if len(pieces) >= _FLUSH_PIECES:
+                spill()
+        append("\n" + indent + "}")
+
+    writer_for = {dict: mapping, list: sequence, tuple: sequence}.get
 
     def encode(value, indent: str) -> None:
         if isinstance(value, str):
@@ -147,36 +199,14 @@ def _write_json(data, handle) -> None:
         elif isinstance(value, float):
             append(_float_text(value))
         elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = indent + "  "
-            separator = "[\n" + inner
-            for item in value:
-                append(separator)
-                separator = ",\n" + inner
-                encode(item, inner)
-                if len(pieces) >= _FLUSH_PIECES:
-                    spill()
-            append("\n" + indent + "]")
+            sequence(value, indent)
         elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = indent + "  "
-            separator = "{\n" + inner
-            for key, item in value.items():
-                append(separator + encode_basestring_ascii(key) + ": ")
-                separator = ",\n" + inner
-                encode(item, inner)
-                if len(pieces) >= _FLUSH_PIECES:
-                    spill()
-            append("\n" + indent + "}")
+            mapping(value, indent)
         else:
             raise TypeError(f"Object of type {value.__class__.__name__} "
                             f"is not JSON serializable")
 
-    encode(data, "")
+    writer_for(data.__class__, encode)(data, "")
     append("\n")
     spill()
 

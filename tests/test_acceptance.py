@@ -18,7 +18,7 @@ from grid_islander import (CyberLayer, Island, IslandRegistry, SyncTimeTable,
                            estimate_island_power, integrate,
                            j1_from_imbalances, net_injection,
                            run_decentralized, sync_times, validate_partition)
-from grid_islander.decentralized import _evaluate_agent
+from grid_islander.decentralized import _evaluate_round
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -264,7 +264,8 @@ def test_criterion_8_decisions_ignore_far_islands():
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            snapshot, decision, info = _evaluate_agent(net, registry, node)
+            snapshot, decision, info = _evaluate_round(
+                net, registry, [node])[0]
             if len(snapshot) == len(islands):
                 continue   # node borders every island; nothing is far
             twisted = IslandRegistry(
@@ -275,7 +276,7 @@ def test_criterion_8_decisions_ignore_far_islands():
                 if lbl not in snapshot:
                     twisted.island_freq[lbl] += 0.37
                     twisted.islands[lbl].add(far_node)
-            _, decision2, info2 = _evaluate_agent(net, twisted, node)
+            _, decision2, info2 = _evaluate_round(net, twisted, [node])[0]
             assert decision2 == decision
             assert info2["estimates"] == info["estimates"]
             checked += 1

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from grid_islander import (Island, InitialIslandsOverlap, NoGenerator,
-                           Stalled, SyncTimeTable, centralized_partition,
-                           check_initial_islands, net_injection,
-                           validate_partition)
+from grid_islander import (ConfigError, Island, InitialIslandsOverlap,
+                           NoGenerator, Stalled, SyncTimeTable,
+                           centralized_partition, check_initial_islands,
+                           net_injection, validate_partition)
 from conftest import make_network
 
 
@@ -132,7 +132,7 @@ def test_seed_validation():
     net = five_cycle()
     with pytest.raises(InitialIslandsOverlap):
         check_initial_islands(net, seeds({1, 2}, {2, 3}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="initial island 1 is not connected"):
         check_initial_islands(net, seeds({1, 3}, {4}))   # 1-3 not an edge
     with pytest.raises(NoGenerator):
         check_initial_islands(net, seeds({1}, {5}))

@@ -186,6 +186,23 @@ def test_stalled_partition_exit_4(workspace, capsys):
     assert err["error"] == "Stalled"
 
 
+@pytest.mark.parametrize("algorithm", ["centralized", "decentralized"])
+def test_fault_cutting_a_seed_island_exit_2(scenario118_path, case118_path,
+                                            tmp_path, capsys, algorithm):
+    # bus 10 hangs off bus 9 alone, so the 9-10 fault cuts seed island 1
+    data = json.loads(scenario118_path.read_text(encoding="utf-8"))
+    data.update(case_path=str(case118_path), fault_branches=[[9, 10]],
+                ensemble_size=4, t_max=1.0)
+    cfg = tmp_path / "cut.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    rc = main(["run-all", "--config", str(cfg), "--algorithm", algorithm,
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "initial island 1 is not connected", "exit_code": 2}
+
+
 def test_invalid_partition_file_exit_4(workspace, capsys):
     tmp_path, cfg = workspace
     bad_part = {"schema_version": 1,
@@ -424,6 +441,24 @@ def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
     assert (log["rounds"], len(log["fallback_nodes"])) == (47, 14)
     assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in TILED2_SHA256} == TILED2_SHA256
+
+
+def test_traced_run_all_exits_0(scenario118_path, tmp_path, monkeypatch):
+    # the benchmark's --trace 1 wraps library names where cli and
+    # decentralized look them up; a rename there breaks tracing
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        rc = main(["run-all", "--config", str(scenario118_path),
+                   "--algorithm", "decentralized",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    table = spans.summary(tracer.spans)
+    assert table["network.apply_fault"]["calls"] == 1
+    assert table["decentralized.run"]["calls"] == 1
 
 
 def test_shipped_events_record_each_fact_once(scenario118_path, tmp_path):

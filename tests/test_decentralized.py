@@ -13,8 +13,8 @@ from grid_islander import (DegenerateEstimate, Island, IslandRegistry,
                            estimate_island_power, net_injection,
                            run_decentralized, sync_frequency,
                            validate_partition)
-from grid_islander.decentralized import (_evaluate_agent, _mean_injection,
-                                         _stale)
+from grid_islander.decentralized import (_augmented_frequencies,
+                                         _evaluate_round, _frontier, _stale)
 from conftest import make_network
 
 
@@ -292,23 +292,78 @@ def test_max_stalled_rounds_sets_fallback_round():
     assert result.fallback_nodes == (5,)
 
 
+def _random_connected(rng, net, size):
+    """A random connected node set of ``size`` nodes of ``net``."""
+    nodes = {rng.choice(net.node_ids())}
+    while len(nodes) < size:
+        frontier = sorted({p for n in nodes for p in net.neighbors(n)}
+                          - nodes)
+        nodes.add(rng.choice(frontier))
+    assert net.subgraph_connected(nodes)
+    return frozenset(nodes)
+
+
+def _grid_network(rng, side):
+    """A side x side lattice with random injections, ids 1..side**2."""
+    ids = range(1, side * side + 1)
+    edges = [(n, n + 1) for n in ids if n % side] + \
+        [(n, n + side) for n in ids if n + side <= side * side]
+    return make_network({n: rng.uniform(-0.6, 0.8) for n in ids}, edges)
+
+
 def test_mean_injection_is_bit_identical_to_layer_mean(net118):
-    # the analytic augmented frequency must equal the layer's mean
-    # exactly, or estimates and events.json would move
+    # every agent's augmented frequency in a round's batch must equal its
+    # own layer's mean exactly, or estimates and events.json would move;
+    # the lattice's islands pass numpy's pairwise block of 128 values
     rng = random.Random(118)
-    injection = injection_table(net118)
-    ids = net118.node_ids()
-    for _ in range(50):
-        nodes = {rng.choice(ids)}
-        target = rng.randint(2, len(ids))
-        while len(nodes) < target:
-            frontier = sorted({p for n in nodes for p in net118.neighbors(n)}
-                              - nodes)
-            nodes.add(rng.choice(frontier))
-        assert net118.subgraph_connected(nodes)
-        nodes = frozenset(nodes)
-        assert _mean_injection(injection, nodes) == \
-            sync_frequency(build_layer(net118, nodes))
+    lattice = _grid_network(rng, 15)
+    cases = [(net118, rng.randint(1, 117)) for _ in range(40)] + \
+        [(lattice, rng.randint(129, 200)) for _ in range(3)]
+    for net, size in cases:
+        injection = injection_table(net)
+        island = _random_connected(rng, net, size)
+        agents = sorted({p for n in island for p in net.neighbors(n)}
+                        - island)
+        augmented = _augmented_frequencies(injection, island, agents)
+        assert len(augmented) == len(agents)
+        layer_means = [sync_frequency(build_layer(net, island | {agent}))
+                       for agent in agents]
+        assert augmented.tolist() == layer_means
+        # and the round's estimates are the scalar estimator's on those
+        registry = IslandRegistry(islands={1: set(island)},
+                                  injection=injection)
+        for agent, layer_mean, (snapshot, _, info) in zip(
+                agents, layer_means, _evaluate_round(net, registry, agents)):
+            try:
+                expected, _ = estimate_island_power(
+                    snapshot[1], layer_mean, injection[agent])
+            except DegenerateEstimate:
+                expected = None
+            except UndefinedSize:
+                expected = 0.0
+            assert info["estimates"] == {"1": expected}
+
+
+def test_one_agent_round_matches_full_round(scenario118, net118_faulted):
+    # an agent's evaluation does not depend on the others in its batch
+    net = net118_faulted
+    registry = IslandRegistry(
+        islands={k + 1: set(nodes)
+                 for k, nodes in enumerate(scenario118.initial_islands)},
+        injection=injection_table(net))
+    all_nodes = set(net.node_ids())
+    compared = 0
+    for _ in range(6):
+        active = _frontier(net, registry, all_nodes)
+        full = _evaluate_round(net, registry, active)
+        assert len(full) == len(active)
+        for node, evaluation in zip(active, full):
+            assert _evaluate_round(net, registry, [node]) == [evaluation]
+            compared += 1
+        for node, (_, (label, _), _) in zip(active, full):
+            if label is not None:
+                registry.join(node, label)
+    assert compared > 50
 
 
 def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
@@ -351,8 +406,8 @@ def test_watched_islands_follow_membership():
                     continue
                 enclosing = [lbl for lbl in watched
                              if set(neighbors) <= registry.islands[lbl]]
-                snapshot, (label, reason), _ = _evaluate_agent(
-                    net, registry, node)
+                snapshot, (label, reason), _ = _evaluate_round(
+                    net, registry, [node])[0]
                 assert set(snapshot) == watched, f"trial {trial}"
                 if enclosing:
                     enclosed += 1
@@ -397,11 +452,13 @@ def test_agent_decisions_ignore_far_islands():
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            snapshot, decision, info = _evaluate_agent(net, registry, node)
+            snapshot, decision, info = _evaluate_round(
+                net, registry, [node])[0]
             if len(snapshot) == len(initial):
                 continue   # node sees every island; nothing is far
             twisted = _perturb_far_islands(registry, snapshot, far_node)
-            snapshot2, decision2, info2 = _evaluate_agent(net, twisted, node)
+            snapshot2, decision2, info2 = _evaluate_round(
+                net, twisted, [node])[0]
             assert decision2 == decision
             assert info2["estimates"] == info["estimates"]
             assert snapshot2 == snapshot

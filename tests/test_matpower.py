@@ -65,8 +65,15 @@ def test_parse_error_reports_position():
     broken = MINIMAL_CASE.replace("\t2\t1\t50", "\t2\tabc\t50")
     with pytest.raises(ParseError) as err:
         parse_case(broken)
-    assert err.value.line == 9
-    assert err.value.column > 1
+    assert (err.value.line, err.value.column) == (9, 4)
+    assert str(err.value) == "line 9, column 4: not a number: 'abc'"
+    # columns count from the line start, across the opening bracket and
+    # earlier rows of the same line
+    broken = MINIMAL_CASE.replace(
+        "mpc.gen = [\n", "mpc.gen = [ 1 2 3 4 5 6 7 8 9 0; 1 x9 ;\n")
+    with pytest.raises(ParseError) as err:
+        parse_case(broken)
+    assert (err.value.line, err.value.column) == (12, 36)
 
 
 def test_ragged_table_rejected():

@@ -102,6 +102,38 @@ def test_apply_fault_trips_one_circuit():
     assert twice.edge_set() == set()
 
 
+def test_apply_fault_many_pairs_equals_one_call_each():
+    # corridor 1-2 has two circuits: the pair given twice trips both
+    net = make_network({1: 1.0, 2: -0.4, 3: -0.6, 4: 0.5},
+                       [(1, 2, 0.1), (2, 3, 0.2), (1, 2, 0.3), (3, 4, 0.1),
+                        (2, 4, 0.2)], generator_set={1, 4})
+    for pairs in ([(1, 2), (2, 1)], [(3, 4), (1, 2), (4, 2)],
+                  [(2, 3)], []):
+        folded = net
+        for pair in pairs:
+            folded = apply_fault(folded, pair)
+        at_once = apply_fault(net, *pairs)
+        assert at_once.branches == folded.branches
+        assert at_once.edge_set() == folded.edge_set()
+        assert at_once.buses == net.buses
+        assert at_once.generator_set == net.generator_set
+    assert [br.status for br in apply_fault(net, (1, 2), (2, 1)).branches] \
+        == [False, True, False, True, True]
+
+
+def test_apply_fault_names_first_pair_left_without_branch():
+    net = make_network({1: 1.0, 2: -0.4, 3: -0.6},
+                       [(1, 2, 0.1), (1, 2, 0.3), (2, 3, 0.1)],
+                       generator_set={1})
+    # the third 1-2 trip finds both circuits out; 1-3 never existed
+    with pytest.raises(NotFound,
+                       match="^no in-service branch between 2 and 1$"):
+        apply_fault(net, (1, 2), (2, 3), (2, 1), (2, 1), (1, 3))
+    with pytest.raises(NotFound,
+                       match="^no in-service branch between 1 and 3$"):
+        apply_fault(net, (1, 2), (1, 3), (1, 2), (1, 2))
+
+
 def test_apply_fault_unknown_edge(five_path):
     with pytest.raises(NotFound):
         apply_fault(five_path, (1, 5))

@@ -1,10 +1,13 @@
 """JSON encodings: networks written out; partitions, sync tables and
 scenarios read back."""
 
+import collections
 import dataclasses
+import enum
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -253,6 +256,37 @@ def test_save_json_spans_many_chunks(tmp_path):
     data = {"events": [{"round": k, "payload": {str(k): k / 7, "x": [k]}}
                        for k in range(5000)]}
     path = tmp_path / "long.json"
+    save_json(data, path)
+    assert path.read_bytes() == _dumps(data)
+
+
+class _Loud(float):
+    def __repr__(self):
+        return "loud"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Label(str):
+    def __str__(self):
+        return "label"
+
+
+class _Row(list):
+    pass
+
+
+def test_save_json_subclass_leaves_take_json_type_tests(tmp_path):
+    # only exact types skip json's isinstance tests; subclasses are
+    # spelled as json spells them, whatever their own repr
+    data = {"a": [_Loud(0.5), np.float64(0.1), _Level.LOW, _Label("x"),
+                  _Row([True, None, np.float64(-0.0)]),
+                  collections.OrderedDict(b=_Loud(math.inf), c=_Level.LOW)],
+            "d": _Row(), "e": collections.OrderedDict(),
+            "f": (np.float64(1e300), _Label(""))}
+    path = tmp_path / "subclasses.json"
     save_json(data, path)
     assert path.read_bytes() == _dumps(data)
 
