@@ -12,11 +12,9 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .centralized import (AttachStep, CentralizedResult,
-                          centralized_partition, check_initial_islands)
-from .decentralized import (DecentralizedResult, IslandRegistry,
-                            agent_decide, estimate_island_power,
-                            run_decentralized)
+from .centralized import AttachStep, CentralizedResult, centralized_partition
+from .decentralized import (DecentralizedResult, agent_decide,
+                            estimate_island_power, run_decentralized)
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridIslanderError, InitialIslandsOverlap,
                      MissingSection, NoGenerator, NotConverged, NotFound,
@@ -30,8 +28,9 @@ from .matpower import RawCase, build_network, load_case, parse_case
 from .metrics import (IslandMetrics, MetricsReport, compute_metrics,
                       j1_from_imbalances, metric_j1, metric_j2, metric_j3,
                       metric_j4, metrics_to_dict)
-from .network import (Branch, Bus, Island, Partition, PowerNetwork,
-                      ValidityReport, apply_fault, compute_cut_set,
+from .network import (Branch, Bus, Island, IslandRegistry, Partition,
+                      PowerNetwork, ValidityReport, apply_fault,
+                      check_initial_islands, compute_cut_set,
                       coupling_susceptance, island_imbalance, make_partition,
                       net_injection, validate_partition)
 from .powerflow import (PowerFlowSolution, ac_power_flow, build_ybus,

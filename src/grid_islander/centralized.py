@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (ConfigError, InitialIslandsOverlap, NoGenerator,
-                     Stalled)
+from .errors import Stalled
 from .kuramoto import SyncTimeTable
-from .network import (Island, Partition, PowerNetwork, make_partition,
-                      net_injection)
+from .network import (Island, IslandRegistry, Partition, PowerNetwork,
+                      check_initial_islands, make_partition, net_injection)
 
 logger = logging.getLogger("grid_islander.centralized")
 
@@ -39,26 +38,6 @@ class CentralizedResult:
     steps: tuple[AttachStep, ...]
 
 
-def check_initial_islands(network: PowerNetwork,
-                          islands: Sequence[Island]) -> None:
-    """Validate seed islands: disjoint, connected, each with a generator."""
-    seen: set[int] = set()
-    for isl in islands:
-        overlap = seen & isl.node_set
-        if overlap:
-            raise InitialIslandsOverlap(
-                f"island {isl.label} shares nodes {sorted(overlap)} "
-                f"with an earlier island")
-        seen |= isl.node_set
-        for node in isl.node_set:
-            network.bus(node)
-        if not network.subgraph_connected(isl.node_set):
-            raise ConfigError(
-                f"initial island {isl.label} is not connected")
-        if not isl.node_set & network.generator_set:
-            raise NoGenerator(f"initial island {isl.label} has no generator")
-
-
 def centralized_partition(network: PowerNetwork,
                           initial_islands: Sequence[Island],
                           times: SyncTimeTable) -> CentralizedResult:
@@ -73,14 +52,13 @@ def centralized_partition(network: PowerNetwork,
     island can reach any of them.
     """
     check_initial_islands(network, initial_islands)
-    members: dict[int, set[int]] = {
-        isl.label: set(isl.node_set) for isl in initial_islands}
+    registry = IslandRegistry(
+        islands={isl.label: set(isl.node_set) for isl in initial_islands},
+        injection={node: net_injection(network, node)
+                   for node in network.node_ids()})
+    members, imbalance = registry.islands, registry.total
+    assigned = registry.owner.keys()    # live: grows with every join
     labels = sorted(members)
-    assigned: set[int] = set().union(*members.values())
-    injection = {node: net_injection(network, node)
-                 for node in network.node_ids()}
-    imbalance = {lbl: sum(injection[n] for n in members[lbl])
-                 for lbl in labels}
     all_nodes = set(network.node_ids())
     steps: list[AttachStep] = []
 
@@ -114,12 +92,11 @@ def centralized_partition(network: PowerNetwork,
                 best_node, best_time = node, t
         # candidates is ascending, so the first minimum wins id ties.
 
-        members[chosen_label].add(best_node)
-        assigned.add(best_node)
-        imbalance[chosen_label] += injection[best_node]
+        registry.join(best_node, chosen_label)
         steps.append(AttachStep(
             step=len(steps) + 1, island_label=chosen_label, node=best_node,
-            sync_time=best_time, imbalances=dict(imbalance)))
+            sync_time=best_time,
+            imbalances={lbl: imbalance[lbl] for lbl in labels}))
         logger.debug("step %d: island %d takes node %d (t=%s)",
                      len(steps), chosen_label, best_node, best_time)
 

@@ -47,7 +47,8 @@ from .kuramoto import (build_layer, derivative, ensemble_integrate,
 from .matpower import build_network, load_case
 from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
-                      island_imbalance, validate_partition)
+                      check_initial_islands, island_imbalance,
+                      validate_partition)
 from .scenario import ScenarioConfig, load_scenario
 from .serialize import (network_to_dict, partition_from_dict,
                         partition_to_dict, save_json, sync_table_from_dict,
@@ -105,6 +106,15 @@ def _scenario(args) -> tuple[ScenarioConfig, PowerNetwork]:
     return cfg, network
 
 
+def _seeds(cfg: ScenarioConfig, network: PowerNetwork) -> list[Island]:
+    """The scenario's seed islands, checked against its faulted network
+    before any artifact is written or any ensemble integrated."""
+    initial = [Island(label=k + 1, node_set=frozenset(nodes))
+               for k, nodes in enumerate(cfg.initial_islands)]
+    check_initial_islands(network, initial)
+    return initial
+
+
 def _grid_layer(network: PowerNetwork):
     """The whole-grid oscillator layer."""
     return build_layer(network, network.node_ids())
@@ -120,13 +130,13 @@ def _sync_table(cfg: ScenarioConfig, network: PowerNetwork):
 
 
 def _partition(cfg: ScenarioConfig, network: PowerNetwork,
-               sync_table=None) -> tuple[Partition, str, dict]:
-    """Grow and validate a partition; returns (partition, log name, log).
+               initial: list[Island], sync_table=None
+               ) -> tuple[Partition, str, dict]:
+    """Grow and validate a partition from the seeds ``initial``; returns
+    (partition, log name, log).
 
     The centralized growth computes the sync table unless given one.
     """
-    initial = [Island(label=k + 1, node_set=frozenset(nodes))
-               for k, nodes in enumerate(cfg.initial_islands)]
     if cfg.algorithm == "centralized":
         if sync_table is None:
             sync_table = _sync_table(cfg, network)
@@ -284,9 +294,10 @@ def cmd_sync_times(args) -> int:
 
 def cmd_partition(args) -> int:
     cfg, network = _scenario(args)
+    initial = _seeds(cfg, network)
     sync_table = (sync_table_from_dict(_read_json(args.sync_table))
                   if args.sync_table else None)
-    partition, log_name, log = _partition(cfg, network, sync_table)
+    partition, log_name, log = _partition(cfg, network, initial, sync_table)
     for isl in partition.islands:
         imbalance = island_imbalance(network, isl) * network.base_mva
         print(f"island {isl.label}: {isl.size} nodes, "
@@ -314,6 +325,7 @@ def cmd_metrics(args) -> int:
 
 def cmd_run_all(args) -> int:
     cfg, network = _scenario(args)
+    initial = _seeds(cfg, network)
     with _pre_partition_flow(network) as pre_partition:
         out = _ArtifactDir(args.out_dir)
         out.write("network", network_to_dict(network))
@@ -321,7 +333,8 @@ def cmd_run_all(args) -> int:
         if cfg.algorithm == "centralized":
             sync_table = _sync_table(cfg, network)
             out.write("sync_times", sync_table_to_dict(sync_table))
-        partition, log_name, log = _partition(cfg, network, sync_table)
+        partition, log_name, log = _partition(cfg, network, initial,
+                                              sync_table)
         out.write_partition(partition, log_name, log)
         report = compute_metrics(network, partition, pre_partition)
     out.write("metrics", metrics_to_dict(report))

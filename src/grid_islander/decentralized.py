@@ -17,36 +17,31 @@ the round-start registry; joins commit at round end in ascending node-id
 order, and a commit makes later joiners stale if an island they read has
 moved by epsilon or more (they retry next round). Enclosure joins use no
 frequency data, so they are never stale. After ``max_stalled_rounds``
-quiet rounds a fallback applies the same rule to exact island sums.
+quiet rounds a fallback applies the same rule to the islands' totals.
 Each evaluation emits one ``estimate`` event, ``{"islands": {label:
 frequency read}, "estimates": {label: estimate or null}}``, then a
 ``wait`` or, at commit, a ``join`` or ``stale`` (``{"island",
 "current"}``: the frequencies at commit time).
 
 Both frequencies are locked frequencies, and a Kuramoto layer locks to
-its mean natural frequency. So the registry publishes each island's
-mean injection, and an agent reads its augmented frequency from the
-run's {node: injection} table; no oscillator layer is built or
-integrated. A round evaluates its agents in one batch: each island next
-to an active agent gets one numpy matrix with a row per agent watching
-it, and each row reduces to the bits of that agent's own layer mean.
+its mean natural frequency. So the registry keeps one running injection
+sum per island, ``total``; the island's frequency is ``total / size``
+and an agent's augmented frequency ``(total + own) / (size + 1)``. No
+oscillator layer is built or integrated.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from .centralized import check_initial_islands
 from .errors import DegenerateEstimate, Stalled, UndefinedSize
 # build_layer is no stage here; it stays importable from this module for
 # tracers that wrap its name (perfbench/spans.py).
 from .kuramoto import build_layer
-from .network import (Island, Partition, PowerNetwork, make_partition,
-                      net_injection)
+from .network import (Island, IslandRegistry, Partition, PowerNetwork,
+                      check_initial_islands, make_partition, net_injection)
 
 logger = logging.getLogger("grid_islander.decentralized")
 
@@ -54,18 +49,18 @@ DEFAULT_EPSILON = 1e-3
 DEFAULT_MAX_STALLED_ROUNDS = 3
 
 
-def _imbalance(island_freq, augmented_freq, injection):
-    """The estimated power imbalance, elementwise over arrays or scalars,
-    and whether each pair of frequencies coincides to a relative 1e-9
-    (``estimate_island_power`` states the formula)."""
-    augmented_freq = np.asarray(augmented_freq, dtype=float)
-    scale = np.maximum(np.maximum(1.0, np.abs(island_freq)),
-                       np.abs(augmented_freq))
-    degenerate = np.abs(island_freq - augmented_freq) <= 1e-9 * scale
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = island_freq * (augmented_freq - injection) \
-            / (island_freq - augmented_freq)
-    return power, degenerate
+def _imbalance(island_freq: float, augmented_freq: float,
+               injection: float) -> float | None:
+    """The estimated power imbalance (``estimate_island_power`` states the
+    formula): None when the two frequencies coincide to a relative 1e-9,
+    and 0.0 when the island frequency is zero."""
+    scale = max(1.0, abs(island_freq), abs(augmented_freq))
+    if abs(island_freq - augmented_freq) <= 1e-9 * scale:
+        return None
+    if island_freq == 0.0:
+        return 0.0
+    return island_freq * (augmented_freq - injection) \
+        / (island_freq - augmented_freq)
 
 
 def estimate_island_power(island_freq: float, augmented_freq: float,
@@ -86,45 +81,14 @@ def estimate_island_power(island_freq: float, augmented_freq: float,
     attachment reveals nothing) and UndefinedSize when the island
     frequency is zero (the imbalance is zero but the size drops out).
     """
-    power, degenerate = _imbalance(island_freq, augmented_freq, injection)
-    if degenerate:
+    power = _imbalance(island_freq, augmented_freq, injection)
+    if power is None:
         raise DegenerateEstimate(
             f"island and augmented frequencies coincide "
             f"({island_freq:.6g} vs {augmented_freq:.6g})")
     if island_freq == 0.0:
         raise UndefinedSize("island frequency is zero; size unrecoverable")
-    power = float(power)
     return power, power / island_freq
-
-
-@dataclass
-class IslandRegistry:
-    """Shared bulletin board over the run's {node: injection} table.
-
-    Each island publishes its mean injection, its locked frequency, in
-    ``island_freq``; ``owner`` maps every assigned node to its island's
-    label. Both are built from ``islands`` and kept in step by ``join``.
-    """
-
-    islands: dict[int, set[int]]
-    injection: dict[int, float]
-    island_freq: dict[int, float] = field(init=False)
-    owner: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.owner = {node: lbl for lbl, members in self.islands.items()
-                      for node in members}
-        self.island_freq = {lbl: self._freq(lbl) for lbl in self.islands}
-
-    def join(self, node: int, label: int) -> None:
-        """Commit ``node`` to island ``label`` and republish its frequency."""
-        self.islands[label].add(node)
-        self.owner[node] = label
-        self.island_freq[label] = self._freq(label)
-
-    def _freq(self, label: int) -> float:
-        members = self.islands[label]
-        return sum(self.injection[n] for n in members) / len(members)
 
 
 @dataclass(frozen=True)
@@ -177,27 +141,6 @@ def _stale(registry: IslandRegistry, snapshot: dict[int, float],
                for lbl, freq in snapshot.items())
 
 
-def _augmented_frequencies(injection: dict[int, float],
-                           members: Iterable[int],
-                           agents: Sequence[int]) -> np.ndarray:
-    """Locked frequency of the layer over ``members`` plus each agent,
-    bit for bit ``sync_frequency(build_layer(network, members | {agent}))``.
-
-    Row ``i`` of one ``(agents, k + 1)`` matrix holds the island's
-    injections in id order with agent ``i``'s own inserted at its sorted
-    position, the values and order of that layer; ``np.add.reduce`` of a
-    row has the bits of ``np.mean`` of that row alone.
-    """
-    ids = sorted(members)
-    k = len(ids)
-    base = np.array([injection[n] for n in ids] + [0.0])
-    position = np.searchsorted(np.array(ids), agents)
-    column = np.arange(k + 1)
-    rows = base[column - (column > position[:, None])]
-    rows[np.arange(len(agents)), position] = [injection[a] for a in agents]
-    return np.add.reduce(rows, axis=1) / (k + 1)
-
-
 def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
                     nodes: Sequence[int]
                     ) -> list[tuple[dict[int, float],
@@ -208,14 +151,13 @@ def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
     order of ``nodes``.
 
     An agent reads only its injection, its neighbor list, its neighbors'
-    island labels, and the membership and frequencies of islands
-    actually adjacent to it; islands elsewhere in the grid and the other
-    agents of the round cannot influence its outcome.
+    island labels, and the size, total and frequency of islands actually
+    adjacent to it; islands elsewhere in the grid and the other agents
+    of the round cannot influence its outcome.
     """
     injection = registry.injection
     owner = registry.owner
-    agents: list[tuple[int, list[int], int | None]] = []
-    observers: dict[int, list[int]] = {}     # label -> agents watching it
+    evaluations = []
     for node in nodes:
         neighbors = network.neighbors(node)
         watched = sorted({owner[p] for p in neighbors if p in owner})
@@ -224,32 +166,15 @@ def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
         enclosing = None
         if len(watched) == 1 and all(p in owner for p in neighbors):
             enclosing = watched[0]
-        agents.append((node, watched, enclosing))
-        for lbl in watched:
-            observers.setdefault(lbl, []).append(node)
-
-    # label -> {agent: estimate, or None when degenerate}
-    estimates: dict[int, dict[int, float | None]] = {}
-    for lbl, watching in observers.items():
-        island_freq = registry.island_freq[lbl]
-        power, degenerate = _imbalance(
-            island_freq,
-            _augmented_frequencies(injection, registry.islands[lbl],
-                                   watching),
-            np.array([injection[a] for a in watching]))
-        estimates[lbl] = {
-            agent: None if coincide else 0.0 if island_freq == 0.0 else value
-            for agent, value, coincide in zip(watching, power.tolist(),
-                                              degenerate.tolist())}
-
-    evaluations = []
-    for node, watched, enclosing in agents:
+        own = injection[node]
         snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
-        read = {lbl: estimates[lbl][node] for lbl in watched}
+        read = {lbl: _imbalance(snapshot[lbl],
+                                registry.augmented_freq(lbl, own), own)
+                for lbl in watched}
         info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
                 "estimates": {str(lbl): read[lbl] for lbl in watched}}
-        evaluations.append(
-            (snapshot, agent_decide(injection[node], read, enclosing), info))
+        evaluations.append((snapshot, agent_decide(own, read, enclosing),
+                            info))
     return evaluations
 
 
@@ -353,19 +278,18 @@ def _fallback_attach(network: PowerNetwork, registry: IslandRegistry,
     """Deadlock fallback: attach whatever the islands can still reach.
 
     Each node joins the adjacent island the join rule prefers over the
-    islands' exact imbalances, in ascending node-id sweeps until nothing
+    islands' injection totals, in ascending node-id sweeps until nothing
     island-adjacent remains.
     """
     attached: list[int] = []
     owner = registry.owner
-    injection = registry.injection
     logger.warning("growth stalled; falling back to direct attachment")
     while frontier := _frontier(network, registry, all_nodes):
         for node in frontier:
-            imbalance = {lbl: sum(injection[n] for n in registry.islands[lbl])
+            imbalance = {lbl: registry.total[lbl]
                          for lbl in {owner[p] for p in network.neighbors(node)
                                      if p in owner}}
-            best = _preferred(injection[node], imbalance)
+            best = _preferred(registry.injection[node], imbalance)
             registry.join(node, best)
             attached.append(node)
             emit(node, "join", {"island": best, "reason": "fallback",

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .errors import DegenerateBranch, NotFound
+from .errors import (ConfigError, DegenerateBranch, InitialIslandsOverlap,
+                     NoGenerator, NotFound)
 
 logger = logging.getLogger("grid_islander.network")
 
@@ -314,6 +315,68 @@ def validate_partition(network: PowerNetwork,
         if not known & network.generator_set:
             issues.append(f"island {isl.label} has no generator")
     return ValidityReport(issues=tuple(issues))
+
+
+def check_initial_islands(network: PowerNetwork,
+                          islands: Sequence[Island]) -> None:
+    """Validate seed islands: disjoint, connected, each with a generator."""
+    seen: set[int] = set()
+    for isl in islands:
+        overlap = seen & isl.node_set
+        if overlap:
+            raise InitialIslandsOverlap(
+                f"island {isl.label} shares nodes {sorted(overlap)} "
+                f"with an earlier island")
+        seen |= isl.node_set
+        for node in isl.node_set:
+            network.bus(node)
+        if not network.subgraph_connected(isl.node_set):
+            raise ConfigError(
+                f"initial island {isl.label} is not connected")
+        if not isl.node_set & network.generator_set:
+            raise NoGenerator(f"initial island {isl.label} has no generator")
+
+
+@dataclass
+class IslandRegistry:
+    """Growing islands over the run's {node: injection} table.
+
+    ``owner`` maps every assigned node to its island's label, ``total``
+    holds each island's running injection sum (its power imbalance), and
+    ``island_freq`` publishes ``total / size``, the frequency an
+    oscillator layer over the island locks to. All three are built from
+    ``islands`` (``total`` summed over each member set in its iteration
+    order) and kept in step by ``join``.
+    """
+
+    islands: dict[int, set[int]]
+    injection: dict[int, float]
+    total: dict[int, float] = field(init=False)
+    island_freq: dict[int, float] = field(init=False)
+    owner: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.owner = {node: lbl for lbl, members in self.islands.items()
+                      for node in members}
+        self.total = {lbl: sum(self.injection[n] for n in members)
+                      for lbl, members in self.islands.items()}
+        self.island_freq = {lbl: self.total[lbl] / len(members)
+                            for lbl, members in self.islands.items()}
+
+    def join(self, node: int, label: int) -> None:
+        """Commit ``node`` to island ``label``, add its injection to the
+        island's total and republish the island's frequency."""
+        members = self.islands[label]
+        members.add(node)
+        self.owner[node] = label
+        self.total[label] += self.injection[node]
+        self.island_freq[label] = self.total[label] / len(members)
+
+    def augmented_freq(self, label: int, injection: float) -> float:
+        """The frequency island ``label`` locks to with one more node of
+        per-unit ``injection`` attached."""
+        size = len(self.islands[label])
+        return (self.total[label] + injection) / (size + 1)
 
 
 def island_imbalance(network: PowerNetwork, island: Island) -> float:

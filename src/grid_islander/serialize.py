@@ -89,13 +89,16 @@ def sync_table_to_dict(table) -> dict:
 
 def sync_table_from_dict(data: dict):
     """Inverse of ``sync_table_to_dict``; a sync time must be a
-    nonnegative number or +infinity ("inf" or a bare Infinity). Each edge
-    joins two nodes in either order and is listed once."""
+    nonnegative number or +infinity ("inf" or a bare Infinity), never a
+    boolean or another string. Each edge joins two nodes in either order
+    and is listed once."""
     from .kuramoto import SyncTimeTable
     entries = {}
     try:
         for row in data["edges"]:
             t = row["t_sync"]
+            if isinstance(t, (bool, str)) and t != "inf":
+                raise ValueError(f"t_sync {t!r} is not a number or \"inf\"")
             t = math.inf if t == "inf" else float(t)
             if not t >= 0.0:
                 raise ValueError(f"t_sync {t} is not a nonnegative time")

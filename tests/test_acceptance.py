@@ -271,9 +271,11 @@ def test_criterion_8_decisions_ignore_far_islands():
             twisted = IslandRegistry(
                 islands={lbl: set(m) for lbl, m in registry.islands.items()},
                 injection=registry.injection)
+            twisted.total = dict(registry.total)
             twisted.island_freq = dict(registry.island_freq)
             for lbl in twisted.islands:
                 if lbl not in snapshot:
+                    twisted.total[lbl] += 1.9
                     twisted.island_freq[lbl] += 0.37
                     twisted.islands[lbl].add(far_node)
             _, decision2, info2 = _evaluate_round(net, twisted, [node])[0]

@@ -4,12 +4,18 @@ Both reach the library by name, so a renamed or deleted function breaks
 them only when they run; these tests run them.
 """
 
+import hashlib
+import importlib.util
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from grid_islander import partition_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -31,3 +37,26 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# sha256 over the json.dumps of partition_to_dict of every partition the
+# fault sweep grows, in ascending fault order.
+FAULT_SWEEP_SHA256 = (
+    "64ac5f5fed7c9329e02e1a68c89cb1de37cf9e2bac051fe02225aa5cb1af6936")
+
+
+def test_decentralized_fault_sweep_is_pinned():
+    spec = importlib.util.spec_from_file_location(
+        "fault_sweep", ROOT / "demos" / "05_fault_sweep.py")
+    fault_sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fault_sweep)
+
+    records = fault_sweep.sweep()
+    assert len(records) == 179
+    assert Counter(outcome for _, outcome, _, _ in records) == {
+        "ok": 147, "ConfigError": 28, "Stalled": 4}
+    digest = hashlib.sha256()
+    for _, outcome, _, partition in records:
+        if outcome == "ok":
+            digest.update(json.dumps(partition_to_dict(partition)).encode())
+    assert digest.hexdigest() == FAULT_SWEEP_SHA256

@@ -186,21 +186,45 @@ def test_stalled_partition_exit_4(workspace, capsys):
     assert err["error"] == "Stalled"
 
 
-@pytest.mark.parametrize("algorithm", ["centralized", "decentralized"])
-def test_fault_cutting_a_seed_island_exit_2(scenario118_path, case118_path,
-                                            tmp_path, capsys, algorithm):
-    # bus 10 hangs off bus 9 alone, so the 9-10 fault cuts seed island 1
+def _cut_seed_island(command, algorithm, scenario118_path, case118_path,
+                     tmp_path, capsys, monkeypatch):
+    """Run ``command`` on the shipped scenario with the 9-10 fault, which
+    cuts seed island 1 (bus 10 hangs off bus 9 alone): it exits 2 before
+    any artifact is written or any ensemble integrated."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ensemble ran before the seed check")
+
+    monkeypatch.setattr(cli_module, "ensemble_sync_times", refuse)
     data = json.loads(scenario118_path.read_text(encoding="utf-8"))
     data.update(case_path=str(case118_path), fault_branches=[[9, 10]],
                 ensemble_size=4, t_max=1.0)
     cfg = tmp_path / "cut.json"
     cfg.write_text(json.dumps(data), encoding="utf-8")
-    rc = main(["run-all", "--config", str(cfg), "--algorithm", algorithm,
-               "--out-dir", str(tmp_path / "out")])
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main([command, "--config", str(cfg), "--algorithm", algorithm,
+               "--out-dir", str(out_dir)])
     assert rc == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "ConfigError",
         "message": "initial island 1 is not connected", "exit_code": 2}
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("algorithm", ["centralized", "decentralized"])
+def test_fault_cutting_a_seed_island_exit_2(scenario118_path, case118_path,
+                                            tmp_path, capsys, monkeypatch,
+                                            algorithm):
+    _cut_seed_island("run-all", algorithm, scenario118_path, case118_path,
+                     tmp_path, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("algorithm", ["centralized", "decentralized"])
+def test_partition_refuses_a_cut_seed_island_first(
+        scenario118_path, case118_path, tmp_path, capsys, monkeypatch,
+        algorithm):
+    _cut_seed_island("partition", algorithm, scenario118_path, case118_path,
+                     tmp_path, capsys, monkeypatch)
 
 
 def test_invalid_partition_file_exit_4(workspace, capsys):
@@ -403,7 +427,7 @@ def test_run_all_decentralized_uses_events_log(workspace):
 # scenario. perfbench/digests.json records the sha256 of the earlier
 # format, with a snapshot event per evaluation, for ieee118-decentral.
 SHIPPED_EVENTS_SHA256 = (
-    "8a65977cbbfe677aa60ad9b0b7c352db350a89e390ecfc5c0e8e5b1d9ef90616")
+    "ce4be45c8b462836001fd9db600e8027ad628d42db231fe11140670e727c2d2a")
 
 
 def test_shipped_decentralized_events_are_pinned(scenario118_path,
@@ -420,7 +444,7 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
 # 47 rounds with 14 fallback nodes, where the shipped run has 5.
 TILED2_SHA256 = {
     "events.json":
-        "5a8877520decf66b4fbb0887b89aca7a6dd0147b5ba2fd194c8eca0773733287",
+        "f03d679e75d37c6135977c1e34deabcdc353ff55a417acf303376351b98e9160",
     "partition.json":
         "0dfbfeae5bb81c476c9fb04165b731da5f91f0a146f9142e199615dd18b22a11",
 }
@@ -441,6 +465,27 @@ def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
     assert (log["rounds"], len(log["fallback_nodes"])) == (47, 14)
     assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in TILED2_SHA256} == TILED2_SHA256
+
+
+# sha256 of steps.json from centralized growth on the shipped scenario at
+# a stable step (dt = 0.0035, t_max = 35, seed 42): each step records the
+# islands' running injection sums.
+STABLE_STEPS_SHA256 = (
+    "9a7bae0a45f77b795ded9cddf23461ac858003accc4cf273cff14c4571db1a38")
+
+
+def test_stable_centralized_steps_are_pinned(scenario118_path, case118_path,
+                                             tmp_path):
+    data = json.loads(scenario118_path.read_text(encoding="utf-8"))
+    data.update(case_path=str(case118_path), dt=0.0035, t_max=35.0, seed=42)
+    cfg = tmp_path / "stable.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    rc = main(["partition", "--config", str(cfg), "--algorithm",
+               "centralized", "--out-dir", str(out_dir)])
+    assert rc == 0
+    steps = (out_dir / "steps.json").read_bytes()
+    assert hashlib.sha256(steps).hexdigest() == STABLE_STEPS_SHA256
 
 
 def test_traced_run_all_exits_0(scenario118_path, tmp_path, monkeypatch):

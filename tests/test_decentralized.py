@@ -13,8 +13,7 @@ from grid_islander import (DegenerateEstimate, Island, IslandRegistry,
                            estimate_island_power, net_injection,
                            run_decentralized, sync_frequency,
                            validate_partition)
-from grid_islander.decentralized import (_augmented_frequencies,
-                                         _evaluate_round, _frontier, _stale)
+from grid_islander.decentralized import _evaluate_round, _frontier, _stale
 from conftest import make_network
 
 
@@ -311,37 +310,50 @@ def _grid_network(rng, side):
     return make_network({n: rng.uniform(-0.6, 0.8) for n in ids}, edges)
 
 
-def test_mean_injection_is_bit_identical_to_layer_mean(net118):
-    # every agent's augmented frequency in a round's batch must equal its
-    # own layer's mean exactly, or estimates and events.json would move;
-    # the lattice's islands pass numpy's pairwise block of 128 values
+def test_estimates_come_from_running_totals(net118):
+    # the registry's total is the seed set's sum plus each joiner in
+    # commit order; every estimate reads it, and the augmented mean stays
+    # within summation rounding of the agent's own layer mean (the
+    # lattice's islands pass numpy's pairwise block of 128 values)
     rng = random.Random(118)
     lattice = _grid_network(rng, 15)
     cases = [(net118, rng.randint(1, 117)) for _ in range(40)] + \
         [(lattice, rng.randint(129, 200)) for _ in range(3)]
+    eps = np.finfo(float).eps
     for net, size in cases:
         injection = injection_table(net)
         island = _random_connected(rng, net, size)
+        joiners = sorted(island)
+        rng.shuffle(joiners)
+        start = set(joiners[:rng.randint(1, size)])
+        registry = IslandRegistry(islands={1: start}, injection=injection)
+        total = sum(injection[n] for n in start)
+        for node in joiners:
+            if node not in start:
+                registry.join(node, 1)
+                total += injection[node]
+        assert registry.total == {1: total}
+        assert registry.island_freq == {1: total / size}
+
         agents = sorted({p for n in island for p in net.neighbors(n)}
                         - island)
-        augmented = _augmented_frequencies(injection, island, agents)
-        assert len(augmented) == len(agents)
-        layer_means = [sync_frequency(build_layer(net, island | {agent}))
-                       for agent in agents]
-        assert augmented.tolist() == layer_means
-        # and the round's estimates are the scalar estimator's on those
-        registry = IslandRegistry(islands={1: set(island)},
-                                  injection=injection)
-        for agent, layer_mean, (snapshot, _, info) in zip(
-                agents, layer_means, _evaluate_round(net, registry, agents)):
+        for agent, (snapshot, _, info) in zip(
+                agents, _evaluate_round(net, registry, agents)):
+            p = injection[agent]
+            augmented = registry.augmented_freq(1, p)
+            assert augmented == (total + p) / (size + 1)
             try:
-                expected, _ = estimate_island_power(
-                    snapshot[1], layer_mean, injection[agent])
+                expected, _ = estimate_island_power(total / size, augmented,
+                                                    p)
             except DegenerateEstimate:
                 expected = None
             except UndefinedSize:
                 expected = 0.0
+            assert snapshot == {1: total / size}
             assert info["estimates"] == {"1": expected}
+            layer_mean = sync_frequency(build_layer(net, island | {agent}))
+            assert abs(augmented - layer_mean) <= eps * sum(
+                abs(injection[n]) for n in island | {agent})
 
 
 def test_one_agent_round_matches_full_round(scenario118, net118_faulted):
@@ -432,9 +444,11 @@ def _perturb_far_islands(registry, watched, far_node):
     clone = IslandRegistry(
         islands={lbl: set(m) for lbl, m in registry.islands.items()},
         injection=registry.injection)
+    clone.total = dict(registry.total)
     clone.island_freq = dict(registry.island_freq)
     for lbl in clone.islands:
         if lbl not in watched:
+            clone.total[lbl] += 1.9
             clone.island_freq[lbl] += 0.37
             clone.islands[lbl].add(far_node)
     return clone

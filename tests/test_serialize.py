@@ -94,7 +94,9 @@ def test_sync_table_from_dict_orders_pairs_and_rejects_repeats():
                 {"i": i, "j": j, "t_sync": t} for i, j, t in edges]})
 
 
-@pytest.mark.parametrize("t_sync", ["NaN", "-0.5", '"nan"', "-Infinity"])
+# float() would read true as 1.0 s and a numeric string as its number
+@pytest.mark.parametrize("t_sync", ["NaN", "-0.5", '"nan"', "-Infinity",
+                                    "true", '"1.5"', '" 2 "', '"Infinity"'])
 def test_sync_table_rejects_nan_and_negative_times(t_sync):
     data = json.loads('{"edges": [{"i": 1, "j": 2, "t_sync": %s}]}' % t_sync)
     with pytest.raises(SchemaError):
