@@ -3,6 +3,12 @@
 and ``("crash", traceback)`` messages. Messages go one way only: the
 parent never writes to the child.
 
+The pipe is a socketpair whose child end asks for the deepest send
+buffer the kernel grants (Linux caps it at twice ``net.core.wmem_max``),
+so a child streaming reports runs ahead of a parent busy with its own
+work instead of stalling whenever the default buffer (about 208 KB)
+fills.
+
 The upper half of a sync-time ensemble (``kuramoto``) and the
 whole-network power flow of ``run-all`` and ``metrics`` (``cli``) each
 run in one. Both fork only when ``usable_cpus() >= 2`` and do the same
@@ -17,6 +23,9 @@ import traceback
 from typing import Any, Callable
 
 from .errors import GridIslanderError
+
+# Asked for as the child end's SO_SNDBUF; the kernel grants at most its cap.
+_SEND_BUFFER = 2 ** 31 - 1
 
 
 def usable_cpus() -> int:
@@ -39,11 +48,16 @@ class Forked:
 
     def __init__(self, work: Callable[[Forked], None]) -> None:
         # imported here, so that a run that never forks skips the import
+        import socket
         from multiprocessing.connection import Pipe
         # a duplex Pipe() is a socketpair; the os.pipe of
         # Pipe(duplex=False), with its 64 KB buffer, slowed the ensemble
         mine, theirs = Pipe()
         try:
+            with socket.fromfd(theirs.fileno(), socket.AF_UNIX,
+                               socket.SOCK_STREAM) as end:
+                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                               _SEND_BUFFER)
             self.pid = os.fork()
         except OSError:
             mine.close()

@@ -41,7 +41,7 @@ from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
 # ensemble_integrate and sync_times, the stored-trajectory pair, are no
 # stage here; they stay importable from this module for tracers that wrap
 # its names (perfbench/spans.py).
-from .kuramoto import (build_layer, derivative, ensemble_integrate,
+from .kuramoto import (_Kernel, build_layer, derivative, ensemble_integrate,
                        ensemble_sync_times, integrate,
                        sample_initial_conditions, sync_times)
 from .matpower import build_network, load_case
@@ -268,12 +268,14 @@ def cmd_simulate(args) -> int:
           f"{final_freq.mean():.6f} pu")
     if args.out:
         # csv spells a Python float with repr, which reads back exactly;
-        # frequencies a sample at a time, not over the whole trajectory
+        # frequencies a sample at a time, not over the whole trajectory,
+        # from one kernel: derivative(layer, row)'s bits
+        rhs = _Kernel(layer, 1).rhs
         _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
             [t, node, phase, freq]
             for t, row in zip(times.tolist(), phases)
             for node, phase, freq in zip(layer.node_ids, row.tolist(),
-                                         derivative(layer, row).tolist())))
+                                         rhs(row[:, None]).ravel().tolist())))
     return EXIT_OK
 
 

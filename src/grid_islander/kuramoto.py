@@ -10,25 +10,29 @@ right-hand side is antisymmetric in each edge, so the mean frequency
 equals the mean natural frequency at all times; tests pin that down to
 rounding error.
 
-One RK4 generator yields the (runs, n) phases of an ensemble sample by
-sample. ``integrate`` stores every sample of one run or of a batch of
-runs, and ``ensemble_integrate`` applies it to an ensemble's seeded
-initial phases; ``derivative`` turns phases into frequencies.
-``ensemble_sync_times`` scans the stream as it goes instead, keeping
+One kernel (``_Kernel``) evaluates the right-hand side and RK4 steps on
+(node, run)-major phases in buffers allocated once. ``derivative``
+turns phases into frequencies with it, ``integrate`` stores every
+sample of one run or a batch of runs, and ``ensemble_integrate``
+applies that to an ensemble's seeded initial phases.
+``ensemble_sync_times`` scans the ensemble as it goes instead, keeping
 per edge only the last step at which the order parameter was at or
 below the threshold, so its memory does not grow with the number of
-steps. With two usable CPUs it integrates the upper half of the runs
-in a forked child (``_forked.Forked``, the one fork of the package,
-which the CLI's whole-network power flow also uses). The child sends
-its cos(theta_low - theta_high), a (sample, edge, run) block at a time,
-over the fork's pipe; the calling process puts them after its own runs
-and averages each edge's contiguous runs. The right-hand side gives a
-run the same bits in a batch of any size, one run included, so the
-table has the same bits with one process or two. ``sync_times``
-applies the detection rule directly to a stored trajectory, with no
-scan, and gives the same bits. A layer locks to its mean natural
-frequency, which ``sync_frequency`` returns without integrating. A
-warning is logged when a step may leave RK4's stability interval.
+steps. Each sample's cos(theta_low - theta_high) comes from the edge
+differences the next step's first stage gathers anyway: cos is even
+and x_j - x_i is exactly -(x_i - x_j). With two usable CPUs a forked
+child (``_forked.Forked``, the one fork of the package, which the CLI's
+whole-network power flow also uses) integrates the upper half of the
+runs and sends their cosines, a (sample, edge, run) block at a time,
+over a socketpair whose deep send buffer lets it run dozens of blocks
+ahead; the calling process puts them after its own runs and averages
+each edge's contiguous runs. The kernel gives a run the same bits in a
+batch of any size, one run included, so the table has the same bits
+with one process or two. ``sync_times`` applies the detection rule
+directly to a stored trajectory, with no scan, and gives the same
+bits. A layer locks to its mean natural frequency, which
+``sync_frequency`` returns without integrating. A warning is logged
+when a step may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
@@ -50,7 +54,7 @@ import contextlib
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,34 +169,58 @@ def build_layer(network: PowerNetwork, nodes: Iterable[int]) -> CyberLayer:
                       coupling=coupling)
 
 
-def _make_rhs(layer: CyberLayer) -> Callable[[np.ndarray], np.ndarray]:
-    """Right-hand side of (..., n) phases: one scatter-add of the edge
-    flows w_e sin(theta_jv - theta_iu), + at iu and - at jv. Each node sums
-    its flows in one order, so a row has the same bits in any batch."""
-    p = layer.natural_frequency
-    iu, jv, w = layer._edges
-    n, m = layer.size, w.size
-    ends = np.concatenate([iu, jv])
-    # flat (row * n + node) targets, built once per batch shape
-    targets: dict[tuple[int, ...], np.ndarray] = {}
+class _Kernel:
+    """RK4 of ``runs`` phase columns: (node, run)-major arrays in buffers
+    allocated once. ``rhs`` gathers both ends of every layer edge, then of
+    every extra (low, high) index pair in ``pairs``, and leaves
+    ``diff = theta_high - theta_low`` per gathered pair. The edges' flows
+    w_e sin(theta_jv - theta_iu) go + at iu and - at jv in one
+    scatter-add: each node sums its flows in one order, so a column has
+    the same bits in any batch, one column included.
+    """
 
-    def rhs(phases: np.ndarray) -> np.ndarray:
-        batch = phases.shape[:-1]
-        if batch not in targets:
-            rows = np.arange(math.prod(batch))[:, None] * n
-            targets[batch] = (rows + ends).ravel()
-        at_ends = phases.take(ends, axis=-1)
-        flow = w * np.sin(at_ends[..., m:] - at_ends[..., :m])
-        flows = np.concatenate([flow, -flow], axis=-1)
-        return p + np.bincount(targets[batch], flows.ravel(),
-                               phases.size).reshape(phases.shape)
+    def __init__(self, layer: CyberLayer, runs: int,
+                 pairs: Sequence[tuple[int, int]] = ()) -> None:
+        iu, jv, w = layer._edges
+        extra = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        self._ends = np.concatenate([iu, extra[0], jv, extra[1]])
+        self._targets = (np.concatenate([iu, jv])[:, None] * runs
+                         + np.arange(runs)).ravel()
+        # full columns: a broadcast operand costs numpy twice the time
+        self._w = np.repeat(w[:, None], runs, axis=1)
+        self._p = np.repeat(layer.natural_frequency[:, None], runs, axis=1)
+        self._at = np.empty((self._ends.size, runs))
+        self.diff = np.empty((self._ends.size // 2, runs))
+        self._flows = np.empty((2 * w.size, runs))
 
-    return rhs
+    def rhs(self, phases: np.ndarray) -> np.ndarray:
+        """Frequencies of (n, runs) phases, a new array."""
+        at, diff, flows, m = self._at, self.diff, self._flows, len(self._w)
+        phases.take(self._ends, axis=0, out=at, mode="clip")
+        np.subtract(at[len(diff):], at[:len(diff)], out=diff)
+        np.sin(diff[:m], out=flows[:m])
+        flows[:m] *= self._w
+        np.negative(flows[:m], out=flows[m:])
+        return self._p + np.bincount(self._targets, flows.ravel(),
+                                     phases.size).reshape(phases.shape)
+
+    def step(self, state: np.ndarray, k1: np.ndarray,
+             dt: float) -> np.ndarray:
+        """Classic RK4 from ``state``, whose frequencies are ``k1``."""
+        k2 = self.rhs(state + 0.5 * dt * k1)
+        k3 = self.rhs(state + 0.5 * dt * k2)
+        k4 = self.rhs(state + dt * k3)
+        return state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def derivative(layer: CyberLayer, phases: np.ndarray) -> np.ndarray:
     """Instantaneous frequencies for one or many phase vectors."""
-    return _make_rhs(layer)(np.asarray(phases, dtype=float))
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape[-1:] != (layer.size,):
+        raise ValueError(f"phases must end in an axis of {layer.size}")
+    columns = phases.reshape(-1, layer.size).T
+    return _Kernel(layer, columns.shape[1]).rhs(columns).T.reshape(
+        phases.shape)
 
 
 def _time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -202,27 +230,6 @@ def _time_grid(t_max: float, dt: float) -> np.ndarray:
     if n_steps < 1:
         raise ValueError("t_max shorter than one step")
     return np.arange(n_steps + 1) * dt
-
-
-def _rk4(rhs: Callable[[np.ndarray], np.ndarray], initial: np.ndarray,
-         times: np.ndarray) -> Iterator[np.ndarray]:
-    """Classic fixed-step RK4: yields the state at every sample time and
-    raises NumericalDivergence at the first non-finite one. Each yielded
-    array is fresh; the generator never writes to it again."""
-    dt = float(times[1] - times[0])
-    state = np.array(initial, dtype=float)
-    yield state
-    for k in range(1, times.shape[0]):
-        # overflow is handled by the finiteness check, not by numpy warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rhs(state)
-            k2 = rhs(state + 0.5 * dt * k1)
-            k3 = rhs(state + 0.5 * dt * k2)
-            k4 = rhs(state + dt * k3)
-            state = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise NumericalDivergence(float(times[k]))
-        yield state
 
 
 class Trajectory(NamedTuple):
@@ -248,8 +255,17 @@ def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray, *,
     times = _time_grid(t_max, dt)
     _warn_if_unstable(layer, dt)
     phases = np.empty(times.shape + initial.shape)
-    for k, state in enumerate(_rk4(_make_rhs(layer), initial, times)):
-        phases[k] = state
+    phases[0] = initial
+    samples = phases.reshape(times.size, -1, layer.size)
+    state = np.ascontiguousarray(samples[0].T)
+    kernel = _Kernel(layer, state.shape[1])
+    # overflow is handled by the finiteness check, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, times.size):
+            state = kernel.step(state, kernel.rhs(state), dt)
+            if not np.all(np.isfinite(state)):
+                raise NumericalDivergence(float(times[k]))
+            samples[k] = state.T
     return Trajectory(times, phases)
 
 
@@ -278,7 +294,7 @@ def _warn_if_unstable(layer: CyberLayer, dt: float) -> None:
     ratio = dt * _gershgorin(layer)
     if ratio > RK4_REAL_LIMIT:
         logger.warning(
-            "dt * 2 * max weighted degree = %.3f exceeds RK4's real-axis "
+            "dt * 2 * max weighted degree = %.4g exceeds RK4's real-axis "
             "stability limit %.3f: the integration may be unstable and "
             "sync times may be integration artifacts", ratio,
             RK4_REAL_LIMIT)
@@ -322,11 +338,8 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
     initial = _ensemble_initial(layer, n_runs, seed)
     times = _time_grid(t_max, dt)
     _warn_if_unstable(layer, dt)
-    rhs = _make_rhs(layer)
     split = (n_runs + 1) // 2 if _usable_cpus() >= 2 else n_runs
-    return _sync_scan(layer, times, edges, threshold, n_runs, split,
-                      lambda first, last: _rk4(rhs, initial[first:last],
-                                               times))
+    return _sync_scan(layer, times, edges, threshold, initial, split)
 
 
 def sync_times(layer: CyberLayer, times: np.ndarray, phases: np.ndarray,
@@ -356,36 +369,49 @@ _CHECK_BLOCKS = 4
 
 def _sync_scan(layer: CyberLayer, times: np.ndarray,
                edges: Iterable[tuple[int, int]], threshold: float,
-               n_runs: int, split: int,
-               states: Callable[[int, int], Iterator[np.ndarray]]
-               ) -> SyncTimeTable:
-    """Sync times from ``states(first, last)``, the RK4 stream of
-    (last - first, n) phase samples of runs ``[first:last)`` on the layer,
-    one per entry of ``times``.
+               initial: np.ndarray, split: int) -> SyncTimeTable:
+    """Sync times of the RK4 ensemble from the (runs, n) ``initial``
+    phases, one sample per entry of ``times``.
 
-    This process reads runs ``[:split]``; a forked child reads runs
-    ``[split:]`` when ``split < n_runs`` and it can be forked. Both take
-    cos(theta_low - theta_high) of their runs, ``_BLOCK_SAMPLES`` samples
-    at a time, as a (sample, edge, run) block; the child sends each of its
-    blocks to this process in its report. This process puts the child's
-    runs after its own and reduces each block with
-    ``np.add.reduce(..., axis=-1) / n_runs``: every edge's runs are
+    This process integrates runs ``[:split]``; a forked child integrates
+    runs ``[split:]`` when ``split < runs`` and it can be forked. Each
+    half takes its cosines from its ``_Kernel``'s pair differences, which
+    hold the scanned pairs that are no layer edge after the edges: with
+    the scanned pairs in layer-edge order, a sample's cosines are one
+    ``np.cos``, a (pair, run) row of a (sample, pair, run) block of
+    ``_BLOCK_SAMPLES`` samples. The child sends each of its blocks to
+    this process in its report. This process puts the child's runs after
+    its own and reduces each block with
+    ``np.add.reduce(..., axis=-1) / runs``: every pair's runs are
     contiguous, so they are summed pairwise, as ``np.mean`` sums them in
-    ``sync_times`` on a stored trajectory. Per edge it keeps only the last
-    sample at which the order parameter is at or below the threshold. The
-    earliest divergence in either half raises NumericalDivergence.
+    ``sync_times`` on a stored trajectory. Per pair it keeps only the
+    last sample at which the order parameter is at or below the
+    threshold. The earliest divergence in either half raises
+    NumericalDivergence.
 
-    Each half also reports its runs' ``LockCertificate`` levels at the
-    last sample of every ``_CHECK_BLOCKS``-th block, and the scan stops
-    after the first such block, at least two blocks from the end,
-    whose levels prove that no order parameter crosses the threshold
-    again: pairs locked below it get +inf, the others keep their last bad
-    sample, as a full scan would give them. The child, which never waits
-    for this process, is then killed and reaped.
+    Each half also reports its runs' ``LockCertificate`` levels, from
+    C-contiguous (run, node) rows, at the last sample of every
+    ``_CHECK_BLOCKS``-th block, and the scan stops after the first such
+    block, at least two blocks from the end, whose levels prove that no
+    order parameter crosses the threshold again: pairs locked below it
+    get +inf, the others keep their last bad sample, as a full scan would
+    give them. The child, which never waits for this process, is then
+    killed and reaped.
     """
+    n_runs = initial.shape[0]
+    dt = float(times[1] - times[0])
     keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
-    low = np.array([layer.index(a) for a, _ in keys], dtype=np.intp)
-    high = np.array([layer.index(b) for _, b in keys], dtype=np.intp)
+    pairs = [(layer.index(a), layer.index(b)) for a, b in keys]
+    iu, jv, _ = layer._edges
+    # each pair's row of the kernel's differences: layer edges, then extras
+    at = {pair: e for e, pair in enumerate(zip(iu.tolist(), jv.tolist()))}
+    extra = [pair for pair in pairs if pair not in at]
+    for pair in extra:
+        at[pair] = len(at)
+    ordered = sorted(pairs, key=at.__getitem__)
+    picked = (slice(None) if len(ordered) == len(at)
+              else np.array([at[pair] for pair in ordered], dtype=np.intp))
+    low, high = np.array(ordered, dtype=np.intp).reshape(-1, 2).T
     n_samples = times.shape[0]
     starts = range(0, n_samples, _BLOCK_SAMPLES)
     certificate = None
@@ -401,50 +427,60 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         return (certificate is not None and b + 2 < len(starts)
                 and b % _CHECK_BLOCKS == _CHECK_BLOCKS - 1)
 
-    def fill(b: int, stream: Iterator[np.ndarray], out: np.ndarray
-             ) -> tuple[float | None, np.ndarray | None]:
-        """Write block b of the stream's cosines into ``out``, a row per
-        sample; the divergence time, if the stream diverges in it, and
-        the runs' certificate levels."""
-        try:
-            for row, state in zip(out, stream):
-                row[...] = np.cos(state[:, low] - state[:, high]).T
-        except NumericalDivergence as exc:
-            return exc.t, None
-        if not checked(b):
-            return None, None
-        return None, certificate.levels(
-            state, float(times[starts[b] + len(out) - 1]))
+    def blocks(first: int, last: int, cos: np.ndarray
+               ) -> Iterator[tuple[float | None, np.ndarray | None,
+                                   np.ndarray]]:
+        """Per block of runs ``[first:last)``: their divergence time if
+        they diverge in it, their certificate levels after a checked
+        block, and the block's cosines, written into the leading samples
+        of ``cos``. Ends with the block in which they diverge."""
+        kernel = _Kernel(layer, last - first, extra)
+        state = np.ascontiguousarray(initial[first:last].T)
+        for b, start in enumerate(starts):
+            block = cos[:n_samples - start]
+            diverged = None
+            # overflow shows in the finiteness check, not as warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for sample, row in enumerate(block, start):
+                    if sample:
+                        state = kernel.step(state, k1, dt)
+                        if not np.all(np.isfinite(state)):
+                            diverged = float(times[sample])
+                            break
+                    k1 = kernel.rhs(state)
+                    np.cos(kernel.diff[picked], out=row)
+            if diverged is not None:
+                yield diverged, None, block
+                return
+            yield None, (certificate.levels(
+                np.ascontiguousarray(state.T), float(times[sample]))
+                if checked(b) else None), block
 
     def upper_half(child: _ForkedHalf) -> None:
-        stream = states(split, n_runs)
         cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs - split))
-        for b, start in enumerate(starts):
-            rows = cos[:n_samples - start]
-            t, levels = fill(b, stream, rows)
-            child.send((t, levels, rows))
-            if t is not None:
-                return
+        for report in blocks(split, n_runs, cos):
+            child.send(report)
 
     try:
         child = _ForkedHalf(upper_half) if split < n_runs else None
-    except OSError:    # refused at a process limit: read every run here
+    except OSError:    # refused at a process limit: integrate every run here
         child, split = None, n_runs
     last_bad = np.full(len(keys), -1)
-    stream = states(0, split)
     cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs))
+    mine = blocks(0, split, cos[..., :split])
     stop = None
     with child or contextlib.nullcontext():
         for b, start in enumerate(starts):
-            rows = cos[:n_samples - start]
-            reports = [fill(b, stream, rows[..., :split])]
+            t, levels, _ = next(mine)
+            reports = [(t, levels)]
+            block = cos[:n_samples - start]
             if child is not None:   # its runs go after this process's
-                t, levels, rows[..., split:] = child.receive()
+                t, levels, block[..., split:] = child.receive()
                 reports.append((t, levels))
             diverged = [t for t, _ in reports if t is not None]
             if diverged:
                 raise NumericalDivergence(min(diverged))
-            rho = np.add.reduce(rows, axis=-1) / n_runs
+            rho = np.add.reduce(block, axis=-1) / n_runs
             bad = rho <= threshold
             last = start + len(bad) - 1 - np.argmax(bad[::-1], axis=0)
             hit = bad.any(axis=0)
@@ -461,12 +497,12 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         logger.info("lock certified at t = %.4f s (locked-state residual "
                     "%.1e, lambda2 %.4f, dt * LamQ %.3f): integrated %d of "
                     "%d steps", times[stop], certificate.residual,
-                    certificate.lambda2,
-                    (times[1] - times[0]) * certificate.lam_q, stop,
+                    certificate.lambda2, dt * certificate.lam_q, stop,
                     n_samples - 1)
+    last_bad = dict(zip(ordered, last_bad.tolist()))
     return SyncTimeTable(entries={
-        key: settling_time(times, int(last))
-        for key, last in zip(keys, last_bad)})
+        key: settling_time(times, last_bad[pair])
+        for key, pair in zip(keys, pairs)})
 
 
 def settling_time(times: np.ndarray, last_bad: int) -> float:

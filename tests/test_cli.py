@@ -333,13 +333,13 @@ def test_simulate_reports_the_runs_it_integrates(workspace, capsys,
     data = json.loads(cfg.read_text(encoding="utf-8"))
     data.update(ensemble_size=ensemble_size, t_max=0.1)
     cfg.write_text(json.dumps(data), encoding="utf-8")
-    batches = []
-    rk4 = kuramoto._rk4
-    monkeypatch.setattr(kuramoto, "_rk4", lambda rhs, initial, times: (
-        batches.append(initial.shape) or rk4(rhs, initial, times)))
+    steps = []
+    step = kuramoto._Kernel.step
+    monkeypatch.setattr(kuramoto._Kernel, "step", lambda self, state, *args: (
+        steps.append(state.shape) or step(self, state, *args)))
     rc = main(["simulate", "--config", str(cfg), "--run", str(run)])
     assert rc == 0
-    assert batches == [(5,)]
+    assert steps == [(5, 1)] * 10
     assert capsys.readouterr().out.splitlines()[0] == (
         f"simulated 1 of {ensemble_size} runs x 10 steps on 5 nodes")
 
@@ -486,6 +486,34 @@ def test_stable_centralized_steps_are_pinned(scenario118_path, case118_path,
     assert rc == 0
     steps = (out_dir / "steps.json").read_bytes()
     assert hashlib.sha256(steps).hexdigest() == STABLE_STEPS_SHA256
+
+
+# sha256 of sync_times.json from centralized run-all on the shipped
+# scenario at a stable step (dt = 0.0035, t_max = 35, 20 runs), where the
+# lock certificate stops the scan early, by seed. The same with one
+# usable CPU and two.
+STABLE_SYNC_SHA256 = {
+    1: "e57f24b220143bf15a458a2fb96553cd497c058e5208f8cba9922f46e6ea62c0",
+    42: "2b825c5a5f2c73db6f080f130a8429a0d43117d0b80d8e43d17c2732e04f4bcb",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STABLE_SYNC_SHA256))
+def test_stable_sync_table_is_pinned(scenario118_path, case118_path,
+                                     monkeypatch, tmp_path, seed):
+    data = json.loads(scenario118_path.read_text(encoding="utf-8"))
+    data.update(case_path=str(case118_path), dt=0.0035, t_max=35.0,
+                seed=seed)
+    cfg = tmp_path / "stable.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        out_dir = tmp_path / f"cpus{cpus}"
+        rc = main(["run-all", "--config", str(cfg), "--out-dir",
+                   str(out_dir)])
+        assert rc == 0
+        table = (out_dir / "sync_times.json").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == STABLE_SYNC_SHA256[seed]
 
 
 def test_traced_run_all_exits_0(scenario118_path, tmp_path, monkeypatch):
@@ -875,6 +903,13 @@ def test_validation_failure_kills_the_flow_child(workspace, monkeypatch,
     assert list(artifacts) == artifacts_left
 
 
+# sha256 of sync_times.json from centralized run-all on the shipped
+# scenario as shipped (dt = 0.01): RK4 leaves its stability interval, the
+# certificate declines and the scan runs all 10,000 steps.
+SHIPPED_SYNC_SHA256 = (
+    "7bc5c428b536f888d447b34b49d015212e655431f17594c5c3ef74bf33a45ec7")
+
+
 def test_shipped_scenario_same_bytes_with_one_or_two_cpus(
         scenario118_path, monkeypatch, capsys, caplog, tmp_path):
     config = ["--config", str(scenario118_path)]
@@ -886,6 +921,8 @@ def test_shipped_scenario_same_bytes_with_one_or_two_cpus(
         assert code == 0
         assert stdout.endswith("wrote artifacts to OUT\n")
         assert "metrics.json" in artifacts
+    assert hashlib.sha256(artifacts["sync_times.json"]).hexdigest() \
+        == SHIPPED_SYNC_SHA256
     partition = tmp_path / "decentralized" / "cpus1" / "partition.json"
     code, stdout, _, artifacts = _one_and_two_cpus(
         monkeypatch, capsys, caplog, tmp_path / "metrics",

@@ -1,7 +1,10 @@
 """Every error type survives pickling, as a forked child hands it back."""
 
 import inspect
+import os
 import pickle
+import socket
+import time
 
 import pytest
 
@@ -70,3 +73,30 @@ def test_child_values_round_trip():
         assert [child.receive() for _ in values] == values
         with pytest.raises(RuntimeError, match="ended without a report"):
             child.receive()
+
+
+def test_child_streams_ahead_of_its_parent():
+    # The child sends 2 MB in 64 KB messages and exits before the parent
+    # receives any of them: its send buffer holds them all, so a child
+    # reporting block by block never waits on a parent busy elsewhere.
+    messages = [bytes([k]) * (64 << 10) for k in range(32)]
+
+    def sends(child):
+        with socket.fromfd(child._connection.fileno(), socket.AF_UNIX,
+                           socket.SOCK_STREAM) as end:
+            granted = end.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        child.send(granted)
+        if granted >= 4 << 20:
+            for message in messages:
+                child.send(message)
+
+    with Forked(sends) as child:
+        deadline = time.monotonic() + 30.0
+        while os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOHANG
+                        | os.WNOWAIT) is None:
+            assert time.monotonic() < deadline, "the child never exited"
+            time.sleep(0.01)
+        granted = child.receive()
+        if granted < 4 << 20:
+            pytest.skip(f"the kernel grants a {granted}-byte send buffer")
+        assert [child.receive() for _ in messages] == messages

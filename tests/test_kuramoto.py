@@ -387,17 +387,21 @@ def test_rhs_rows_keep_their_bits_in_any_split(net118_faulted):
     # batch only because each row of the right-hand side has the same
     # bits in any batch, a single row included.
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
-    rhs = kuramoto._make_rhs(layer)
     phases = np.stack([sample_initial_conditions(layer.size, [5, r])
                        for r in range(20)])
-    whole = rhs(phases)
+    whole = derivative(layer, phases)
     for split in range(1, 20):
-        assert np.array_equal(rhs(phases[:split]), whole[:split]), split
-        assert np.array_equal(rhs(phases[split:]), whole[split:]), split
+        assert np.array_equal(derivative(layer, phases[:split]),
+                              whole[:split]), split
+        assert np.array_equal(derivative(layer, phases[split:]),
+                              whole[split:]), split
     for row, expected in zip(phases, whole):
-        assert np.array_equal(rhs(row), expected)
-    assert np.array_equal(rhs(phases.reshape(4, 5, -1)).reshape(20, -1),
-                          whole)
+        assert np.array_equal(derivative(layer, row), expected)
+    assert np.array_equal(
+        derivative(layer, phases.reshape(4, 5, -1)).reshape(20, -1), whole)
+    for shape in ((layer.size - 1,), (layer.size, 2)):
+        with pytest.raises(ValueError):
+            derivative(layer, np.zeros(shape))
 
 
 def _overflowing_layer():
@@ -417,15 +421,13 @@ def _divergence_time(call):
 def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
     layer = _overflowing_layer()
     grid = dict(t_max=50.0, dt=1.0)
-    rhs = kuramoto._make_rhs(layer)
     earlier, quiet = set(), 0
-    times = kuramoto._time_grid(**grid)
     for seed in (0, 1, 3):
         initial = kuramoto._ensemble_initial(layer, 8, seed)
         # with two CPUs ensemble_sync_times integrates runs [:4] here and
         # runs [4:] in a forked child
         lower, upper = (_divergence_time(
-            lambda: list(kuramoto._rk4(rhs, initial[rows], times)))
+            lambda: integrate(layer, initial[rows], **grid))
             for rows in (slice(0, 4), slice(4, 8)))
         whole = _divergence_time(
             lambda: ensemble_integrate(layer, 8, seed, **grid))
@@ -452,6 +454,21 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd"))
 
 
+def _hook_steps(monkeypatch, hook):
+    """Call ``hook(upper, sample)`` at each RK4 step of an ensemble half,
+    ``upper`` being whether the forked half takes it and ``sample`` the
+    sample it makes; the step gives the state ``hook`` returns, if any."""
+    parent = os.getpid()
+    step = kuramoto._Kernel.step
+
+    def hooked(self, state, k1, dt):
+        self.steps = getattr(self, "steps", 0) + 1
+        replaced = hook(os.getpid() != parent, self.steps)
+        return step(self, state, k1, dt) if replaced is None else replaced
+
+    monkeypatch.setattr(kuramoto._Kernel, "step", hooked)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="lists open fds through /proc")
 def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
@@ -476,22 +493,18 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
                                 dt=1.0)
         leaves_nothing()
 
-    # an exception in either half, from a stored ensemble's stream
+    # an exception in either half's steps
     pair = two_node_layer(0.1, -0.1)
-    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
+    for failing, error in ((False, ValueError), (True, RuntimeError)):
+        def fail(upper, sample, failing=failing):
+            if upper == failing and sample == 30:
+                raise ValueError("half failed")
 
-    def failing_half(failing):
-        def states(first, last):
-            for k in range(len(ens.times)):
-                if first == failing and k == 30:
-                    raise ValueError("half failed")
-                yield ens.phases[k, first:last]
-        return states
-
-    for failing, error in ((0, ValueError), (4, RuntimeError)):
-        with pytest.raises(error, match="half failed"):
-            kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4,
-                                failing_half(failing))
+        with monkeypatch.context() as patch:
+            _hook_steps(patch, fail)
+            with pytest.raises(error, match="half failed"):
+                ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0,
+                                    dt=0.01)
         leaves_nothing()
     assert len(forks) == 5
 
@@ -500,22 +513,22 @@ def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     pair = two_node_layer(0.1, -0.1)
-    ens = ensemble_integrate(pair, 8, 2, t_max=1.0, dt=0.01)
 
-    def states(first, last):
-        for k in range(len(ens.times)):
-            if first == 4 and k == 30:
-                raise NotFound("node 9 is not in this layer")
-            yield ens.phases[k, first:last]
+    def fail(upper, sample):
+        if upper and sample == 30:
+            raise NotFound("node 9 is not in this layer")
 
+    _hook_steps(monkeypatch, fail)
     with pytest.raises(NotFound, match="node 9 is not in this layer"):
-        kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4, states)
+        ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0, dt=0.01)
     assert len(forks) == 1
 
 
-def test_streamed_sync_times_edge_forms(net118_faulted):
+def test_streamed_sync_times_edge_forms(net118_faulted, monkeypatch):
     # Branch 1-3 with x = 0, r > 0 couples with zero weight, so 1-3 is no
     # layer edge. PowerNetwork refuses such a branch; the layer is edited.
+    # 2-60 joins no branch. Pairs that are no layer edge are gathered
+    # after the edges, and scanned pairs in layer-edge order.
     [branch] = [br for br in net118_faulted.branches
                 if (br.from_bus, br.to_bus) == (1, 3)]
     assert coupling_susceptance(
@@ -527,14 +540,17 @@ def test_streamed_sync_times_edge_forms(net118_faulted):
     layer = CyberLayer(grid.node_ids, grid.natural_frequency, coupling)
     iu, jv, _ = layer._edges
     assert (a, b) not in set(zip(iu, jv))
-    edges = [(3, 1), (1, 3), (5, 4), (4, 5), (4, 5), (1, 2)]
+    assert layer.coupling[layer.index(2), layer.index(60)] == 0.0
+    edges = [(3, 1), (1, 3), (60, 2), (5, 4), (4, 5), (4, 5), (1, 2)]
     ens = ensemble_integrate(layer, 9, 3, t_max=200 * STABLE_DT,
                              dt=STABLE_DT)
     expected = sync_times(layer, *ens, edges, 0.9).entries
-    streamed = ensemble_sync_times(layer, 9, 3, edges, 0.9,
-                                   t_max=200 * STABLE_DT, dt=STABLE_DT)
-    assert list(streamed.entries) == [(1, 3), (4, 5), (1, 2)]
-    assert streamed.entries == expected
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        streamed = ensemble_sync_times(layer, 9, 3, edges, 0.9,
+                                       t_max=200 * STABLE_DT, dt=STABLE_DT)
+        assert list(streamed.entries) == [(1, 3), (2, 60), (4, 5), (1, 2)]
+        assert streamed.entries == expected
     with pytest.raises(NotFound):
         ensemble_sync_times(layer, 9, 3, [(1, 999)], t_max=1.0,
                             dt=STABLE_DT)
@@ -810,11 +826,9 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
     # the first sample after the first checked block
     after = kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
 
-    def states(first, last):
-        for k in range(len(ens.times)):
-            if first > 0 and k == after:
-                time.sleep(60)
-            yield ens.phases[k, first:last]
+    def stall(upper, sample):
+        if upper and sample == after:
+            time.sleep(60)
 
     class Stops:
         below = np.array([False])
@@ -828,9 +842,10 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
 
     monkeypatch.setattr(_certificate, "lock_certificate",
                         lambda *args: Stops())
+    _hook_steps(monkeypatch, stall)
     started = time.monotonic()
-    table = kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.7, 8, 4,
-                                states)
+    table = ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.7, t_max=1.0,
+                                dt=0.01)
     assert time.monotonic() - started < 30.0
     # synced before the stop, so the stop leaves the full scan's table
     expected = sync_times(pair, *ens, [(1, 2)], 0.7).entries
@@ -853,12 +868,10 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
     ended = np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
     ended[0] = 0
 
-    def states(first, last):
-        for k in range(len(ens.times)):
-            if first > 0 and k == diverging:
-                ended[0] = 1
-                raise NumericalDivergence(float(ens.times[k]))
-            yield ens.phases[k, first:last]
+    def overflow(upper, sample):
+        if upper and sample == diverging:
+            ended[0] = 1
+            return np.full((2, 4), np.inf)
 
     class Waits:
         below = np.array([False])
@@ -876,8 +889,9 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
 
     monkeypatch.setattr(_certificate, "lock_certificate",
                         lambda *args: Waits())
+    _hook_steps(monkeypatch, overflow)
     with pytest.raises(NumericalDivergence) as err:
-        kuramoto._sync_scan(pair, ens.times, [(1, 2)], 0.99, 8, 4, states)
+        ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0, dt=0.01)
     assert err.value.t == ens.times[diverging]
 
 
