@@ -38,8 +38,8 @@ print(f"locked lag      {lock.phases[0] - lock.phases[1]:.6f} rad, "
 
 # the sync time comes from an ensemble of random initial conditions,
 # detected as the ensemble is integrated
-table = ensemble_sync_times(layer, n_runs=20, seed=7, edges=[(1, 2)],
-                            threshold=0.99, t_max=100.0, dt=0.01)
+table = ensemble_sync_times(layer, n_runs=20, seed=7, threshold=0.99,
+                            t_max=100.0, dt=0.01)
 print(f"sync time       {table.get(1, 2):.2f} s")
 
 # stronger mismatch: the pair still locks, but with a 30 degree lag,
@@ -52,7 +52,7 @@ _, phases = integrate(wide, initial, t_max=100.0, dt=0.01)
 # the order parameter: cos of the pair's lag, averaged over the runs
 rho = np.cos(phases[:, :, 0] - phases[:, :, 1]).mean(axis=1)
 print(f"late rho        {float(np.mean(rho[-1000:])):.3f}")
-table = ensemble_sync_times(wide, 20, 7, [(1, 2)], t_max=100.0, dt=0.01)
+table = ensemble_sync_times(wide, 20, 7, t_max=100.0, dt=0.01)
 print(f"sync time       {table.get(1, 2)}")
 
 # past the locking limit, mismatch 3.0 pu against coupling 1.0: no phase

@@ -2,9 +2,10 @@
 
 ``lock_certificate`` builds, for an RK4 scan of a layer, a
 ``LockCertificate``: from the phases of every run at one sample it
-proves that no scanned pair's order parameter crosses the threshold at
-any later sample. ``kuramoto._sync_scan`` imports this module only when
-it scans an RK4 stream, so runs that integrate nothing never load it.
+proves that no layer edge's order parameter crosses the threshold at
+any later sample. ``kuramoto.ensemble_sync_times`` imports this module
+only when it scans an RK4 stream, so runs that integrate nothing never
+load it.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ def _rk4_decrease_factor(z: float) -> float:
 
 
 class LockCertificate:
-    """A proof, from the phases of every run at one sample, that no
-    scanned pair's order parameter crosses the threshold at any later
-    sample of the executed RK4 scan.
+    """A proof, from the phases of every run at one sample, that no layer
+    edge's order parameter crosses the threshold at any later sample of
+    the executed RK4 scan.
 
     Notation. Layer edges e with weights w_e and rows b_e
     (b_e.x = x_i - x_j), p~ = p - mean(p), n nodes, eps the unit
@@ -74,10 +75,10 @@ class LockCertificate:
 
     Region. theta* comes from ``locked_state``'s Newton; H* = H(theta*).
     M is the inverse of H* without node 0's row and column, padded with
-    zeros, so that R_q = b_q.M.b_q = b_q.H*^+.b_q for any pair q (an
+    zeros, so that R_e = b_e.M.b_e = b_e.H*^+.b_e on each layer edge (an
     effective resistance), and by Cauchy interlacing
     lambda2(H*) >= 1 / ||M||_inf. kappa = 16 n eps Lam ||M||_inf bounds
-    the relative rounding of M (no certificate unless kappa < 1/2); R_q
+    the relative rounding of M (no certificate unless kappa < 1/2); R_e
     is taken plus 4 kappa ||M||_inf. a- = 1 - tau, a+ = 1 + tau,
     tau = _TAU. On each layer edge t_e = |tan b_e.theta*| and d_e solves
     d^2/2 + t_e d = tau. Q is the set where |b_e.(x - theta*)| <= d_e on
@@ -92,7 +93,7 @@ class LockCertificate:
     y = x - xh and u = V(x) - V(xh): ``u = y.Hbar.y / 2`` and
     ``g = Htil y`` exactly, Hbar and Htil being averages of H over the
     segment, which lies in Q (xh does: room_e > 0 below), so
-      (i)   |b_q.y|^2 <= R_q y.H*.y <= 2 R_q u / a- for any pair q;
+      (i)   |b_e.y|^2 <= R_e y.H*.y <= 2 R_e u / a- on each edge e;
       (ii)  ||g||^2 <= LamQ y.Htil.y <= 2 LamQ (a+ / a-) u;
       (iii) u <= ||g||^2 / (2 sigma).
 
@@ -123,22 +124,22 @@ class LockCertificate:
     and V(theta*) - V(xh).
 
     Verdict. A run in Q at level c_r <= c_max keeps, at every later sample,
-    |b_q.(x - theta*)| <= D_qr = sqrt(2 R_q c_r / a-) + sqrt(2) dist, so
-    |cos b_q.x - cos*_q| <= |sin*_q| D_qr + D_qr^2 / 2. If for every
-    scanned pair the mean of that over the runs, plus the rounding of the
-    computed order parameter, is below |cos*_q - threshold|, the order
-    parameter stays on cos*_q's side of the threshold to the end.
+    |b_e.(x - theta*)| <= D_er = sqrt(2 R_e c_r / a-) + sqrt(2) dist, so
+    |cos b_e.x - cos*_e| <= |sin*_e| D_er + D_er^2 / 2. If on every layer
+    edge the mean of that over the runs, plus the rounding of the
+    computed order parameter, is below |cos*_e - threshold|, the order
+    parameter stays on cos*_e's side of the threshold to the end.
     """
 
     def __init__(self, layer: CyberLayer, theta: np.ndarray, dt: float,
-                 t_max: float, low: np.ndarray, high: np.ndarray,
-                 threshold: float, n_runs: int) -> None:
+                 t_max: float, threshold: float, n_runs: int) -> None:
         n = layer.size
         iu, jv, _ = layer._edges
         p = layer.natural_frequency
         lam = _gershgorin(layer)
         angle = theta[iu] - theta[jv]
-        hessian = _laplacian(layer, np.cos(angle))
+        cos = np.cos(angle)
+        hessian = _laplacian(layer, cos)
         spectrum = np.linalg.eigvalsh(hessian)
         self.lambda2 = float(spectrum[1])
         a_lo, a_hi = 1.0 - _TAU, 1.0 + _TAU
@@ -175,10 +176,8 @@ class LockCertificate:
             self.decline = "the lock's Laplacian is too ill-conditioned"
             return
         sigma = a_lo / ((1.0 + kappa) * norm)
-
-        def resistance(a, b):
-            return (grounded[a, a] + grounded[b, b] - 2.0 * grounded[a, b]
-                    + 4.0 * kappa * norm)
+        resistance = (grounded[iu, iu] + grounded[jv, jv]
+                      - 2.0 * grounded[iu, jv] + 4.0 * kappa * norm)
 
         self.residual = float(np.linalg.norm(_mismatch(layer, theta)))
         res = self.residual + 4.0 * n * math.sqrt(n) * _EPS * (
@@ -192,20 +191,19 @@ class LockCertificate:
         self.c_max = min(
             gbar ** 2 * a_lo / (2.0 * self.lam_q * a_hi),
             float((a_lo * np.maximum(room, 0.0) ** 2
-                   / (2.0 * resistance(iu, jv))).min()))
+                   / (2.0 * resistance)).min()))
 
-        pair = theta[low] - theta[high]
-        self.below = np.cos(pair) < threshold
-        self.margin = np.abs(np.cos(pair) - threshold)
-        self.sin_pair = np.abs(np.sin(pair))
-        self.pair_resistance = resistance(low, high) / a_lo
+        self.below = cos < threshold
+        self.margin = np.abs(cos - threshold)
+        self.sin_angle = np.abs(np.sin(angle))
+        self.resistance = resistance / a_lo     # R_e / a-
         self.offset = math.sqrt(2.0) * dist
         self.rho_rounding = (n_runs + 8) * _EPS + 4.0 * _EPS * (
             1.0 + 2.0 * float(np.abs(theta).max()))
         if not np.all(room > 0.0):
             self.decline = "the region around the lock is too narrow"
         elif self.margin.min() <= self.rho_rounding:
-            self.decline = "a scanned pair locks at the threshold"
+            self.decline = "a layer edge locks at the threshold"
 
         self.layer, self.theta, self.angle = layer, theta, angle
         self.t_max, self.lam = t_max, lam
@@ -263,20 +261,19 @@ class LockCertificate:
                          4.0 * _EPS * (1.0 + 2.0 * bound)], axis=-1)
 
     def proves(self, levels: np.ndarray) -> bool:
-        """Whether the runs' ``levels`` keep every scanned pair's order
+        """Whether the runs' ``levels`` keep every layer edge's order
         parameter on its locked side of the threshold from now on."""
         level, cos_rounding = levels.T
         if not np.all(level <= self.c_max):
             return False
-        deviation = (np.sqrt(2.0 * level[:, None] * self.pair_resistance)
+        deviation = (np.sqrt(2.0 * level[:, None] * self.resistance)
                      + self.offset)
-        drift = (self.sin_pair * deviation + 0.5 * deviation ** 2
+        drift = (self.sin_angle * deviation + 0.5 * deviation ** 2
                  + cos_rounding[:, None]).mean(axis=0)
         return bool(np.all(drift + self.rho_rounding < self.margin))
 
 
-def lock_certificate(layer: CyberLayer, times: np.ndarray,
-                     low: np.ndarray, high: np.ndarray, threshold: float,
+def lock_certificate(layer: CyberLayer, times: np.ndarray, threshold: float,
                      n_runs: int) -> LockCertificate | None:
     """The lock certificate of an RK4 scan on ``times``, or None, with
     the reason logged, where no proof is possible."""
@@ -291,7 +288,7 @@ def lock_certificate(layer: CyberLayer, times: np.ndarray,
         reason = "the layer has no stable locked state"
     if theta is not None:
         certificate = LockCertificate(layer, theta, dt, float(times[-1]),
-                                      low, high, threshold, n_runs)
+                                      threshold, n_runs)
         reason = certificate.decline
         if reason is None:
             return certificate

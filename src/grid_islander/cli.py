@@ -111,7 +111,13 @@ def _seeds(cfg: ScenarioConfig, network: PowerNetwork) -> list[Island]:
     before any artifact is written or any ensemble integrated."""
     initial = [Island(label=k + 1, node_set=frozenset(nodes))
                for k, nodes in enumerate(cfg.initial_islands)]
-    check_initial_islands(network, initial)
+    try:
+        check_initial_islands(network, initial)
+    except ConfigError as exc:
+        if not cfg.fault_branches:
+            raise
+        raise ConfigError(f"{exc} after fault "
+                          f"{json.dumps(cfg.fault_branches)}") from None
     return initial
 
 
@@ -121,12 +127,28 @@ def _grid_layer(network: PowerNetwork):
 
 
 def _sync_table(cfg: ScenarioConfig, network: PowerNetwork):
-    """Ensemble sync time of every edge of the network, detected inside
-    the RK4 loop with no stored trajectory."""
+    """Ensemble sync time of every network edge (each a layer edge: an
+    in-service branch has x != 0), scanned inside the RK4 loop."""
     return ensemble_sync_times(_grid_layer(network), cfg.ensemble_size,
-                               cfg.seed, network.edge_set(),
-                               threshold=cfg.rho_threshold,
+                               cfg.seed, threshold=cfg.rho_threshold,
                                t_max=cfg.t_max, dt=cfg.dt)
+
+
+def _reused_sync_table(path: str, cfg: ScenarioConfig,
+                       network: PowerNetwork):
+    """The sync table at ``path``, refused unless the growth is
+    centralized and the table holds exactly the network's edges."""
+    if cfg.algorithm != "centralized":
+        raise ConfigError("--sync-table is for the centralized algorithm, "
+                          f"not {cfg.algorithm}")
+    table = sync_table_from_dict(_read_json(path))
+    edges = network.edge_set()
+    odd = min(edges ^ table.entries.keys(), default=None)
+    if odd is not None:
+        raise ConfigError(f"sync table {path} " + (
+            "lacks in-service edge {}-{}" if odd in edges else
+            "holds edge {}-{}, which is not in service").format(*odd))
+    return table
 
 
 def _partition(cfg: ScenarioConfig, network: PowerNetwork,
@@ -297,7 +319,7 @@ def cmd_sync_times(args) -> int:
 def cmd_partition(args) -> int:
     cfg, network = _scenario(args)
     initial = _seeds(cfg, network)
-    sync_table = (sync_table_from_dict(_read_json(args.sync_table))
+    sync_table = (_reused_sync_table(args.sync_table, cfg, network)
                   if args.sync_table else None)
     partition, log_name, log = _partition(cfg, network, initial, sync_table)
     for isl in partition.islands:

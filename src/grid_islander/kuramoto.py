@@ -11,41 +11,42 @@ equals the mean natural frequency at all times; tests pin that down to
 rounding error.
 
 One kernel (``_Kernel``) evaluates the right-hand side and RK4 steps on
-(node, run)-major phases in buffers allocated once. ``derivative``
-turns phases into frequencies with it, ``integrate`` stores every
-sample of one run or a batch of runs, and ``ensemble_integrate``
-applies that to an ensemble's seeded initial phases.
-``ensemble_sync_times`` scans the ensemble as it goes instead, keeping
-per edge only the last step at which the order parameter was at or
-below the threshold, so its memory does not grow with the number of
-steps. Each sample's cos(theta_low - theta_high) comes from the edge
-differences the next step's first stage gathers anyway: cos is even
-and x_j - x_i is exactly -(x_i - x_j). With two usable CPUs a forked
-child (``_forked.Forked``, the one fork of the package, which the CLI's
-whole-network power flow also uses) integrates the upper half of the
-runs and sends their cosines, a (sample, edge, run) block at a time,
-over a socketpair whose deep send buffer lets it run dozens of blocks
-ahead; the calling process puts them after its own runs and averages
-each edge's contiguous runs. The kernel gives a run the same bits in a
-batch of any size, one run included, so the table has the same bits
-with one process or two. ``sync_times`` applies the detection rule
-directly to a stored trajectory, with no scan, and gives the same
-bits. A layer locks to its mean natural frequency, which
-``sync_frequency`` returns without integrating. A warning is logged
-when a step may leave RK4's stability interval.
+(node, run)-major phases in buffers allocated once. ``derivative`` turns
+phases into frequencies with it, ``integrate`` stores every sample of
+one run or a batch of runs, and ``ensemble_integrate`` applies that to
+an ensemble's seeded initial phases. A sync table holds one entry per
+layer edge, keyed (low id, high id). ``ensemble_sync_times`` scans the
+ensemble as it goes instead, keeping per edge only the last step at
+which the order parameter was at or below the threshold, so its memory
+does not grow with the number of steps. Each sample's cos(theta_low -
+theta_high) comes from the edge differences the next step's first stage
+gathers anyway: cos is even and x_j - x_i is exactly -(x_i - x_j). With
+two usable CPUs a forked child (``_forked.Forked``, the one fork of the
+package, which the CLI's whole-network power flow also uses) integrates
+the upper half of the runs and sends their cosines, a (sample, edge,
+run) block at a time, over a socketpair whose deep send buffer lets it
+run dozens of blocks ahead; the calling process puts them after its own
+runs and averages each edge's contiguous runs, or integrates every run
+itself where the fork is refused at a process limit. The kernel gives a
+run the same bits in a batch of any size, one run included, so the table
+has the same bits with one process or two. ``sync_times`` applies the
+detection rule directly to a stored trajectory, with no scan, and gives
+the same bits. A layer locks to its mean natural frequency, which
+``sync_frequency`` returns without integrating. A warning is logged when
+a step may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
 Every fourth block, each run's Lyapunov level V - V(theta*) is checked
-against a certificate (``_certificate.LockCertificate``, whose
-docstring holds the proof) that every run stays in a region around
-theta* where no scanned pair's order parameter can cross the threshold
-again, under the RK4 map as executed, rounding included. Pairs locked
-below the threshold then get +inf and the others keep their last bad
-sample, so the table has the same bits as a scan of the whole horizon.
-With no stable lock, a pair locked exactly at the threshold, or dt
-times the Gershgorin bound at or above 2.785, the scan declines and
-integrates the whole horizon. Either outcome is logged at info level.
+against a certificate (``_certificate.LockCertificate``, whose docstring
+holds the proof) that every run stays in a region around theta* where no
+edge's order parameter can cross the threshold again, under the RK4 map
+as executed, rounding included. Edges locked below the threshold then
+get +inf and the others keep their last bad sample, so the table has the
+same bits as a scan of the whole horizon. With no stable lock, an edge
+locked exactly at the threshold, or dt times the Gershgorin bound at or
+above 2.785, the scan declines and integrates the whole horizon. Either
+outcome is logged at info level.
 """
 
 from __future__ import annotations
@@ -82,7 +83,6 @@ class CyberLayer:
     node_ids: tuple[int, ...]
     natural_frequency: np.ndarray
     coupling: np.ndarray
-    _index: dict[int, int] = field(init=False, repr=False)
     _edges: tuple[np.ndarray, np.ndarray, np.ndarray] = field(
         init=False, repr=False)
 
@@ -106,7 +106,6 @@ class CyberLayer:
             raise ValueError("coupling diagonal must be zero")
         if np.any(self.coupling < 0.0):
             raise ValueError("coupling weights must be nonnegative")
-        self._index = {node: k for k, node in enumerate(self.node_ids)}
         iu, jv = np.nonzero(np.triu(self.coupling))
         self._edges = (iu, jv, self.coupling[iu, jv])
 
@@ -114,19 +113,13 @@ class CyberLayer:
     def size(self) -> int:
         return len(self.node_ids)
 
-    def index(self, node_id: int) -> int:
-        try:
-            return self._index[node_id]
-        except KeyError:
-            raise NotFound(f"node {node_id} is not in this layer") from None
-
 
 @dataclass
 class SyncTimeTable:
     """Internode synchronization times, +inf when never achieved.
 
-    Keys are normalized (low id, high id) pairs; lookups accept either
-    orientation.
+    One entry per layer edge, keyed (low id, high id); lookups accept
+    either orientation.
     """
 
     entries: dict[tuple[int, int], float]
@@ -171,34 +164,31 @@ def build_layer(network: PowerNetwork, nodes: Iterable[int]) -> CyberLayer:
 
 class _Kernel:
     """RK4 of ``runs`` phase columns: (node, run)-major arrays in buffers
-    allocated once. ``rhs`` gathers both ends of every layer edge, then of
-    every extra (low, high) index pair in ``pairs``, and leaves
-    ``diff = theta_high - theta_low`` per gathered pair. The edges' flows
+    allocated once. ``rhs`` gathers both ends of every layer edge and
+    leaves ``diff = theta_jv - theta_iu`` per edge. The edges' flows
     w_e sin(theta_jv - theta_iu) go + at iu and - at jv in one
     scatter-add: each node sums its flows in one order, so a column has
     the same bits in any batch, one column included.
     """
 
-    def __init__(self, layer: CyberLayer, runs: int,
-                 pairs: Sequence[tuple[int, int]] = ()) -> None:
+    def __init__(self, layer: CyberLayer, runs: int) -> None:
         iu, jv, w = layer._edges
-        extra = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        self._ends = np.concatenate([iu, extra[0], jv, extra[1]])
-        self._targets = (np.concatenate([iu, jv])[:, None] * runs
+        self._ends = np.concatenate([iu, jv])
+        self._targets = (self._ends[:, None] * runs
                          + np.arange(runs)).ravel()
         # full columns: a broadcast operand costs numpy twice the time
         self._w = np.repeat(w[:, None], runs, axis=1)
         self._p = np.repeat(layer.natural_frequency[:, None], runs, axis=1)
         self._at = np.empty((self._ends.size, runs))
-        self.diff = np.empty((self._ends.size // 2, runs))
+        self.diff = np.empty((w.size, runs))
         self._flows = np.empty((2 * w.size, runs))
 
     def rhs(self, phases: np.ndarray) -> np.ndarray:
         """Frequencies of (n, runs) phases, a new array."""
         at, diff, flows, m = self._at, self.diff, self._flows, len(self._w)
         phases.take(self._ends, axis=0, out=at, mode="clip")
-        np.subtract(at[len(diff):], at[:len(diff)], out=diff)
-        np.sin(diff[:m], out=flows[:m])
+        np.subtract(at[m:], at[:m], out=diff)
+        np.sin(diff, out=flows[:m])
         flows[:m] *= self._w
         np.negative(flows[:m], out=flows[m:])
         return self._p + np.bincount(self._targets, flows.ravel(),
@@ -321,45 +311,6 @@ def ensemble_integrate(layer: CyberLayer, n_runs: int, seed: int, *,
                      t_max=t_max, dt=dt)
 
 
-def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
-                        edges: Iterable[tuple[int, int]],
-                        threshold: float = DEFAULT_RHO_THRESHOLD, *,
-                        t_max: float, dt: float) -> SyncTimeTable:
-    """``sync_times(layer, *ensemble_integrate(...), edges, threshold)``
-    without the stored trajectory: the scan runs inside the RK4 loop, in
-    memory independent of the number of steps.
-
-    With two usable CPUs, runs ``[(n_runs + 1) // 2:]`` are integrated in
-    a forked child while this process integrates the rest; the table has
-    the same bits either way. Integration stops before ``t_max`` once
-    ``_certificate.LockCertificate`` proves the table final, again with
-    the same bits.
-    """
-    initial = _ensemble_initial(layer, n_runs, seed)
-    times = _time_grid(t_max, dt)
-    _warn_if_unstable(layer, dt)
-    split = (n_runs + 1) // 2 if _usable_cpus() >= 2 else n_runs
-    return _sync_scan(layer, times, edges, threshold, initial, split)
-
-
-def sync_times(layer: CyberLayer, times: np.ndarray, phases: np.ndarray,
-               edges: Iterable[tuple[int, int]],
-               threshold: float = DEFAULT_RHO_THRESHOLD) -> SyncTimeTable:
-    """Sync times of stored (m+1, runs, n) ensemble phases, by the rule
-    itself: an edge's order parameter at a sample is the mean over runs
-    of cos(theta_low - theta_high), and its sync time is the sample after
-    the last one at or below the threshold (``settling_time``).
-    """
-    entries = {}
-    for a, b in edges:
-        key = (a, b) if a < b else (b, a)
-        rho = np.mean(np.cos(phases[:, :, layer.index(key[0])]
-                             - phases[:, :, layer.index(key[1])]), axis=1)
-        bad = np.flatnonzero(rho <= threshold)
-        entries[key] = settling_time(times, int(bad[-1]) if bad.size else -1)
-    return SyncTimeTable(entries=entries)
-
-
 _BLOCK_SAMPLES = 8
 # A certificate check costs less than one RK4 step of the runs it checks.
 # Checking every fourth block keeps that under 3% of the integration, at
@@ -367,60 +318,39 @@ _BLOCK_SAMPLES = 8
 _CHECK_BLOCKS = 4
 
 
-def _sync_scan(layer: CyberLayer, times: np.ndarray,
-               edges: Iterable[tuple[int, int]], threshold: float,
-               initial: np.ndarray, split: int) -> SyncTimeTable:
-    """Sync times of the RK4 ensemble from the (runs, n) ``initial``
-    phases, one sample per entry of ``times``.
+def _edge_keys(layer: CyberLayer) -> list[tuple[int, int]]:
+    """(low id, high id) of every layer edge, in layer-edge order."""
+    ends = np.array(layer.node_ids)[np.stack(layer._edges[:2])]
+    return list(zip(*np.sort(ends, axis=0).tolist()))
 
-    This process integrates runs ``[:split]``; a forked child integrates
-    runs ``[split:]`` when ``split < runs`` and it can be forked. Each
-    half takes its cosines from its ``_Kernel``'s pair differences, which
-    hold the scanned pairs that are no layer edge after the edges: with
-    the scanned pairs in layer-edge order, a sample's cosines are one
-    ``np.cos``, a (pair, run) row of a (sample, pair, run) block of
-    ``_BLOCK_SAMPLES`` samples. The child sends each of its blocks to
-    this process in its report. This process puts the child's runs after
-    its own and reduces each block with
-    ``np.add.reduce(..., axis=-1) / runs``: every pair's runs are
-    contiguous, so they are summed pairwise, as ``np.mean`` sums them in
-    ``sync_times`` on a stored trajectory. Per pair it keeps only the
-    last sample at which the order parameter is at or below the
-    threshold. The earliest divergence in either half raises
-    NumericalDivergence.
 
-    Each half also reports its runs' ``LockCertificate`` levels, from
-    C-contiguous (run, node) rows, at the last sample of every
-    ``_CHECK_BLOCKS``-th block, and the scan stops after the first such
-    block, at least two blocks from the end, whose levels prove that no
-    order parameter crosses the threshold again: pairs locked below it
-    get +inf, the others keep their last bad sample, as a full scan would
-    give them. The child, which never waits for this process, is then
-    killed and reaped.
+def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
+                        threshold: float = DEFAULT_RHO_THRESHOLD, *,
+                        t_max: float, dt: float) -> SyncTimeTable:
+    """``sync_times(layer, *ensemble_integrate(...), threshold)`` with
+    the same bits, scanned inside the RK4 loop with no stored trajectory,
+    in one process or two (see the module docstring).
+
+    Each half fills (sample, edge, run) blocks of ``_BLOCK_SAMPLES``
+    samples, one ``np.cos`` of its kernel's edge differences per sample;
+    this process sums each edge's contiguous runs pairwise, as ``np.mean``
+    does in ``sync_times``. The earliest divergence in either half raises
+    NumericalDivergence. After every ``_CHECK_BLOCKS``-th block at least
+    two blocks from the end, both halves report their runs'
+    ``LockCertificate`` levels; once these prove the table final, the
+    child, which never waits for this process, is killed and reaped.
     """
-    n_runs = initial.shape[0]
-    dt = float(times[1] - times[0])
-    keys = list(dict.fromkeys((a, b) if a < b else (b, a) for a, b in edges))
-    pairs = [(layer.index(a), layer.index(b)) for a, b in keys]
-    iu, jv, _ = layer._edges
-    # each pair's row of the kernel's differences: layer edges, then extras
-    at = {pair: e for e, pair in enumerate(zip(iu.tolist(), jv.tolist()))}
-    extra = [pair for pair in pairs if pair not in at]
-    for pair in extra:
-        at[pair] = len(at)
-    ordered = sorted(pairs, key=at.__getitem__)
-    picked = (slice(None) if len(ordered) == len(at)
-              else np.array([at[pair] for pair in ordered], dtype=np.intp))
-    low, high = np.array(ordered, dtype=np.intp).reshape(-1, 2).T
+    initial = _ensemble_initial(layer, n_runs, seed)
+    times = _time_grid(t_max, dt)
+    _warn_if_unstable(layer, dt)
+    split = (n_runs + 1) // 2 if _usable_cpus() >= 2 else n_runs
+    n_edges = layer._edges[2].size
     n_samples = times.shape[0]
     starts = range(0, n_samples, _BLOCK_SAMPLES)
-    certificate = None
-    if keys:
-        # imported here, so that a process that integrates nothing never
-        # compiles the proof
-        from ._certificate import lock_certificate
-        certificate = lock_certificate(layer, times, low, high, threshold,
-                                       n_runs)
+    # imported here, so that a process that integrates nothing never
+    # compiles the proof
+    from ._certificate import lock_certificate
+    certificate = lock_certificate(layer, times, threshold, n_runs)
 
     def checked(b: int) -> bool:
         """Whether the certificate is checked after block b."""
@@ -434,7 +364,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         they diverge in it, their certificate levels after a checked
         block, and the block's cosines, written into the leading samples
         of ``cos``. Ends with the block in which they diverge."""
-        kernel = _Kernel(layer, last - first, extra)
+        kernel = _Kernel(layer, last - first)
         state = np.ascontiguousarray(initial[first:last].T)
         for b, start in enumerate(starts):
             block = cos[:n_samples - start]
@@ -448,7 +378,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
                             diverged = float(times[sample])
                             break
                     k1 = kernel.rhs(state)
-                    np.cos(kernel.diff[picked], out=row)
+                    np.cos(kernel.diff, out=row)
             if diverged is not None:
                 yield diverged, None, block
                 return
@@ -457,7 +387,7 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
                 if checked(b) else None), block
 
     def upper_half(child: _ForkedHalf) -> None:
-        cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs - split))
+        cos = np.empty((_BLOCK_SAMPLES, n_edges, n_runs - split))
         for report in blocks(split, n_runs, cos):
             child.send(report)
 
@@ -465,8 +395,8 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
         child = _ForkedHalf(upper_half) if split < n_runs else None
     except OSError:    # refused at a process limit: integrate every run here
         child, split = None, n_runs
-    last_bad = np.full(len(keys), -1)
-    cos = np.empty((_BLOCK_SAMPLES, len(keys), n_runs))
+    last_bad = np.full(n_edges, -1)
+    cos = np.empty((_BLOCK_SAMPLES, n_edges, n_runs))
     mine = blocks(0, split, cos[..., :split])
     stop = None
     with child or contextlib.nullcontext():
@@ -499,10 +429,25 @@ def _sync_scan(layer: CyberLayer, times: np.ndarray,
                     "%d steps", times[stop], certificate.residual,
                     certificate.lambda2, dt * certificate.lam_q, stop,
                     n_samples - 1)
-    last_bad = dict(zip(ordered, last_bad.tolist()))
     return SyncTimeTable(entries={
-        key: settling_time(times, last_bad[pair])
-        for key, pair in zip(keys, pairs)})
+        key: settling_time(times, bad)
+        for key, bad in zip(_edge_keys(layer), last_bad.tolist())})
+
+
+def sync_times(layer: CyberLayer, times: np.ndarray, phases: np.ndarray,
+               threshold: float = DEFAULT_RHO_THRESHOLD) -> SyncTimeTable:
+    """Sync times of stored (m+1, runs, n) ensemble phases, by the rule
+    itself: a layer edge's order parameter at a sample is the mean over
+    runs of cos(theta_low - theta_high), and its sync time is the sample
+    after the last one at or below the threshold (``settling_time``).
+    """
+    iu, jv, _ = layer._edges
+    entries = {}
+    for key, a, b in zip(_edge_keys(layer), iu.tolist(), jv.tolist()):
+        rho = np.mean(np.cos(phases[:, :, a] - phases[:, :, b]), axis=1)
+        bad = np.flatnonzero(rho <= threshold)
+        entries[key] = settling_time(times, int(bad[-1]) if bad.size else -1)
+    return SyncTimeTable(entries=entries)
 
 
 def settling_time(times: np.ndarray, last_bad: int) -> float:

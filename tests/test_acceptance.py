@@ -92,13 +92,12 @@ def test_criterion_3_two_node_lag_and_sync_time():
     lag_err = abs(lag - math.asin(0.1))
 
     ens = ensemble_integrate(locking, 20, seed=7, t_max=100.0, dt=0.01)
-    t_lock = sync_times(locking, *ens, [(1, 2)], threshold=0.99).get(1, 2)
+    t_lock = sync_times(locking, *ens, threshold=0.99).get(1, 2)
 
     # lag arcsin(0.5) leaves the order parameter at 0.866, under 0.99
     drifting = _two_node(0.5)
     ens_far = ensemble_integrate(drifting, 20, seed=7, t_max=100.0, dt=0.01)
-    t_never = sync_times(drifting, *ens_far, [(1, 2)],
-                         threshold=0.99).get(1, 2)
+    t_never = sync_times(drifting, *ens_far, threshold=0.99).get(1, 2)
 
     ok = lag_err <= 1e-4 and math.isfinite(t_lock) and math.isinf(t_never)
     _report(3, ok, f"lag err {lag_err:.1e} rad, locked at t={t_lock:g}, "
@@ -121,8 +120,7 @@ def test_criterion_5_ieee118_end_to_end(scenario118, net118_faulted):
     start = time.perf_counter()
     layer = build_layer(net, net.node_ids())
     table = ensemble_sync_times(layer, scenario118.ensemble_size,
-                                scenario118.seed, net.edge_set(),
-                                scenario118.rho_threshold,
+                                scenario118.seed, scenario118.rho_threshold,
                                 t_max=scenario118.t_max, dt=scenario118.dt)
     central = centralized_partition(net, islands, table)
     valid_c = validate_partition(net, central.partition)

@@ -207,7 +207,8 @@ def _cut_seed_island(command, algorithm, scenario118_path, case118_path,
     assert rc == 2
     assert json.loads(capsys.readouterr().err) == {
         "error": "ConfigError",
-        "message": "initial island 1 is not connected", "exit_code": 2}
+        "message": "initial island 1 is not connected after fault "
+                   "[[9, 10]]", "exit_code": 2}
     assert list(out_dir.iterdir()) == []
 
 
@@ -267,6 +268,80 @@ def test_nan_sync_table_exit_2(workspace, capsys):
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SchemaError"
     assert not (tmp_path / "out" / "steps.json").exists()
+
+
+def _refuse_growth(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the growth ran with a refused sync table")
+
+    for name in ("ensemble_sync_times", "centralized_partition",
+                 "run_decentralized"):
+        monkeypatch.setattr(cli_module, name, refuse)
+
+
+@pytest.mark.parametrize("tripped, dropped, message", [
+    # built with fault_branches: [], so it still holds the tripped branch
+    (False, None, "holds edge 14-15, which is not in service"),
+    # inside seed island 1, so the growth never looks it up
+    (True, (9, 10), "lacks in-service edge 9-10"),
+    # looked up by the growth, which would stop halfway
+    (True, (38, 65), "lacks in-service edge 38-65"),
+], ids=["before-the-fault", "inside-a-seed", "looked-up"])
+def test_partition_refuses_a_sync_table_of_other_edges(
+        scenario118_path, net118, net118_faulted, tmp_path, capsys,
+        monkeypatch, tripped, dropped, message):
+    edges = (net118_faulted if tripped else net118).edge_set() - {dropped}
+    table = tmp_path / "sync_times.json"
+    table.write_text(json.dumps({"edges": [
+        {"i": i, "j": j, "t_sync": 0.5} for i, j in sorted(edges)]}),
+        encoding="utf-8")
+    _refuse_growth(monkeypatch)
+    out_dir = tmp_path / "out"
+    rc = main(["partition", "--config", str(scenario118_path),
+               "--algorithm", "centralized", "--sync-table", str(table),
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["message"] == f"sync table {table} {message}"
+    assert not out_dir.exists()
+
+
+def test_decentralized_partition_refuses_a_sync_table(workspace, capsys,
+                                                      monkeypatch):
+    tmp_path, cfg = workspace
+    table = tmp_path / "sync.json"
+    assert main(["sync-times", "--config", str(cfg),
+                 "--out", str(table)]) == 0
+    capsys.readouterr()
+    _refuse_growth(monkeypatch)
+    out_dir = tmp_path / "out"
+    rc = main(["partition", "--config", str(cfg), "--algorithm",
+               "decentralized", "--sync-table", str(table),
+               "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "--sync-table is for the centralized algorithm, not "
+                   "decentralized", "exit_code": 2}
+    assert not out_dir.exists()
+
+
+def test_run_all_sync_table_holds_the_network_edges(
+        scenario118_path, case118_path, net118_faulted, tmp_path):
+    # perfbench/checks.py requires every edge of the network in the table
+    data = json.loads(scenario118_path.read_text(encoding="utf-8"))
+    data.update(case_path=str(case118_path), dt=0.0035, t_max=0.35,
+                ensemble_size=4)
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["run-all", "--config", str(cfg), "--algorithm",
+                 "centralized", "--out-dir", str(tmp_path / "out")]) == 0
+    table = json.loads((tmp_path / "out" / "sync_times.json")
+                       .read_text(encoding="utf-8"))
+    keys = [(row["i"], row["j"]) for row in table["edges"]]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == net118_faulted.edge_set()
 
 
 def test_fractional_ids_in_files_exit_2(workspace, capsys):

@@ -10,6 +10,7 @@ import random
 import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from grid_islander import (CyberLayer, EmptyLayer, NotFound,
                            sync_times)
 from grid_islander import _certificate, kuramoto
 from conftest import make_network
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Stable on the faulted 118-bus layer: dt * 2 * max weighted degree is
 # 2.68, inside RK4's real-axis limit 2.785.
@@ -63,24 +66,16 @@ def test_layer_rejects_bad_coupling():
                    coupling=np.zeros((2, 2)))
 
 
-def test_layer_index_lookup():
-    layer = two_node_layer(0.1, -0.1)
-    assert layer.size == 2
-    assert layer.index(2) == 1
-    with pytest.raises(NotFound):
-        layer.index(9)
-
-
 def test_build_layer_couplings_match_branches(five_path):
     layer = build_layer(five_path, five_path.node_ids())
     assert layer.node_ids == (1, 2, 3, 4, 5)
     for br in five_path.branches:
-        a = layer.index(br.from_bus)
-        b = layer.index(br.to_bus)
+        a = layer.node_ids.index(br.from_bus)
+        b = layer.node_ids.index(br.to_bus)
         expected = coupling_susceptance(br)
         assert layer.coupling[a, b] == pytest.approx(expected, rel=1e-12)
     for node in five_path.node_ids():
-        k = layer.index(node)
+        k = layer.node_ids.index(node)
         assert layer.natural_frequency[k] == pytest.approx(
             net_injection(five_path, node))
 
@@ -94,7 +89,7 @@ def test_build_layer_sums_parallel_circuits():
 
 def test_build_layer_subset_keeps_internal_edges_only(five_path):
     layer = build_layer(five_path, [2, 3, 5])
-    a, b, c = layer.index(2), layer.index(3), layer.index(5)
+    a, b, c = (layer.node_ids.index(node) for node in (2, 3, 5))
     assert layer.coupling[a, b] > 0.0       # branch 2-3 is internal
     assert layer.coupling[a, c] == 0.0
     assert layer.coupling[b, c] == 0.0      # 5 connects only through 4
@@ -236,11 +231,9 @@ def test_order_parameter_basics():
     times = np.array([0.0, 0.1, 0.2])
     phases = np.full((3, 3, 2), 1.3)   # equal phases: coherence is exactly 1
     below_one = np.nextafter(1.0, 0.0)
-    assert sync_times(layer, times, phases, [(1, 2)],
-                      below_one).get(1, 2) == 0.0
+    assert sync_times(layer, times, phases, below_one).get(1, 2) == 0.0
     # at the threshold counts as not synchronized, up to the last sample
-    assert sync_times(layer, times, phases, [(1, 2)],
-                      1.0).get(1, 2) == math.inf
+    assert sync_times(layer, times, phases, 1.0).get(1, 2) == math.inf
 
 
 def test_order_parameter_averages_over_runs():
@@ -249,10 +242,9 @@ def test_order_parameter_averages_over_runs():
     phases = np.zeros((2, 2, 2))
     phases[:, 1, 0] = math.pi / 2  # run 0: lag 0, run 1: lag pi/2
     # order parameter (cos 0 + cos(pi/2)) / 2, which rounds to 0.5
-    assert sync_times(layer, times, phases, [(1, 2)],
+    assert sync_times(layer, times, phases,
                       np.nextafter(0.5, 0.0)).get(1, 2) == 0.0
-    assert sync_times(layer, times, phases, [(1, 2)],
-                      0.5).get(1, 2) == math.inf
+    assert sync_times(layer, times, phases, 0.5).get(1, 2) == math.inf
 
 
 def _scan_fixture(lags):
@@ -269,38 +261,38 @@ def _scan_fixture(lags):
 def test_sync_time_scan_semantics():
     big, small = 1.0, 0.01           # cos: 0.54 vs 0.99995
     ens = _scan_fixture([big, big, small, small, small])
-    table = sync_times(*ens, [(1, 2)], threshold=0.99)
+    table = sync_times(*ens, threshold=0.99)
     assert table.get(1, 2) == pytest.approx(0.2)
 
     ens = _scan_fixture([small] * 4)
-    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == 0.0
+    assert sync_times(*ens, 0.99).get(1, 2) == 0.0
 
     ens = _scan_fixture([small, small, big])
-    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == math.inf
+    assert sync_times(*ens, 0.99).get(1, 2) == math.inf
 
     # a dip back below the threshold pushes the sync time past it
     ens = _scan_fixture([small, big, small, small])
-    assert sync_times(*ens, [(1, 2)], 0.99).get(1, 2) == pytest.approx(0.2)
+    assert sync_times(*ens, 0.99).get(1, 2) == pytest.approx(0.2)
 
 
 def test_sync_time_threshold_is_strict():
     # coherence exactly at the threshold does not count as synchronized
     edge = math.acos(0.99)
     ens = _scan_fixture([edge, 0.01, 0.01])
-    table = sync_times(*ens, [(1, 2)], threshold=0.99)
+    table = sync_times(*ens, threshold=0.99)
     assert table.get(1, 2) == pytest.approx(0.1)
 
 
 def test_sync_times_on_real_dynamics():
     locking = two_node_layer(0.1, -0.1, b=1.0)
     ens = ensemble_integrate(locking, 10, seed=2, t_max=50.0, dt=0.01)
-    t_lock = sync_times(locking, *ens, [(1, 2)]).get(1, 2)
+    t_lock = sync_times(locking, *ens).get(1, 2)
     assert math.isfinite(t_lock)
     assert 0.0 <= t_lock < 50.0
 
     drifting = two_node_layer(0.5, -0.5, b=1.0)
     ens = ensemble_integrate(drifting, 10, seed=2, t_max=50.0, dt=0.01)
-    assert sync_times(drifting, *ens, [(1, 2)]).get(1, 2) == math.inf
+    assert sync_times(drifting, *ens).get(1, 2) == math.inf
 
 
 def test_sync_frequency_analytic_and_measured():
@@ -315,7 +307,7 @@ def test_sync_frequency_analytic_and_measured():
 def test_sync_table_lookup_orderless():
     layer = two_node_layer(0.1, -0.1)
     ens = ensemble_integrate(layer, 3, seed=1, t_max=10.0, dt=0.01)
-    table = sync_times(layer, *ens, [(2, 1)])
+    table = sync_times(layer, *ens)
     assert table.get(1, 2) == table.get(2, 1)
     assert list(table.items()) == [((1, 2), table.get(1, 2))]
 
@@ -353,8 +345,9 @@ def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
 
         def rho(i, j):
             """The order parameter of pair i-j at every sample."""
-            return np.mean(np.cos(ens.phases[:, :, layer.index(i)]
-                                  - ens.phases[:, :, layer.index(j)]), axis=1)
+            a, b = layer.node_ids.index(i), layer.node_ids.index(j)
+            return np.mean(np.cos(ens.phases[:, :, a] - ens.phases[:, :, b]),
+                           axis=1)
 
         # Thresholds at order-parameter values the ensemble attains, and
         # one ulp below them: a rounding change in any mean flips a
@@ -367,10 +360,10 @@ def test_streamed_sync_times_are_exact(net118_faulted, seed, monkeypatch):
         forks.clear()
         kinds = set()
         for threshold in thresholds:
-            expected = sync_times(layer, *ens, edges, threshold).entries
+            expected = sync_times(layer, *ens, threshold).entries
             for cpus in (1, 2):
                 _use_cpus(monkeypatch, cpus)
-                streamed = ensemble_sync_times(layer, runs, seed, edges,
+                streamed = ensemble_sync_times(layer, runs, seed,
                                                threshold, t_max=t_max,
                                                dt=STABLE_DT)
                 assert streamed.entries == expected
@@ -435,7 +428,7 @@ def test_divergence_time_is_the_same_in_both_modes(monkeypatch):
         for cpus in (1, 2):
             _use_cpus(monkeypatch, cpus)
             assert _divergence_time(lambda: ensemble_sync_times(
-                layer, 8, seed, [(1, 2), (2, 3)], **grid)) == whole
+                layer, 8, seed, **grid)) == whole
         earlier.add("lower" if lower < upper else "upper")
         # a run integrated alone raises only when it diverges itself
         own = []
@@ -485,12 +478,11 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
     # seed 11 first diverges at t = 17; seed 1 at t = 8 in the lower
     # half, which this process integrates, and seed 0 at t = 4 in the
     # forked upper half
-    ensemble_sync_times(layer, 8, 11, [(1, 2)], t_max=16.0, dt=1.0)
+    ensemble_sync_times(layer, 8, 11, t_max=16.0, dt=1.0)
     leaves_nothing()
     for seed in (1, 0):
         with pytest.raises(NumericalDivergence):
-            ensemble_sync_times(layer, 8, seed, [(1, 2)], t_max=50.0,
-                                dt=1.0)
+            ensemble_sync_times(layer, 8, seed, t_max=50.0, dt=1.0)
         leaves_nothing()
 
     # an exception in either half's steps
@@ -503,8 +495,7 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
         with monkeypatch.context() as patch:
             _hook_steps(patch, fail)
             with pytest.raises(error, match="half failed"):
-                ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0,
-                                    dt=0.01)
+                ensemble_sync_times(pair, 8, 2, 0.99, t_max=1.0, dt=0.01)
         leaves_nothing()
     assert len(forks) == 5
 
@@ -520,52 +511,67 @@ def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
 
     _hook_steps(monkeypatch, fail)
     with pytest.raises(NotFound, match="node 9 is not in this layer"):
-        ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0, dt=0.01)
+        ensemble_sync_times(pair, 8, 2, 0.99, t_max=1.0, dt=0.01)
     assert len(forks) == 1
 
 
 def test_streamed_sync_times_edge_forms(net118_faulted, monkeypatch):
-    # Branch 1-3 with x = 0, r > 0 couples with zero weight, so 1-3 is no
-    # layer edge. PowerNetwork refuses such a branch; the layer is edited.
-    # 2-60 joins no branch. Pairs that are no layer edge are gathered
-    # after the edges, and scanned pairs in layer-edge order.
+    # A table holds every layer edge and nothing else, keyed (low id,
+    # high id) in any node order. Branch 1-3 with x = 0, r > 0 couples
+    # with zero weight, so 1-3 is no layer edge. PowerNetwork refuses such
+    # a branch; the layer is edited, and lists its nodes in descending
+    # order.
     [branch] = [br for br in net118_faulted.branches
                 if (br.from_bus, br.to_bus) == (1, 3)]
     assert coupling_susceptance(
         dataclasses.replace(branch, resistance=0.01, reactance=0.0)) == 0.0
     grid = build_layer(net118_faulted, net118_faulted.node_ids())
     coupling = grid.coupling.copy()
-    a, b = grid.index(1), grid.index(3)
+    a, b = grid.node_ids.index(1), grid.node_ids.index(3)
     coupling[a, b] = coupling[b, a] = 0.0
-    layer = CyberLayer(grid.node_ids, grid.natural_frequency, coupling)
-    iu, jv, _ = layer._edges
-    assert (a, b) not in set(zip(iu, jv))
-    assert layer.coupling[layer.index(2), layer.index(60)] == 0.0
-    edges = [(3, 1), (1, 3), (60, 2), (5, 4), (4, 5), (4, 5), (1, 2)]
+    order = np.arange(grid.size)[::-1]
+    layer = CyberLayer(grid.node_ids[::-1], grid.natural_frequency[order],
+                       coupling[np.ix_(order, order)])
     ens = ensemble_integrate(layer, 9, 3, t_max=200 * STABLE_DT,
                              dt=STABLE_DT)
-    expected = sync_times(layer, *ens, edges, 0.9).entries
+    expected = sync_times(layer, *ens, 0.9).entries
+    assert set(expected) == net118_faulted.edge_set() - {(1, 3)}
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
-        streamed = ensemble_sync_times(layer, 9, 3, edges, 0.9,
+        streamed = ensemble_sync_times(layer, 9, 3, 0.9,
                                        t_max=200 * STABLE_DT, dt=STABLE_DT)
-        assert list(streamed.entries) == [(1, 3), (2, 60), (4, 5), (1, 2)]
+        assert list(streamed.entries) == list(expected)
         assert streamed.entries == expected
     with pytest.raises(NotFound):
-        ensemble_sync_times(layer, 9, 3, [(1, 999)], t_max=1.0,
-                            dt=STABLE_DT)
-    with pytest.raises(NotFound):
-        sync_times(layer, *ens, [(1, 999)])
+        streamed.get(1, 3)
+
+
+def test_grid_layer_edges_are_the_network_edges(net118_faulted, tmp_path,
+                                                monkeypatch):
+    # An in-service branch has x != 0, so it couples with positive weight:
+    # the whole-grid layer's edges, which a sync table holds, are the
+    # network's, the edges the centralized growth looks up.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    _, tiled = workloads.scenario_network(
+        workloads.write_tiled(tmp_path, 2, workloads.TILING_SEED))
+    for network in (net118_faulted, tiled):
+        layer = build_layer(network, network.node_ids())
+        iu, jv, _ = layer._edges
+        ids = np.array(layer.node_ids)
+        edges = set(zip(ids[iu].tolist(), ids[jv].tolist()))
+        assert len(edges) == iu.size
+        assert edges == network.edge_set()
 
 
 def test_streamed_sync_memory_does_not_grow_with_steps(net118_faulted):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
-    edges = sorted(net118_faulted.edge_set())
 
     def peak_bytes(steps):
         tracemalloc.start()
         try:
-            ensemble_sync_times(layer, 4, 0, edges, t_max=steps * STABLE_DT,
+            ensemble_sync_times(layer, 4, 0, t_max=steps * STABLE_DT,
                                 dt=STABLE_DT)
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -582,12 +588,12 @@ def test_stability_warning_follows_gershgorin_bound(net118_faulted, caplog):
     bound = 2.0 * layer.coupling.sum(axis=1).max()
     assert STABLE_DT * bound < 2.785 < 0.01 * bound
     with caplog.at_level(logging.WARNING, logger="grid_islander.kuramoto"):
-        ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=10 * STABLE_DT,
+        ensemble_sync_times(layer, 2, 0, t_max=10 * STABLE_DT,
                             dt=STABLE_DT)
         integrate(layer, np.zeros(layer.size), t_max=10 * STABLE_DT,
                   dt=STABLE_DT)
         assert caplog.records == []
-        ensemble_sync_times(layer, 2, 0, [(1, 2)], t_max=0.1, dt=0.01)
+        ensemble_sync_times(layer, 2, 0, t_max=0.1, dt=0.01)
         integrate(layer, np.zeros(layer.size), t_max=0.1, dt=0.01)
     assert len(caplog.records) == 2
     for record in caplog.records:
@@ -660,18 +666,17 @@ def _stop_messages(caplog):
 def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
                                              monkeypatch, caplog):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
-    edges = net118_faulted.edge_set()
     grid = dict(t_max=35.0, dt=STABLE_DT)
     caplog.set_level(logging.INFO, logger="grid_islander.kuramoto")
     stopped = []
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
         caplog.clear()
-        stopped.append((ensemble_sync_times(layer, 20, seed, edges, **grid),
+        stopped.append((ensemble_sync_times(layer, 20, seed, **grid),
                         _stop_messages(caplog)))
     _never_certified(monkeypatch)
     caplog.clear()
-    full = ensemble_sync_times(layer, 20, seed, edges, **grid)
+    full = ensemble_sync_times(layer, 20, seed, **grid)
     assert _stop_messages(caplog) == [
         "lock not certified within the horizon: integrated all 10000 steps"]
     for table, messages in stopped:
@@ -697,8 +702,7 @@ def test_pair_margins_not_the_level_cap_set_the_stop(net118_faulted,
         return checks[-1][1]
 
     monkeypatch.setattr(_certificate.LockCertificate, "proves", spy)
-    ensemble_sync_times(layer, 20, 2, net118_faulted.edge_set(), t_max=35.0,
-                        dt=STABLE_DT)
+    ensemble_sync_times(layer, 20, 2, t_max=35.0, dt=STABLE_DT)
     assert len(checks) >= 2 and checks[-1][1]
     assert checks[-2] == (True, False)
 
@@ -717,13 +721,13 @@ def test_scan_declines_without_stable_step_or_lock(net118_faulted, caplog):
             (locking, float(np.cos(lag[0] - lag[1])),
              dict(t_max=50.0, dt=0.01), "locks at the threshold")):
         caplog.clear()
-        ensemble_sync_times(scan_layer, 4, 0, [(1, 2)], threshold, **grid)
+        ensemble_sync_times(scan_layer, 4, 0, threshold, **grid)
         [message] = [r.getMessage() for r in caplog.records
                      if r.levelno == logging.INFO]
         assert message.startswith("no lock certificate, integrating the "
                                   "full horizon") and reason in message
     caplog.clear()
-    ensemble_sync_times(locking, 4, 0, [(1, 2)], t_max=50.0, dt=0.01)
+    ensemble_sync_times(locking, 4, 0, t_max=50.0, dt=0.01)
     [message] = _stop_messages(caplog)
     assert message.startswith("lock certified at t = ")
 
@@ -764,10 +768,8 @@ def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
     t_max, runs = 200.0, 4
     times, phases = ensemble_integrate(layer, runs, seed, t_max=t_max,
                                        dt=dt)
-    low = np.array([layer.index(a) for a, _ in edges])
-    high = np.array([layer.index(b) for _, b in edges])
-    certificate = _certificate.lock_certificate(layer, times, low, high,
-                                                threshold, runs)
+    certificate = _certificate.lock_certificate(layer, times, threshold,
+                                                runs)
     proven = [k for k in range(7, len(times), 8)
               if certificate.proves(certificate.levels(phases[k],
                                                        times[k]))]
@@ -778,9 +780,9 @@ def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
     rounding = (layer.size + len(edges) + 16) * kuramoto._EPS * size
     assert np.all(u - rounding <= level)
     # the stop leaves the table as the full scan gives it
-    assert ensemble_sync_times(layer, runs, seed, edges, threshold,
+    assert ensemble_sync_times(layer, runs, seed, threshold,
                                t_max=t_max, dt=dt).entries \
-        == sync_times(layer, times, phases, edges, threshold).entries
+        == sync_times(layer, times, phases, threshold).entries
 
 
 def _hessian_within_region_bound(layer, dt, threshold, rng):
@@ -788,7 +790,7 @@ def _hessian_within_region_bound(layer, dt, threshold, rng):
     d_e on every edge, H(x)'s top eigenvalue is within LamQ <= Lam."""
     iu, jv, _ = layer._edges
     theta = locked_state(layer).phases
-    certificate = _certificate.LockCertificate(layer, theta, dt, 1.0, iu, jv,
+    certificate = _certificate.LockCertificate(layer, theta, dt, 1.0,
                                                threshold, 4)
     assert certificate.lam_q <= certificate.lam
     # -theta* turns every edge toward zero lag, raising all its cosines
@@ -844,11 +846,10 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
                         lambda *args: Stops())
     _hook_steps(monkeypatch, stall)
     started = time.monotonic()
-    table = ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.7, t_max=1.0,
-                                dt=0.01)
+    table = ensemble_sync_times(pair, 8, 2, 0.7, t_max=1.0, dt=0.01)
     assert time.monotonic() - started < 30.0
     # synced before the stop, so the stop leaves the full scan's table
-    expected = sync_times(pair, *ens, [(1, 2)], 0.7).entries
+    expected = sync_times(pair, *ens, 0.7).entries
     assert ens.times[0] < expected[(1, 2)] < ens.times[after]
     assert table.entries == expected
     assert len(forks) == 1
@@ -891,7 +892,7 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
                         lambda *args: Waits())
     _hook_steps(monkeypatch, overflow)
     with pytest.raises(NumericalDivergence) as err:
-        ensemble_sync_times(pair, 8, 2, [(1, 2)], 0.99, t_max=1.0, dt=0.01)
+        ensemble_sync_times(pair, 8, 2, 0.99, t_max=1.0, dt=0.01)
     assert err.value.t == ens.times[diverging]
 
 
@@ -899,10 +900,9 @@ def test_failed_fork_integrates_every_run_here(net118_faulted, monkeypatch):
     # At a process limit os.fork raises EAGAIN; the scan then integrates
     # the upper half in this process too, with the table's bits.
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
-    edges = sorted(net118_faulted.edge_set())
     grid = dict(t_max=300 * STABLE_DT, dt=STABLE_DT)
     _use_cpus(monkeypatch, 1)
-    expected = ensemble_sync_times(layer, 12, 5, edges, **grid)
+    expected = ensemble_sync_times(layer, 12, 5, **grid)
     attempts = []
 
     def eagain():
@@ -911,6 +911,6 @@ def test_failed_fork_integrates_every_run_here(net118_faulted, monkeypatch):
 
     monkeypatch.setattr(os, "fork", eagain)
     _use_cpus(monkeypatch, 2)
-    assert ensemble_sync_times(layer, 12, 5, edges,
+    assert ensemble_sync_times(layer, 12, 5,
                                **grid).entries == expected.entries
     assert len(attempts) == 1

@@ -358,7 +358,7 @@ def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
                for k, nodes in enumerate(cfg.initial_islands)]
     table = ensemble_sync_times(
         build_layer(net, net.node_ids()), cfg.ensemble_size,
-        cfg.seed, net.edge_set(), threshold=cfg.rho_threshold,
+        cfg.seed, threshold=cfg.rho_threshold,
         t_max=cfg.t_max, dt=cfg.dt)
     central = centralized_partition(net, islands, table).partition
     assert _island_solves(net, central) == [(1, 35, "ac", 4),
