@@ -1,11 +1,11 @@
 """The proof that stops a sync-time scan early.
 
 ``lock_certificate`` builds, for an RK4 scan of a layer, a
-``LockCertificate``: from the phases of every run at one sample it
-proves that no layer edge's order parameter crosses the threshold at
-any later sample. ``kuramoto.ensemble_sync_times`` imports this module
-only when it scans an RK4 stream, so runs that integrate nothing never
-load it.
+``LockCertificate``: from the phases and frequencies of every run at
+one sample it proves that no layer edge's order parameter crosses the
+threshold at any later sample. ``kuramoto.ensemble_sync_times`` imports
+this module only when it scans an RK4 stream, so runs that integrate
+nothing never load it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ _TAU = 0.1
 _ETA_CAP = 1e-6
 
 
+def _rk4_shrink(z: float) -> float:
+    """1 - R(z) = z P(z), R(z) = 1 - z P(z) being RK4's amplification on
+    x' = -(z/h) x. R falls from 1 at z = 0 to about 0.27 near z = 1.6 and
+    rises back to 1 at RK4's real stability limit, so on [a, b] within
+    it |R| <= 1 - min(_rk4_shrink(a), _rk4_shrink(b))."""
+    return z * (1.0 - z / 2.0 + z * z / 6.0 - z ** 3 / 24.0)
+
+
 def _rk4_decrease_factor(z: float) -> float:
     """m(z) = P(z) (2 - z P(z)) with P(z) = 1 - z/2 + z^2/6 - z^3/24:
     RK4 on a quadratic V with Hessian eigenvalue z/h lowers V by
@@ -33,10 +41,15 @@ def _rk4_decrease_factor(z: float) -> float:
     return p * (2.0 - z * p)
 
 
+def _top(layer: CyberLayer, factors) -> float:
+    """The top eigenvalue of the Laplacian with weights w_e factors_e."""
+    return float(np.linalg.eigvalsh(_laplacian(layer, factors))[-1])
+
+
 class LockCertificate:
-    """A proof, from the phases of every run at one sample, that no layer
-    edge's order parameter crosses the threshold at any later sample of
-    the executed RK4 scan.
+    """A proof, from the phases and frequencies of every run at one
+    sample, that no layer edge's order parameter crosses the threshold at
+    any later sample of the executed RK4 scan.
 
     Notation. Layer edges e with weights w_e and rows b_e
     (b_e.x = x_i - x_j), p~ = p - mean(p), n nodes, eps the unit
@@ -44,34 +57,57 @@ class LockCertificate:
     H(x) = sum_e w_e cos(b_e.x) b_e b_e^T. The right-hand side is
     ``mean(p) 1 - g``, and V and g do not change along 1 (sum p~ = 0), so
     an RK4 step moves a run as RK4 on x' = -g does, plus a shift along 1
-    that nothing below sees; every vector below is taken across 1.
+    that nothing below sees; every vector below is taken across 1, and a
+    run's frequency spread ||omega - mean(omega)|| is ||g||.
     Lam = 2 max weighted degree bounds ||H(x)|| anywhere, and
     z = h Lam < 2.785, or there is no certificate. LamQ <= Lam bounds
-    ||H(x)|| on the region Q (below), and zQ = h LamQ.
+    ||H(x)|| on the region Q (below), and zQ = h LamQ. L[f] is the
+    Laplacian with weights w_e f_e, and sin*_e = |sin b_e.theta*|.
 
-    RK4 step. ||H(a) - H(b)|| <= Lam max_e |cos b_e.a - cos b_e.b|
-    <= sqrt(2) Lam ||a - b||, so g(x + v) = g(x) + H(x) v + r with
-    ||r|| <= L ||v||^2 / 2, L = sqrt(2) Lam, wherever x + v lies. With
-    P(s) = 1 - s/2 + s^2/6 - s^3/24, R(s) = 1 - s P(s) and
-    m(s) = P(s)(2 - s P(s)): on [0, 2.785], 0 <= P <= 1, |R| <= 1 and m
-    decreases, so m >= mu = m(zQ) > 0 on [0, zQ]
+    Reach. Take x, gamma = ||g(x)||. Each RK4 stage gradient grows at
+    most by Lam times its stage's offset, so the stage points and the
+    step's end lie within h gamma S of x, with g2 = 1 + z/2,
+    g3 = 1 + z g2 / 2 and S = max(g3, (2 + 2 g2 + 2 g3 + z g3) / 6):
+    their edge coordinates b_e.x move by at most r gamma,
+    r = sqrt(2) h S (``stage_reach``).
+
+    Lipschitz. Where the edge coordinates of a and b lie within rch_e
+    of theta*'s, |cos b_e.a - cos b_e.b| <= s_e |b_e.(a - b)| with
+    s_e = min(1, sin*_e + rch_e), so ||H(a) - H(b)|| <= L ||a - b||
+    with L = sqrt(2) lmax(L[s]), and g(x + v) = g(x) + H(x) v + q with
+    ||q|| <= L ||v||^2 / 2 on such a segment. For a reach rch on every
+    edge, lmax(L[s]) <= min(lmax(L[sin*]) + rch lmax(L[1]), lmax(L[1]))
+    (``hessian_lipschitz``). Each lmax is taken as computed plus
+    16 n eps Lam, which covers the rounding of the matrix's entries and
+    of the eigensolver.
+
+    RK4 step. With P(s) = 1 - s/2 + s^2/6 - s^3/24, R(s) = 1 - s P(s)
+    and m(s) = P(s)(2 - s P(s)): on [0, 2.785], 0 <= P <= 1, |R| <= 1
+    and m decreases, so m >= mu = m(zQ) > 0 on [0, zQ]
     (``_rk4_decrease_factor``). Take x in Q, where A = H(x) is positive
-    semidefinite with ||A|| <= LamQ, and gamma = ||g(x)||. With every
-    stage Hessian equal to A the step is D0 = -h P(hA) g, so
-    ||D0|| <= h gamma, g + A D0 = R(hA) g, and
-    ``g.D0 + D0.A.D0 / 2 = -(h/2) g.m(hA).g``. The stages' remainders add
-    E = D - D0: with s2 = 1 + zQ/2 and s3 = 1 + zQ s2 / 2 bounding the
-    stage gradients over gamma, the stage errors are at most l gamma^2
-    times e2 = 1/8, e3 = zQ e2 / 2 + s2^2 / 8 and e4 = zQ e3 + s3^2 / 2,
-    l = L h^2, so ||E|| <= h l gamma^2 eE with
-    eE = (2 e2 + 2 e3 + e4) / 6. Adding Taylor's remainder L ||D||^3 / 6,
+    semidefinite with ||A|| <= LamQ, and gamma = ||g(x)||, with l = L h^2
+    for an L that holds over x's stage points. With every stage Hessian
+    equal to A the step is D0 = -h P(hA) g, so ||D0|| <= h gamma,
+    g + A D0 = R(hA) g, and ``g.D0 + D0.A.D0 / 2 = -(h/2) g.m(hA).g``.
+    The stages' remainders add E = D - D0: with s2 = 1 + zQ/2 and
+    s3 = 1 + zQ s2 / 2 bounding the stage gradients over gamma (the
+    linear parts of the second and third are at most gamma and
+    (1 + zQ^2 / 4) gamma, and l gamma <= zQ / 2 keeps the remainders
+    within the rest), the
+    stage errors are at most l gamma^2 times e2 = 1/8,
+    e3 = zQ e2 / 2 + s2^2 / 8 and e4 = zQ e3 + s3^2 / 2, so
+    ||E|| <= h l gamma^2 eE with eE = (2 e2 + 2 e3 + e4) / 6. Adding
+    Taylor's remainder L ||D||^3 / 6,
     ``V(x + D) - V(x) <= -(h/2) gamma^2 B(l gamma)`` with
-    ``B(s) = mu - 2 s eE - zQ s^2 eE^2 - (s/3)(1 + s eE)^3``. Only A
-    enters through zQ; the remainders, whose stage points may leave Q,
-    keep the global L. B is concave and falls from mu to 0 at some X.
-    Let gbar = min(X / (2 l), min_e d_e / (8 h)) (d_e below). For
-    gamma <= gbar, B >= mu/2: the step lowers V by at least
-    (h/4) mu gamma^2, and ||D|| <= step = h gbar (1 + l gbar eE).
+    ``B(s) = mu - 2 s eE - zQ s^2 eE^2 - (s/3)(1 + s eE)^3``. B is
+    concave and falls from mu to 0 at some X. Let
+    gcap = min_e d_e / (8 h) (d_e below); the stage points of a point of
+    Q with gamma <= gcap keep their edge coordinates within
+    d_e + r gcap of theta*'s, so there L = sqrt(2) lmax(L[s]) with
+    s_e = min(1, sin*_e + d_e + r gcap), and l = L h^2. Let
+    gbar = min(X / (2 l), zQ / (2 l), gcap). For gamma <= gbar,
+    B >= mu/2: the step lowers V by at least (h/4) mu gamma^2, and
+    ||D|| <= step = h gbar (1 + l gbar eE).
 
     Region. theta* comes from ``locked_state``'s Newton; H* = H(theta*).
     M is the inverse of H* without node 0's row and column, padded with
@@ -85,10 +121,8 @@ class LockCertificate:
     every layer edge. Q is convex, and on it (1 - tau) cos* <= cos <=
     (1 + tau) cos* edge by edge, so a- H* <= H(x) <= a+ H*: V is convex
     on Q, strongly with sigma = a- / ((1 + kappa) ||M||_inf), and
-    ||H(x)|| <= LamQ = min(Lam, a+ lmax) on Q, lmax being H*'s top
-    eigenvalue as computed plus 16 n eps Lam, which covers the rounding
-    of H*'s entries and of the eigensolver. With res = ||g(theta*)|| plus
-    its rounding, the exact lock xh lies within dist = res / sigma of
+    ||H(x)|| <= LamQ = min(Lam, a+ lmax(H*)) on Q. With res = ||g(theta*)||
+    plus its rounding, the exact lock xh lies within dist = res / sigma of
     theta*, and V(theta*) - V(xh) <= res^2 / (2 sigma). For x in Q,
     y = x - xh and u = V(x) - V(xh): ``u = y.Hbar.y / 2`` and
     ``g = Htil y`` exactly, Hbar and Htil being averages of H over the
@@ -123,12 +157,44 @@ class LockCertificate:
     the rounded phases, 4 eps sqrt(n) Theta (||p~|| + sqrt(n) Lam / 2),
     and V(theta*) - V(xh).
 
-    Verdict. A run in Q at level c_r <= c_max keeps, at every later sample,
-    |b_e.(x - theta*)| <= D_er = sqrt(2 R_e c_r / a-) + sqrt(2) dist, so
-    |cos b_e.x - cos*_e| <= |sin*_e| D_er + D_er^2 / 2. If on every layer
-    edge the mean of that over the runs, plus the rounding of the
-    computed order parameter, is below |cos*_e - threshold|, the order
-    parameter stays on cos*_e's side of the threshold to the end.
+    Energy bound. A run in Q at level c_r <= c_max keeps, at every later
+    sample, |b_e.y| <= En_er = sqrt(2 R_e c_r / a-) by (i), so
+    |b_e.(x - theta*)| <= D_er = En_er + sqrt(2) dist. En_er is the exact
+    maximum of |b_e.y| over the ellipsoid y.H*.y <= 2 c_r / a-, so V
+    alone gives nothing sharper.
+
+    Frequency bound. Such a run's samples stay in Q, where A's
+    eigenvalues across 1 lie in [a- lambda2(H*), LamQ], lambda2 taken as
+    computed less 16 n eps Lam. R falls to about 0.27 near s = 1.6 and
+    rises after, so there ||R(hA)|| <= 1 - delta with
+    delta = min(1 - R(h a- lambda2), 1 - R(zQ)) (``_rk4_shrink``). From
+    a sample x with gamma <= G, the stage points and the step's end keep
+    their edge coordinates within rch = max_e D_er + r G of theta*'s, so
+    with L_c from that reach and l = L_c h^2,
+    g(x + D) = g + A D0 + A E + q = R(hA) g + A E + q, and
+    ||A E|| + ||q|| <= l C gamma^2, C = zQ eE + (1 + l G eE)^2 / 2. The
+    executed step adds at most Lam eta, so the next sample's spread is
+    at most (1 - delta) gamma + l C gamma^2 + Lam eta, which is at most G
+    where G (delta - l C G) >= Lam eta. A run's G is its computed spread,
+    taken (1 + 4 n eps) fold plus 4 n sqrt(n) eps (max|p| + Lam) for the
+    rounding of its frequencies, and at least 2 Lam eta / delta; where
+    G <= gbar, l G <= zQ / 2 and the inequality holds, its spread stays
+    at most G at every later sample, and it is non-increasing, up to
+    that floor, below delta / (l C). There y = x - xh solves
+    H* y = g - (Htil - H*) y, and along the segment from xh to x every
+    edge cosine lies within tau_r cos*_e of its locked value,
+    tau_r = max_e (sin*_e D_er + D_er^2 / 2) / cos*_e, so, by
+    Cauchy-Schwarz in H*'s inner product,
+    |b_e.y| <= F_er = ||H*^+ b_e|| G + tau_r En_er. ||H*^+ b_e|| is the
+    norm of M b_e less its mean, taken (1 + 4 n eps) fold plus
+    4 kappa ||M||_inf sqrt(n).
+
+    Verdict. With Dev_er = min(En_er, F_er) + sqrt(2) dist, each run keeps
+    |cos b_e.x - cos*_e| <= sin*_e Dev_er + Dev_er^2 / 2 at every later
+    sample. If on every layer edge the mean of that over the runs, plus
+    the rounding of the computed order parameter, is below
+    |cos*_e - threshold|, the order parameter stays on cos*_e's side of
+    the threshold to the end.
     """
 
     def __init__(self, layer: CyberLayer, theta: np.ndarray, dt: float,
@@ -153,7 +219,6 @@ class LockCertificate:
         e3 = z_q * e2 / 2.0 + s2 * s2 / 8.0
         e4 = z_q * e3 + s3 * s3 / 2.0
         e_e = (2.0 * e2 + 2.0 * e3 + e4) / 6.0
-        ell = math.sqrt(2.0) * lam * dt * dt
 
         def falls(s):   # B(s) > 0
             return (mu - 2.0 * s * e_e - z_q * (s * e_e) ** 2
@@ -185,7 +250,17 @@ class LockCertificate:
         dist = res / sigma
         tan = np.abs(np.tan(angle))
         self.d_e = np.sqrt(tan * tan + 2.0 * _TAU) - tan
-        gbar = min(0.5 * lo / ell, float(self.d_e.min()) / (8.0 * dt))
+        z = dt * lam
+        g2 = 1.0 + z / 2.0
+        g3 = 1.0 + z * g2 / 2.0
+        self.stage_reach = math.sqrt(2.0) * dt * max(
+            g3, (2.0 + 2.0 * g2 + 2.0 * g3 + z * g3) / 6.0)
+        self.sin_angle = np.abs(np.sin(angle))
+        gbar = float(self.d_e.min()) / (8.0 * dt)
+        ell = math.sqrt(2.0) * dt * dt * (_top(layer, np.minimum(
+            self.sin_angle + self.d_e + self.stage_reach * gbar, 1.0))
+            + 16.0 * n * _EPS * lam)
+        gbar = min(0.5 * lo / ell, 0.5 * z_q / ell, gbar)
         step = dt * gbar * (1.0 + ell * gbar * e_e)
         room = self.d_e - math.sqrt(2.0) * (dist + step + _ETA_CAP)
         self.c_max = min(
@@ -195,7 +270,6 @@ class LockCertificate:
 
         self.below = cos < threshold
         self.margin = np.abs(cos - threshold)
-        self.sin_angle = np.abs(np.sin(angle))
         self.resistance = resistance / a_lo     # R_e / a-
         self.offset = math.sqrt(2.0) * dist
         self.rho_rounding = (n_runs + 8) * _EPS + 4.0 * _EPS * (
@@ -222,6 +296,29 @@ class LockCertificate:
                               + math.sqrt(n) * lam / 2.0)
         self.lock_rounding = res * res / (2.0 * sigma)
 
+        # the frequency spread's bound
+        self.dt, self.gbar, self.z_q, self.e_e = dt, gbar, z_q, e_e
+        self.delta = min(_rk4_shrink(dt * a_lo * max(
+            float(spectrum[1]) - 16.0 * n * _EPS * lam, 0.0)),
+            _rk4_shrink(z_q))
+        spread = grounded[:, iu] - grounded[:, jv]
+        spread -= spread.mean(axis=0)
+        self.pull = (np.linalg.norm(spread, axis=0) * (1.0 + 4.0 * n * _EPS)
+                     + 4.0 * kappa * norm * math.sqrt(n))
+        self.cos_angle = cos
+        self.gamma_rounding = 4.0 * n * math.sqrt(n) * _EPS * (
+            float(np.abs(p).max()) + lam)
+        self._top_sines = _top(layer, self.sin_angle)
+        self._top_weights = _top(layer, 1.0)
+
+    def hessian_lipschitz(self, reach):
+        """L_c with ||H(a) - H(b)|| <= L_c ||a - b|| wherever
+        |b_e.(a - theta*)| and |b_e.(b - theta*)| are at most ``reach`` on
+        every layer edge (elementwise for an array of reaches)."""
+        return math.sqrt(2.0) * (np.minimum(
+            self._top_sines + reach * self._top_weights, self._top_weights)
+            + 16.0 * self.layer.size * _EPS * self.lam)
+
     def excess(self, phases: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per row of ``phases``: V - V(theta*), the sum of its terms'
@@ -241,10 +338,15 @@ class LockCertificate:
                 + np.abs(2.0 * w * np.sin(half)).sum(axis=-1),
                 mean[..., 0], (2.0 * np.abs(half) / self.d_e).max(axis=-1))
 
-    def levels(self, phases: np.ndarray, t: float) -> np.ndarray:
-        """(runs, 2): each run's bound on V - V(exact lock) at every
-        sample from time t on (+inf outside the region), and the rounding
-        of its cosines in the order parameter."""
+    def levels(self, phases: np.ndarray, frequencies: np.ndarray,
+               t: float) -> np.ndarray:
+        """(runs, 5) from each run's ``phases`` and ``frequencies`` at
+        time t, per run: its bound on V - V(exact lock) at every sample
+        from t on (+inf outside the region); the rounding of its cosines
+        in the order parameter; its bound G on ||omega - mean(omega)|| at
+        every sample from t on (+inf where none holds); the relative
+        spread tau of the edge cosines along the segment to the exact
+        lock; and the spread up to which a step cannot raise it."""
         u, size, mean, reach = self.excess(phases)
         bound = np.abs(mean) + self.drift * (self.t_max - t) \
             + self.phase_room
@@ -257,17 +359,38 @@ class LockCertificate:
                            omega * self.floor_factor)
         inside = ((reach + 8.0 * _EPS * bound / self.d_e.min() <= 1.0)
                   & (eta <= _ETA_CAP))
-        return np.stack([np.where(inside, level, np.inf),
-                         4.0 * _EPS * (1.0 + 2.0 * bound)], axis=-1)
+        level = np.where(inside, level, np.inf)
+        centred = frequencies - frequencies.mean(axis=-1, keepdims=True)
+        gamma = (np.sqrt((centred * centred).sum(axis=-1))
+                 * (1.0 + 4.0 * self.layer.size * _EPS)
+                 + self.gamma_rounding)
+        kick = self.lam * eta
+        with np.errstate(divide="ignore"):
+            gamma = np.maximum(gamma, 2.0 * kick / self.delta)
+        energy = np.sqrt(2.0 * level[:, None] * self.resistance) + self.offset
+        tau = ((self.sin_angle + 0.5 * energy) * energy
+               / self.cos_angle).max(axis=-1)
+        held = (level <= self.c_max) & (gamma <= self.gbar)
+        ell = self.dt ** 2 * self.hessian_lipschitz(
+            energy.max(axis=-1) + self.stage_reach * gamma)
+        slope = ell * (self.z_q * self.e_e
+                       + 0.5 * (1.0 + ell * gamma * self.e_e) ** 2)
+        held &= ((ell * gamma <= 0.5 * self.z_q)
+                 & (gamma * (self.delta - slope * gamma) >= kick))
+        return np.stack([level, 4.0 * _EPS * (1.0 + 2.0 * bound),
+                         np.where(held, gamma, np.inf), tau,
+                         self.delta / slope], axis=-1)
 
     def proves(self, levels: np.ndarray) -> bool:
         """Whether the runs' ``levels`` keep every layer edge's order
         parameter on its locked side of the threshold from now on."""
-        level, cos_rounding = levels.T
+        level, cos_rounding, gamma, tau, _ = levels.T
         if not np.all(level <= self.c_max):
             return False
-        deviation = (np.sqrt(2.0 * level[:, None] * self.resistance)
-                     + self.offset)
+        energy = np.sqrt(2.0 * level[:, None] * self.resistance)
+        deviation = np.minimum(
+            energy, self.pull * gamma[:, None] + tau[:, None] * energy
+        ) + self.offset
         drift = (self.sin_angle * deviation + 0.5 * deviation ** 2
                  + cos_rounding[:, None]).mean(axis=0)
         return bool(np.all(drift + self.rho_rounding < self.margin))

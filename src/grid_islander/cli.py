@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import logging
@@ -242,11 +241,14 @@ class _ArtifactDir:
         save_json(manifest, self.path / "run_manifest.json")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], lines) -> None:
+    """Write ``header``, then ``lines``: text of whole rows spelled as
+    csv.writer spells ints and floats (str and repr, comma separated,
+    each row ended by CR LF), which a reader turns back into the same
+    numbers."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\r\n")
+        handle.writelines(lines)
     print(f"wrote {path}")
 
 
@@ -289,15 +291,16 @@ def cmd_simulate(args) -> int:
           f"{final_freq.max() - final_freq.min():.3e} pu around mean "
           f"{final_freq.mean():.6f} pu")
     if args.out:
-        # csv spells a Python float with repr, which reads back exactly;
         # frequencies a sample at a time, not over the whole trajectory,
-        # from one kernel: derivative(layer, row)'s bits
+        # from one kernel: derivative(layer, row)'s bits; one string of
+        # rows per sample
         rhs = _Kernel(layer, 1).rhs
         _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
-            [t, node, phase, freq]
-            for t, row in zip(times.tolist(), phases)
-            for node, phase, freq in zip(layer.node_ids, row.tolist(),
-                                         rhs(row[:, None]).ravel().tolist())))
+            "".join(f"{t!r},{node},{phase!r},{freq!r}\r\n"
+                    for node, phase, freq in zip(
+                        layer.node_ids, row.tolist(),
+                        rhs(row[:, None]).ravel().tolist()))
+            for t, row in zip(times.tolist(), phases)))
     return EXIT_OK
 
 
@@ -312,7 +315,7 @@ def cmd_sync_times(args) -> int:
         print(f"wrote {args.out}")
     if args.csv:
         _write_csv(args.csv, ["i", "j", "t_sync"], (
-            [a, b, t] for (a, b), t in table.items()))
+            f"{a},{b},{t!r}\r\n" for (a, b), t in table.items()))
     return EXIT_OK
 
 

@@ -37,16 +37,20 @@ a step may leave RK4's stability interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.
-Every fourth block, each run's Lyapunov level V - V(theta*) is checked
-against a certificate (``_certificate.LockCertificate``, whose docstring
-holds the proof) that every run stays in a region around theta* where no
-edge's order parameter can cross the threshold again, under the RK4 map
-as executed, rounding included. Edges locked below the threshold then
-get +inf and the others keep their last bad sample, so the table has the
-same bits as a scan of the whole horizon. With no stable lock, an edge
-locked exactly at the threshold, or dt times the Gershgorin bound at or
-above 2.785, the scan declines and integrates the whole horizon. Either
-outcome is logged at info level.
+Every fourth block, each run's Lyapunov level V - V(theta*) and its
+frequency spread ||omega - mean(omega)||, which the next step's first
+stage computes anyway, are checked against a certificate
+(``_certificate.LockCertificate``, whose docstring holds the proof)
+that every run stays in a region around theta* where no edge's order
+parameter can cross the threshold again, under the RK4 map as executed,
+rounding included. The level bounds each edge's angle through the
+energy; near the lock the spread, which no step raises there, bounds it
+tighter. Edges locked below the threshold then get +inf and the others
+keep their last bad sample, so the table has the same bits as a scan of
+the whole horizon. With no stable lock, an edge locked exactly at the
+threshold, or dt times the Gershgorin bound at or above 2.785, the scan
+declines and integrates the whole horizon. Either outcome is logged at
+info level.
 """
 
 from __future__ import annotations
@@ -337,8 +341,9 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
     does in ``sync_times``. The earliest divergence in either half raises
     NumericalDivergence. After every ``_CHECK_BLOCKS``-th block at least
     two blocks from the end, both halves report their runs'
-    ``LockCertificate`` levels; once these prove the table final, the
-    child, which never waits for this process, is killed and reaped.
+    ``LockCertificate`` levels, from the phases and frequencies of the
+    block's last sample; once these prove the table final, the child,
+    which never waits for this process, is killed and reaped.
     """
     initial = _ensemble_initial(layer, n_runs, seed)
     times = _time_grid(t_max, dt)
@@ -383,8 +388,8 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
                 yield diverged, None, block
                 return
             yield None, (certificate.levels(
-                np.ascontiguousarray(state.T), float(times[sample]))
-                if checked(b) else None), block
+                np.ascontiguousarray(state.T), np.ascontiguousarray(k1.T),
+                float(times[sample])) if checked(b) else None), block
 
     def upper_half(child: _ForkedHalf) -> None:
         cos = np.empty((_BLOCK_SAMPLES, n_edges, n_runs - split))
@@ -415,19 +420,22 @@ def ensemble_sync_times(layer: CyberLayer, n_runs: int, seed: int,
             last = start + len(bad) - 1 - np.argmax(bad[::-1], axis=0)
             hit = bad.any(axis=0)
             last_bad[hit] = last[hit]
-            if checked(b) and certificate.proves(
-                    np.concatenate([levels for _, levels in reports])):
-                stop = start + _BLOCK_SAMPLES - 1
-                last_bad[certificate.below] = n_samples - 1
-                break
+            if checked(b):
+                levels = np.concatenate([levels for _, levels in reports])
+                if certificate.proves(levels):
+                    stop = start + _BLOCK_SAMPLES - 1
+                    last_bad[certificate.below] = n_samples - 1
+                    break
     if certificate is not None and stop is None:
         logger.info("lock not certified within the horizon: integrated "
                     "all %d steps", n_samples - 1)
     elif certificate is not None:
         logger.info("lock certified at t = %.4f s (locked-state residual "
-                    "%.1e, lambda2 %.4f, dt * LamQ %.3f): integrated %d of "
+                    "%.1e, lambda2 %.4f, dt * LamQ %.3f, frequency spread "
+                    "<= %.3g, non-increasing below %.3g): integrated %d of "
                     "%d steps", times[stop], certificate.residual,
-                    certificate.lambda2, dt * certificate.lam_q, stop,
+                    certificate.lambda2, dt * certificate.lam_q,
+                    levels[:, 2].max(), levels[:, 4].min(), stop,
                     n_samples - 1)
     return SyncTimeTable(entries={
         key: settling_time(times, bad)

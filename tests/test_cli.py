@@ -3,6 +3,7 @@
 import csv
 import errno
 import hashlib
+import io
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from grid_islander import (NotConverged, SingularSystem, build_layer,
                            build_network, derivative, integrate, kuramoto,
                            load_case, metrics, sample_initial_conditions)
 from grid_islander.cli import main
+from grid_islander.serialize import sync_table_from_dict
 
 SMALL_CASE = """\
 function mpc = case5
@@ -396,6 +398,37 @@ def test_simulate_writes_trajectory(workspace, capsys):
         for a, node in enumerate(layer.node_ids)]
     rc = main(["simulate", "--config", str(cfg), "--run", "9"])
     assert rc == 2   # run index beyond the ensemble
+
+
+def _csv_writer_bytes(header, rows):
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue().encode("utf-8")
+
+
+def test_csv_files_have_csv_writer_bytes(workspace):
+    tmp_path, cfg = workspace
+    trajectory, table = tmp_path / "traj.csv", tmp_path / "st.csv"
+    assert main(["simulate", "--config", str(cfg), "--run", "2",
+                 "--out", str(trajectory)]) == 0
+    network = build_network(load_case(tmp_path / "case5.m"), [1, 4])
+    layer = build_layer(network, network.node_ids())
+    times, phases = integrate(layer, sample_initial_conditions(5, [3, 2]),
+                              t_max=20.0, dt=0.01)
+    freqs = derivative(layer, phases)
+    assert trajectory.read_bytes() == _csv_writer_bytes(
+        ["t", "node_id", "phase", "frequency"],
+        ([t, node, phases[k, a], freqs[k, a]]
+         for k, t in enumerate(times.tolist())
+         for a, node in enumerate(layer.node_ids)))
+    assert main(["sync-times", "--config", str(cfg), "--out",
+                 str(tmp_path / "st.json"), "--csv", str(table)]) == 0
+    entries = sync_table_from_dict(json.loads(
+        (tmp_path / "st.json").read_text(encoding="utf-8"))).items()
+    assert table.read_bytes() == _csv_writer_bytes(
+        ["i", "j", "t_sync"], ([i, j, t] for (i, j), t in entries))
 
 
 @pytest.mark.parametrize("ensemble_size, run", [

@@ -646,6 +646,11 @@ def test_rk4_polynomial_facts_the_certificate_uses():
     assert np.all((p >= 0.0) & (p <= 1.0))
     assert np.all(np.abs(1.0 - z * p) <= 1.0)
     assert np.all(np.diff(m) < 0.0) and m[0] == 2.0 and m[-1] > 0.0
+    # R = 1 - _rk4_shrink falls, then rises, and stays positive, so its
+    # largest value on an interval is at one of the ends
+    r = 1.0 - _certificate._rk4_shrink(z)
+    assert np.all(r > 0.0) and np.count_nonzero(np.diff(np.sign(
+        np.diff(r)))) == 1
 
 
 def _never_certified(monkeypatch):
@@ -683,7 +688,8 @@ def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
         assert table.entries == full.entries
         [message] = messages
         steps = int(re.search(r"integrated (\d+) of 10000", message)[1])
-        assert steps < 3600
+        # seed 7's 2,207 steps and one check more
+        assert steps <= 2207 + kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
     # one process and two stop at the same sample
     assert stopped[0][1] == stopped[1][1]
 
@@ -692,19 +698,24 @@ def test_pair_margins_not_the_level_cap_set_the_stop(net118_faulted,
                                                     monkeypatch):
     # At the check before the stop every run's level is already within
     # c_max: the stop waits on the pairs' margins, not on the level cap.
+    # At the stop the energy bound alone proves nothing: the bound on each
+    # run's frequency spread makes the proof.
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     checks = []
     proves = _certificate.LockCertificate.proves
 
     def spy(self, levels):
+        spreadless = levels.copy()
+        spreadless[:, 2] = np.inf
         checks.append((bool(np.all(levels[:, 0] <= self.c_max)),
-                       proves(self, levels)))
+                       proves(self, levels), proves(self, spreadless)))
         return checks[-1][1]
 
     monkeypatch.setattr(_certificate.LockCertificate, "proves", spy)
     ensemble_sync_times(layer, 20, 2, t_max=35.0, dt=STABLE_DT)
-    assert len(checks) >= 2 and checks[-1][1]
-    assert checks[-2] == (True, False)
+    assert len(checks) >= 2
+    assert checks[-1] == (True, True, False)
+    assert checks[-2] == (True, False, False)
 
 
 def test_scan_declines_without_stable_step_or_lock(net118_faulted, caplog):
@@ -759,30 +770,48 @@ def _locking_layers(draw):
     return layer, dt, threshold
 
 
+def _first_proof(layer, dt, threshold, seed):
+    """The stored ensemble of 4 runs over 200 s, its certificate, the
+    first sample whose check proves the table final, and the levels
+    there."""
+    times, phases = ensemble_integrate(layer, 4, seed, t_max=200.0, dt=dt)
+    certificate = _certificate.lock_certificate(layer, times, threshold, 4)
+    for k in range(7, len(times), 8):
+        levels = certificate.levels(phases[k], derivative(layer, phases[k]),
+                                    times[k])
+        if certificate.proves(levels):
+            return times, phases, certificate, k, levels
+    raise AssertionError("no sample certified")
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(case=_locking_layers(), seed=st.integers(0, 1000))
 def test_certified_level_bounds_the_rest_of_the_horizon(case, seed):
     layer, dt, threshold = case
-    edges = list(zip(*(np.array(layer.node_ids)[k]
-                       for k in layer._edges[:2])))
-    t_max, runs = 200.0, 4
-    times, phases = ensemble_integrate(layer, runs, seed, t_max=t_max,
-                                       dt=dt)
-    certificate = _certificate.lock_certificate(layer, times, threshold,
-                                                runs)
-    proven = [k for k in range(7, len(times), 8)
-              if certificate.proves(certificate.levels(phases[k],
-                                                       times[k]))]
-    assert proven, "no sample certified"
-    k = proven[0]
-    level = certificate.levels(phases[k], times[k])[:, 0]
+    times, phases, certificate, k, levels = _first_proof(layer, dt,
+                                                         threshold, seed)
     u, size, _, _ = certificate.excess(phases[k + 1:])
-    rounding = (layer.size + len(edges) + 16) * kuramoto._EPS * size
-    assert np.all(u - rounding <= level)
+    rounding = (layer.size + layer._edges[2].size + 16) * kuramoto._EPS * size
+    assert np.all(u - rounding <= levels[:, 0])
     # the stop leaves the table as the full scan gives it
-    assert ensemble_sync_times(layer, runs, seed, threshold,
-                               t_max=t_max, dt=dt).entries \
+    assert ensemble_sync_times(layer, 4, seed, threshold,
+                               t_max=200.0, dt=dt).entries \
         == sync_times(layer, times, phases, threshold).entries
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_locking_layers(), seed=st.integers(0, 1000))
+def test_certified_spread_bounds_the_rest_of_the_horizon(case, seed):
+    layer, dt, threshold = case
+    _, phases, certificate, k, levels = _first_proof(layer, dt, threshold,
+                                                     seed)
+    frequencies = derivative(layer, phases[k:])
+    spread = np.linalg.norm(
+        frequencies - frequencies.mean(axis=-1, keepdims=True), axis=-1)
+    gamma = levels[:, 2]
+    assert np.all(np.isfinite(gamma))
+    assert np.all(spread * (1.0 - 4.0 * layer.size * kuramoto._EPS)
+                  - certificate.gamma_rounding <= gamma)
 
 
 def _hessian_within_region_bound(layer, dt, threshold, rng):
@@ -817,6 +846,46 @@ def test_region_bound_holds_on_the_faulted_grid(net118_faulted):
                                  np.random.default_rng(0))
 
 
+def _hessian_lipschitz_within_reach(layer, dt, threshold, rng):
+    """||H(a) - H(b)|| <= L_c ||a - b|| at points a, b with
+    |b_e.(x - theta*)| <= reach on every edge, L_c being
+    ``hessian_lipschitz(reach)``."""
+    iu, jv, _ = layer._edges
+    theta = locked_state(layer).phases
+    certificate = _certificate.LockCertificate(layer, theta, dt, 1.0,
+                                               threshold, 4)
+    assert certificate.hessian_lipschitz(0.0) <= certificate.hessian_lipschitz(
+        0.1) <= certificate.hessian_lipschitz(1.0) <= 2.0 * certificate.lam
+
+    def within(reach):
+        y = rng.standard_normal(layer.size)
+        return theta + rng.uniform() * reach * y / np.abs(y[iu] - y[jv]).max()
+
+    for reach in (0.0, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0):
+        bound = certificate.hessian_lipschitz(reach)
+        for _ in range(20):
+            a, b = within(reach), within(reach)
+            if np.array_equal(a, b):
+                continue
+            change = (kuramoto._laplacian(layer, np.cos(a[iu] - a[jv]))
+                      - kuramoto._laplacian(layer, np.cos(b[iu] - b[jv])))
+            assert (np.abs(np.linalg.eigvalsh(change)).max()
+                    <= bound * np.linalg.norm(a - b))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_locking_layers(), seed=st.integers(0, 1000))
+def test_lipschitz_bound_holds_on_small_locking_layers(case, seed):
+    _hessian_lipschitz_within_reach(*case, np.random.default_rng(seed))
+
+
+def test_lipschitz_bound_holds_on_the_faulted_grid(net118_faulted):
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    _hessian_lipschitz_within_reach(layer, STABLE_DT,
+                                    kuramoto.DEFAULT_RHO_THRESHOLD,
+                                    np.random.default_rng(0))
+
+
 def test_certified_stop_kills_a_stalled_child(monkeypatch):
     # The forked half reads nothing from this process. Its stream stalls
     # for a minute after the certified block, so only a kill ends it in
@@ -836,8 +905,8 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
         below = np.array([False])
         residual, lambda2, lam_q = 0.0, 2.0, 2.0
 
-        def levels(self, phases, t):
-            return np.zeros((len(phases), 2))
+        def levels(self, phases, frequencies, t):
+            return np.zeros((len(phases), 5))
 
         def proves(self, levels):
             return True
@@ -877,8 +946,8 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
     class Waits:
         below = np.array([False])
 
-        def levels(self, phases, t):
-            return np.zeros((len(phases), 2))
+        def levels(self, phases, frequencies, t):
+            return np.zeros((len(phases), 5))
 
         def proves(self, levels):
             deadline = time.monotonic() + 30.0
