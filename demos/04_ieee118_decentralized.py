@@ -26,8 +26,7 @@ for pair in cfg.fault_branches:
 
 seeds = [Island(label=k + 1, node_set=frozenset(nodes))
          for k, nodes in enumerate(cfg.initial_islands)]
-result = run_decentralized(net, seeds, epsilon=cfg.freq_epsilon,
-                           max_stalled_rounds=cfg.max_stalled_rounds)
+result = run_decentralized(net, seeds, epsilon=cfg.freq_epsilon)
 
 print(f"finished in {result.rounds} rounds")
 print(f"evaluations per round: max {max(result.layer_evaluations)}, "

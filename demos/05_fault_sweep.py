@@ -39,8 +39,7 @@ def sweep(scenario=DATA / "scenario_ieee118.json"):
         network = apply_fault(base, pair)
         try:
             partition = run_decentralized(
-                network, seeds, epsilon=cfg.freq_epsilon,
-                max_stalled_rounds=cfg.max_stalled_rounds).partition
+                network, seeds, epsilon=cfg.freq_epsilon).partition
         except (ConfigError, Stalled) as exc:
             records.append((pair, type(exc).__name__, network, None))
             continue

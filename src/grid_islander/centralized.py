@@ -15,8 +15,7 @@ from typing import Sequence
 
 from .errors import Stalled
 from .kuramoto import SyncTimeTable
-from .network import (Island, IslandRegistry, Partition, PowerNetwork,
-                      check_initial_islands, make_partition, net_injection)
+from .network import Island, IslandRegistry, Partition, PowerNetwork
 
 logger = logging.getLogger("grid_islander.centralized")
 
@@ -51,11 +50,7 @@ def centralized_partition(network: PowerNetwork,
     broken by lowest node id. Raises Stalled if nodes remain but no
     island can reach any of them.
     """
-    check_initial_islands(network, initial_islands)
-    registry = IslandRegistry(
-        islands={isl.label: set(isl.node_set) for isl in initial_islands},
-        injection={node: net_injection(network, node)
-                   for node in network.node_ids()})
+    registry = IslandRegistry.seeded(network, initial_islands)
     members, imbalance = registry.islands, registry.total
     assigned = registry.owner.keys()    # live: grows with every join
     labels = sorted(members)
@@ -100,7 +95,5 @@ def centralized_partition(network: PowerNetwork,
         logger.debug("step %d: island %d takes node %d (t=%s)",
                      len(steps), chosen_label, best_node, best_time)
 
-    islands = tuple(Island(label=lbl, node_set=frozenset(members[lbl]))
-                    for lbl in labels)
-    return CentralizedResult(partition=make_partition(network, islands),
+    return CentralizedResult(partition=registry.partition(network),
                              steps=tuple(steps))

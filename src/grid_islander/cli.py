@@ -169,9 +169,8 @@ def _partition(cfg: ScenarioConfig, network: PowerNetwork,
              "imbalances": {str(k): v for k, v in s.imbalances.items()}}
             for s in result.steps]}
     else:
-        result = run_decentralized(
-            network, initial, epsilon=cfg.freq_epsilon,
-            max_stalled_rounds=cfg.max_stalled_rounds)
+        result = run_decentralized(network, initial,
+                                   epsilon=cfg.freq_epsilon)
         log_name, log = "events", {
             "rounds": result.rounds,
             "layer_evaluations": list(result.layer_evaluations),

@@ -16,8 +16,10 @@ Rounds are synchronous and deterministic. All agents evaluate against
 the round-start registry; joins commit at round end in ascending node-id
 order, and a commit makes later joiners stale if an island they read has
 moved by epsilon or more (they retry next round). Enclosure joins use no
-frequency data, so they are never stale. After ``max_stalled_rounds``
-quiet rounds a fallback applies the same rule to the islands' totals.
+frequency data, so they are never stale. A round with no commit leaves
+the registry as it was, so another round would only repeat it: the first
+such quiet round ends instead with a fallback that applies the same rule
+to the islands' totals.
 Each evaluation emits one ``estimate`` event, ``{"islands": {label:
 frequency read}, "estimates": {label: estimate or null}}``, then a
 ``wait`` or, at commit, a ``join`` or ``stale`` (``{"island",
@@ -40,13 +42,11 @@ from .errors import DegenerateEstimate, Stalled, UndefinedSize
 # build_layer is no stage here; it stays importable from this module for
 # tracers that wrap its name (perfbench/spans.py).
 from .kuramoto import build_layer
-from .network import (Island, IslandRegistry, Partition, PowerNetwork,
-                      check_initial_islands, make_partition, net_injection)
+from .network import Island, IslandRegistry, Partition, PowerNetwork
 
 logger = logging.getLogger("grid_islander.decentralized")
 
 DEFAULT_EPSILON = 1e-3
-DEFAULT_MAX_STALLED_ROUNDS = 3
 
 
 def _imbalance(island_freq: float, augmented_freq: float,
@@ -180,19 +180,15 @@ def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
 
 def run_decentralized(network: PowerNetwork,
                       initial_islands: Sequence[Island], *,
-                      epsilon: float = DEFAULT_EPSILON,
-                      max_stalled_rounds: int = DEFAULT_MAX_STALLED_ROUNDS
+                      epsilon: float = DEFAULT_EPSILON
                       ) -> DecentralizedResult:
     """Run the round-based multi-agent growth to completion.
 
-    If ``max_stalled_rounds`` consecutive rounds pass with no commit,
-    remaining island-adjacent nodes are attached by a logged fallback.
-    Raises Stalled if unassigned nodes remain that no island can reach.
+    After the first round with no commit, remaining island-adjacent nodes
+    are attached by a logged fallback in that round. Raises Stalled if
+    unassigned nodes remain that no island can reach.
     """
-    check_initial_islands(network, initial_islands)
-    registry = IslandRegistry(
-        islands={isl.label: set(isl.node_set) for isl in initial_islands},
-        injection={n: net_injection(network, n) for n in network.node_ids()})
+    registry = IslandRegistry.seeded(network, initial_islands)
 
     n_total = network.n_buses
     n_mu = len(registry.islands)
@@ -202,7 +198,6 @@ def run_decentralized(network: PowerNetwork,
     events: list[dict] = []
     eval_counts: list[int] = []
     fallback_nodes: list[int] = []
-    stalled_rounds = 0
     round_index = 0
 
     def emit(node: int | None, action: str, payload: dict) -> None:
@@ -245,8 +240,7 @@ def run_decentralized(network: PowerNetwork,
             emit(node, "join", {"island": label, "reason": reason,
                                 "island_freq": registry.island_freq[label]})
 
-        stalled_rounds = 0 if progress else stalled_rounds + 1
-        if not progress and stalled_rounds >= max_stalled_rounds:
+        if not progress:
             fallback_nodes.extend(
                 _fallback_attach(network, registry, all_nodes, emit))
             if assigned != all_nodes:
@@ -256,10 +250,8 @@ def run_decentralized(network: PowerNetwork,
                     round_index=round_index,
                     blocked=tuple(sorted(all_nodes - assigned)))
 
-    islands = tuple(Island(label=lbl, node_set=frozenset(members))
-                    for lbl, members in sorted(registry.islands.items()))
     return DecentralizedResult(
-        partition=make_partition(network, islands),
+        partition=registry.partition(network),
         events=tuple(events), rounds=round_index,
         layer_evaluations=tuple(eval_counts), evaluation_bound=bound,
         fallback_nodes=tuple(fallback_nodes))

@@ -355,6 +355,17 @@ class IslandRegistry:
     island_freq: dict[int, float] = field(init=False)
     owner: dict[int, int] = field(init=False, repr=False)
 
+    @classmethod
+    def seeded(cls, network: PowerNetwork,
+               initial_islands: Sequence[Island]) -> IslandRegistry:
+        """Check the seed islands, then start a registry on them over the
+        network's per-unit net injections."""
+        check_initial_islands(network, initial_islands)
+        return cls(
+            islands={isl.label: set(isl.node_set) for isl in initial_islands},
+            injection={node: net_injection(network, node)
+                       for node in network.node_ids()})
+
     def __post_init__(self) -> None:
         self.owner = {node: lbl for lbl, members in self.islands.items()
                       for node in members}
@@ -377,6 +388,12 @@ class IslandRegistry:
         per-unit ``injection`` attached."""
         size = len(self.islands[label])
         return (self.total[label] + injection) / (size + 1)
+
+    def partition(self, network: PowerNetwork) -> Partition:
+        """The islands as they stand, as a partition of ``network``."""
+        return make_partition(network, tuple(
+            Island(label=lbl, node_set=frozenset(members))
+            for lbl, members in sorted(self.islands.items())))
 
 
 def island_imbalance(network: PowerNetwork, island: Island) -> float:

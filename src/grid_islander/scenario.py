@@ -33,7 +33,6 @@ class ScenarioConfig:
     rho_threshold: float
     freq_epsilon: float
     algorithm: str = "centralized"
-    max_stalled_rounds: int = 3
 
     def __post_init__(self):
         object.__setattr__(self, "case_path", Path(self.case_path))
@@ -77,13 +76,13 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("ensemble_size must be at least 1")
     if cfg.algorithm not in ("centralized", "decentralized"):
         raise ConfigError(f"unknown algorithm {cfg.algorithm!r}")
-    if cfg.max_stalled_rounds < 1:
-        raise ConfigError("max_stalled_rounds must be at least 1")
 
 
 _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
                   "fault_branches", "seed", "ensemble_size",
                   "t_max", "dt", "rho_threshold", "freq_epsilon")
+# max_stalled_rounds is retired: files that carry it still load, and its
+# value, whatever it is, is ignored.
 _KEYS = frozenset(_REQUIRED_KEYS + ("schema_version", "n_mu", "algorithm",
                                     "mode", "max_stalled_rounds"))
 
@@ -128,9 +127,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
             rho_threshold=float(data["rho_threshold"]),
             freq_epsilon=float(data["freq_epsilon"]),
             algorithm=data.get("algorithm", "centralized"),
-            max_stalled_rounds=integer(
-                "max_stalled_rounds", data.get("max_stalled_rounds", 3),
-                ConfigError),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed scenario config: {exc}") from None

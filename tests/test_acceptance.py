@@ -128,9 +128,7 @@ def test_criterion_5_ieee118_end_to_end(scenario118, net118_faulted):
     t_central = time.perf_counter() - start
 
     start = time.perf_counter()
-    dec = run_decentralized(
-        net, islands, epsilon=scenario118.freq_epsilon,
-        max_stalled_rounds=scenario118.max_stalled_rounds)
+    dec = run_decentralized(net, islands, epsilon=scenario118.freq_epsilon)
     valid_d = validate_partition(net, dec.partition)
     metrics_d = compute_metrics(net, dec.partition)
     t_dec = time.perf_counter() - start

@@ -143,7 +143,7 @@ def test_unknown_scenario_key_exit_2(workspace, capsys):
         assert err["error"] == "ConfigError"
         assert "['max_staled_rounds']" in err["message"]
         assert not out_dir.exists()
-    # every optional key is known
+    # every optional key is known, the retired max_stalled_rounds too
     cfg.write_text(json.dumps(dict(data, max_stalled_rounds=1)),
                    encoding="utf-8")
     assert main(["run-all", "--config", str(cfg), "--algorithm",
@@ -535,7 +535,7 @@ def test_run_all_decentralized_uses_events_log(workspace):
 # scenario. perfbench/digests.json records the sha256 of the earlier
 # format, with a snapshot event per evaluation, for ieee118-decentral.
 SHIPPED_EVENTS_SHA256 = (
-    "ce4be45c8b462836001fd9db600e8027ad628d42db231fe11140670e727c2d2a")
+    "9a8bfcb0f2d44f2fb9f7d7a251fc8407b1204b261e831c5125066a9d7666f1a6")
 
 
 def test_shipped_decentralized_events_are_pinned(scenario118_path,
@@ -549,10 +549,10 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
 
 # sha256 of events.json and partition.json from decentralized run-all on
 # two tie-linked copies of case118 (perfbench's tiling at its fixed seed):
-# 47 rounds with 14 fallback nodes, where the shipped run has 5.
+# 45 rounds with 14 fallback nodes, where the shipped run has 5.
 TILED2_SHA256 = {
     "events.json":
-        "f03d679e75d37c6135977c1e34deabcdc353ff55a417acf303376351b98e9160",
+        "be0b194dcc25da3cf4b27925004425c8e64d3fe4ed96405f4bcf34716b2556a4",
     "partition.json":
         "0dfbfeae5bb81c476c9fb04165b731da5f91f0a146f9142e199615dd18b22a11",
 }
@@ -570,7 +570,7 @@ def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
                "--algorithm", "decentralized", "--out-dir", str(out_dir)])
     assert rc == 0
     log = json.loads((out_dir / "events.json").read_text(encoding="utf-8"))
-    assert (log["rounds"], len(log["fallback_nodes"])) == (47, 14)
+    assert (log["rounds"], len(log["fallback_nodes"])) == (45, 14)
     assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
             for name in TILED2_SHA256} == TILED2_SHA256
 

@@ -8,11 +8,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from grid_islander import (DegenerateEstimate, Island, IslandRegistry,
-                           Stalled, UndefinedSize, agent_decide, build_layer,
+from grid_islander import (ConfigError, DegenerateEstimate, Island,
+                           IslandRegistry, Stalled, UndefinedSize,
+                           agent_decide, apply_fault, build_layer,
                            estimate_island_power, net_injection,
                            run_decentralized, sync_frequency,
                            validate_partition)
+from grid_islander import decentralized
 from grid_islander.decentralized import _evaluate_round, _frontier, _stale
 from conftest import make_network
 
@@ -187,10 +189,9 @@ def test_fallback_after_deadlock(caplog):
                        [(1, 5), (5, 9)], generator_set={1, 9})
     with caplog.at_level(logging.WARNING,
                          logger="grid_islander.decentralized"):
-        result = run_decentralized(net, seeds({1}, {9}),
-                                   max_stalled_rounds=3)
+        result = run_decentralized(net, seeds({1}, {9}))
     assert result.fallback_nodes == (5,)
-    assert result.rounds == 3
+    assert result.rounds == 1   # the first quiet round falls back
     # the load goes to the least-negative adjacent island
     assert 5 in result.partition.island(2).node_set
     fallback = next(e for e in result.events
@@ -236,10 +237,10 @@ def test_stalled_when_unreachable():
 def test_wait_events_logged():
     net = make_network({1: -0.5, 5: -0.2, 9: -0.3},
                        [(1, 5), (5, 9)], generator_set={1, 9})
-    result = run_decentralized(net, seeds({1}, {9}), max_stalled_rounds=2)
+    result = run_decentralized(net, seeds({1}, {9}))
     waits = [e for e in result.events if e["action"] == "wait"]
-    assert len(waits) == 2   # one per stalled round
-    assert all(e["node"] == 5 for e in waits)
+    assert len(waits) == 1   # one quiet round, then the fallback
+    assert waits[0]["node"] == 5
     assert waits[0]["payload"]["reason"] == "no positive island"
 
 
@@ -283,12 +284,74 @@ def test_runs_are_deterministic():
     assert a.rounds == b.rounds
 
 
-def test_max_stalled_rounds_sets_fallback_round():
-    net = make_network({1: -0.5, 5: -0.2, 9: -0.3},
-                       [(1, 5), (5, 9)], generator_set={1, 9})
-    result = run_decentralized(net, seeds({1}, {9}), max_stalled_rounds=1)
-    assert result.rounds == 1   # fallback fires after a single quiet round
-    assert result.fallback_nodes == (5,)
+def _registry_state(registry):
+    return ({lbl: set(members) for lbl, members in registry.islands.items()},
+            dict(registry.total), dict(registry.island_freq),
+            dict(registry.owner))
+
+
+def test_quiet_round_is_a_fixed_point(monkeypatch, scenario118, net118):
+    """A round with no commit leaves the registry as it read it, so the
+    next round would evaluate every agent the same way again; the
+    fallback therefore joins in the first quiet round."""
+    evaluate = decentralized._evaluate_round
+    fallback = decentralized._fallback_attach
+    rounds, at_fallback = [], []
+
+    def observe_round(network, registry, nodes):
+        evaluations = evaluate(network, registry, nodes)
+        rounds.append((_registry_state(registry), list(nodes), evaluations))
+        return evaluations
+
+    def observe_fallback(network, registry, all_nodes, emit):
+        nodes = _frontier(network, registry, all_nodes)
+        at_fallback.append((_registry_state(registry), nodes,
+                            evaluate(network, registry, nodes)))
+        return fallback(network, registry, all_nodes, emit)
+
+    monkeypatch.setattr(decentralized, "_evaluate_round", observe_round)
+    monkeypatch.setattr(decentralized, "_fallback_attach", observe_fallback)
+
+    def check(net, initial):
+        rounds.clear()
+        at_fallback.clear()
+        result = run_decentralized(net, initial)
+        committed = {e["round"] for e in result.events
+                     if e["action"] == "join"
+                     and e["payload"]["reason"] != "fallback"}
+        quiet = [r for r in range(1, result.rounds + 1)
+                 if r not in committed]
+        if not result.fallback_nodes:
+            assert quiet == [] and at_fallback == []
+            return False
+        assert quiet == [result.rounds]
+        # the registry after the quiet round is the one it started from,
+        # and the agents it would visit next evaluate identically
+        assert at_fallback == [rounds[-1]]
+        first = next(e for e in result.events
+                     if e["payload"].get("reason") == "fallback")
+        assert first["round"] == quiet[0]
+        return True
+
+    rng = random.Random(27)
+    deadlock = make_network({1: -0.5, 5: -0.2, 9: -0.3},
+                            [(1, 5), (5, 9)], generator_set={1, 9})
+    instances = [(deadlock, seeds({1}, {9}))] + [
+        random_instance(rng, n_islands=rng.choice([2, 3]))
+        for _ in range(40)]
+    assert sum(check(net, initial) for net, initial in instances) >= 2
+
+    # the shipped seeds under every single-branch fault the sweep of
+    # demos/05 grows, the shipped fault 14-15 among them
+    initial = seeds(*scenario118.initial_islands)
+    fell_back = grown = 0
+    for pair in sorted(net118.edge_set()):
+        try:
+            fell_back += check(apply_fault(net118, pair), initial)
+        except (ConfigError, Stalled):
+            continue
+        grown += 1
+    assert (grown, fell_back) == (147, 147)
 
 
 def _random_connected(rng, net, size):
@@ -387,13 +450,12 @@ def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
     monkeypatch.setattr("grid_islander.decentralized.build_layer", refuse)
     islands = [Island(label=k + 1, node_set=frozenset(nodes))
                for k, nodes in enumerate(scenario118.initial_islands)]
-    result = run_decentralized(
-        net118_faulted, islands, epsilon=scenario118.freq_epsilon,
-        max_stalled_rounds=scenario118.max_stalled_rounds)
-    assert result.rounds == 45
+    result = run_decentralized(net118_faulted, islands,
+                               epsilon=scenario118.freq_epsilon)
+    assert result.rounds == 43
     assert result.fallback_nodes == (105, 106, 109, 107, 108)
     actions = Counter(e["action"] for e in result.events)
-    assert actions == {"estimate": 1038, "stale": 949, "join": 85, "wait": 9}
+    assert actions == {"estimate": 1032, "stale": 949, "join": 85, "wait": 3}
 
 
 def test_watched_islands_follow_membership():

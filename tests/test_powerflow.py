@@ -363,9 +363,8 @@ def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
     central = centralized_partition(net, islands, table).partition
     assert _island_solves(net, central) == [(1, 35, "ac", 4),
                                             (2, 83, "ac", 4)]
-    dec = run_decentralized(
-        net, islands, epsilon=cfg.freq_epsilon,
-        max_stalled_rounds=cfg.max_stalled_rounds).partition
+    dec = run_decentralized(net, islands,
+                            epsilon=cfg.freq_epsilon).partition
     # island 2's Newton-Raphson diverges (mismatch 0.70 -> about 1e8 pu)
     assert _island_solves(net, dec) == [(1, 35, "ac", 4),
                                         (2, 83, "dc", 20)]

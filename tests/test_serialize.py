@@ -108,8 +108,7 @@ def test_scenario_round_trip(scenario118):
         case_path=DATA_DIR / "case118.m", generator_set=GEN_SET_118,
         initial_islands=(M1_118, M2_118), fault_branches=((14, 15),),
         seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
-        rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized",
-        max_stalled_rounds=3)
+        rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized")
 
 
 def test_scenario_relative_case_path(tmp_path, case118_path):
@@ -137,7 +136,6 @@ def test_scenario_validation():
            dict(base, ensemble_size=0), dict(base, algorithm="magic"),
            dict(base, seed=-1), dict(base, generator_set=()),
            dict(base, initial_islands=((1,), ())),
-           dict(base, max_stalled_rounds=0),
            dict(base, dt=math.nan), dict(base, t_max=math.inf),
            dict(base, freq_epsilon=math.nan),
            # int() would take these as buses 1, 3 and 14
@@ -147,8 +145,8 @@ def test_scenario_validation():
     for kwargs in bad:
         with pytest.raises(ConfigError):
             ScenarioConfig(**kwargs)
-    # int() would take these as 20, 1, 2 and 1 runs, seeds or rounds
-    data = dict(base, case_path="x.m", max_stalled_rounds=3)
+    # int() would take these as 20, 1 and 2 runs, seeds or islands
+    data = dict(base, case_path="x.m")
     assert scenario_from_dict(dict(data, ensemble_size=20.0)).ensemble_size \
         == 20
     # n_mu is optional; given, it must be an integer and match the islands
@@ -171,12 +169,16 @@ def test_scenario_validation():
             scenario_from_dict(dict(data, **{key: value}))
     for key, value in (("ensemble_size", 20.7), ("seed", True),
                        ("seed", False), ("n_mu", 2.9),
-                       ("max_stalled_rounds", 1.5), ("ensemble_size", True),
+                       ("ensemble_size", True),
                        ("seed", math.inf), ("n_mu", math.nan),
                        ("seed", "42"), ("ensemble_size", "20"),
-                       ("n_mu", "2"), ("max_stalled_rounds", "3")):
+                       ("n_mu", "2")):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict(dict(data, **{key: value}))
+    # the retired max_stalled_rounds loads with any value and sets nothing
+    for value in (3, 0, 1.5, "3", None):
+        assert scenario_from_dict(dict(data, max_stalled_rounds=value)) == \
+            scenario_from_dict(data)
     # "mode" keeps its one value, so existing files load; it sets nothing
     assert scenario_from_dict(dict(data, mode="analytic")) == \
         scenario_from_dict(data)
