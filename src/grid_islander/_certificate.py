@@ -2,10 +2,11 @@
 
 ``lock_certificate`` builds, for an RK4 scan of a layer, a
 ``LockCertificate``: from the phases and frequencies of every run at
-one sample it proves that no layer edge's order parameter crosses the
-threshold at any later sample. ``kuramoto.ensemble_sync_times`` imports
-this module only when it scans an RK4 stream, so runs that integrate
-nothing never load it.
+one sample it proves that the sync table is final, each layer edge's
+order parameter staying above the threshold at every later sample or
+ending below it at the horizon's last. ``kuramoto.ensemble_sync_times``
+imports this module only when it scans an RK4 stream, so runs that
+integrate nothing never load it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ from .kuramoto import (_EPS, RK4_REAL_LIMIT, CyberLayer, _gershgorin,
 _TAU = 0.1
 # The largest rounding (rad) of one executed RK4 step the region allows.
 _ETA_CAP = 1e-6
+# The share of delta that pays for a step's rounding in the bound on the
+# spread at the horizon's last sample.
+_KICK_SHARE = 1.0 / 64.0
 
 
 def _rk4_shrink(z: float) -> float:
@@ -48,8 +52,9 @@ def _top(layer: CyberLayer, factors) -> float:
 
 class LockCertificate:
     """A proof, from the phases and frequencies of every run at one
-    sample, that no layer edge's order parameter crosses the threshold at
-    any later sample of the executed RK4 scan.
+    sample, that the executed RK4 scan's sync table is final: each layer
+    edge locked above the threshold stays above it at every later sample,
+    and each edge locked below it is below it at the horizon's last.
 
     Notation. Layer edges e with weights w_e and rows b_e
     (b_e.x = x_i - x_j), p~ = p - mean(p), n nodes, eps the unit
@@ -189,12 +194,31 @@ class LockCertificate:
     norm of M b_e less its mean, taken (1 + 4 n eps) fold plus
     4 kappa ||M||_inf sqrt(n).
 
+    Last sample. From a sample N steps before the horizon's last, such a
+    run's spread obeys gamma_{j+1} <= (1 - delta) gamma_j + w gamma_j^2 + k,
+    w = l C, k = Lam eta. Let xi = _KICK_SHARE, phi = k / (xi delta),
+    a = 1 - (1 - xi) delta, f(v) = a v + w v^2 and v* = w / (a (1 - a)),
+    and take 1 / G > v* and phi < G, so w phi <= (1 - xi) delta. Where
+    gamma_j >= phi, k <= xi delta gamma_j, so gamma_{j+1} <= f(gamma_j);
+    where gamma_j <= phi, gamma_{j+1} <= phi. For v > w / a,
+    (v - w / a) / a <= v^2 / (a v + w) = 1 / f(1 / v), so
+    U_j = 1 / (v* + (1 / G - v*) a^-j) has U_{j+1} >= f(U_j), and as f
+    increases, gamma_j <= max(phi, U_j) at every step. So the spread at
+    the horizon's last sample is at most gamma_end = min(G, max(phi, U_N)),
+    U_N taken (1 + 8 (N + 8) eps) fold for its rounding, or G where
+    1 / G <= v* (``last_spread``). There (iii) and (i) give
+    |b_e.y| <= Lst_er = sqrt(R_e / (a- sigma)) gamma_end.
+
     Verdict. With Dev_er = min(En_er, F_er) + sqrt(2) dist, each run keeps
     |cos b_e.x - cos*_e| <= sin*_e Dev_er + Dev_er^2 / 2 at every later
-    sample. If on every layer edge the mean of that over the runs, plus
-    the rounding of the computed order parameter, is below
-    |cos*_e - threshold|, the order parameter stays on cos*_e's side of
-    the threshold to the end.
+    sample, and with min(En_er, Lst_er) + sqrt(2) dist in place of Dev_er
+    at the horizon's last sample. An edge locked above the threshold
+    keeps the sync time it has if at every later sample its order
+    parameter stays above; one locked below gets +inf if at the last
+    sample it is at or below, whatever it does in between
+    (``settling_time``). So if on every layer edge the mean of the bound
+    its side needs over the runs, plus the rounding of the computed order
+    parameter, is below |cos*_e - threshold|, the table is final.
     """
 
     def __init__(self, layer: CyberLayer, theta: np.ndarray, dt: float,
@@ -271,6 +295,7 @@ class LockCertificate:
         self.below = cos < threshold
         self.margin = np.abs(cos - threshold)
         self.resistance = resistance / a_lo     # R_e / a-
+        self.settle = np.sqrt(self.resistance / sigma)  # Lst_er / gamma_end
         self.offset = math.sqrt(2.0) * dist
         self.rho_rounding = (n_runs + 8) * _EPS + 4.0 * _EPS * (
             1.0 + 2.0 * float(np.abs(theta).max()))
@@ -340,13 +365,14 @@ class LockCertificate:
 
     def levels(self, phases: np.ndarray, frequencies: np.ndarray,
                t: float) -> np.ndarray:
-        """(runs, 5) from each run's ``phases`` and ``frequencies`` at
+        """(runs, 6) from each run's ``phases`` and ``frequencies`` at
         time t, per run: its bound on V - V(exact lock) at every sample
         from t on (+inf outside the region); the rounding of its cosines
         in the order parameter; its bound G on ||omega - mean(omega)|| at
         every sample from t on (+inf where none holds); the relative
         spread tau of the edge cosines along the segment to the exact
-        lock; and the spread up to which a step cannot raise it."""
+        lock; the spread up to which a step cannot raise it; and its
+        bound on the spread at the horizon's last sample."""
         u, size, mean, reach = self.excess(phases)
         bound = np.abs(mean) + self.drift * (self.t_max - t) \
             + self.phase_room
@@ -377,22 +403,51 @@ class LockCertificate:
                        + 0.5 * (1.0 + ell * gamma * self.e_e) ** 2)
         held &= ((ell * gamma <= 0.5 * self.z_q)
                  & (gamma * (self.delta - slope * gamma) >= kick))
-        return np.stack([level, 4.0 * _EPS * (1.0 + 2.0 * bound),
-                         np.where(held, gamma, np.inf), tau,
-                         self.delta / slope], axis=-1)
+        gamma = np.where(held, gamma, np.inf)
+        steps = round((self.t_max - t) / self.dt)
+        return np.stack([level, 4.0 * _EPS * (1.0 + 2.0 * bound), gamma,
+                         tau, self.delta / slope,
+                         self.last_spread(gamma, slope, kick, steps)],
+                        axis=-1)
+
+    def last_spread(self, gamma: np.ndarray, slope: np.ndarray,
+                    kick: np.ndarray, steps: int) -> np.ndarray:
+        """Per run, a bound on its spread ``steps`` steps on, where its
+        spread stays at most ``gamma`` (+inf where none holds) and obeys
+        gamma_{j+1} <= (1 - delta + slope gamma_j) gamma_j + kick (see
+        the class docstring's Last sample)."""
+        rate = np.float64(1.0 - self.delta + _KICK_SHARE * self.delta)
+        gap = (1.0 - _KICK_SHARE) * self.delta        # 1 - rate
+        floor = kick / (_KICK_SHARE * self.delta)
+        fixed = slope / (rate * gap)
+        with np.errstate(over="ignore", invalid="ignore"):
+            end = 1.0 / (fixed + (1.0 / gamma - fixed) * rate ** -steps)
+        end = np.maximum(end * (1.0 + 8.0 * (steps + 8) * _EPS), floor)
+        return np.where(1.0 / gamma > fixed, np.minimum(end, gamma), gamma)
+
+    def drifts(self, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per layer edge, from runs' ``levels`` within c_max: bounds on
+        |order parameter - cos*_e|, less its rounding, at every sample
+        from the levels' time on, and at the horizon's last sample."""
+        level, cos_rounding, gamma, tau, _, gamma_end = levels.T
+        energy = np.sqrt(2.0 * level[:, None] * self.resistance)
+        later = np.minimum(
+            energy, self.pull * gamma[:, None] + tau[:, None] * energy)
+        last = np.minimum(energy, self.settle * gamma_end[:, None])
+        return tuple((self.sin_angle * deviation + 0.5 * deviation ** 2
+                      + cos_rounding[:, None]).mean(axis=0)
+                     for deviation in (later + self.offset,
+                                       last + self.offset))
 
     def proves(self, levels: np.ndarray) -> bool:
         """Whether the runs' ``levels`` keep every layer edge's order
-        parameter on its locked side of the threshold from now on."""
-        level, cos_rounding, gamma, tau, _ = levels.T
-        if not np.all(level <= self.c_max):
+        parameter on its locked side of the threshold where its sync time
+        needs it: at every later sample for edges locked above it, at
+        the horizon's last sample for edges locked below it."""
+        if not np.all(levels[:, 0] <= self.c_max):
             return False
-        energy = np.sqrt(2.0 * level[:, None] * self.resistance)
-        deviation = np.minimum(
-            energy, self.pull * gamma[:, None] + tau[:, None] * energy
-        ) + self.offset
-        drift = (self.sin_angle * deviation + 0.5 * deviation ** 2
-                 + cos_rounding[:, None]).mean(axis=0)
+        later, last = self.drifts(levels)
+        drift = np.where(self.below, last, later)
         return bool(np.all(drift + self.rho_rounding < self.margin))
 
 

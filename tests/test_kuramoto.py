@@ -665,9 +665,9 @@ def _stop_messages(caplog):
             if "certified" in r.getMessage()]
 
 
-# 2, 3 and 7 were used while the certificate was written; 13 and 29 were
-# not.
-@pytest.mark.parametrize("seed", [2, 3, 7, 13, 29])
+# 2, 3 and 7 were used while the certificate was written, 4, 5 and 8
+# while its last-sample verdict was; 13 and 29 were not.
+@pytest.mark.parametrize("seed", [2, 3, 4, 5, 7, 8, 13, 29])
 def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
                                              monkeypatch, caplog):
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
@@ -688,34 +688,37 @@ def test_certified_stop_keeps_the_table_bits(net118_faulted, seed,
         assert table.entries == full.entries
         [message] = messages
         steps = int(re.search(r"integrated (\d+) of 10000", message)[1])
-        # seed 7's 2,207 steps and one check more
-        assert steps <= 2207 + kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
+        # seeds 3 and 7's 1,791 steps and one check more
+        assert steps <= 1791 + kuramoto._CHECK_BLOCKS * kuramoto._BLOCK_SAMPLES
     # one process and two stop at the same sample
     assert stopped[0][1] == stopped[1][1]
 
 
-def test_pair_margins_not_the_level_cap_set_the_stop(net118_faulted,
-                                                    monkeypatch):
-    # At the check before the stop every run's level is already within
-    # c_max: the stop waits on the pairs' margins, not on the level cap.
-    # At the stop the energy bound alone proves nothing: the bound on each
-    # run's frequency spread makes the proof.
+def test_below_edges_are_proven_at_the_last_sample_only(net118_faulted,
+                                                       monkeypatch):
+    # At the stop an edge locked below the threshold is proven only at the
+    # horizon's last sample: its every-later-sample verdict would fail.
+    # At the check before, some run's level is still above c_max: on this
+    # seed the level cap, not a pair margin, holds the stop back.
     layer = build_layer(net118_faulted, net118_faulted.node_ids())
     checks = []
     proves = _certificate.LockCertificate.proves
 
     def spy(self, levels):
-        spreadless = levels.copy()
-        spreadless[:, 2] = np.inf
-        checks.append((bool(np.all(levels[:, 0] <= self.c_max)),
-                       proves(self, levels), proves(self, spreadless)))
-        return checks[-1][1]
+        checks.append((self, levels, proves(self, levels)))
+        return checks[-1][2]
 
     monkeypatch.setattr(_certificate.LockCertificate, "proves", spy)
     ensemble_sync_times(layer, 20, 2, t_max=35.0, dt=STABLE_DT)
     assert len(checks) >= 2
-    assert checks[-1] == (True, True, False)
-    assert checks[-2] == (True, False, False)
+    certificate, levels, proven = checks[-1]
+    assert proven and np.all(levels[:, 0] <= certificate.c_max)
+    assert not np.all(checks[-2][1][:, 0] <= certificate.c_max)
+    later, last = certificate.drifts(levels)
+    room = certificate.margin - certificate.rho_rounding
+    assert np.all(last[certificate.below] < room[certificate.below])
+    assert np.any(later[certificate.below] >= room[certificate.below])
+    assert np.all(later[~certificate.below] < room[~certificate.below])
 
 
 def test_scan_declines_without_stable_step_or_lock(net118_faulted, caplog):
@@ -814,6 +817,85 @@ def test_certified_spread_bounds_the_rest_of_the_horizon(case, seed):
                   - certificate.gamma_rounding <= gamma)
 
 
+def _last_sample_bounds_hold(layer, threshold, certificate, times, k,
+                             ahead):
+    """With the horizon ending j samples after the proving check k, for
+    each (j, phases there) in ``ahead``: each run's spread at that last
+    sample is within its last-sample bound, and each edge locked below the
+    threshold has its order parameter within its bound of cos*."""
+    iu, jv, _ = layer._edges
+    theta = certificate.theta
+    cos = np.cos(theta[iu] - theta[jv])
+    below = certificate.below
+    for j, phases in ahead:
+        ending = _certificate.LockCertificate(
+            layer, theta, certificate.dt, float(times[k + j]), threshold,
+            len(phases))
+        levels = ending.levels(ahead[0][1], derivative(layer, ahead[0][1]),
+                               float(times[k]))
+        assert np.all(levels[:, 0] <= ending.c_max)
+        assert np.all(np.isfinite(levels[:, 5]))
+        frequencies = derivative(layer, phases)
+        spread = np.linalg.norm(
+            frequencies - frequencies.mean(axis=-1, keepdims=True), axis=-1)
+        assert np.all(spread * (1.0 - 4.0 * layer.size * kuramoto._EPS)
+                      - ending.gamma_rounding <= levels[:, 5])
+        rho = np.mean(np.cos(phases[:, iu] - phases[:, jv]), axis=0)
+        _, last = ending.drifts(levels)
+        assert np.all(np.abs(rho - cos)[below]
+                      <= last[below] + ending.rho_rounding)
+
+
+def _offsets(remaining):
+    """Samples after the proving check to end the horizon at: the check
+    itself, where the last-sample bound is the spread bound, a few later,
+    and the horizon's last."""
+    return sorted({0, 1, 64, remaining} & set(range(remaining + 1)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=_locking_layers(), seed=st.integers(0, 1000))
+def test_last_sample_bounds_hold_at_the_horizon(case, seed):
+    layer, dt, threshold = case
+    times, phases, certificate, k, _ = _first_proof(layer, dt, threshold,
+                                                    seed)
+    _last_sample_bounds_hold(
+        layer, threshold, certificate, times, k,
+        [(j, phases[k + j]) for j in _offsets(len(times) - 1 - k)])
+
+
+def test_last_sample_bounds_hold_on_the_faulted_grid(net118_faulted,
+                                                     monkeypatch):
+    # The scan's own proving check, its last in one process, then the runs
+    # stepped on alone to the horizon's last sample.
+    layer = build_layer(net118_faulted, net118_faulted.node_ids())
+    grid = dict(t_max=35.0, dt=STABLE_DT)
+    _use_cpus(monkeypatch, 1)
+    checks = []
+    levels = _certificate.LockCertificate.levels
+
+    def spy(self, phases, frequencies, t):
+        checks.append((self, phases, t, levels(self, phases, frequencies, t)))
+        return checks[-1][3]
+
+    monkeypatch.setattr(_certificate.LockCertificate, "levels", spy)
+    ensemble_sync_times(layer, 20, 2, **grid)
+    certificate, at_check, t, found = checks[-1]
+    assert certificate.proves(found) and not certificate.proves(checks[-2][3])
+    times = kuramoto._time_grid(grid["t_max"], grid["dt"])
+    k = int(np.flatnonzero(times == t)[0])
+    offsets = _offsets(len(times) - 1 - k)
+    kernel = kuramoto._Kernel(layer, len(at_check))
+    state = np.ascontiguousarray(at_check.T)
+    ahead = [(0, at_check)]
+    for j in range(1, offsets[-1] + 1):
+        state = kernel.step(state, kernel.rhs(state), grid["dt"])
+        if j in offsets:
+            ahead.append((j, state.T.copy()))
+    _last_sample_bounds_hold(layer, kuramoto.DEFAULT_RHO_THRESHOLD,
+                             certificate, times, k, ahead)
+
+
 def _hessian_within_region_bound(layer, dt, threshold, rng):
     """At points x of the certificate's region Q, |b_e.(x - theta*)| <=
     d_e on every edge, H(x)'s top eigenvalue is within LamQ <= Lam."""
@@ -906,7 +988,7 @@ def test_certified_stop_kills_a_stalled_child(monkeypatch):
         residual, lambda2, lam_q = 0.0, 2.0, 2.0
 
         def levels(self, phases, frequencies, t):
-            return np.zeros((len(phases), 5))
+            return np.zeros((len(phases), 6))
 
         def proves(self, levels):
             return True
@@ -947,7 +1029,7 @@ def test_divergence_of_a_child_that_ended_is_raised(monkeypatch):
         below = np.array([False])
 
         def levels(self, phases, frequencies, t):
-            return np.zeros((len(phases), 5))
+            return np.zeros((len(phases), 6))
 
         def proves(self, levels):
             deadline = time.monotonic() + 30.0
