@@ -1,13 +1,12 @@
-"""A forked child process that reports to its parent over a
-``multiprocessing`` pipe, in pickled ``("value", v)``, ``("raise", exc)``
-and ``("crash", traceback)`` messages. Messages go one way only: the
-parent never writes to the child.
+"""A forked child process that reports to its parent over a socketpair,
+one pickle per ``("value", v)``, ``("raise", exc)`` or
+``("crash", traceback)`` message, through buffered files on its ends.
+Messages go one way only: the parent never writes to the child.
 
-The pipe is a socketpair whose child end asks for the deepest send
-buffer the kernel grants (Linux caps it at twice ``net.core.wmem_max``),
-so a child streaming reports runs ahead of a parent busy with its own
-work instead of stalling whenever the default buffer (about 208 KB)
-fills.
+The child's end asks for the deepest send buffer the kernel grants
+(Linux caps it at twice ``net.core.wmem_max``; an ``os.pipe`` holds
+64 KB), so a child streaming reports runs ahead of a parent busy with
+its own work instead of stalling whenever the buffer fills.
 
 The upper half of a sync-time ensemble (``kuramoto``) and the
 whole-network power flow of ``run-all`` and ``metrics`` (``cli``) each
@@ -18,6 +17,7 @@ work in-process otherwise.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import traceback
 from typing import Any, Callable
@@ -49,15 +49,10 @@ class Forked:
     def __init__(self, work: Callable[[Forked], None]) -> None:
         # imported here, so that a run that never forks skips the import
         import socket
-        from multiprocessing.connection import Pipe
-        # a duplex Pipe() is a socketpair; the os.pipe of
-        # Pipe(duplex=False), with its 64 KB buffer, slowed the ensemble
-        mine, theirs = Pipe()
+        mine, theirs = socket.socketpair()
         try:
-            with socket.fromfd(theirs.fileno(), socket.AF_UNIX,
-                               socket.SOCK_STREAM) as end:
-                end.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
-                               _SEND_BUFFER)
+            theirs.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                              _SEND_BUFFER)
             self.pid = os.fork()
         except OSError:
             mine.close()
@@ -67,34 +62,38 @@ class Forked:
             code = 1
             try:
                 mine.close()
-                self._connection = theirs
+                self._stream = open(theirs.detach(), "wb")
                 try:
                     work(self)
                     code = 0
-                except BaseException as exc:
-                    if isinstance(exc, GridIslanderError):
-                        theirs.send(("raise", exc))
-                    else:
-                        theirs.send(("crash", traceback.format_exc()))
+                except GridIslanderError as exc:
+                    self._report("raise", exc)
+                except BaseException:
+                    self._report("crash", traceback.format_exc())
             finally:
                 os._exit(code)
         theirs.close()
-        self._connection = mine
+        self._stream = open(mine.detach(), "rb")
 
     def __enter__(self) -> Forked:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._connection.close()
+        self._stream.close()
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
+    def _report(self, kind: str, body: Any) -> None:
+        # a whole pickle or, if dumps fails, nothing; flushed at once
+        self._stream.write(pickle.dumps((kind, body)))
+        self._stream.flush()
+
     def send(self, value: Any) -> None:
-        self._connection.send(("value", value))
+        self._report("value", value)
 
     def receive(self) -> Any:
         try:
-            kind, body = self._connection.recv()
+            kind, body = pickle.load(self._stream)
         except EOFError:
             raise RuntimeError("forked child ended without a report") \
                 from None

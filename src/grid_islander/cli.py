@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import json
 import logging
 import os
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__, metrics
@@ -227,6 +225,10 @@ class _ArtifactDir:
         self.write(log_name, log)
 
     def write_manifest(self, config_path: str, cfg: ScenarioConfig) -> None:
+        # imported here, their only user, so that parse and a forked flow
+        # never load OpenSSL
+        import hashlib
+        from datetime import datetime, timezone
         manifest = {
             "schema_version": 1,
             "tool_version": __version__,

@@ -8,13 +8,15 @@ Row order of every table is preserved.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, MissingSection, ParseError, SchemaError
+from .errors import (ConfigError, MissingSection, ParseError, SchemaError,
+                     integer)
 from .network import Branch, Bus, PowerNetwork
 
 # Minimum column counts per table, from the MATPOWER data format.
@@ -23,6 +25,16 @@ _MIN_COLUMNS = {"bus": 13, "gen": 10, "branch": 11}
 _SCALAR_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*([^\[{;]+);")
 _MATRIX_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*\[")
 _CELL_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*\{")
+
+# The columns build_network reads, by table (MATPOWER names, 0-based
+# index); each value must be finite and each id an integer.
+_READ_COLUMNS = {
+    "bus": {"BUS_I": 0, "PD": 2, "QD": 3, "BASE_KV": 9},
+    "gen": {"GEN_BUS": 0, "PG": 1, "VG": 5, "GEN_STATUS": 7},
+    "branch": {"F_BUS": 0, "T_BUS": 1, "BR_R": 2, "BR_X": 3, "BR_B": 4,
+               "TAP": 8, "BR_STATUS": 10},
+}
+_ID_COLUMNS = ("BUS_I", "GEN_BUS", "F_BUS", "T_BUS")
 
 
 @dataclass(frozen=True)
@@ -136,6 +148,28 @@ def load_case(path) -> RawCase:
         return parse_case(handle.read())
 
 
+def _check_read_columns(case: RawCase) -> None:
+    """Raise SchemaError, naming table, row and column, on a non-finite
+    baseMVA or value that build_network reads, or on a fractional id."""
+    if not math.isfinite(case.base_mva):
+        raise SchemaError(f"baseMVA must be finite, got {case.base_mva!r}")
+    tables = {"bus": case.bus_table, "gen": case.gen_table,
+              "branch": case.branch_table}
+    for name, columns in _READ_COLUMNS.items():
+        for column, index in columns.items():
+            values = tables[name][:, index]
+            bad = ~np.isfinite(values)
+            if column in _ID_COLUMNS:
+                bad |= values != np.trunc(values)
+            if bad.any():
+                row = int(np.argmax(bad))
+                where = f"{name} table row {row + 1} column {column}"
+                value = float(values[row])
+                if column in _ID_COLUMNS:
+                    integer(where, value, SchemaError)
+                raise SchemaError(f"{where} must be finite, got {value!r}")
+
+
 def build_network(case: RawCase,
                   generator_set: Iterable[int] | None = None) -> PowerNetwork:
     """Turn a raw case into a PowerNetwork.
@@ -145,8 +179,10 @@ def build_network(case: RawCase,
     bus. Out-of-service branches are dropped. When ``generator_set`` is
     None, every bus with an in-service machine counts as a generator;
     passing an explicit set restricts the synchronous machines that the
-    partitioning algorithms may rely on.
+    partitioning algorithms may rely on. A non-finite number in a column
+    it reads, or a fractional id, raises SchemaError.
     """
+    _check_read_columns(case)
     bus_ids = [int(row[0]) for row in case.bus_table]
     id_set = set(bus_ids)
     if len(id_set) != len(bus_ids):

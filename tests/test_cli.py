@@ -373,6 +373,39 @@ def test_fractional_ids_in_files_exit_2(workspace, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Each edit of case118 (old text, new text) gives a number the model cannot
+# use: NaN baseMVA or Pd would write NaN, which is not JSON, into
+# metrics.json, and int() would read bus 2.5 as bus 2.
+@pytest.mark.parametrize("old, new, message", [
+    ("mpc.baseMVA = 100;", "mpc.baseMVA = nan;",
+     "baseMVA must be finite, got nan"),
+    ("\t3\t1\t39\t10\t", "\t3\t1\tNaN\t10\t",
+     "bus table row 3 column PD must be finite, got nan"),
+    ("\t1\t3\t0.0129\t0.0424\t", "\t1\t3\t0.0129\tInf\t",
+     "branch table row 2 column BR_X must be finite, got inf"),
+    ("\t2\t1\t20\t9\t", "\t2.5\t1\t20\t9\t",
+     "bus table row 2 column BUS_I must be an integer, got 2.5"),
+], ids=["nan-base-mva", "nan-pd", "inf-reactance", "fractional-bus-id"])
+def test_unusable_case_numbers_exit_2(scenario118_path, case118_path,
+                                      tmp_path, capsys, old, new, message):
+    text = case118_path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    case = tmp_path / "case118.m"
+    case.write_text(text.replace(old, new), encoding="utf-8")
+    data = json.loads(scenario118_path.read_text(encoding="utf-8"))
+    data.update(case_path=str(case))
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rc = main(["run-all", "--config", str(cfg), "--algorithm",
+               "decentralized", "--out-dir", str(out_dir)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaError", "message": message, "exit_code": 2}
+    assert list(out_dir.iterdir()) == []
+
+
 def test_simulate_writes_trajectory(workspace, capsys):
     tmp_path, cfg = workspace
     out = tmp_path / "traj.csv"
@@ -536,6 +569,12 @@ def test_run_all_decentralized_uses_events_log(workspace):
 # format, with a snapshot event per evaluation, for ieee118-decentral.
 SHIPPED_EVENTS_SHA256 = (
     "9a8bfcb0f2d44f2fb9f7d7a251fc8407b1204b261e831c5125066a9d7666f1a6")
+# sha256 of network.json from run-all on the shipped case and fault, by
+# either algorithm at any seed, dt or horizon: its bytes come from parse
+# and build only. metrics.json is not pinned: its LAPACK and SIMD complex
+# arithmetic may round differently on another CPU.
+SHIPPED_NETWORK_SHA256 = (
+    "b27e03349f4474bc1537411e5795dba3f73dafa42a0f8e4bd8e1c6c3dfb7a9ef")
 
 
 def test_shipped_decentralized_events_are_pinned(scenario118_path,
@@ -545,14 +584,19 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
     assert rc == 0
     events = (tmp_path / "events.json").read_bytes()
     assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
+    network = (tmp_path / "network.json").read_bytes()
+    assert hashlib.sha256(network).hexdigest() == SHIPPED_NETWORK_SHA256
 
 
-# sha256 of events.json and partition.json from decentralized run-all on
-# two tie-linked copies of case118 (perfbench's tiling at its fixed seed):
-# 45 rounds with 14 fallback nodes, where the shipped run has 5.
+# sha256 of events.json, network.json and partition.json from
+# decentralized run-all on two tie-linked copies of case118 (perfbench's
+# tiling at its fixed seed): 45 rounds with 14 fallback nodes, where the
+# shipped run has 5.
 TILED2_SHA256 = {
     "events.json":
         "be0b194dcc25da3cf4b27925004425c8e64d3fe4ed96405f4bcf34716b2556a4",
+    "network.json":
+        "4db3e2d194498624330b68cff0468e44482cd8a6fe51a10692005637c1e8dbef",
     "partition.json":
         "0dfbfeae5bb81c476c9fb04165b731da5f91f0a146f9142e199615dd18b22a11",
 }
@@ -622,6 +666,8 @@ def test_stable_sync_table_is_pinned(scenario118_path, case118_path,
         assert rc == 0
         table = (out_dir / "sync_times.json").read_bytes()
         assert hashlib.sha256(table).hexdigest() == STABLE_SYNC_SHA256[seed]
+        network = (out_dir / "network.json").read_bytes()
+        assert hashlib.sha256(network).hexdigest() == SHIPPED_NETWORK_SHA256
 
 
 def test_traced_run_all_exits_0(scenario118_path, tmp_path, monkeypatch):
@@ -814,10 +860,11 @@ def _run_cli(args, env_extra=None, before_exit="pass"):
 
 def test_parse_and_decentralized_runs_skip_lazy_imports(
         workspace, case118_path, scenario118_path):
-    # The lock proof and multiprocessing are imported inside the functions
-    # that need them, which keeps their import time out of these commands.
+    # The lock proof and OpenSSL (_hashlib) are imported inside the
+    # functions that need them, which keeps their import time and memory
+    # out of these commands; no command imports multiprocessing.
     tmp_path, cfg = workspace
-    lazy = ("grid_islander._certificate", "multiprocessing")
+    lazy = ("grid_islander._certificate", "multiprocessing", "_hashlib")
 
     def loaded(args):
         proc = _run_cli(args, before_exit=(
@@ -826,12 +873,16 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
         return set(proc.stdout.splitlines()[-1].split())
 
     assert loaded(["parse", str(case118_path)]) == set()
-    assert "grid_islander._certificate" not in loaded(
+    decentralized = loaded(
         ["run-all", "--config", str(scenario118_path), "--algorithm",
          "decentralized", "--out-dir", str(tmp_path / "decentralized")])
+    assert "grid_islander._certificate" not in decentralized
+    assert "multiprocessing" not in decentralized
+    centralized = loaded(["run-all", "--config", str(cfg), "--out-dir",
+                          str(tmp_path / "centralized")])
+    assert "multiprocessing" not in centralized
     # the probe sees the proof where a sync table is scanned
-    assert "grid_islander._certificate" in loaded(
-        ["sync-times", "--config", str(cfg)])
+    assert "grid_islander._certificate" in centralized
 
 
 def test_log_env_variable_controls_verbosity(workspace):

@@ -82,7 +82,7 @@ def test_child_streams_ahead_of_its_parent():
     messages = [bytes([k]) * (64 << 10) for k in range(32)]
 
     def sends(child):
-        with socket.fromfd(child._connection.fileno(), socket.AF_UNIX,
+        with socket.fromfd(child._stream.fileno(), socket.AF_UNIX,
                            socket.SOCK_STREAM) as end:
             granted = end.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
         child.send(granted)

@@ -181,3 +181,28 @@ def test_ieee118_injection_balance(net118):
 def test_load_case_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_case(tmp_path / "nope.m")
+
+
+def test_unread_columns_may_hold_any_number():
+    # build_network never reads QMAX (gen column 4), so an Inf there loads
+    text = MINIMAL_CASE.replace("\t1\t80\t20\t100\t", "\t1\t80\t20\tInf\t")
+    case = parse_case(text)
+    assert case.gen_table[0, 3] == np.inf
+    assert build_network(case).bus(1).p_gen_scheduled == 80.0
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("\t1\t80\t20\t", "\t1\t-inf\t20\t",
+     "gen table row 1 column PG must be finite, got -inf"),
+    ("\t1\t80\t20\t", "\t1.5\t80\t20\t",
+     "gen table row 1 column GEN_BUS must be an integer, got 1.5"),
+    ("\t1\t2\t0.01\t", "\t1\tnan\t0.01\t",
+     "branch table row 1 column T_BUS must be an integer, got nan"),
+    ("\t0\t0\t1\t-360", "\tnan\t0\t1\t-360",
+     "branch table row 1 column TAP must be finite, got nan"),
+], ids=["inf-pg", "fractional-gen-bus", "nan-t-bus", "nan-tap"])
+def test_read_columns_must_be_finite_with_integer_ids(old, new, message):
+    assert MINIMAL_CASE.count(old) == 1
+    with pytest.raises(SchemaError) as err:
+        build_network(parse_case(MINIMAL_CASE.replace(old, new)))
+    assert str(err.value) == message
