@@ -1,10 +1,10 @@
 """AC (Newton-Raphson) and DC power flow on a network or island subset.
 
-Dense numpy implementation sized for study networks. The Newton-Raphson
-Jacobian is assembled in O(nnz) over the admittance matrix's nonzero
-pattern, with the sparse ``dSbus_dV`` formulas of MATPOWER (Zimmerman et
-al., IEEE Trans. Power Syst. 2011), into one dense matrix reused by every
-iteration; the dense LU solve of each step is still O(n^3).
+Dense numpy admittance matrices sized for study networks. The
+Newton-Raphson Jacobian is assembled in O(nnz) over their nonzeros with
+MATPOWER's sparse ``dSbus_dV`` formulas (Zimmerman et al., IEEE Trans.
+Power Syst. 2011) into dense blocks over the bus graph's breadth-first
+levels, and each step eliminates them block-tridiagonally (no O(n^3) LU).
 Branch model is the standard pi section with off-nominal tap on
 the from side. Buses holding a voltage setpoint are PV, the rest PQ;
 reactive limits are not enforced. The slack bus defaults to the
@@ -172,11 +172,20 @@ def build_ybus(network: PowerNetwork, nodes: Sequence[int]
     return ybus, branches
 
 
+# Fewest unknowns in a block of the Newton step; a flow with no more is
+# one block, the whole Jacobian solved at once.
+_MIN_BLOCK = 256
+
+
 class _JacobianAssembler:
     """Polar Jacobian [[dP/dVa, dP/dVm], [dQ/dVa, dQ/dVm]], angles at
     ``pvpq``, magnitudes at ``pq``, evaluated only at ybus's nonzeros
-    and diagonal. Each call fills the same dense matrix: the entries of
-    the pattern are overwritten, every other entry stays zero."""
+    and diagonal, in blocks of at least ``_MIN_BLOCK`` unknowns over runs
+    of breadth-first levels of the bus graph (Cuthill and McKee), which
+    make it block-tridiagonal. ``unknowns[i]`` holds block i's indices,
+    ascending; ``blocks[i, j]`` is ``(matrix, rows, cols)``, the Jacobian
+    at ``unknowns[i][rows]`` by ``unknowns[j][cols]``, the rows and
+    columns the pattern reaches. Each call zeroes and refills them."""
 
     def __init__(self, ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray):
         n = ybus.shape[0]
@@ -185,37 +194,100 @@ class _JacobianAssembler:
         self._rows, self._cols = np.nonzero(pattern)
         self._ybus = ybus[self._rows, self._cols]
         self._diagonal = np.flatnonzero(self._rows == self._cols)
+        # BFS levels from bus 0, then from the lowest id it reached last
+        # (a pseudo-peripheral bus); buses it cannot reach share level n
+        start = 0
+        for _ in range(2):
+            level = np.full(n, n)
+            level[start] = depth = 0
+            while (reached := self._cols[(level[self._rows] == depth)
+                                         & (level[self._cols] == n)]).size:
+                depth += 1
+                level[reached] = depth
+            start = int(np.argmax(level))
+        level = level[np.concatenate([pvpq, pq])]      # of each unknown
+        counts = np.bincount(level)
+        first, held = [0], 0                  # first level of each block
+        for k, count in enumerate(counts):
+            if held >= _MIN_BLOCK and counts[k:].sum() >= _MIN_BLOCK:
+                first, held = first + [k], 0
+            held += count
+        block = np.searchsorted(first, level, side="right") - 1
+        self.unknowns = [np.flatnonzero(block == i) for i in range(len(first))]
         # each bus's P row and angle column, and its Q row and magnitude
         # column, in the Jacobian; -1 where the bus has none
-        angle = np.full(n, -1)
+        angle, magnitude = np.full((2, n), -1)
         angle[pvpq] = np.arange(pvpq.size)
-        magnitude = np.full(n, -1)
         magnitude[pq] = pvpq.size + np.arange(pq.size)
-        size = pvpq.size + pq.size
-        self._matrix = np.zeros((size, size))
-        # (flat position in the matrix, pattern entry) of the four blocks
-        self._blocks = []
-        for row_of, col_of in ((angle, angle), (angle, magnitude),
-                               (magnitude, angle), (magnitude, magnitude)):
-            row, col = row_of[self._rows], col_of[self._cols]
-            entry = np.flatnonzero((row >= 0) & (col >= 0))
-            self._blocks.append((row[entry] * size + col[entry], entry))
+        # the Jacobian row and column of each entry of the stacked dS
+        # values (P by angle, P by magnitude, Q by angle, Q by magnitude)
+        # and the entries that have both
+        row = np.concatenate([angle[self._rows]] * 2
+                             + [magnitude[self._rows]] * 2)
+        col = np.tile(np.concatenate([angle[self._cols],
+                                      magnitude[self._cols]]), 2)
+        self._source = np.flatnonzero((row >= 0) & (col >= 0))
+        row, col = row[self._source], col[self._source]
+        # a dense block per adjacent pair of blocks, over the rows and
+        # columns the pattern reaches there, all in one buffer (sorted by
+        # bincount: np.unique would import numpy.ma, about 1 MB of RSS)
+        self._position = np.empty(row.size, dtype=int)
+        shapes, end = {}, 0
+        for i in range(len(first)):
+            for j in range(max(i - 1, 0), min(i + 2, len(first))):
+                inside = (block[row] == i) & (block[col] == j)
+                rows, cols = (np.flatnonzero(np.bincount(
+                    x[inside], minlength=block.size)) for x in (row, col))
+                self._position[inside] = (
+                    end + cols.size * np.searchsorted(rows, row[inside])
+                    + np.searchsorted(cols, col[inside]))
+                shapes[i, j] = (end, np.searchsorted(self.unknowns[i], rows),
+                                np.searchsorted(self.unknowns[j], cols))
+                end += rows.size * cols.size
+        self._buffer = np.zeros(end)
+        self.blocks = {pair: (self._buffer[start:start + r.size * c.size]
+                              .reshape(r.size, c.size), r, c)
+                       for pair, (start, r, c) in shapes.items()}
 
-    def __call__(self, voltage: np.ndarray,
-                 current: np.ndarray) -> np.ndarray:
-        """The Jacobian at ``voltage`` (``current`` is ``ybus @ voltage``)."""
+    def __call__(self, voltage: np.ndarray, current: np.ndarray) -> dict:
+        """The blocks at ``voltage`` (``current`` is ``ybus @ voltage``)."""
         unit = voltage / np.abs(voltage)
         v_row = voltage[self._rows]
         ds_dva = -1j * v_row * np.conj(self._ybus * voltage[self._cols])
         ds_dva[self._diagonal] += 1j * voltage * np.conj(current)
         ds_dvm = v_row * np.conj(self._ybus * unit[self._cols])
         ds_dvm[self._diagonal] += np.conj(current) * unit
-        flat = self._matrix.reshape(-1)
-        for (position, entry), values in zip(
-                self._blocks,
-                (ds_dva.real, ds_dvm.real, ds_dva.imag, ds_dvm.imag)):
-            flat[position] = values[entry]
-        return self._matrix
+        values = np.concatenate([ds_dva.real, ds_dvm.real,
+                                 ds_dva.imag, ds_dvm.imag])
+        self._buffer.fill(0.0)
+        self._buffer[self._position] = values[self._source]
+        return self.blocks
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """Newton step J dx = f: block-tridiagonal elimination of the last
+        call's blocks, which leaves Schur complements on the diagonal.
+        Each diagonal solve takes only the next coupling block's columns."""
+        last = len(self.unknowns) - 1
+        eliminated = []
+        rhs = f[self.unknowns[0]]
+        for k in range(last):
+            upper, rows, cols = self.blocks[k, k + 1]
+            stacked = np.zeros((rhs.size, cols.size + 1))
+            stacked[rows, :-1], stacked[:, -1] = upper, rhs
+            solved = np.linalg.solve(self.blocks[k, k][0], stacked)
+            eliminated.append((solved, cols))
+            lower, rows, inner = self.blocks[k + 1, k]
+            schur = lower @ solved[inner]
+            self.blocks[k + 1, k + 1][0][np.ix_(rows, cols)] -= schur[:, :-1]
+            rhs = f[self.unknowns[k + 1]]
+            rhs[rows] -= schur[:, -1]
+        dx = np.empty(f.size)
+        x = dx[self.unknowns[last]] = np.linalg.solve(
+            self.blocks[last, last][0], rhs)
+        for k in reversed(range(last)):
+            solved, cols = eliminated[k]
+            x = dx[self.unknowns[k]] = solved[:, -1] - solved[:, :-1] @ x[cols]
+        return dx
 
 
 def ac_power_flow(network: PowerNetwork,
@@ -231,8 +303,7 @@ def ac_power_flow(network: PowerNetwork,
     ybus, branches = build_ybus(network, chosen)
 
     base = network.base_mva
-    p_spec = np.zeros(n)
-    q_spec = np.zeros(n)
+    p_spec, q_spec = np.zeros((2, n))
     vm = np.ones(n)
     va = np.zeros(n)
     is_pv = np.zeros(n, dtype=bool)
@@ -258,29 +329,29 @@ def ac_power_flow(network: PowerNetwork,
         voltage = vm * np.exp(1j * va)
         current = ybus @ voltage
         s_calc = voltage * np.conj(current)
-        dp = p_spec - s_calc.real
-        dq = q_spec - s_calc.imag
-        f = np.concatenate([dp[pvpq], dq[pq]])
+        f = np.concatenate([(p_spec - s_calc.real)[pvpq],
+                            (q_spec - s_calc.imag)[pq]])
         mismatch = float(np.max(np.abs(f))) if f.size else 0.0
         history.append(mismatch)
-        if mismatch < AC_TOLERANCE:
+        if mismatch < AC_TOLERANCE or iterations >= AC_MAX_ITERATIONS:
             break
-        if iterations >= AC_MAX_ITERATIONS:
-            raise NotConverged(iterations, mismatch)
         iterations += 1
+        jacobian(voltage, current)
         try:
-            dx = np.linalg.solve(jacobian(voltage, current), f)
+            dx = jacobian.solve(f)
         except np.linalg.LinAlgError:
             raise SingularSystem("power-flow Jacobian is singular") from None
         va[pvpq] += dx[:pvpq.size]
         vm[pq] += dx[pvpq.size:]
+    sizes = [block.size for block in jacobian.unknowns]
+    logger.debug("AC flow: %d buses, %d unknowns in %d blocks (largest %d), "
+                 "%d iterations, mismatch %.3g", n, sum(sizes), len(sizes),
+                 max(sizes), iterations, mismatch)
+    if not mismatch < AC_TOLERANCE:
+        raise NotConverged(iterations, mismatch)
 
     voltage = vm * np.exp(1j * va)
-    n_br = len(branches)
-    p_from = np.empty(n_br)
-    p_to = np.empty(n_br)
-    q_from = np.empty(n_br)
-    q_to = np.empty(n_br)
+    p_from, p_to, q_from, q_to = np.empty((4, len(branches)))
     for k, br in enumerate(branches):
         y_ff, y_tt, y_ft = _pi_section(br)
         vf, vt = voltage[index[br.from_bus]], voltage[index[br.to_bus]]

@@ -899,6 +899,33 @@ def test_log_env_variable_controls_verbosity(workspace):
     assert "island" in chatty.stderr   # debug step log is visible
 
 
+def test_debug_log_gives_each_ac_flow(workspace):
+    """One debug line per AC flow, shown only at GRID_ISLANDER_LOG=debug;
+    stdout and the artifacts are the same at the default level."""
+    tmp_path, cfg = workspace
+    runs = {level: _run_cli(["run-all", "--config", str(cfg),
+                             "--out-dir", str(tmp_path / level)],
+                            {"GRID_ISLANDER_LOG": level})
+            for level in ("warn", "debug")}
+    assert [run.returncode for run in runs.values()] == [0, 0]
+    assert "AC flow" not in runs["warn"].stderr
+    flows = [line for line in runs["debug"].stderr.splitlines()
+             if line.startswith("DEBUG grid_islander.powerflow: AC flow: ")]
+    assert len(flows) == 3      # the whole network and two islands
+    assert flows[0].startswith("DEBUG grid_islander.powerflow: AC flow: 5 "
+                               "buses, 7 unknowns in 1 blocks (largest 7), "
+                               "3 iterations, mismatch ")
+    assert (runs["warn"].stdout.replace(str(tmp_path / "warn"), "out")
+            == runs["debug"].stdout.replace(str(tmp_path / "debug"), "out"))
+    names = sorted(path.name for path in (tmp_path / "warn").iterdir())
+    assert names == sorted(path.name
+                           for path in (tmp_path / "debug").iterdir())
+    for name in names:
+        if name != "run_manifest.json":
+            assert ((tmp_path / "warn" / name).read_bytes()
+                    == (tmp_path / "debug" / name).read_bytes()), name
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -1,7 +1,9 @@
 """AC Newton-Raphson and DC linear power flow."""
 
+import logging
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,7 +243,39 @@ def _random_voltage(size, seed):
             * np.exp(1j * rng.uniform(-0.5, 0.5, size)))
 
 
-def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
+def _from_blocks(assembler, blocks, size):
+    """The dense matrix the blocks make up, zero outside them. Only
+    adjacent blocks couple, and the blocks' unknowns are each unknown
+    once."""
+    assert np.array_equal(np.sort(np.concatenate(assembler.unknowns)),
+                          np.arange(size))
+    jac = np.zeros((size, size))
+    for (i, j), (matrix, rows, cols) in blocks.items():
+        assert abs(i - j) <= 1
+        jac[np.ix_(assembler.unknowns[i][rows],
+                   assembler.unknowns[j][cols])] = matrix
+    return jac
+
+
+class _Dense:
+    """Reference for ``_JacobianAssembler``: the dense Jacobian as one
+    block and ``np.linalg.solve`` as the step."""
+
+    def __init__(self, ybus, pvpq, pq):
+        self.args = ybus, pvpq, pq
+        self.unknowns = [np.arange(pvpq.size + pq.size)]
+
+    def __call__(self, voltage, current):
+        self.matrix = _dense_jacobian(self.args[0], voltage, current,
+                                      *self.args[1:])
+
+    def solve(self, f):
+        return np.linalg.solve(self.matrix, f)
+
+
+def test_jacobian_matches_differences_and_diagonal_products(net118_faulted,
+                                                           monkeypatch):
+    """In one block (the shipped size) and in five (blocks of 24)."""
     net = net118_faulted
     ybus, _ = build_ybus(net, net.node_ids())
     pvpq, pq = _unknown_indices(net)
@@ -259,11 +293,7 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
         return np.concatenate([s.real[pvpq], s.imag[pq]])
 
     voltage = vm * np.exp(1j * va)
-    jac = _JacobianAssembler(ybus, pvpq, pq)(voltage, ybus @ voltage)
     size = pvpq.size + pq.size
-    assert jac.shape == (size, size)
-    scale = np.abs(jac).max()
-
     x = np.concatenate([va[pvpq], vm[pq]])
     step = 1e-6
     differences = np.empty((size, size))
@@ -272,50 +302,101 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted):
         dx[k] = step
         differences[:, k] = (injections(x + dx)
                              - injections(x - dx)) / (2 * step)
-    assert np.abs(jac - differences).max() <= 1e-6 * scale
-
     reference = _diag_product_jacobian(ybus, voltage, pvpq, pq)
-    assert np.abs(jac - reference).max() <= 1e-12 * scale
+
+    for min_block, blocks in ((256, 1), (24, 5)):
+        monkeypatch.setattr(powerflow, "_MIN_BLOCK", min_block)
+        assembler = _JacobianAssembler(ybus, pvpq, pq)
+        assert len(assembler.unknowns) == blocks
+        jac = _from_blocks(assembler, assembler(voltage, ybus @ voltage),
+                           size)
+        scale = np.abs(jac).max()
+        assert np.abs(jac - differences).max() <= 1e-6 * scale
+        assert np.abs(jac - reference).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("nodes", [None, range(1, 40)],
                          ids=["whole", "island"])
-def test_jacobian_equals_dense_reference(net118_faulted, nodes):
-    """Bit for bit (up to the sign of zero) the dense O(n^2) Jacobian,
-    at every call of one reused assembler."""
+def test_jacobian_equals_dense_reference(net118_faulted, monkeypatch,
+                                         nodes):
+    """Every block is bit for bit (up to the sign of zero) its sub-block
+    of the dense O(n^2) Jacobian, which is zero outside the blocks, at
+    every call of one reused assembler, also after a step has left
+    Schur complements in its blocks; in one block (the shipped size)
+    and in several (blocks of 24). The step is the dense solve's, to
+    the bit in one block."""
     net = net118_faulted
     chosen = net.node_ids() if nodes is None else tuple(nodes)
     ybus, _ = build_ybus(net, chosen)
     pvpq, pq = _unknown_indices(net, chosen)
     assert 0 < pq.size < pvpq.size < len(chosen)   # PV, PQ and a slack
-    assembler = _JacobianAssembler(ybus, pvpq, pq)
-    for seed in range(3):
-        voltage = _random_voltage(len(chosen), seed)
-        current = ybus @ voltage
-        assert np.array_equal(
-            assembler(voltage, current),
-            _dense_jacobian(ybus, voltage, current, pvpq, pq))
+    size = pvpq.size + pq.size
+    f = np.random.default_rng(7).uniform(-1.0, 1.0, size)
+    for min_block in (256, 24):
+        monkeypatch.setattr(powerflow, "_MIN_BLOCK", min_block)
+        assembler = _JacobianAssembler(ybus, pvpq, pq)
+        assert (len(assembler.unknowns) > 1) == (min_block == 24)
+        for seed in range(3):
+            voltage = _random_voltage(len(chosen), seed)
+            current = ybus @ voltage
+            dense = _dense_jacobian(ybus, voltage, current, pvpq, pq)
+            assert np.array_equal(
+                _from_blocks(assembler, assembler(voltage, current), size),
+                dense)
+            step, reference = assembler.solve(f), np.linalg.solve(dense, f)
+            if min_block == 256:
+                assert np.array_equal(step, reference)
+            else:
+                assert np.allclose(step, reference, rtol=1e-9, atol=0.0)
 
 
 def test_whole_network_newton_steps_unchanged(net118_faulted, monkeypatch):
     """The same mismatch at every iteration and the same voltages as
-    Newton-Raphson with the dense reference Jacobian."""
-    solution = ac_power_flow(net118_faulted)
-
-    class Dense:
-        def __init__(self, ybus, pvpq, pq):
-            self.args = ybus, pvpq, pq
-
-        def __call__(self, voltage, current):
-            ybus, pvpq, pq = self.args
-            return _dense_jacobian(ybus, voltage, current, pvpq, pq)
-
-    monkeypatch.setattr(powerflow, "_JacobianAssembler", Dense)
-    reference = ac_power_flow(net118_faulted)
+    Newton-Raphson with the dense reference Jacobian and solve: the
+    whole 118-bus network is one block."""
+    net = net118_faulted
+    ybus, _ = build_ybus(net, net.node_ids())
+    assert len(_JacobianAssembler(ybus, *_unknown_indices(net)).unknowns) \
+        == 1
+    solution = ac_power_flow(net)
+    monkeypatch.setattr(powerflow, "_JacobianAssembler", _Dense)
+    reference = ac_power_flow(net)
     assert solution.mismatch_history == reference.mismatch_history
     assert len(solution.mismatch_history) == 5
     assert np.array_equal(solution.vm, reference.vm)
     assert np.array_equal(solution.va, reference.va)
+
+
+@pytest.fixture(scope="module")
+def tiled(tmp_path_factory):
+    """perfbench's post-fault tiled networks by tile count (2 and 8)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                  / "perfbench"))
+        import workloads
+
+        return {tiles: workloads.scenario_network(workloads.write_tiled(
+                    tmp_path_factory.mktemp(f"tiled{tiles}"), tiles,
+                    workloads.TILING_SEED))[1]
+                for tiles in (2, 8)}
+
+
+@pytest.mark.parametrize("tiles, blocks, iterations", [(2, 1, 4), (8, 5, 5)])
+def test_tiled_whole_network_steps_match_dense(tiled, monkeypatch, tiles,
+                                               blocks, iterations):
+    """At the shipped block size, the whole tiled network takes as many
+    Newton steps as with the dense Jacobian and solve, and lands within
+    1e-12 of its voltages."""
+    net = tiled[tiles]
+    ybus, _ = build_ybus(net, net.node_ids())
+    assert len(_JacobianAssembler(ybus, *_unknown_indices(net)).unknowns) \
+        == blocks
+    solution = ac_power_flow(net)
+    monkeypatch.setattr(powerflow, "_JacobianAssembler", _Dense)
+    reference = ac_power_flow(net)
+    assert solution.iterations == reference.iterations == iterations
+    assert np.abs(solution.vm - reference.vm).max() <= 1e-12
+    assert np.abs(solution.va - reference.va).max() <= 1e-12
 
 
 def test_jacobian_assembly_allocates_about_one_matrix(net118_faulted):
@@ -326,12 +407,72 @@ def test_jacobian_assembly_allocates_about_one_matrix(net118_faulted):
     current = ybus @ voltage
     tracemalloc.start()
     try:
-        jac = _JacobianAssembler(ybus, pvpq, pq)(voltage, current)
+        blocks = _JacobianAssembler(ybus, pvpq, pq)(voltage, current)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    (matrix, _, _), = blocks.values()       # one block
     # the dense path held several complex n x n matrices at once
-    assert peak < 2 * jac.nbytes
+    assert peak < 2 * matrix.nbytes
+
+
+def test_block_step_allocates_a_fraction_of_one_dense_matrix(tiled,
+                                                            monkeypatch):
+    """Assembly and one step in blocks of at least 64 unknowns on the
+    944-bus network (14 blocks) peak below a quarter of one dense
+    Jacobian; the dense step held the matrix and LAPACK's copy of it."""
+    monkeypatch.setattr(powerflow, "_MIN_BLOCK", 64)
+    net = tiled[8]
+    ybus, _ = build_ybus(net, net.node_ids())
+    pvpq, pq = _unknown_indices(net)
+    size = pvpq.size + pq.size
+    voltage = _random_voltage(ybus.shape[0], 0)
+    current = ybus @ voltage
+    f = np.ones(size)
+    tracemalloc.start()
+    try:
+        assembler = _JacobianAssembler(ybus, pvpq, pq)
+        assembler(voltage, current)
+        assembler.solve(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(assembler.unknowns) == 14
+    assert peak < size * size * 8 / 4
+
+
+def test_singular_block_raises_singular_system(net118_faulted, monkeypatch):
+    """A singular Schur block ends the flow as a singular Jacobian does."""
+    monkeypatch.setattr(powerflow, "_MIN_BLOCK", 24)
+    fill = _JacobianAssembler.__call__
+
+    def last_block_zero(self, voltage, current):
+        blocks = fill(self, voltage, current)
+        last = len(self.unknowns) - 1
+        blocks[last, last][0][:] = 0.0
+        return blocks
+
+    monkeypatch.setattr(_JacobianAssembler, "__call__", last_block_zero)
+    with pytest.raises(SingularSystem, match="Jacobian is singular"):
+        ac_power_flow(net118_faulted)
+
+
+def test_each_ac_flow_logs_its_blocks(net118_faulted, caplog):
+    net = make_network({1: 1.0, 2: -10.0}, [(1, 2, 0.1)],
+                       generator_set={1})
+    with caplog.at_level(logging.DEBUG, logger="grid_islander.powerflow"):
+        ac_power_flow(net118_faulted)
+        with pytest.raises(NotConverged):
+            ac_power_flow(net)
+    lines = [record.getMessage() for record in caplog.records
+             if record.name == "grid_islander.powerflow"]
+    assert len(lines) == 2
+    assert lines[0].startswith("AC flow: 118 buses, 181 unknowns in 1 "
+                               "blocks (largest 181), 4 iterations, "
+                               "mismatch ")
+    assert float(lines[0].rsplit(" ", 1)[1]) < 1e-8
+    assert lines[1].startswith("AC flow: 2 buses, 2 unknowns in 1 blocks "
+                               "(largest 2), 20 iterations, mismatch ")
 
 
 def _island_solves(network, partition):
@@ -348,12 +489,14 @@ def _island_solves(network, partition):
     return rows
 
 
-def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
+def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted,
+                                             monkeypatch):
     """Every converge/diverge decision and AC iteration count on the
     shipped scenario, as measured with the diagonal-product Jacobian:
-    a last-ulp change to the Jacobian must not move any of them."""
+    a last-ulp change to the Jacobian must not move any of them. Blocks
+    of 24 unknowns keep them all, with each converged flow's voltages
+    within 1e-12 of the one-block solve."""
     net, cfg = net118_faulted, scenario118
-    assert ac_power_flow(net).iterations == 4
     islands = [Island(label=k + 1, node_set=frozenset(nodes))
                for k, nodes in enumerate(cfg.initial_islands)]
     table = ensemble_sync_times(
@@ -361,12 +504,22 @@ def test_ieee118_solver_decisions_are_pinned(scenario118, net118_faulted):
         cfg.seed, threshold=cfg.rho_threshold,
         t_max=cfg.t_max, dt=cfg.dt)
     central = centralized_partition(net, islands, table).partition
-    assert _island_solves(net, central) == [(1, 35, "ac", 4),
-                                            (2, 83, "ac", 4)]
     dec = run_decentralized(net, islands,
                             epsilon=cfg.freq_epsilon).partition
-    # island 2's Newton-Raphson diverges (mismatch 0.70 -> about 1e8 pu)
-    assert _island_solves(net, dec) == [(1, 35, "ac", 4),
-                                        (2, 83, "dc", 20)]
-    assert [row.solver for row in compute_metrics(net, dec).islands] \
-        == ["ac", "dc"]
+    converged = [None, *(isl.node_set for isl in central.islands),
+                 min(dec.islands, key=lambda i: i.label).node_set]
+    one_block = [ac_power_flow(net, nodes) for nodes in converged]
+    for min_block in (256, 24):
+        monkeypatch.setattr(powerflow, "_MIN_BLOCK", min_block)
+        assert ac_power_flow(net).iterations == 4
+        assert _island_solves(net, central) == [(1, 35, "ac", 4),
+                                                (2, 83, "ac", 4)]
+        # island 2's Newton-Raphson diverges (mismatch 0.70 -> about 1e8)
+        assert _island_solves(net, dec) == [(1, 35, "ac", 4),
+                                            (2, 83, "dc", 20)]
+        assert [row.solver for row in compute_metrics(net, dec).islands] \
+            == ["ac", "dc"]
+        for nodes, reference in zip(converged, one_block):
+            solution = ac_power_flow(net, nodes)
+            assert np.abs(solution.vm - reference.vm).max() <= 1e-12
+            assert np.abs(solution.va - reference.va).max() <= 1e-12
