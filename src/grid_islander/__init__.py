@@ -10,6 +10,16 @@ driven by local frequency estimation.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: a multi-threaded
+# solve gives other bits than a single-threaded one, and artifacts must
+# not depend on the machine's CPU count. These defaults reach OpenBLAS
+# and OpenMP only if numpy is first imported below; a caller that
+# imported numpy earlier keeps its own thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .centralized import AttachStep, CentralizedResult, centralized_partition
@@ -27,7 +37,7 @@ from .kuramoto import (CyberLayer, LockedState, SyncTimeTable, Trajectory,
 from .matpower import RawCase, build_network, load_case, parse_case
 from .metrics import (IslandMetrics, MetricsReport, compute_metrics,
                       j1_from_imbalances, metric_j1, metric_j2, metric_j3,
-                      metric_j4, metrics_to_dict)
+                      metric_j4, metrics_to_dict, pre_partition_flow)
 from .network import (Branch, Bus, Island, IslandRegistry, Partition,
                       PowerNetwork, ValidityReport, apply_fault,
                       check_initial_islands, compute_cut_set,

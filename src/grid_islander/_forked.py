@@ -8,9 +8,8 @@ The child's end asks for the deepest send buffer the kernel grants
 64 KB), so a child streaming reports runs ahead of a parent busy with
 its own work instead of stalling whenever the buffer fills.
 
-The upper half of a sync-time ensemble (``kuramoto``) and the
-whole-network power flow of ``run-all`` and ``metrics`` (``cli``) each
-run in one. Both fork only when ``usable_cpus() >= 2`` and do the same
+The upper half of a sync-time ensemble (``kuramoto``), its only user,
+runs in one. It forks only when ``usable_cpus() >= 2`` and does the same
 work in-process otherwise.
 """
 

@@ -2,12 +2,11 @@
 
 Subcommands (parse, simulate, sync-times, partition, metrics, run-all)
 are built from one staged pipeline: scenario and network, sync table
-(detected inside the RK4 loop), partition, metrics. With two usable
-CPUs, run-all and metrics solve the whole-network AC flow, which no
-partition changes, in a forked child (``_forked.Forked``) from the
-moment the network is built; the child sends back the pickled solution
-or error, and the parent takes it where metrics would solve it, so
-every byte printed or written is the same with one CPU or two. Every
+(detected inside the RK4 loop), partition, metrics. run-all solves the
+whole-network power flow behind J4, which no partition changes, right
+after the seed check and before any artifact or growth, while the
+network alone is in memory, and hands the solution to metrics; the
+metrics subcommand solves it there, after the islands' flows. Every
 artifact is JSON or CSV; a run manifest ties the outputs of one
 invocation together. Exit codes: 0 success, 2 input error, 3 numerical
 failure, 4 validation failure. Verbosity follows the GRID_ISLANDER_LOG
@@ -17,7 +16,6 @@ environment variable (error, warn, info, debug).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import logging
 import os
@@ -26,8 +24,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__, metrics
-from ._forked import Forked
-from ._forked import usable_cpus as _usable_cpus
 from .centralized import centralized_partition
 from .decentralized import run_decentralized
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
@@ -179,27 +175,6 @@ def _partition(cfg: ScenarioConfig, network: PowerNetwork,
     return result.partition, log_name, log
 
 
-@contextlib.contextmanager
-def _pre_partition_flow(network: PowerNetwork):
-    """Start the whole-network AC flow that J4 needs.
-
-    No partition changes it, so with two usable CPUs a forked child
-    solves it while this process grows the partition and writes its
-    artifacts. Yields the ``pre_partition`` argument of
-    ``compute_metrics``: the child's outcome, or None to solve it there
-    (one CPU, or a fork refused at a process limit).
-    The child calls ``metrics.ac_power_flow``, the name
-    ``compute_metrics`` would call.
-    """
-    child = None
-    if _usable_cpus() >= 2:
-        with contextlib.suppress(OSError):
-            child = Forked(lambda child: child.send(
-                metrics.ac_power_flow(network, None)))
-    with child or contextlib.nullcontext():
-        yield child and child.receive
-
-
 def _validate_or_fail(network: PowerNetwork, partition: Partition) -> None:
     report = validate_partition(network, partition)
     if not report.all_ok:
@@ -225,8 +200,8 @@ class _ArtifactDir:
         self.write(log_name, log)
 
     def write_manifest(self, config_path: str, cfg: ScenarioConfig) -> None:
-        # imported here, their only user, so that parse and a forked flow
-        # never load OpenSSL
+        # imported here, their only user, so that parse never loads
+        # OpenSSL
         import hashlib
         from datetime import datetime, timezone
         manifest = {
@@ -340,10 +315,9 @@ def cmd_partition(args) -> int:
 
 def cmd_metrics(args) -> int:
     cfg, network = _scenario(args)
-    with _pre_partition_flow(network) as pre_partition:
-        partition = partition_from_dict(_read_json(args.partition))
-        _validate_or_fail(network, partition)
-        report = compute_metrics(network, partition, pre_partition)
+    partition = partition_from_dict(_read_json(args.partition))
+    _validate_or_fail(network, partition)
+    report = compute_metrics(network, partition)
     _print_scores(report)
     if args.out:
         save_json(metrics_to_dict(report), args.out)
@@ -354,17 +328,18 @@ def cmd_metrics(args) -> int:
 def cmd_run_all(args) -> int:
     cfg, network = _scenario(args)
     initial = _seeds(cfg, network)
-    with _pre_partition_flow(network) as pre_partition:
-        out = _ArtifactDir(args.out_dir)
-        out.write("network", network_to_dict(network))
-        sync_table = None
-        if cfg.algorithm == "centralized":
-            sync_table = _sync_table(cfg, network)
-            out.write("sync_times", sync_table_to_dict(sync_table))
-        partition, log_name, log = _partition(cfg, network, initial,
-                                              sync_table)
-        out.write_partition(partition, log_name, log)
-        report = compute_metrics(network, partition, pre_partition)
+    # a disconnected network has no whole-network flow; metrics then fails
+    # on it after the growth, which may stall first (exit 4)
+    pre = metrics.pre_partition_flow(network) if network.connected else None
+    out = _ArtifactDir(args.out_dir)
+    out.write("network", network_to_dict(network))
+    sync_table = None
+    if cfg.algorithm == "centralized":
+        sync_table = _sync_table(cfg, network)
+        out.write("sync_times", sync_table_to_dict(sync_table))
+    partition, log_name, log = _partition(cfg, network, initial, sync_table)
+    out.write_partition(partition, log_name, log)
+    report = compute_metrics(network, partition, pre)
     out.write("metrics", metrics_to_dict(report))
     out.write_manifest(args.config, cfg)
     sizes = ", ".join(f"{isl.label}:{isl.size}" for isl in partition.islands)

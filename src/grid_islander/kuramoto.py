@@ -22,18 +22,18 @@ does not grow with the number of steps. Each sample's cos(theta_low -
 theta_high) comes from the edge differences the next step's first stage
 gathers anyway: cos is even and x_j - x_i is exactly -(x_i - x_j). With
 two usable CPUs a forked child (``_forked.Forked``, the one fork of the
-package, which the CLI's whole-network power flow also uses) integrates
-the upper half of the runs and sends their cosines, one pickled
-(sample, edge, run) block at a time, over a plain socketpair whose deep
-send buffer lets it run dozens of blocks ahead; the calling process
-puts them after its own runs and averages each edge's contiguous runs,
-or integrates every run itself where the fork is refused at a process
-limit. The kernel gives a run the same bits in a batch of any size, one
-run included, so the table has the same bits with one process or two. ``sync_times`` applies the
-detection rule directly to a stored trajectory, with no scan, and gives
-the same bits. A layer locks to its mean natural frequency, which
-``sync_frequency`` returns without integrating. A warning is logged when
-a step may leave RK4's stability interval.
+package) integrates the upper half of the runs and sends their cosines,
+one pickled (sample, edge, run) block at a time, over a plain socketpair
+whose deep send buffer lets it run dozens of blocks ahead; the calling
+process puts them after its own runs and averages each edge's contiguous
+runs, or integrates every run itself where the fork is refused at a
+process limit. The kernel gives a run the same bits in a batch of any
+size, one run included, so the table has the same bits with one process
+or two. ``sync_times`` applies the detection rule directly to a stored
+trajectory, with no scan, and gives the same bits. A layer locks to its
+mean natural frequency, which ``sync_frequency`` returns without
+integrating. A warning is logged when a step may leave RK4's stability
+interval.
 
 ``ensemble_sync_times`` stops once a proof says the table is final.
 ``locked_state`` gives the layer's locked phases theta* and lambda2.

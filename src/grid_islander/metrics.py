@@ -8,12 +8,12 @@ Four numbers summarize a partition:
 * J4: mean apparent exchange over the cut set, MW, from the post-fault
   solution before splitting.
 
-J2 and J3 need per-island power flows; J4 needs one whole-network flow.
-``compute_metrics`` orchestrates all solves, falling back from AC to DC
-where Newton fails and recording every such decision in provenance. A
-caller may hand it the outcome of a whole-network AC flow it started
-earlier (the CLI solves it in a forked child); the fallback and its
-warning still happen here, after the islands'.
+J2 and J3 need per-island power flows; J4 needs one whole-network flow,
+which no partition changes: ``pre_partition_flow`` solves it, and a
+caller that solved it earlier (the CLI does, before the growth) hands
+the solution to ``compute_metrics``, which otherwise solves it after the
+islands. Every solve falls back from AC to DC where Newton fails, and
+provenance records each such decision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -104,32 +104,31 @@ def metric_j4(pre_solution: PowerFlowSolution, partition: Partition
     return total / len(cut) if cut else 0.0
 
 
-def _solve_with_fallback(network: PowerNetwork, nodes, what: str,
-                         ac_outcome: Callable[[], PowerFlowSolution]
-                         | None = None) -> PowerFlowSolution:
+def _solve_with_fallback(network: PowerNetwork, nodes, what: str
+                         ) -> PowerFlowSolution:
     try:
-        return (ac_outcome() if ac_outcome is not None
-                else ac_power_flow(network, nodes))
+        return ac_power_flow(network, nodes)
     except NotConverged as exc:
         logger.warning("%s: AC flow did not converge (%s); using DC",
                        what, exc)
         return dc_power_flow(network, nodes)
 
 
+def pre_partition_flow(network: PowerNetwork) -> PowerFlowSolution:
+    """The whole-network flow J4 reads: AC, or DC where Newton fails."""
+    return _solve_with_fallback(network, None, "pre-partition network")
+
+
 def compute_metrics(network: PowerNetwork, partition: Partition,
-                    pre_partition: Callable[[], PowerFlowSolution]
-                    | None = None) -> MetricsReport:
+                    pre: PowerFlowSolution | None = None) -> MetricsReport:
     """Solve island and pre-partition flows, then evaluate J1 to J4.
 
     Islands without a generator bus cannot be solved (no slack) and are
     reported with NaN voltage spread and zero losses; any AC failure
     falls back to DC. Both conditions are recorded in provenance.
 
-    ``pre_partition``, if given, returns ``ac_power_flow(network, None)``
-    or raises what it raises, such as a solve started earlier in another
-    process. It is called where the whole-network AC flow would be
-    solved, so the DC fallback, its warning and any other error come at
-    the same point either way.
+    ``pre``, if given, is ``pre_partition_flow(network)``, solved by the
+    caller; otherwise it is solved here, after the islands.
     """
     solutions: dict[int, PowerFlowSolution] = {}
     island_rows: list[IslandMetrics] = []
@@ -154,8 +153,8 @@ def compute_metrics(network: PowerNetwork, partition: Partition,
             vmin=float(np.min(sol.vm)), vmax=float(np.max(sol.vm)),
             losses_mw=float(np.sum(sol.p_loss)), solver=sol.method))
 
-    pre = _solve_with_fallback(network, None, "pre-partition network",
-                               pre_partition)
+    if pre is None:
+        pre = pre_partition_flow(network)
 
     report = MetricsReport(
         j1=metric_j1(network, partition),

@@ -7,8 +7,10 @@ import pytest
 
 from grid_islander import (Island, PowerFlowSolution,
                            ac_power_flow, compute_metrics, dc_power_flow,
-                           j1_from_imbalances, make_partition, metric_j1,
-                           metric_j2, metric_j3, metric_j4, metrics_to_dict)
+                           j1_from_imbalances, load_scenario, make_partition,
+                           metric_j1, metric_j2, metric_j3, metric_j4,
+                           metrics_to_dict, pre_partition_flow,
+                           run_decentralized)
 from conftest import make_network
 
 
@@ -194,3 +196,18 @@ def test_metrics_to_dict_round_trip_values():
     assert data["J4"] == 0.0
     assert data["provenance"]["pre_partition_solver"] == "ac"
     assert len(data["islands"]) == 1
+
+
+def test_pre_partition_flow_gives_the_same_report(scenario118_path,
+                                                  net118_faulted):
+    # the CLI solves the whole-network flow before the growth and hands
+    # it over; the report must equal the one that solves it here
+    cfg = load_scenario(scenario118_path)
+    seeds = [Island(label=k + 1, node_set=frozenset(nodes))
+             for k, nodes in enumerate(cfg.initial_islands)]
+    part = run_decentralized(net118_faulted, seeds,
+                             epsilon=cfg.freq_epsilon).partition
+    handed = compute_metrics(net118_faulted, part,
+                             pre=pre_partition_flow(net118_faulted))
+    assert metrics_to_dict(handed) == metrics_to_dict(
+        compute_metrics(net118_faulted, part))
