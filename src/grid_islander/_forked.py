@@ -1,6 +1,6 @@
 """A forked child process that reports to its parent over a socketpair,
-one pickle per ``("value", v)``, ``("raise", exc)`` or
-``("crash", traceback)`` message, through buffered files on its ends.
+one pickle per ``("value", v)`` or ``("crash", traceback)`` message,
+through buffered files on its ends.
 Messages go one way only: the parent never writes to the child.
 
 The child's end asks for the deepest send buffer the kernel grants
@@ -21,8 +21,6 @@ import signal
 import traceback
 from typing import Any, Callable
 
-from .errors import GridIslanderError
-
 # Asked for as the child end's SO_SNDBUF; the kernel grants at most its cap.
 _SEND_BUFFER = 2 ** 31 - 1
 
@@ -40,8 +38,8 @@ class Forked:
 
     The child ``send``s values that the parent ``receive``s in order,
     also after the child has ended. If ``work`` raises, ``receive``
-    raises its error: a GridIslanderError as itself, anything else as
-    RuntimeError with the child's traceback. As a context manager the
+    raises RuntimeError with the child's traceback, whatever the error;
+    only values cross, never exceptions. As a context manager the
     parent, on leaving, kills the child wherever it is and reaps it.
     """
 
@@ -58,19 +56,16 @@ class Forked:
             theirs.close()
             raise
         if self.pid == 0:
-            code = 1
             try:
                 mine.close()
                 self._stream = open(theirs.detach(), "wb")
                 try:
                     work(self)
-                    code = 0
-                except GridIslanderError as exc:
-                    self._report("raise", exc)
+                    os._exit(0)
                 except BaseException:
-                    self._report("crash", traceback.format_exc())
+                    self.send(traceback.format_exc(), "crash")
             finally:
-                os._exit(code)
+                os._exit(1)
         theirs.close()
         self._stream = open(mine.detach(), "rb")
 
@@ -82,13 +77,10 @@ class Forked:
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
 
-    def _report(self, kind: str, body: Any) -> None:
+    def send(self, value: Any, kind: str = "value") -> None:
         # a whole pickle or, if dumps fails, nothing; flushed at once
-        self._stream.write(pickle.dumps((kind, body)))
+        self._stream.write(pickle.dumps((kind, value)))
         self._stream.flush()
-
-    def send(self, value: Any) -> None:
-        self._report("value", value)
 
     def receive(self) -> Any:
         try:
@@ -98,6 +90,4 @@ class Forked:
                 from None
         if kind == "value":
             return body
-        if kind == "raise":
-            raise body
         raise RuntimeError("forked child failed:\n" + body)

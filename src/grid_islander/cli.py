@@ -5,8 +5,8 @@ are built from one staged pipeline: scenario and network, sync table
 (detected inside the RK4 loop), partition, metrics. run-all solves the
 whole-network power flow behind J4, which no partition changes, right
 after the seed check and before any artifact or growth, while the
-network alone is in memory, and hands the solution to metrics; the
-metrics subcommand solves it there, after the islands' flows. Every
+network alone is in memory, and hands the solution to metrics; otherwise
+metrics solves it after the islands' flows, per component if split. Every
 artifact is JSON or CSV; a run manifest ties the outputs of one
 invocation together. Exit codes: 0 success, 2 input error, 3 numerical
 failure, 4 validation failure. Verbosity follows the GRID_ISLANDER_LOG
@@ -44,8 +44,8 @@ from .network import (Island, Partition, PowerNetwork, apply_fault,
                       validate_partition)
 from .scenario import ScenarioConfig, load_scenario
 from .serialize import (network_to_dict, partition_from_dict,
-                        partition_to_dict, save_json, sync_table_from_dict,
-                        sync_table_to_dict)
+                        partition_to_dict, save_csv, save_json,
+                        sync_table_from_dict, sync_table_to_dict)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -217,17 +217,6 @@ class _ArtifactDir:
         save_json(manifest, self.path / "run_manifest.json")
 
 
-def _write_csv(path: str, header: list[str], lines) -> None:
-    """Write ``header``, then ``lines``: text of whole rows spelled as
-    csv.writer spells ints and floats (str and repr, comma separated,
-    each row ended by CR LF), which a reader turns back into the same
-    numbers."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\r\n")
-        handle.writelines(lines)
-    print(f"wrote {path}")
-
-
 def _read_json(path: str):
     return json.loads(Path(path).read_text(encoding="utf-8"))
 
@@ -271,12 +260,13 @@ def cmd_simulate(args) -> int:
         # from one kernel: derivative(layer, row)'s bits; one string of
         # rows per sample
         rhs = _Kernel(layer, 1).rhs
-        _write_csv(args.out, ["t", "node_id", "phase", "frequency"], (
+        save_csv(["t", "node_id", "phase", "frequency"], (
             "".join(f"{t!r},{node},{phase!r},{freq!r}\r\n"
                     for node, phase, freq in zip(
                         layer.node_ids, row.tolist(),
                         rhs(row[:, None]).ravel().tolist()))
-            for t, row in zip(times.tolist(), phases)))
+            for t, row in zip(times.tolist(), phases)), args.out)
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -290,8 +280,9 @@ def cmd_sync_times(args) -> int:
         save_json(sync_table_to_dict(table), args.out)
         print(f"wrote {args.out}")
     if args.csv:
-        _write_csv(args.csv, ["i", "j", "t_sync"], (
-            f"{a},{b},{t!r}\r\n" for (a, b), t in table.items()))
+        save_csv(["i", "j", "t_sync"], (
+            f"{a},{b},{t!r}\r\n" for (a, b), t in table.items()), args.csv)
+        print(f"wrote {args.csv}")
     return EXIT_OK
 
 
@@ -328,8 +319,8 @@ def cmd_metrics(args) -> int:
 def cmd_run_all(args) -> int:
     cfg, network = _scenario(args)
     initial = _seeds(cfg, network)
-    # a disconnected network has no whole-network flow; metrics then fails
-    # on it after the growth, which may stall first (exit 4)
+    # a split network has one flow per component instead, which metrics
+    # solves after the growth, so a stalled growth still exits 4
     pre = metrics.pre_partition_flow(network) if network.connected else None
     out = _ArtifactDir(args.out_dir)
     out.write("network", network_to_dict(network))

@@ -1,25 +1,12 @@
 """Exception types shared across the toolkit, and the integer check that
-every reader of ids and counts applies."""
+every reader of ids and counts applies. No error is pickled: a forked
+child (``_forked``) reports any exception as its traceback's text."""
 
 from __future__ import annotations
 
 
 class GridIslanderError(Exception):
-    """Base class for every error raised by this package.
-
-    Every subclass pickles with its type, message and attributes, so a
-    forked child can hand its error back to the parent.
-    """
-
-    def __reduce__(self):
-        # Subclasses build their message in __init__ from other
-        # arguments, so the message in self.args cannot be passed back to
-        # __init__; rebuild without calling it.
-        return _rebuild, (type(self), self.args), self.__dict__
-
-
-def _rebuild(cls: type, args: tuple) -> GridIslanderError:
-    return cls.__new__(cls, *args)
+    """Base class for every error raised by this package."""
 
 
 def integer(name: str, value, error: type[Exception] = ValueError) -> int:
@@ -48,9 +35,9 @@ class EmptyLayer(GridIslanderError):
 class NumericalDivergence(GridIslanderError):
     """Integration produced a non-finite state."""
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"non-finite state at t={t:g}")
+        super().__init__(f"non-finite state at t={t:g}")
 
 
 class MissingSection(GridIslanderError):

@@ -8,12 +8,12 @@ Four numbers summarize a partition:
 * J4: mean apparent exchange over the cut set, MW, from the post-fault
   solution before splitting.
 
-J2 and J3 need per-island power flows; J4 needs one whole-network flow,
-which no partition changes: ``pre_partition_flow`` solves it, and a
-caller that solved it earlier (the CLI does, before the growth) hands
-the solution to ``compute_metrics``, which otherwise solves it after the
-islands. Every solve falls back from AC to DC where Newton fails, and
-provenance records each such decision.
+J2 and J3 need per-island power flows; J4 needs the whole network's
+flow (one per component of a split grid), which no partition changes:
+``pre_partition_flow`` solves it, and a caller that solved it earlier
+(the CLI does, before the growth) hands it to ``compute_metrics``, which
+otherwise solves it after the islands. Every solve falls back from AC to
+DC where Newton fails, and provenance records each such decision.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -89,18 +89,18 @@ def metric_j3(solutions: Mapping[int, PowerFlowSolution]) -> float:
     return float(sum(np.sum(sol.p_loss) for sol in solutions.values()))
 
 
-def metric_j4(pre_solution: PowerFlowSolution, partition: Partition
-              ) -> float:
-    """Mean apparent exchange over the cut, MW, from the pre-split flow.
+def metric_j4(pre_solutions: Sequence[PowerFlowSolution],
+              partition: Partition) -> float:
+    """Mean apparent exchange over the cut, MW, from the pre-split flows.
 
-    Every branch of the pre-partition solution whose endpoints fall in
+    Every branch of a pre-partition solution whose endpoints fall in
     different islands contributes (|P_from| + |P_to|) / 2.
     """
-    cut = crossing(partition.islands, pre_solution.branch_ends)
+    cut = [(sol, k) for sol in pre_solutions
+           for k in crossing(partition.islands, sol.branch_ends)]
     total = 0.0
-    for k in cut:
-        total += 0.5 * (abs(float(pre_solution.p_from[k]))
-                        + abs(float(pre_solution.p_to[k])))
+    for sol, k in cut:
+        total += 0.5 * (abs(float(sol.p_from[k])) + abs(float(sol.p_to[k])))
     return total / len(cut) if cut else 0.0
 
 
@@ -114,13 +114,19 @@ def _solve_with_fallback(network: PowerNetwork, nodes, what: str
         return dc_power_flow(network, nodes)
 
 
-def pre_partition_flow(network: PowerNetwork) -> PowerFlowSolution:
-    """The whole-network flow J4 reads: AC, or DC where Newton fails."""
-    return _solve_with_fallback(network, None, "pre-partition network")
+def pre_partition_flow(network: PowerNetwork) -> list[PowerFlowSolution]:
+    """The flows J4 reads, each AC or, where Newton fails, DC: the whole
+    network's, or one per connected component of a split network."""
+    if network.connected:
+        return [_solve_with_fallback(network, None, "pre-partition network")]
+    return [_solve_with_fallback(network, nodes,
+                                 f"pre-partition component {k}")
+            for k, nodes in enumerate(network.components(), 1)]
 
 
 def compute_metrics(network: PowerNetwork, partition: Partition,
-                    pre: PowerFlowSolution | None = None) -> MetricsReport:
+                    pre: Sequence[PowerFlowSolution] | None = None
+                    ) -> MetricsReport:
     """Solve island and pre-partition flows, then evaluate J1 to J4.
 
     Islands without a generator bus cannot be solved (no slack) and are
@@ -134,24 +140,22 @@ def compute_metrics(network: PowerNetwork, partition: Partition,
     island_rows: list[IslandMetrics] = []
     solver_used: dict[str, str] = {}
     for isl in sorted(partition.islands, key=lambda i: i.label):
-        imbalance_mw = island_imbalance(network, isl) * network.base_mva
+        row = dict(label=isl.label, size=isl.size, imbalance_mw=(
+            island_imbalance(network, isl) * network.base_mva))
         try:
             sol = _solve_with_fallback(network, isl.node_set,
                                        f"island {isl.label}")
         except NoGenerator:
             logger.warning("island %d has no generator; voltage metrics "
                            "unavailable", isl.label)
-            solver_used[str(isl.label)] = "none"
-            island_rows.append(IslandMetrics(
-                label=isl.label, size=isl.size, imbalance_mw=imbalance_mw,
-                vmin=math.nan, vmax=math.nan, losses_mw=0.0, solver="none"))
-            continue
-        solutions[isl.label] = sol
-        solver_used[str(isl.label)] = sol.method
-        island_rows.append(IslandMetrics(
-            label=isl.label, size=isl.size, imbalance_mw=imbalance_mw,
-            vmin=float(np.min(sol.vm)), vmax=float(np.max(sol.vm)),
-            losses_mw=float(np.sum(sol.p_loss)), solver=sol.method))
+            row.update(vmin=math.nan, vmax=math.nan, losses_mw=0.0,
+                       solver="none")
+        else:
+            solutions[isl.label] = sol
+            row.update(vmin=float(np.min(sol.vm)), vmax=float(np.max(sol.vm)),
+                       losses_mw=float(np.sum(sol.p_loss)), solver=sol.method)
+        island_rows.append(IslandMetrics(**row))
+        solver_used[str(isl.label)] = row["solver"]
 
     if pre is None:
         pre = pre_partition_flow(network)
@@ -164,7 +168,8 @@ def compute_metrics(network: PowerNetwork, partition: Partition,
         islands=tuple(island_rows),
         provenance={
             "island_solver": solver_used,
-            "pre_partition_solver": pre.method,
+            "pre_partition_solver": ("dc" if any(
+                sol.method == "dc" for sol in pre) else "ac"),
             "dispatch": "scheduled generation from the case file",
             "q_limits_enforced": False,
             "voltage_spread_note": (

@@ -192,24 +192,33 @@ class PowerNetwork:
                 edges.add((a, b) if a < b else (b, a))
         return edges
 
+    def _reach(self, start: int, node_set: set[int]) -> set[int]:
+        """Nodes of ``node_set`` joined to ``start`` by paths inside it."""
+        seen = {start}
+        queue = deque(seen)
+        while queue:
+            for peer in self._adjacency[queue.popleft()]:
+                if peer in node_set and peer not in seen:
+                    seen.add(peer)
+                    queue.append(peer)
+        return seen
+
     def subgraph_connected(self, nodes: Iterable[int]) -> bool:
         """True if the induced in-service subgraph on ``nodes`` is connected."""
         node_set = set(nodes)
         for node in node_set:
             if node not in self._by_id:
                 raise NotFound(f"no bus with id {node}")
-        if not node_set:
-            return True
-        start = next(iter(node_set))
-        seen = {start}
-        queue = deque(seen)
-        while queue:
-            node = queue.popleft()
-            for peer in self._adjacency[node]:
-                if peer in node_set and peer not in seen:
-                    seen.add(peer)
-                    queue.append(peer)
-        return len(seen) == len(node_set)
+        return not node_set or len(
+            self._reach(next(iter(node_set)), node_set)) == len(node_set)
+
+    def components(self) -> list[tuple[int, ...]]:
+        """Connected components, each sorted, in order of lowest id."""
+        left, parts = set(self._by_id), []
+        while left:
+            parts.append(tuple(sorted(self._reach(min(left), left))))
+            left.difference_update(parts[-1])
+        return parts
 
 
 def net_injection(network: PowerNetwork, bus_id: int) -> float:

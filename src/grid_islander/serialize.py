@@ -3,16 +3,18 @@
 Field names here are a stable external interface; anything consuming the
 CLI artifacts relies on them. ``save_json`` streams an artifact through a
 temporary file beside the target, in bounded chunks, with the same bytes
-as ``json.dumps(data, indent=2)`` plus a newline; the target is replaced
-only once the whole document is written. Artifacts have only ``str``
-keys and no cycles, so the writer handles nothing else: ``save_json``
-raises TypeError on any other key and RecursionError on a cycle.
+as ``json.dumps(data, indent=2)`` plus a newline, and ``save_csv`` a CSV
+output the same way; the target is replaced only once the whole file is
+written. Artifacts have only ``str`` keys and no cycles, so the writer
+handles nothing else: ``save_json`` raises TypeError on any other key
+and RecursionError on a cycle.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -214,15 +216,29 @@ def _write_json(data, handle) -> None:
     spill()
 
 
-def save_json(data: dict, path) -> None:
-    """Write ``data`` as indented JSON; on any error the file at ``path``
-    is left as it was and no temporary file remains."""
+def _write_replacing(path, write) -> None:
+    """Run ``write(handle)`` on a text file beside ``path`` that then
+    replaces it; on any error, Ctrl-C included, the file at ``path`` is
+    left as it was and no temporary file remains."""
     path = Path(path)
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", encoding="utf-8") as handle:
-            _write_json(data, handle)
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            write(handle)
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def save_json(data: dict, path) -> None:
+    """Write ``data`` as indented JSON, replacing ``path`` whole."""
+    _write_replacing(path, lambda handle: _write_json(data, handle))
+
+
+def save_csv(header: list[str], lines, path) -> None:
+    """Replace ``path`` whole with ``header``, then ``lines``: text of
+    whole rows spelled as csv.writer spells ints and floats (str and
+    repr, comma separated, each row ended by CR LF)."""
+    _write_replacing(path, lambda handle: handle.writelines(
+        chain([",".join(header) + "\r\n"], lines)))

@@ -194,6 +194,29 @@ def test_stalled_partition_exit_4(workspace, capsys):
         assert sorted(path.name for path in out_dir.iterdir()) == left
 
 
+@pytest.mark.parametrize("algorithm", ["centralized", "decentralized"])
+def test_split_grid_run_all_scores_each_component(workspace, capsys,
+                                                  algorithm):
+    # cutting 1-2 leaves seed bus 1 alone and seed bus 4 with the rest:
+    # each component holds a seed island and gets its own flow for J4,
+    # and no in-service branch crosses the cut
+    tmp_path, cfg = workspace
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    data["fault_branches"] = [[1, 2]]
+    split = tmp_path / "split.json"
+    split.write_text(json.dumps(data), encoding="utf-8")
+    out_dir = tmp_path / algorithm
+    rc = main(["run-all", "--config", str(split), "--algorithm", algorithm,
+               "--out-dir", str(out_dir)])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out_dir / "metrics.json").read_text(
+        encoding="utf-8"))
+    assert report["J4"] == 0.0
+    assert report["provenance"]["pre_partition_solver"] == "ac"
+    assert [row["size"] for row in report["islands"]] == [1, 4]
+
+
 def _cut_seed_island(command, algorithm, scenario118_path, case118_path,
                      tmp_path, capsys, monkeypatch):
     """Run ``command`` on the shipped scenario with the 9-10 fault, which

@@ -1,20 +1,21 @@
-"""Every error type survives pickling, as a forked child hands it back."""
+"""Every error type ends the CLI with its exit code, and a forked child
+reports values, or any error as its traceback."""
 
 import inspect
+import json
 import os
-import pickle
 import socket
 import time
 
 import pytest
 
-from grid_islander import errors
+from grid_islander import cli, errors
 from grid_islander._forked import Forked
 
 # Constructor arguments of every class in errors.py; the rest take one
 # message.
 _ARGUMENTS = {
-    errors.NumericalDivergence: [(2.5,), (2.5, "blew up")],
+    errors.NumericalDivergence: [(2.5,)],
     errors.MissingSection: [("bus",)],
     errors.ParseError: [(3, 7, "bad token")],
     errors.Stalled: [("stuck",), ("stuck", 4, [11, 12])],
@@ -22,7 +23,18 @@ _ARGUMENTS = {
 }
 _CLASSES = [cls for _, cls in inspect.getmembers(errors, inspect.isclass)
             if cls.__module__ == errors.__name__]
-_CASES = [(cls, args) for cls in _CLASSES
+# The exit code of every error the package raises: each class in
+# errors.py but the base, which is never raised itself, and the CLI's own.
+_EXIT_CODES = {
+    errors.ConfigError: 2, errors.EmptyLayer: 2, errors.MissingSection: 2,
+    errors.NotFound: 2, errors.ParseError: 2, errors.SchemaError: 2,
+    errors.DegenerateBranch: 3, errors.DegenerateEstimate: 3,
+    errors.NotConverged: 3, errors.NumericalDivergence: 3,
+    errors.SingularSystem: 3, errors.UndefinedSize: 3,
+    errors.InitialIslandsOverlap: 4, errors.NoGenerator: 4,
+    errors.Stalled: 4, cli._ValidationFailure: 4,
+}
+_CASES = [(cls, args) for cls in sorted(_EXIT_CODES, key=lambda c: c.__name__)
           for args in _ARGUMENTS.get(cls, [("what went wrong",)])]
 
 
@@ -30,18 +42,26 @@ def test_every_class_is_covered():
     assert errors.NotConverged in _CLASSES
     assert set(_ARGUMENTS) <= set(_CLASSES)
     assert all(issubclass(cls, errors.GridIslanderError) for cls in _CLASSES)
+    assert set(_EXIT_CODES) == (set(_CLASSES) - {errors.GridIslanderError}
+                                | {cli._ValidationFailure})
 
 
 @pytest.mark.parametrize("cls, args", _CASES,
                          ids=[f"{cls.__name__}{len(args)}"
                               for cls, args in _CASES])
-def test_error_round_trips_through_pickle(cls, args):
+def test_error_exits_with_its_code(cls, args, monkeypatch, capsys):
+    # raised from the first pipeline stage, the error ends main with its
+    # exit code and one JSON line on stderr, not a traceback
     exc = cls(*args)
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is cls
-    assert str(back) == str(exc)
-    assert back.args == exc.args
-    assert vars(back) == vars(exc)
+
+    def stage(parsed):
+        raise exc
+
+    monkeypatch.setattr(cli, "_scenario", stage)
+    code = cli.main(["run-all", "--config", "never-read.json"])
+    assert code == _EXIT_CODES[cls]
+    assert capsys.readouterr().err.splitlines() == [json.dumps(
+        {"error": cls.__name__, "message": str(exc), "exit_code": code})]
 
 
 def _raising(exc):
@@ -51,15 +71,15 @@ def _raising(exc):
 
 
 def test_child_errors_are_forwarded():
-    # a GridIslanderError comes back as itself, anything else as
-    # RuntimeError with the child's traceback
-    with Forked(_raising(errors.NotConverged(20, 1.5))) as child:
-        with pytest.raises(errors.NotConverged) as err:
-            child.receive()
-    assert (err.value.iterations, err.value.mismatch) == (20, 1.5)
-    with pytest.raises(RuntimeError, match=r"(?s)Traceback.*KeyError: 'x'"):
-        with Forked(_raising(KeyError("x"))) as child:
-            child.receive()
+    # any error, a package error too, comes back as RuntimeError with the
+    # child's traceback
+    for exc, last_line in ((errors.NotConverged(20, 1.5),
+                            "NotConverged: no convergence after 20 "),
+                           (KeyError("x"), "KeyError: 'x'")):
+        with pytest.raises(RuntimeError, match="(?s)forked child failed:\n"
+                           "Traceback.*" + last_line):
+            with Forked(_raising(exc)) as child:
+                child.receive()
 
 
 def test_child_values_round_trip():

@@ -500,7 +500,9 @@ def test_no_child_or_pipe_outlives_the_scan(monkeypatch):
     assert len(forks) == 5
 
 
-def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
+def test_forked_half_reports_package_errors_as_crashes(monkeypatch):
+    # the forked half sends values only: a package error raised there
+    # arrives as RuntimeError with the child's traceback
     _use_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     pair = two_node_layer(0.1, -0.1)
@@ -510,7 +512,8 @@ def test_forked_half_raises_package_errors_as_themselves(monkeypatch):
             raise NotFound("node 9 is not in this layer")
 
     _hook_steps(monkeypatch, fail)
-    with pytest.raises(NotFound, match="node 9 is not in this layer"):
+    with pytest.raises(RuntimeError, match=r"(?s)forked child failed:\n"
+                       r"Traceback.*NotFound: node 9 is not in this layer"):
         ensemble_sync_times(pair, 8, 2, 0.99, t_max=1.0, dt=0.01)
     assert len(forks) == 1
 

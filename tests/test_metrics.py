@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from grid_islander import (Island, PowerFlowSolution,
+import grid_islander.metrics as metrics_module
+from grid_islander import (Island, NotConverged, PowerFlowSolution,
                            ac_power_flow, compute_metrics, dc_power_flow,
                            j1_from_imbalances, load_scenario, make_partition,
                            metric_j1, metric_j2, metric_j3, metric_j4,
@@ -88,7 +89,7 @@ def test_j4_single_cut_line():
                      [(1, 2), (2, 3)], generator_set={1}),
         [Island(label=1, node_set=frozenset({1})),
          Island(label=2, node_set=frozenset({2, 3}))])
-    assert metric_j4(pre, part) == pytest.approx(39.0)
+    assert metric_j4([pre], part) == pytest.approx(39.0)
 
 
 def test_j4_averages_cut_branches_only():
@@ -102,7 +103,7 @@ def test_j4_averages_cut_branches_only():
                           [Island(label=1, node_set=frozenset({1, 2})),
                            Island(label=2, node_set=frozenset({3, 4}))])
     # only branch (2, 3) crosses the cut
-    assert metric_j4(pre, part) == pytest.approx(20.0)
+    assert metric_j4([pre], part) == pytest.approx(20.0)
 
 
 def test_j4_separates_islands_that_share_a_label():
@@ -118,7 +119,7 @@ def test_j4_separates_islands_that_share_a_label():
                            Island(label=1, node_set=frozenset({2})),
                            Island(label=2, node_set=frozenset({4, 5}))])
     # branches (1, 2), (2, 3) and (3, 4) cross the cut
-    assert metric_j4(pre, part) == pytest.approx(20.0)
+    assert metric_j4([pre], part) == pytest.approx(20.0)
 
 
 def test_j4_no_cut_edges():
@@ -127,7 +128,58 @@ def test_j4_no_cut_edges():
     net = make_network({1: 1.0, 2: -1.0}, [(1, 2)], generator_set={1})
     part = make_partition(net,
                           [Island(label=1, node_set=frozenset({1, 2}))])
-    assert metric_j4(pre, part) == 0.0
+    assert metric_j4([pre], part) == 0.0
+
+
+def test_j4_averages_the_cut_over_every_flow():
+    # a split network's components each have a flow; their cut branches
+    # are averaged together: (20 + 50 + 80) / 3
+    first = _fake_solution([1.0] * 3, 0.0, ends=((1, 2), (2, 3)),
+                           p_from=[20.0, 99.0], p_to=[-20.0, -99.0])
+    second = _fake_solution([1.0] * 3, 0.0, ends=((4, 5), (5, 6)),
+                            p_from=[50.0, 80.0], p_to=[-50.0, -80.0])
+    net = make_network({1: 1.0, 2: -0.2, 3: -0.8, 4: 1.0, 5: -0.5,
+                        6: 0.5}, [(1, 2), (2, 3), (4, 5), (5, 6)],
+                       generator_set={1, 4, 6})
+    part = make_partition(net,
+                          [Island(label=1, node_set=frozenset({1})),
+                           Island(label=2, node_set=frozenset({2, 3})),
+                           Island(label=3, node_set=frozenset({4})),
+                           Island(label=4, node_set=frozenset({5})),
+                           Island(label=5, node_set=frozenset({6}))])
+    assert metric_j4([first, second], part) == pytest.approx(50.0)
+    assert metric_j4([], part) == 0.0
+
+
+def test_split_network_flows_per_component(monkeypatch):
+    # components 1-2-3-4 and 5-6: J4 reads the first one's flow, as the
+    # second holds no cut branch; one fallback makes the solver "dc"
+    net = make_network({1: 1.0, 2: -0.6, 3: -0.4, 4: 0.8, 5: 0.3,
+                        6: -0.3}, [(1, 2), (2, 3), (3, 4), (5, 6)],
+                       generator_set={1, 4, 5})
+    part = make_partition(net,
+                          [Island(label=1, node_set=frozenset({1, 2})),
+                           Island(label=2, node_set=frozenset({3, 4})),
+                           Island(label=3, node_set=frozenset({5, 6}))])
+    flows = pre_partition_flow(net)
+    assert [sol.node_ids for sol in flows] == [(1, 2, 3, 4), (5, 6)]
+    assert [sol.method for sol in flows] == ["ac", "ac"]
+    report = compute_metrics(net, part)
+    assert report.j4 == metric_j4([ac_power_flow(net, [1, 2, 3, 4])], part)
+    assert report.j4 > 0.0
+    assert report.provenance["pre_partition_solver"] == "ac"
+
+    solve = metrics_module.ac_power_flow
+
+    def second_fails(network, nodes=None):
+        if nodes is not None and set(nodes) == {5, 6}:
+            raise NotConverged(20, 1.5)
+        return solve(network, nodes)
+
+    monkeypatch.setattr(metrics_module, "ac_power_flow", second_fails)
+    report = compute_metrics(net, part)
+    assert report.provenance["pre_partition_solver"] == "dc"
+    assert report.provenance["island_solver"]["3"] == "dc"
 
 
 def test_compute_metrics_end_to_end():

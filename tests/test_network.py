@@ -255,6 +255,13 @@ def test_disconnected_network_flagged_not_rejected():
     assert not net.subgraph_connected({2, 3})
 
 
+def test_components_in_order_of_lowest_id(five_path):
+    net = make_network({1: 1.0, 2: 0.5, 3: -0.5, 4: 0.2, 5: -0.6, 6: -0.6},
+                       [(5, 1), (3, 6), (6, 2)])
+    assert net.components() == [(1, 5), (2, 3, 6), (4,)]
+    assert five_path.components() == [five_path.node_ids()]
+
+
 def test_ieee118_shape(net118, net118_faulted):
     assert net118.n_buses == 118
     assert len(net118.branches) == 186

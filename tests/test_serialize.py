@@ -17,6 +17,7 @@ from grid_islander import (Branch, Bus, ConfigError, Island, SchemaError,
                            partition_from_dict, partition_to_dict,
                            save_json, scenario_from_dict,
                            sync_table_from_dict, sync_table_to_dict)
+from grid_islander.serialize import save_csv
 from conftest import DATA_DIR, GEN_SET_118, M1_118, M2_118, make_network
 
 
@@ -325,3 +326,24 @@ def test_save_json_failure_keeps_old_file(tmp_path, bad, error, message):
         save_json(bad, path)
     assert path.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_save_csv_failure_keeps_old_file(tmp_path, error):
+    # rows that fail midway, as a generator or Ctrl-C may, leave the old
+    # file whole; complete rows replace it
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"old bytes\r\n")
+
+    def rows():
+        yield "1,2,0.5\r\n"
+        raise error("stopped midway")
+
+    with pytest.raises(error, match="stopped midway"):
+        save_csv(["i", "j", "t_sync"], rows(), path)
+    assert path.read_bytes() == b"old bytes\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    save_csv(["i", "j", "t_sync"], iter(["1,2,0.5\r\n", "2,3,inf\r\n"]),
+             path)
+    assert path.read_bytes() == b"i,j,t_sync\r\n1,2,0.5\r\n2,3,inf\r\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
