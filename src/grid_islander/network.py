@@ -7,6 +7,7 @@ arbitrary positive integers; nothing assumes they are contiguous.
 from __future__ import annotations
 
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
@@ -354,7 +355,8 @@ class IslandRegistry:
     holds each island's running injection sum (its power imbalance), and
     ``island_freq`` publishes ``total / size``, the frequency an
     oscillator layer over the island locks to. All three are built from
-    ``islands`` (``total`` summed over each member set in its iteration
+    ``islands`` (``total`` as each member set's exact, correctly rounded
+    sum, so equal sets start at equal totals whatever their iteration
     order) and kept in step by ``join``.
     """
 
@@ -378,7 +380,7 @@ class IslandRegistry:
     def __post_init__(self) -> None:
         self.owner = {node: lbl for lbl, members in self.islands.items()
                       for node in members}
-        self.total = {lbl: sum(self.injection[n] for n in members)
+        self.total = {lbl: math.fsum(self.injection[n] for n in members)
                       for lbl, members in self.islands.items()}
         self.island_freq = {lbl: self.total[lbl] / len(members)
                             for lbl, members in self.islands.items()}

@@ -17,9 +17,7 @@ class ScenarioConfig:
     """Everything a partitioning run needs besides the case file itself.
 
     ``initial_islands`` holds the seed node sets in label order (island 1
-    first); ``n_mu`` is their number. ``freq_epsilon`` is the drift, in
-    per-unit, of an island's published frequency at which a decentralized
-    agent's reading of it counts as stale.
+    first); ``n_mu`` is their number.
     """
 
     case_path: Path
@@ -31,7 +29,6 @@ class ScenarioConfig:
     t_max: float
     dt: float
     rho_threshold: float
-    freq_epsilon: float
     algorithm: str = "centralized"
 
     def __post_init__(self):
@@ -61,15 +58,13 @@ def _validate(cfg: ScenarioConfig) -> None:
         raise ConfigError("initial islands must be non-empty")
     if not cfg.generator_set:
         raise ConfigError("generator set is empty")
-    for name in ("dt", "t_max", "freq_epsilon"):
+    for name in ("dt", "t_max"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
     if cfg.dt <= 0 or cfg.t_max <= 0 or cfg.dt >= cfg.t_max:
         raise ConfigError("need 0 < dt < t_max")
     if not 0.0 < cfg.rho_threshold < 1.0:
         raise ConfigError("rho_threshold must lie in (0, 1)")
-    if cfg.freq_epsilon <= 0:
-        raise ConfigError("freq_epsilon must be positive")
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.ensemble_size < 1:
@@ -80,11 +75,12 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 _REQUIRED_KEYS = ("case_path", "generator_set", "initial_islands",
                   "fault_branches", "seed", "ensemble_size",
-                  "t_max", "dt", "rho_threshold", "freq_epsilon")
-# max_stalled_rounds is retired: files that carry it still load, and its
-# value, whatever it is, is ignored.
+                  "t_max", "dt", "rho_threshold")
+# max_stalled_rounds and freq_epsilon are retired: files that carry them
+# still load, and their values, whatever they are, are ignored.
 _KEYS = frozenset(_REQUIRED_KEYS + ("schema_version", "n_mu", "algorithm",
-                                    "mode", "max_stalled_rounds"))
+                                    "mode", "max_stalled_rounds",
+                                    "freq_epsilon"))
 
 
 def scenario_from_dict(data: dict, base_dir: Path | None = None
@@ -125,7 +121,6 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
             t_max=float(data["t_max"]),
             dt=float(data["dt"]),
             rho_threshold=float(data["rho_threshold"]),
-            freq_epsilon=float(data["freq_epsilon"]),
             algorithm=data.get("algorithm", "centralized"),
         )
     except (TypeError, ValueError) as exc:

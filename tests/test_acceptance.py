@@ -18,7 +18,7 @@ from grid_islander import (CyberLayer, Island, IslandRegistry, SyncTimeTable,
                            estimate_island_power, integrate,
                            j1_from_imbalances, net_injection,
                            run_decentralized, sync_times, validate_partition)
-from grid_islander.decentralized import _evaluate_round
+from grid_islander.decentralized import _evaluate
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -128,7 +128,7 @@ def test_criterion_5_ieee118_end_to_end(scenario118, net118_faulted):
     t_central = time.perf_counter() - start
 
     start = time.perf_counter()
-    dec = run_decentralized(net, islands, epsilon=scenario118.freq_epsilon)
+    dec = run_decentralized(net, islands)
     valid_d = validate_partition(net, dec.partition)
     metrics_d = compute_metrics(net, dec.partition)
     t_dec = time.perf_counter() - start
@@ -260,8 +260,7 @@ def test_criterion_8_decisions_ignore_far_islands():
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            snapshot, decision, info = _evaluate_round(
-                net, registry, [node])[0]
+            snapshot, decision, info = _evaluate(net, registry, node)
             if len(snapshot) == len(islands):
                 continue   # node borders every island; nothing is far
             twisted = IslandRegistry(
@@ -274,7 +273,7 @@ def test_criterion_8_decisions_ignore_far_islands():
                     twisted.total[lbl] += 1.9
                     twisted.island_freq[lbl] += 0.37
                     twisted.islands[lbl].add(far_node)
-            _, decision2, info2 = _evaluate_round(net, twisted, [node])[0]
+            _, decision2, info2 = _evaluate(net, twisted, node)
             assert decision2 == decision
             assert info2["estimates"] == info["estimates"]
             checked += 1

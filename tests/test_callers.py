@@ -42,7 +42,7 @@ def test_demo_runs(demo, tmp_path):
 # sha256 over the json.dumps of partition_to_dict of every partition the
 # fault sweep grows, in ascending fault order.
 FAULT_SWEEP_SHA256 = (
-    "64ac5f5fed7c9329e02e1a68c89cb1de37cf9e2bac051fe02225aa5cb1af6936")
+    "83e0ae259f5bdd79e8adacf2d942223ddd983912bc9813b16e4a99e8cc91da2a")
 
 
 def test_decentralized_fault_sweep_is_pinned():

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -66,7 +67,6 @@ def workspace(tmp_path):
         "t_max": 20.0,
         "dt": 0.01,
         "rho_threshold": 0.99,
-        "freq_epsilon": 0.001,
         "algorithm": "centralized",
         "mode": "analytic",
     }
@@ -143,9 +143,9 @@ def test_unknown_scenario_key_exit_2(workspace, capsys):
         assert err["error"] == "ConfigError"
         assert "['max_staled_rounds']" in err["message"]
         assert not out_dir.exists()
-    # every optional key is known, the retired max_stalled_rounds too
-    cfg.write_text(json.dumps(dict(data, max_stalled_rounds=1)),
-                   encoding="utf-8")
+    # every optional key is known, the retired ones too
+    cfg.write_text(json.dumps(dict(data, max_stalled_rounds=1,
+                                   freq_epsilon=0.0)), encoding="utf-8")
     assert main(["run-all", "--config", str(cfg), "--algorithm",
                  "decentralized", "--out-dir", str(tmp_path / "ok")]) == 0
 
@@ -598,7 +598,7 @@ def test_run_all_decentralized_uses_events_log(workspace):
 # scenario. perfbench/digests.json records the sha256 of the earlier
 # format, with a snapshot event per evaluation, for ieee118-decentral.
 SHIPPED_EVENTS_SHA256 = (
-    "9a8bfcb0f2d44f2fb9f7d7a251fc8407b1204b261e831c5125066a9d7666f1a6")
+    "102c3505dcf50fcd8d21827dad32370f86e365bb3bb11858c5079482d6899695")
 # sha256 of network.json from run-all on the shipped case and fault, by
 # either algorithm at any seed, dt or horizon: its bytes come from parse
 # and build only. metrics.json is not pinned: its LAPACK and SIMD complex
@@ -616,19 +616,29 @@ def test_shipped_decentralized_events_are_pinned(scenario118_path,
     assert hashlib.sha256(events).hexdigest() == SHIPPED_EVENTS_SHA256
     network = (tmp_path / "network.json").read_bytes()
     assert hashlib.sha256(network).hexdigest() == SHIPPED_NETWORK_SHA256
+    # each of the 85 free buses is evaluated once and joins; both islands
+    # meet the J1 bound of surplus / n_mu and have an AC solution
+    log = json.loads(events)
+    assert (log["rounds"], log["fallback_nodes"]) == (4, [])
+    assert Counter(e["action"] for e in log["events"]) == \
+        {"estimate": 85, "join": 85}
+    metrics = json.loads((tmp_path / "metrics.json").read_text("utf-8"))
+    assert round(metrics["J1"], 1) == 67.7
+    assert [(isl["size"], isl["solver"]) for isl in metrics["islands"]] == \
+        [(39, "ac"), (79, "ac")]
 
 
 # sha256 of events.json, network.json and partition.json from
-# decentralized run-all on two tie-linked copies of case118 (perfbench's
-# tiling at its fixed seed): 45 rounds with 14 fallback nodes, where the
-# shipped run has 5.
-TILED2_SHA256 = {
+# decentralized run-all on four tie-linked copies of case118 (perfbench's
+# tiling at its fixed seed): 5 rounds, and bus 3039 is left to the
+# fallback, where the shipped run and two copies need none.
+TILED4_SHA256 = {
     "events.json":
-        "be0b194dcc25da3cf4b27925004425c8e64d3fe4ed96405f4bcf34716b2556a4",
+        "b106a974ba34bec438b205b9430e56e0e9c369a44c488e529799058322fc5ecd",
     "network.json":
-        "4db3e2d194498624330b68cff0468e44482cd8a6fe51a10692005637c1e8dbef",
+        "28cef1850e937eac459e06e9321205fc74050c65cc8c63b38ef02437e79dfb8d",
     "partition.json":
-        "0dfbfeae5bb81c476c9fb04165b731da5f91f0a146f9142e199615dd18b22a11",
+        "038812e92a0430590c63826fa1a68359f19c4d11c0c4466f8ee7783fd4664787",
 }
 
 
@@ -637,23 +647,23 @@ def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
                                     / "perfbench"))
     import workloads
 
-    scenario = workloads.write_tiled(tmp_path / "in", 2,
+    scenario = workloads.write_tiled(tmp_path / "in", 4,
                                      workloads.TILING_SEED)
     out_dir = tmp_path / "out"
     rc = main(["run-all", "--config", str(scenario),
                "--algorithm", "decentralized", "--out-dir", str(out_dir)])
     assert rc == 0
     log = json.loads((out_dir / "events.json").read_text(encoding="utf-8"))
-    assert (log["rounds"], len(log["fallback_nodes"])) == (45, 14)
+    assert (log["rounds"], log["fallback_nodes"]) == (5, [3039])
     assert {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-            for name in TILED2_SHA256} == TILED2_SHA256
+            for name in TILED4_SHA256} == TILED4_SHA256
 
 
 # sha256 of steps.json from centralized growth on the shipped scenario at
 # a stable step (dt = 0.0035, t_max = 35, seed 42): each step records the
 # islands' running injection sums.
 STABLE_STEPS_SHA256 = (
-    "9a7bae0a45f77b795ded9cddf23461ac858003accc4cf273cff14c4571db1a38")
+    "657020b8352d57da47ab302a9a3bd0d510bd279f65a3604786efb28b45e96968")
 
 
 def test_stable_centralized_steps_are_pinned(scenario118_path, case118_path,
@@ -723,18 +733,13 @@ def test_shipped_events_record_each_fact_once(scenario118_path, tmp_path):
                "--algorithm", "decentralized", "--out-dir", str(tmp_path)])
     assert rc == 0
     log = json.loads((tmp_path / "events.json").read_text(encoding="utf-8"))
-    read = {}
     for event in log["events"]:
         payload = event["payload"]
         if event["action"] == "estimate":
             assert set(payload) == {"islands", "estimates"}
             assert set(payload["islands"]) == set(payload["estimates"])
-            read[event["round"], event["node"]] = payload["islands"]
-        elif event["action"] == "stale":
-            assert set(payload) == {"island", "current"}
-            # the frequencies the agent read are in its estimate
-            assert set(payload["current"]) == \
-                set(read[event["round"], event["node"]])
+        else:
+            assert set(payload) == {"island", "reason", "island_freq"}
     manifest = json.loads((tmp_path / "run_manifest.json")
                           .read_text(encoding="utf-8"))
     assert "mode" not in manifest

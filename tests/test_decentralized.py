@@ -1,4 +1,5 @@
-"""Round-based self-organizing growth and its frequency estimator."""
+"""Self-organizing growth, one agent at a time, and its frequency
+estimator."""
 
 import logging
 import math
@@ -15,7 +16,7 @@ from grid_islander import (ConfigError, DegenerateEstimate, Island,
                            run_decentralized, sync_frequency,
                            validate_partition)
 from grid_islander import decentralized
-from grid_islander.decentralized import _evaluate_round, _frontier, _stale
+from grid_islander.decentralized import _evaluate, _frontier
 from conftest import make_network
 
 
@@ -109,19 +110,6 @@ def test_enclosure_beats_estimates():
     assert label == 1
 
 
-def test_staleness_threshold():
-    registry = IslandRegistry(islands={1: {1, 2}},
-                              injection={1: 0.75, 2: 0.25})
-    snapshot = {1: 0.5}
-    assert registry.island_freq == snapshot
-    assert not _stale(registry, snapshot, epsilon=1e-3)
-    registry.island_freq[1] = 0.5 + 2e-3
-    assert _stale(registry, snapshot, epsilon=1e-3)
-    # drift exactly at epsilon already counts as stale
-    registry.island_freq[1] = 0.5 + 1e-3
-    assert _stale(registry, snapshot, epsilon=1e-3)
-
-
 # ------------------------------------------------------------------- engine
 
 def figure_instance():
@@ -149,19 +137,22 @@ def test_load_picks_strongest_island():
     assert join["payload"]["island"] == 1
 
 
-def test_second_joiner_aborts_on_stale_snapshot():
+def test_later_agent_reads_earlier_join_in_its_round():
+    # nodes 2 and 3 both border island 1; node 2 joins first, and node 3,
+    # later in the same round, reads the island with node 2 in it
     net = make_network({1: 1.0, 2: -0.3, 3: -0.4, 4: -0.8, 9: 0.5},
                        [(1, 2), (1, 3), (3, 4), (4, 9)],
                        generator_set={1, 9})
     result = run_decentralized(net, seeds({1}, {9}))
-    stale = [e for e in result.events if e["action"] == "stale"]
-    assert [e["node"] for e in stale] == [3]
-    assert stale[0]["round"] == 1
-    # node 3 retries and lands in the next round
-    join3 = next(e for e in result.events
-                 if e["action"] == "join" and e["node"] == 3)
-    assert join3["round"] == 2
-    assert result.rounds >= 2
+    assert result.rounds == 1
+    assert [(e["node"], e["action"]) for e in result.events[:4]] == [
+        (2, "estimate"), (2, "join"), (3, "estimate"), (3, "join")]
+    join2, estimate3 = result.events[1], result.events[2]
+    assert join2["payload"]["island_freq"] == pytest.approx(0.35)
+    assert estimate3["payload"]["islands"] == \
+        {"1": join2["payload"]["island_freq"]}
+    # the estimate is island 1's total with node 2 in it, 1.0 - 0.3
+    assert estimate3["payload"]["estimates"]["1"] == pytest.approx(0.7)
     assert validate_partition(net, result.partition).all_ok
 
 
@@ -175,8 +166,8 @@ def test_enclosed_node_commits_despite_stale_registry():
                  if e["action"] == "join" and e["node"] == 3)
     assert join3["round"] == 1
     assert join3["payload"]["reason"] == "enclosure"
-    # node 0 committed first in the same round, so the registry had
-    # already moved; enclosure joins anyway
+    # node 0 joined first in the same round, so the registry had already
+    # moved; enclosure reads no frequency and joins anyway
     join0 = next(e for e in result.events
                  if e["action"] == "join" and e["node"] == 0)
     assert join0["round"] == 1
@@ -291,29 +282,30 @@ def _registry_state(registry):
 
 
 def test_quiet_round_is_a_fixed_point(monkeypatch, scenario118, net118):
-    """A round with no commit leaves the registry as it read it, so the
+    """A round with no join leaves the registry as it read it, so the
     next round would evaluate every agent the same way again; the
     fallback therefore joins in the first quiet round."""
-    evaluate = decentralized._evaluate_round
+    evaluate = decentralized._evaluate
     fallback = decentralized._fallback_attach
-    rounds, at_fallback = [], []
+    calls, at_fallback = [], []
 
-    def observe_round(network, registry, nodes):
-        evaluations = evaluate(network, registry, nodes)
-        rounds.append((_registry_state(registry), list(nodes), evaluations))
-        return evaluations
+    def observe(network, registry, node):
+        evaluation = evaluate(network, registry, node)
+        calls.append((_registry_state(registry), node, evaluation))
+        return evaluation
 
     def observe_fallback(network, registry, all_nodes, emit):
-        nodes = _frontier(network, registry, all_nodes)
-        at_fallback.append((_registry_state(registry), nodes,
-                            evaluate(network, registry, nodes)))
+        state = _registry_state(registry)
+        at_fallback.append([(state, node, evaluate(network, registry, node))
+                            for node in _frontier(network, registry,
+                                                  all_nodes)])
         return fallback(network, registry, all_nodes, emit)
 
-    monkeypatch.setattr(decentralized, "_evaluate_round", observe_round)
+    monkeypatch.setattr(decentralized, "_evaluate", observe)
     monkeypatch.setattr(decentralized, "_fallback_attach", observe_fallback)
 
     def check(net, initial):
-        rounds.clear()
+        calls.clear()
         at_fallback.clear()
         result = run_decentralized(net, initial)
         committed = {e["round"] for e in result.events
@@ -325,9 +317,14 @@ def test_quiet_round_is_a_fixed_point(monkeypatch, scenario118, net118):
             assert quiet == [] and at_fallback == []
             return False
         assert quiet == [result.rounds]
-        # the registry after the quiet round is the one it started from,
-        # and the agents it would visit next evaluate identically
-        assert at_fallback == [rounds[-1]]
+        # every agent of the quiet round read the registry the fallback
+        # starts from, and the agents it would visit next evaluate
+        # identically
+        rounds = [e["round"] for e in result.events
+                  if e["action"] == "estimate"]
+        assert len(rounds) == len(calls)
+        assert at_fallback == [[call for call, r in zip(calls, rounds)
+                                if r == quiet[0]]]
         first = next(e for e in result.events
                      if e["payload"].get("reason") == "fallback")
         assert first["round"] == quiet[0]
@@ -342,16 +339,18 @@ def test_quiet_round_is_a_fixed_point(monkeypatch, scenario118, net118):
     assert sum(check(net, initial) for net, initial in instances) >= 2
 
     # the shipped seeds under every single-branch fault the sweep of
-    # demos/05 grows, the shipped fault 14-15 among them
+    # demos/05 grows, the shipped fault 14-15 among them; only fault
+    # 44-45 falls back
     initial = seeds(*scenario118.initial_islands)
-    fell_back = grown = 0
+    fell_back, grown = [], 0
     for pair in sorted(net118.edge_set()):
         try:
-            fell_back += check(apply_fault(net118, pair), initial)
+            if check(apply_fault(net118, pair), initial):
+                fell_back.append(pair)
         except (ConfigError, Stalled):
             continue
         grown += 1
-    assert (grown, fell_back) == (147, 147)
+    assert (grown, fell_back) == (147, [(44, 45)])
 
 
 def _random_connected(rng, net, size):
@@ -374,8 +373,8 @@ def _grid_network(rng, side):
 
 
 def test_estimates_come_from_running_totals(net118):
-    # the registry's total is the seed set's sum plus each joiner in
-    # commit order; every estimate reads it, and the augmented mean stays
+    # the registry's total is the seed set's exact sum plus each joiner
+    # in commit order; every estimate reads it, and the augmented mean stays
     # within summation rounding of the agent's own layer mean (the
     # lattice's islands pass numpy's pairwise block of 128 values)
     rng = random.Random(118)
@@ -390,7 +389,7 @@ def test_estimates_come_from_running_totals(net118):
         rng.shuffle(joiners)
         start = set(joiners[:rng.randint(1, size)])
         registry = IslandRegistry(islands={1: start}, injection=injection)
-        total = sum(injection[n] for n in start)
+        total = math.fsum(injection[n] for n in start)
         for node in joiners:
             if node not in start:
                 registry.join(node, 1)
@@ -400,8 +399,8 @@ def test_estimates_come_from_running_totals(net118):
 
         agents = sorted({p for n in island for p in net.neighbors(n)}
                         - island)
-        for agent, (snapshot, _, info) in zip(
-                agents, _evaluate_round(net, registry, agents)):
+        for agent in agents:
+            snapshot, _, info = _evaluate(net, registry, agent)
             p = injection[agent]
             augmented = registry.augmented_freq(1, p)
             assert augmented == (total + p) / (size + 1)
@@ -419,26 +418,31 @@ def test_estimates_come_from_running_totals(net118):
                 abs(injection[n]) for n in island | {agent})
 
 
-def test_one_agent_round_matches_full_round(scenario118, net118_faulted):
-    # an agent's evaluation does not depend on the others in its batch
+def test_each_agent_reads_the_registry_at_its_turn(scenario118,
+                                                  net118_faulted):
+    # replaying the shipped run's joins in event order, every estimate
+    # and decision is the agent's own evaluation of the registry as it
+    # stood at that event
     net = net118_faulted
-    registry = IslandRegistry(
-        islands={k + 1: set(nodes)
-                 for k, nodes in enumerate(scenario118.initial_islands)},
-        injection=injection_table(net))
-    all_nodes = set(net.node_ids())
-    compared = 0
-    for _ in range(6):
-        active = _frontier(net, registry, all_nodes)
-        full = _evaluate_round(net, registry, active)
-        assert len(full) == len(active)
-        for node, evaluation in zip(active, full):
-            assert _evaluate_round(net, registry, [node]) == [evaluation]
-            compared += 1
-        for node, (_, (label, _), _) in zip(active, full):
-            if label is not None:
-                registry.join(node, label)
-    assert compared > 50
+    initial = seeds(*scenario118.initial_islands)
+    result = run_decentralized(net, initial)
+    registry = IslandRegistry.seeded(net, initial)
+    replayed = 0
+    for event in result.events:
+        payload = event["payload"]
+        if event["action"] == "estimate":
+            _, decision, info = _evaluate(net, registry, event["node"])
+            assert info == payload
+            replayed += 1
+        elif event["action"] == "wait":
+            assert decision == (None, payload["reason"])
+        else:
+            assert decision == (payload["island"], payload["reason"])
+            registry.join(event["node"], payload["island"])
+            assert payload["island_freq"] == \
+                registry.island_freq[payload["island"]]
+    assert replayed == 85
+    assert registry.partition(net) == result.partition
 
 
 def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
@@ -450,12 +454,11 @@ def test_shipped_run_builds_no_layer(scenario118, net118_faulted,
     monkeypatch.setattr("grid_islander.decentralized.build_layer", refuse)
     islands = [Island(label=k + 1, node_set=frozenset(nodes))
                for k, nodes in enumerate(scenario118.initial_islands)]
-    result = run_decentralized(net118_faulted, islands,
-                               epsilon=scenario118.freq_epsilon)
-    assert result.rounds == 43
-    assert result.fallback_nodes == (105, 106, 109, 107, 108)
+    result = run_decentralized(net118_faulted, islands)
+    assert result.rounds == 4
+    assert result.fallback_nodes == ()
     actions = Counter(e["action"] for e in result.events)
-    assert actions == {"estimate": 1032, "stale": 949, "join": 85, "wait": 3}
+    assert actions == {"estimate": 85, "join": 85}
 
 
 def test_watched_islands_follow_membership():
@@ -480,8 +483,8 @@ def test_watched_islands_follow_membership():
                     continue
                 enclosing = [lbl for lbl in watched
                              if set(neighbors) <= registry.islands[lbl]]
-                snapshot, (label, reason), _ = _evaluate_round(
-                    net, registry, [node])[0]
+                snapshot, (label, reason), _ = _evaluate(net, registry,
+                                                         node)
                 assert set(snapshot) == watched, f"trial {trial}"
                 if enclosing:
                     enclosed += 1
@@ -528,13 +531,11 @@ def test_agent_decisions_ignore_far_islands():
         for node in sorted(set(net.node_ids()) - assigned):
             if not any(p in assigned for p in net.neighbors(node)):
                 continue
-            snapshot, decision, info = _evaluate_round(
-                net, registry, [node])[0]
+            snapshot, decision, info = _evaluate(net, registry, node)
             if len(snapshot) == len(initial):
                 continue   # node sees every island; nothing is far
             twisted = _perturb_far_islands(registry, snapshot, far_node)
-            snapshot2, decision2, info2 = _evaluate_round(
-                net, twisted, [node])[0]
+            snapshot2, decision2, info2 = _evaluate(net, twisted, node)
             assert decision2 == decision
             assert info2["estimates"] == info["estimates"]
             assert snapshot2 == snapshot

@@ -257,8 +257,7 @@ def test_pre_partition_flow_gives_the_same_report(scenario118_path,
     cfg = load_scenario(scenario118_path)
     seeds = [Island(label=k + 1, node_set=frozenset(nodes))
              for k, nodes in enumerate(cfg.initial_islands)]
-    part = run_decentralized(net118_faulted, seeds,
-                             epsilon=cfg.freq_epsilon).partition
+    part = run_decentralized(net118_faulted, seeds).partition
     handed = compute_metrics(net118_faulted, part,
                              pre=pre_partition_flow(net118_faulted))
     assert metrics_to_dict(handed) == metrics_to_dict(

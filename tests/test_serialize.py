@@ -109,7 +109,7 @@ def test_scenario_round_trip(scenario118):
         case_path=DATA_DIR / "case118.m", generator_set=GEN_SET_118,
         initial_islands=(M1_118, M2_118), fault_branches=((14, 15),),
         seed=42, ensemble_size=20, t_max=100.0, dt=0.01,
-        rho_threshold=0.99, freq_epsilon=0.001, algorithm="centralized")
+        rho_threshold=0.99, algorithm="centralized")
 
 
 def test_scenario_relative_case_path(tmp_path, case118_path):
@@ -118,7 +118,7 @@ def test_scenario_relative_case_path(tmp_path, case118_path):
         "case_path": "sub/case.m", "generator_set": [1],
         "initial_islands": [[1], [2]], "fault_branches": [],
         "n_mu": 2, "seed": 1, "ensemble_size": 2, "t_max": 1.0,
-        "dt": 0.1, "rho_threshold": 0.99, "freq_epsilon": 1e-3,
+        "dt": 0.1, "rho_threshold": 0.99,
     }
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     cfg = load_scenario(cfg_path)
@@ -129,16 +129,15 @@ def test_scenario_validation():
     base = dict(case_path="x.m", generator_set=(1,),
                 initial_islands=((1,), (2,)), fault_branches=(),
                 seed=0, ensemble_size=5, t_max=10.0, dt=0.01,
-                rho_threshold=0.99, freq_epsilon=1e-3)
+                rho_threshold=0.99)
     assert ScenarioConfig(**base).n_mu == 2   # the base config is fine
     bad = [dict(base, initial_islands=((1,),)),
            dict(base, dt=0.0), dict(base, dt=20.0),
-           dict(base, rho_threshold=1.0), dict(base, freq_epsilon=0.0),
+           dict(base, rho_threshold=1.0),
            dict(base, ensemble_size=0), dict(base, algorithm="magic"),
            dict(base, seed=-1), dict(base, generator_set=()),
            dict(base, initial_islands=((1,), ())),
            dict(base, dt=math.nan), dict(base, t_max=math.inf),
-           dict(base, freq_epsilon=math.nan),
            # int() would take these as buses 1, 3 and 14
            dict(base, generator_set=(1.5,)), dict(base, generator_set=(True,)),
            dict(base, initial_islands=((3.5,), (2,))),
@@ -176,10 +175,12 @@ def test_scenario_validation():
                        ("n_mu", "2")):
         with pytest.raises(ConfigError, match=key):
             scenario_from_dict(dict(data, **{key: value}))
-    # the retired max_stalled_rounds loads with any value and sets nothing
-    for value in (3, 0, 1.5, "3", None):
-        assert scenario_from_dict(dict(data, max_stalled_rounds=value)) == \
-            scenario_from_dict(data)
+    # the retired keys load with any value, so files written before they
+    # were retired still load, and set nothing
+    for key in ("max_stalled_rounds", "freq_epsilon"):
+        for value in (3, 0, 1.5, -1e-3, math.nan, math.inf, "3", None):
+            assert scenario_from_dict(dict(data, **{key: value})) == \
+                scenario_from_dict(data)
     # "mode" keeps its one value, so existing files load; it sets nothing
     assert scenario_from_dict(dict(data, mode="analytic")) == \
         scenario_from_dict(data)
