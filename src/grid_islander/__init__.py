@@ -43,8 +43,8 @@ from .network import (Branch, Bus, Island, IslandRegistry, Partition,
                       check_initial_islands, compute_cut_set,
                       coupling_susceptance, island_imbalance, make_partition,
                       net_injection, validate_partition)
-from .powerflow import (PowerFlowSolution, ac_power_flow, build_ybus,
-                        dc_power_flow, default_slack)
+from .powerflow import (Admittance, PowerFlowSolution, ac_power_flow,
+                        build_ybus, dc_power_flow, default_slack)
 from .scenario import ScenarioConfig, load_scenario, scenario_from_dict
 from .serialize import (network_to_dict, partition_from_dict,
                         partition_to_dict, save_json, sync_table_from_dict,

@@ -408,5 +408,6 @@ class IslandRegistry:
 
 
 def island_imbalance(network: PowerNetwork, island: Island) -> float:
-    """Total per-unit net injection of an island (its power imbalance)."""
-    return sum(net_injection(network, node) for node in island.node_set)
+    """Total per-unit net injection of an island (its power imbalance),
+    correctly rounded, so it does not depend on the set's order."""
+    return math.fsum(net_injection(network, node) for node in island.node_set)

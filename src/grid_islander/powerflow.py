@@ -1,10 +1,12 @@
 """AC (Newton-Raphson) and DC power flow on a network or island subset.
 
-Dense numpy admittance matrices sized for study networks. The
-Newton-Raphson Jacobian is assembled in O(nnz) over their nonzeros with
-MATPOWER's sparse ``dSbus_dV`` formulas (Zimmerman et al., IEEE Trans.
-Power Syst. 2011) into dense blocks over the bus graph's breadth-first
-levels, and each step eliminates them block-tridiagonally (no O(n^3) LU).
+The AC flow keeps the admittance matrix as row-major triplets of its
+nonzeros and diagonal, never as an n x n array; the DC flow's
+susceptance matrix is still dense. The Newton-Raphson Jacobian is
+assembled in O(nnz) over the triplets with MATPOWER's sparse
+``dSbus_dV`` formulas (Zimmerman et al., IEEE Trans. Power Syst. 2011)
+into dense blocks over the bus graph's breadth-first levels, and each
+step eliminates them block-tridiagonally (no O(n^3) LU).
 Branch model is the standard pi section with off-nominal tap on
 the from side. Buses holding a voltage setpoint are PV, the rest PQ;
 reactive limits are not enforced. The slack bus defaults to the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -156,20 +158,55 @@ def _pi_section(br: Branch) -> tuple[complex, complex, complex]:
     return (ys + shunt) / (tap * tap), ys + shunt, -ys / tap
 
 
+class Admittance(NamedTuple):
+    """Bus admittance matrix over a node set as row-major triplets: its
+    nonzeros and its whole diagonal, entry k at ``rows[k]``,
+    ``cols[k]``. ``ends`` and ``pi`` hold each branch it sums: the
+    (from, to) indices, and the pi section's (y_ff, y_tt, y_ft)."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    ends: np.ndarray                # (branches, 2)
+    pi: np.ndarray                  # (branches, 3)
+
+    def __matmul__(self, voltage: np.ndarray) -> np.ndarray:
+        """Bus currents ``ybus @ voltage``, summed along each row."""
+        term = self.values * voltage[self.cols]
+        return (np.bincount(self.rows, term.real, voltage.size)
+                + 1j * np.bincount(self.rows, term.imag, voltage.size))
+
+
 def build_ybus(network: PowerNetwork, nodes: Sequence[int]
-               ) -> tuple[np.ndarray, list[Branch]]:
-    """Bus admittance matrix over ``nodes`` plus the branches included."""
-    index = {n: k for k, n in enumerate(nodes)}
+               ) -> tuple[Admittance, list[Branch]]:
+    """Bus admittance matrix over ``nodes`` plus the branches included.
+
+    Each entry adds its branches' pi-section terms with ``np.add.at`` in
+    branch order, which gives the bits of a dense ``+=`` loop; entries
+    off the diagonal that sum to exactly zero are dropped."""
+    n = len(nodes)
+    index = {node: k for k, node in enumerate(nodes)}
     branches = _island_branches(network, nodes)
-    ybus = np.zeros((len(nodes), len(nodes)), dtype=complex)
-    for br in branches:
-        f, t = index[br.from_bus], index[br.to_bus]
-        y_ff, y_tt, y_ft = _pi_section(br)
-        ybus[f, f] += y_ff
-        ybus[t, t] += y_tt
-        ybus[f, t] += y_ft
-        ybus[t, f] += y_ft
-    return ybus, branches
+    ends = np.array([(index[br.from_bus], index[br.to_bus])
+                     for br in branches], dtype=int).reshape(-1, 2)
+    pi = np.array([_pi_section(br) for br in branches],
+                  dtype=complex).reshape(-1, 3)
+    # a zero on every diagonal entry, then each branch's ff, tt, ft and
+    # tf terms; a stable sort by entry keeps each entry's terms in that
+    # order for np.add.at (np.unique can import numpy.ma, about 1 MB of
+    # RSS)
+    diagonal = np.arange(n)
+    rows = np.concatenate([diagonal, ends[:, [0, 1, 0, 1]].ravel()])
+    cols = np.concatenate([diagonal, ends[:, [0, 1, 1, 0]].ravel()])
+    terms = np.concatenate([np.zeros(n), pi[:, [0, 1, 2, 2]].ravel()])
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    values = np.zeros(np.count_nonzero(first), dtype=complex)
+    np.add.at(values, np.cumsum(first) - 1, terms[order])
+    rows, cols = rows[order][first], cols[order][first]
+    keep = (values != 0) | (rows == cols)
+    return Admittance(rows[keep], cols[keep], values[keep], ends, pi), branches
 
 
 # Fewest unknowns in a block of the Newton step; a flow with no more is
@@ -187,13 +224,10 @@ class _JacobianAssembler:
     at ``unknowns[i][rows]`` by ``unknowns[j][cols]``, the rows and
     columns the pattern reaches. Each call zeroes and refills them."""
 
-    def __init__(self, ybus: np.ndarray, pvpq: np.ndarray, pq: np.ndarray):
-        n = ybus.shape[0]
-        pattern = ybus != 0
-        np.fill_diagonal(pattern, True)
-        self._rows, self._cols = np.nonzero(pattern)
-        self._ybus = ybus[self._rows, self._cols]
+    def __init__(self, ybus: Admittance, pvpq: np.ndarray, pq: np.ndarray):
+        self._rows, self._cols, self._ybus = ybus.rows, ybus.cols, ybus.values
         self._diagonal = np.flatnonzero(self._rows == self._cols)
+        n = self._diagonal.size
         # BFS levels from bus 0, then from the lowest id it reached last
         # (a pseudo-peripheral bus); buses it cannot reach share level n
         start = 0
@@ -351,20 +385,15 @@ def ac_power_flow(network: PowerNetwork,
         raise NotConverged(iterations, mismatch)
 
     voltage = vm * np.exp(1j * va)
-    p_from, p_to, q_from, q_to = np.empty((4, len(branches)))
-    for k, br in enumerate(branches):
-        y_ff, y_tt, y_ft = _pi_section(br)
-        vf, vt = voltage[index[br.from_bus]], voltage[index[br.to_bus]]
-        i_from = y_ff * vf + y_ft * vt
-        i_to = y_tt * vt + y_ft * vf
-        s_from = vf * np.conj(i_from) * base
-        s_to = vt * np.conj(i_to) * base
-        p_from[k], q_from[k] = s_from.real, s_from.imag
-        p_to[k], q_to[k] = s_to.real, s_to.imag
+    y_ff, y_tt, y_ft = ybus.pi.T
+    vf, vt = voltage[ybus.ends.T]
+    s_from = vf * np.conj(y_ff * vf + y_ft * vt) * base
+    s_to = vt * np.conj(y_tt * vt + y_ft * vf) * base
 
     return PowerFlowSolution(
         method="ac", node_ids=chosen, vm=vm, va=va,
         branch_ends=tuple((br.from_bus, br.to_bus) for br in branches),
-        p_from=p_from, p_to=p_to, q_from=q_from, q_to=q_to,
+        p_from=s_from.real, p_to=s_to.real,
+        q_from=s_from.imag, q_to=s_to.imag,
         iterations=iterations, mismatch=mismatch,
         mismatch_history=tuple(history), slack=slack)

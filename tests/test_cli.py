@@ -659,6 +659,25 @@ def test_tiled_decentralized_fallback_is_pinned(tmp_path, monkeypatch):
             for name in TILED4_SHA256} == TILED4_SHA256
 
 
+def test_metrics_command_rewrites_run_all_bytes_on_tiled8(tmp_path,
+                                                        monkeypatch):
+    """``metrics --partition`` on run-all's own partition of the 944-bus
+    tiling writes run-all's metrics.json, byte for byte: no island's
+    imbalance depends on the order its node set was built in."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "perfbench"))
+    import workloads
+
+    scenario = workloads.write_tiled(tmp_path / "in", 8,
+                                     workloads.TILING_SEED)
+    out_dir, again = tmp_path / "out", tmp_path / "again.json"
+    assert main(["run-all", "--config", str(scenario), "--algorithm",
+                 "decentralized", "--out-dir", str(out_dir)]) == 0
+    assert main(["metrics", "--config", str(scenario), "--partition",
+                 str(out_dir / "partition.json"), "--out", str(again)]) == 0
+    assert again.read_bytes() == (out_dir / "metrics.json").read_bytes()
+
+
 # sha256 of steps.json from centralized growth on the shipped scenario at
 # a stable step (dt = 0.0035, t_max = 35, seed 42): each step records the
 # islands' running injection sums.
@@ -897,9 +916,11 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
         workspace, case118_path, scenario118_path):
     # The lock proof and OpenSSL (_hashlib) are imported inside the
     # functions that need them, which keeps their import time and memory
-    # out of these commands; no command imports multiprocessing.
+    # out of these commands; no command imports multiprocessing, nor
+    # numpy.ma (np.unique imports it, about 1 MB of RSS).
     tmp_path, cfg = workspace
-    lazy = ("grid_islander._certificate", "multiprocessing", "_hashlib")
+    lazy = ("grid_islander._certificate", "multiprocessing", "_hashlib",
+            "numpy.ma")
 
     def loaded(args):
         proc = _run_cli(args, before_exit=(
@@ -913,9 +934,11 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
          "decentralized", "--out-dir", str(tmp_path / "decentralized")])
     assert "grid_islander._certificate" not in decentralized
     assert "multiprocessing" not in decentralized
+    assert "numpy.ma" not in decentralized
     centralized = loaded(["run-all", "--config", str(cfg), "--out-dir",
                           str(tmp_path / "centralized")])
     assert "multiprocessing" not in centralized
+    assert "numpy.ma" not in centralized
     # the probe sees the proof where a sync table is scanned
     assert "grid_islander._certificate" in centralized
 

@@ -1,5 +1,6 @@
 """Network model, graph utilities, faults, and partition validation."""
 
+import itertools
 import math
 import random
 
@@ -240,6 +241,19 @@ def test_island_imbalance(five_path):
     isl = Island(label=1, node_set=frozenset({1, 2}))
     # +1.0 - 0.4 pu on a 100 MVA base
     assert island_imbalance(five_path, isl) == pytest.approx(0.6)
+
+
+def test_island_imbalance_does_not_depend_on_set_order():
+    # ids 1024 apart share a hash slot, so a set's iteration order is the
+    # order its members were added in; plain summation in that order
+    # gives four different totals over these six injections
+    ids = [1024 * k + 1 for k in range(6)]
+    net = make_network(dict(zip(ids, (0.1, 0.2, 0.3, -0.7, 1e-3, 0.4))),
+                       list(zip(ids, ids[1:])))
+    imbalances = {island_imbalance(net, Island(label=1,
+                                               node_set=frozenset(order)))
+                  for order in itertools.permutations(ids)}
+    assert imbalances == {math.fsum(net_injection(net, n) for n in ids)}
 
 
 def test_island_requires_nonempty():

@@ -159,6 +159,7 @@ def test_ybus_tap_and_charging():
     net = type(net)(net.buses, [branch], net.base_mva, net.generator_set)
     ybus, branches = build_ybus(net, (1, 2))
     assert len(branches) == 1
+    ybus = _dense(ybus)
     ys = 1.0 / complex(0.01, 0.1)
     shunt = 0.5j * 0.04
     assert ybus[0, 0] == pytest.approx((ys + shunt) / 1.05 ** 2)
@@ -194,6 +195,44 @@ def test_dc_full_ieee118(net118_faulted):
     assert np.abs(sol.p_loss).max() < 1e-9
     # angles stay within a sane operating range
     assert np.abs(sol.va).max() < 1.5
+
+
+def _dense(ybus):
+    """Reference: the dense matrix the admittance triplets make up."""
+    size = np.count_nonzero(ybus.rows == ybus.cols)
+    matrix = np.zeros((size, size), dtype=complex)
+    matrix[ybus.rows, ybus.cols] = ybus.values
+    return matrix
+
+
+@pytest.mark.parametrize("network, nodes", [
+    ("net118_faulted", None), ("net118_faulted", range(1, 40)),
+    ("tiled8", None)], ids=["whole", "island", "tiled8"])
+def test_ybus_triplets_are_the_dense_loop(request, network, nodes):
+    """The triplets are, bit for bit, the nonzeros and the diagonal, row
+    by row, of a dense matrix summed branch by branch with ``+=``; the
+    product with a voltage agrees with the dense one to rounding."""
+    net = (request.getfixturevalue("tiled")[8] if network == "tiled8"
+           else request.getfixturevalue(network))
+    chosen = net.node_ids() if nodes is None else tuple(nodes)
+    ybus, branches = build_ybus(net, chosen)
+    index = {node: k for k, node in enumerate(chosen)}
+    dense = np.zeros((len(chosen), len(chosen)), dtype=complex)
+    for br in branches:
+        f, t = index[br.from_bus], index[br.to_bus]
+        y_ff, y_tt, y_ft = powerflow._pi_section(br)
+        dense[f, f] += y_ff
+        dense[t, t] += y_tt
+        dense[f, t] += y_ft
+        dense[t, f] += y_ft
+    pattern = dense != 0
+    np.fill_diagonal(pattern, True)
+    rows, cols = np.nonzero(pattern)
+    assert np.array_equal(ybus.rows, rows)
+    assert np.array_equal(ybus.cols, cols)
+    assert ybus.values.tobytes() == dense[rows, cols].tobytes()
+    voltage = _random_voltage(len(chosen), 0)
+    assert np.abs(ybus @ voltage - dense @ voltage).max() <= 1e-12
 
 
 def _unknown_indices(network, nodes=None):
@@ -263,7 +302,7 @@ class _Dense:
     block and ``np.linalg.solve`` as the step."""
 
     def __init__(self, ybus, pvpq, pq):
-        self.args = ybus, pvpq, pq
+        self.args = _dense(ybus), pvpq, pq
         self.unknowns = [np.arange(pvpq.size + pq.size)]
 
     def __call__(self, voltage, current):
@@ -279,10 +318,11 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted,
     """In one block (the shipped size) and in five (blocks of 24)."""
     net = net118_faulted
     ybus, _ = build_ybus(net, net.node_ids())
+    dense = _dense(ybus)
     pvpq, pq = _unknown_indices(net)
     rng = np.random.default_rng(118)
-    vm = rng.uniform(0.9, 1.1, ybus.shape[0])
-    va = rng.uniform(-0.5, 0.5, ybus.shape[0])
+    vm = rng.uniform(0.9, 1.1, dense.shape[0])
+    va = rng.uniform(-0.5, 0.5, dense.shape[0])
 
     def injections(x):
         """Calculated P at pvpq and Q at pq, with the unknowns set to x."""
@@ -290,7 +330,7 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted,
         a[pvpq] = x[:pvpq.size]
         m[pq] = x[pvpq.size:]
         v = m * np.exp(1j * a)
-        s = v * np.conj(ybus @ v)
+        s = v * np.conj(dense @ v)
         return np.concatenate([s.real[pvpq], s.imag[pq]])
 
     voltage = vm * np.exp(1j * va)
@@ -303,7 +343,7 @@ def test_jacobian_matches_differences_and_diagonal_products(net118_faulted,
         dx[k] = step
         differences[:, k] = (injections(x + dx)
                              - injections(x - dx)) / (2 * step)
-    reference = _diag_product_jacobian(ybus, voltage, pvpq, pq)
+    reference = _diag_product_jacobian(dense, voltage, pvpq, pq)
 
     for min_block, blocks in ((256, 1), (24, 5)):
         monkeypatch.setattr(powerflow, "_MIN_BLOCK", min_block)
@@ -340,7 +380,8 @@ def test_jacobian_equals_dense_reference(net118_faulted, monkeypatch,
         for seed in range(3):
             voltage = _random_voltage(len(chosen), seed)
             current = ybus @ voltage
-            dense = _dense_jacobian(ybus, voltage, current, pvpq, pq)
+            dense = _dense_jacobian(_dense(ybus), voltage, current, pvpq,
+                                    pq)
             assert np.array_equal(
                 _from_blocks(assembler, assembler(voltage, current), size),
                 dense)
@@ -404,7 +445,7 @@ def test_jacobian_assembly_allocates_about_one_matrix(net118_faulted):
     net = net118_faulted
     ybus, _ = build_ybus(net, net.node_ids())
     pvpq, pq = _unknown_indices(net)
-    voltage = _random_voltage(ybus.shape[0], 0)
+    voltage = _random_voltage(len(net.node_ids()), 0)
     current = ybus @ voltage
     tracemalloc.start()
     try:
@@ -427,7 +468,7 @@ def test_block_step_allocates_a_fraction_of_one_dense_matrix(tiled,
     ybus, _ = build_ybus(net, net.node_ids())
     pvpq, pq = _unknown_indices(net)
     size = pvpq.size + pq.size
-    voltage = _random_voltage(ybus.shape[0], 0)
+    voltage = _random_voltage(len(net.node_ids()), 0)
     current = ybus @ voltage
     f = np.ones(size)
     tracemalloc.start()
@@ -440,6 +481,20 @@ def test_block_step_allocates_a_fraction_of_one_dense_matrix(tiled,
         tracemalloc.stop()
     assert len(assembler.unknowns) == 14
     assert peak < size * size * 8 / 4
+
+
+def test_ac_flow_allocates_under_half_a_dense_ybus(tiled):
+    """The 944-bus flow, setup to branch flows, peaks (traced) below half
+    of one dense complex n x n matrix: it forms no n x n array."""
+    net = tiled[8]
+    size = len(net.node_ids())
+    tracemalloc.start()
+    try:
+        ac_power_flow(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size * size * 16 / 2
 
 
 def test_singular_block_raises_singular_system(net118_faulted, monkeypatch):
