@@ -14,7 +14,9 @@ One kernel (``_Kernel``) evaluates the right-hand side and RK4 steps on
 (node, run)-major phases in buffers allocated once. ``derivative`` turns
 phases into frequencies with it, ``integrate`` stores every sample of
 one run or a batch of runs, and ``ensemble_integrate`` applies that to
-an ensemble's seeded initial phases. A sync table holds one entry per
+an ensemble's seeded initial phases, which ``sample_initial_conditions``
+draws from NumPy's PCG64 stream computed in the package, without
+importing NumPy's generators. A sync table holds one entry per
 layer edge, keyed (low id, high id). ``ensemble_sync_times`` scans the
 ensemble as it goes instead, keeping per edge only the last step at
 which the order parameter was at or below the threshold, so its memory
@@ -267,14 +269,20 @@ def integrate(layer: CyberLayer, initial: Sequence[float] | np.ndarray, *,
 
 
 def sample_initial_conditions(n: int, seed) -> np.ndarray:
-    """Draw n phases i.i.d. uniform on (-pi/2, pi/2].
+    """Draw n phases i.i.d. uniform on (-pi/2, pi/2]: pi/2 minus pi times
+    a double u in [0, 1).
 
-    ``seed`` may be an int or a sequence of ints (used to derive
-    independent per-run streams). The half-open interval is realized as
-    pi/2 minus a uniform draw from [0, pi).
+    The u are NumPy's PCG64 stream seeded through its SeedSequence,
+    computed in the package (``_pcg64``): the phases have the bits of
+    NumPy's ``0.5 * pi - default_rng(seed).uniform(0.0, pi, n)``, whatever
+    generator the installed NumPy makes its default. ``seed`` is a
+    non-negative integer, or a sequence of them such as ``[seed, run]``
+    for independent per-run streams; anything ``operator.index`` accepts
+    is an integer. A negative seed or n raises ValueError; a float or
+    None seed raises TypeError.
     """
-    rng = np.random.default_rng(seed)
-    return 0.5 * math.pi - rng.uniform(0.0, math.pi, size=n)
+    from ._pcg64 import next_doubles
+    return 0.5 * math.pi - math.pi * np.array(next_doubles(n, seed))
 
 
 def _gershgorin(layer: CyberLayer) -> float:

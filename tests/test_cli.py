@@ -914,13 +914,15 @@ def _run_cli(args, env_extra=None, before_exit="pass"):
 
 def test_parse_and_decentralized_runs_skip_lazy_imports(
         workspace, case118_path, scenario118_path):
-    # The lock proof and OpenSSL (_hashlib) are imported inside the
-    # functions that need them, which keeps their import time and memory
-    # out of these commands; no command imports multiprocessing, nor
-    # numpy.ma (np.unique imports it, about 1 MB of RSS).
+    # The lock proof, the phase stream and OpenSSL (_hashlib) are imported
+    # inside the functions that need them, which keeps their import time
+    # and memory out of these commands; no command imports
+    # multiprocessing, numpy.random (the phases are drawn in the package)
+    # or numpy.ma (np.unique imports it, about 1 MB of RSS).
     tmp_path, cfg = workspace
-    lazy = ("grid_islander._certificate", "multiprocessing", "_hashlib",
-            "numpy.ma")
+    lazy = ("grid_islander._certificate", "grid_islander._pcg64",
+            "multiprocessing", "_hashlib", "numpy.ma", "numpy.random")
+    never = {"multiprocessing", "numpy.ma", "numpy.random"}
 
     def loaded(args):
         proc = _run_cli(args, before_exit=(
@@ -933,14 +935,18 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
         ["run-all", "--config", str(scenario118_path), "--algorithm",
          "decentralized", "--out-dir", str(tmp_path / "decentralized")])
     assert "grid_islander._certificate" not in decentralized
-    assert "multiprocessing" not in decentralized
-    assert "numpy.ma" not in decentralized
+    assert "grid_islander._pcg64" not in decentralized
+    assert not never & decentralized
     centralized = loaded(["run-all", "--config", str(cfg), "--out-dir",
                           str(tmp_path / "centralized")])
-    assert "multiprocessing" not in centralized
-    assert "numpy.ma" not in centralized
-    # the probe sees the proof where a sync table is scanned
+    assert not never & centralized
+    # the probe sees the proof and the stream where a sync table is scanned
     assert "grid_islander._certificate" in centralized
+    assert "grid_islander._pcg64" in centralized
+    table = loaded(["sync-times", "--config", str(cfg), "--out",
+                    str(tmp_path / "sync_times.json")])
+    assert not never & table
+    assert "grid_islander._pcg64" in table
 
 
 @pytest.mark.skipif(usable_cpus() < 2,

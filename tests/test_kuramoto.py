@@ -207,6 +207,56 @@ def test_initial_conditions_range_and_reproducibility():
                               sample_initial_conditions(10, 5))
 
 
+def _numpy_phases(n, entropy):
+    # the package draws NumPy's PCG64 bits itself; NumPy's own generator,
+    # seeded the same way, is the reference
+    generator = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy)))
+    return 0.5 * math.pi - generator.uniform(0.0, math.pi, n)
+
+
+def _assert_same_bits(n, seed):
+    draw = sample_initial_conditions(n, seed)
+    assert draw.dtype == np.float64 and draw.shape == (n,)
+    assert draw.tobytes() == _numpy_phases(n, seed).tobytes(), seed
+
+
+@pytest.mark.parametrize("n", [0, 1, 118, 944])
+def test_initial_conditions_are_numpy_pcg64_bits(n):
+    # single integers across the 32-bit word boundaries, per-run pairs,
+    # no entropy at all, more words than SeedSequence's four-word pool,
+    # and a NumPy integer
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100, [],
+             [5, 6, 7, 2**32 - 1, 0, 11], np.int64(9)]
+    seeds += [[seed, run] for seed in (1, 2**40) for run in range(25)]
+    for seed in seeds:
+        _assert_same_bits(n, seed)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.lists(st.integers(0, 2**70 - 1), max_size=6),
+       n=st.integers(0, 64))
+def test_initial_conditions_match_numpy_on_any_entropy(seed, n):
+    _assert_same_bits(n, seed)
+
+
+@pytest.mark.parametrize("n, seed, error", [(3, -1, ValueError),
+                                             (-1, 3, ValueError),
+                                             (3, 1.5, TypeError)])
+def test_initial_conditions_refuse_what_numpy_refuses(n, seed, error):
+    with pytest.raises(error):
+        _numpy_phases(n, seed)
+    with pytest.raises(error):
+        sample_initial_conditions(n, seed)
+
+
+def test_initial_conditions_refuse_an_unrepeatable_seed():
+    # NumPy reads None as fresh OS entropy; an ensemble's phases must be
+    # repeatable
+    with pytest.raises(TypeError):
+        sample_initial_conditions(3, None)
+
+
 def test_ensemble_matches_single_runs():
     layer = two_node_layer(0.3, -0.3, b=2.0)
     ens = ensemble_integrate(layer, 5, seed=17, t_max=1.0, dt=0.05)
