@@ -198,16 +198,12 @@ class _ArtifactDir:
         self.write("partition", partition_to_dict(partition))
         self.write(log_name, log)
 
-    def write_manifest(self, config_path: str, cfg: ScenarioConfig) -> None:
-        # imported here, their only user, so that parse never loads
-        # OpenSSL
-        import hashlib
+    def write_manifest(self, cfg: ScenarioConfig) -> None:
         from datetime import datetime, timezone
         manifest = {
             "schema_version": 1,
             "tool_version": __version__,
-            "scenario_hash": hashlib.sha256(
-                Path(config_path).read_bytes()).hexdigest(),
+            "scenario_hash": cfg.scenario_hash,
             "seed": cfg.seed,
             "algorithm": cfg.algorithm,
             "created_utc": datetime.now(timezone.utc).isoformat(),
@@ -298,7 +294,7 @@ def cmd_partition(args) -> int:
     print(f"cut set: {len(partition.cut_set)} edges")
     out = _ArtifactDir(args.out_dir)
     out.write_partition(partition, log_name, log)
-    out.write_manifest(args.config, cfg)
+    out.write_manifest(cfg)
     print(f"wrote {out.path}/partition.json")
     return EXIT_OK
 
@@ -331,7 +327,7 @@ def cmd_run_all(args) -> int:
     out.write_partition(partition, log_name, log)
     report = compute_metrics(network, partition, pre)
     out.write("metrics", metrics_to_dict(report))
-    out.write_manifest(args.config, cfg)
+    out.write_manifest(cfg)
     sizes = ", ".join(f"{isl.label}:{isl.size}" for isl in partition.islands)
     print(f"partition ({cfg.algorithm}): islands {sizes}, "
           f"{len(partition.cut_set)} cut edges")

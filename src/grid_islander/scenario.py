@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, integer
@@ -17,7 +17,9 @@ class ScenarioConfig:
     """Everything a partitioning run needs besides the case file itself.
 
     ``initial_islands`` holds the seed node sets in label order (island 1
-    first); ``n_mu`` is their number.
+    first); ``n_mu`` is their number. ``scenario_hash`` is the hex sha256
+    of the bytes ``load_scenario`` parsed, for the run manifest; a config
+    built any other way has none, and equality ignores it.
     """
 
     case_path: Path
@@ -30,6 +32,7 @@ class ScenarioConfig:
     dt: float
     rho_threshold: float
     algorithm: str = "centralized"
+    scenario_hash: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "case_path", Path(self.case_path))
@@ -127,12 +130,32 @@ def scenario_from_dict(data: dict, base_dir: Path | None = None
         raise ConfigError(f"malformed scenario config: {exc}") from None
 
 
-def load_scenario(path) -> ScenarioConfig:
-    """Load a scenario JSON file; case_path resolves relative to it."""
-    path = Path(path)
+def _sha256_hex(data: bytes) -> str:
+    """Hex sha256 of ``data`` from CPython's built-in module, as the
+    stdlib's ``random`` imports its seed hash, so that no run maps
+    OpenSSL; hashlib only where the interpreter was built without it."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        from _sha2 import sha256        # 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # 3.10, 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
+
+
+def load_scenario(path) -> ScenarioConfig:
+    """Load a scenario JSON file; case_path resolves relative to it.
+
+    The file is read once: the config carries the sha256 of the bytes it
+    was parsed from, so a pipe or a file rewritten mid-run is hashed as
+    parsed."""
+    path = Path(path)
+    raw = path.read_bytes()
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return scenario_from_dict(data, base_dir=path.parent)
+    cfg = scenario_from_dict(data, base_dir=path.parent)
+    return replace(cfg, scenario_hash=_sha256_hex(raw))
 

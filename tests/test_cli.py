@@ -898,7 +898,7 @@ def test_pipeline_stage_calls(workspace, monkeypatch, argv, calls,
                               .read_text(encoding="utf-8"))
         assert list(manifest["artifacts"]) == artifacts
 
-def _run_cli(args, env_extra=None, before_exit="pass"):
+def _run_cli(args, env_extra=None, before_exit="pass", stdin=None):
     # the child imports the same package this test imported
     package_root = str(Path(grid_islander.__file__).parents[1])
     env = dict(os.environ)
@@ -908,27 +908,54 @@ def _run_cli(args, env_extra=None, before_exit="pass"):
         env.update(env_extra)
     code = ("import sys; from grid_islander.cli import main; "
             f"rc = main(sys.argv[1:]); {before_exit}; sys.exit(rc)")
-    return subprocess.run([sys.executable, "-c", code, *args],
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
                           capture_output=True, text=True, env=env)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="no /dev/stdin to read the scenario from")
+def test_manifest_hashes_a_piped_scenario_as_parsed(workspace):
+    # a pipe can be read once: the manifest hashes the bytes the run
+    # parsed, not an empty second read of --config
+    tmp_path, cfg = workspace
+    data = json.loads(cfg.read_text(encoding="utf-8"))
+    data["case_path"] = str(tmp_path / data["case_path"])
+    piped = json.dumps(data, indent=1)
+    out_dir = tmp_path / "piped"
+    proc = _run_cli(["run-all", "--config", "/dev/stdin", "--out-dir",
+                     str(out_dir)], stdin=piped)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((out_dir / "run_manifest.json")
+                          .read_text(encoding="utf-8"))
+    assert manifest["scenario_hash"] == \
+        hashlib.sha256(piped.encode("utf-8")).hexdigest()
 
 
 def test_parse_and_decentralized_runs_skip_lazy_imports(
         workspace, case118_path, scenario118_path):
-    # The lock proof, the phase stream and OpenSSL (_hashlib) are imported
-    # inside the functions that need them, which keeps their import time
-    # and memory out of these commands; no command imports
-    # multiprocessing, numpy.random (the phases are drawn in the package)
-    # or numpy.ma (np.unique imports it, about 1 MB of RSS).
+    # The lock proof and the phase stream are imported inside the
+    # functions that need them, which keeps their import time and memory
+    # out of these commands; no command imports multiprocessing,
+    # numpy.random (the phases are drawn in the package), numpy.ma
+    # (np.unique imports it, about 1 MB of RSS) or _hashlib, nor maps
+    # OpenSSL (the manifest's scenario hash is CPython's built-in sha256).
     tmp_path, cfg = workspace
     lazy = ("grid_islander._certificate", "grid_islander._pcg64",
             "multiprocessing", "_hashlib", "numpy.ma", "numpy.random")
-    never = {"multiprocessing", "numpy.ma", "numpy.random"}
+    never = {"multiprocessing", "_hashlib", "numpy.ma", "numpy.random"}
+    maps = Path("/proc/self/maps")
+    probe = (f"print(*(m for m in {lazy!r} if m in sys.modules)); "
+             f"import pathlib; maps = pathlib.Path({str(maps)!r}); "
+             "print(*(line.split()[-1] for line in "
+             "(maps.read_text().splitlines() if maps.exists() else ()) "
+             "if 'libcrypto' in line or 'libssl' in line))")
 
     def loaded(args):
-        proc = _run_cli(args, before_exit=(
-            f"print(*(m for m in {lazy!r} if m in sys.modules))"))
+        proc = _run_cli(args, before_exit=probe)
         assert proc.returncode == 0, proc.stderr
-        return set(proc.stdout.splitlines()[-1].split())
+        modules, openssl = proc.stdout.splitlines()[-2:]
+        assert not openssl, openssl
+        return set(modules.split())
 
     assert loaded(["parse", str(case118_path)]) == set()
     decentralized = loaded(
@@ -943,10 +970,16 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
     # the probe sees the proof and the stream where a sync table is scanned
     assert "grid_islander._certificate" in centralized
     assert "grid_islander._pcg64" in centralized
+    for algorithm in ("centralized", "decentralized"):
+        grown = loaded(["partition", "--config", str(cfg), "--algorithm",
+                        algorithm, "--out-dir", str(tmp_path / algorithm)])
+        assert not never & grown
     table = loaded(["sync-times", "--config", str(cfg), "--out",
                     str(tmp_path / "sync_times.json")])
     assert not never & table
     assert "grid_islander._pcg64" in table
+    if not maps.exists():
+        pytest.skip("no /proc/self/maps: OpenSSL mappings not checked")
 
 
 @pytest.mark.skipif(usable_cpus() < 2,

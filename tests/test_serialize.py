@@ -4,8 +4,10 @@ scenarios read back."""
 import collections
 import dataclasses
 import enum
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from grid_islander import (Branch, Bus, ConfigError, Island, SchemaError,
                            partition_from_dict, partition_to_dict,
                            save_json, scenario_from_dict,
                            sync_table_from_dict, sync_table_to_dict)
+from grid_islander.scenario import _sha256_hex
 from grid_islander.serialize import save_csv
 from conftest import DATA_DIR, GEN_SET_118, M1_118, M2_118, make_network
 
@@ -123,6 +126,36 @@ def test_scenario_relative_case_path(tmp_path, case118_path):
     cfg_path.write_text(json.dumps(data), encoding="utf-8")
     cfg = load_scenario(cfg_path)
     assert cfg.case_path == tmp_path / "sub" / "case.m"
+
+
+# the built-in module first (_sha2 on 3.12+, _sha256 before), then hashlib
+@pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")])
+def test_scenario_hash_matches_hashlib_on_every_branch(blocked, monkeypatch):
+    for name in blocked:
+        monkeypatch.setitem(sys.modules, name, None)
+    shipped = (DATA_DIR / "scenario_ieee118.json").read_bytes()
+    for data in [bytes(i * 7 % 256 for i in range(n))
+                 for n in (*range(131), 4096)] + [shipped]:
+        assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_scenario_hash_falls_back_to_hashlib_last(monkeypatch):
+    for name in ("_sha2", "_sha256", "hashlib"):
+        monkeypatch.setitem(sys.modules, name, None)
+    with pytest.raises(ImportError, match="hashlib"):
+        _sha256_hex(b"")
+
+
+def test_scenario_hash_is_of_the_parsed_bytes_and_not_compared(
+        scenario118_path):
+    raw = scenario118_path.read_bytes()
+    cfg = load_scenario(scenario118_path)
+    assert cfg.scenario_hash == hashlib.sha256(raw).hexdigest()
+    plain = scenario_from_dict(json.loads(raw),
+                               base_dir=scenario118_path.parent)
+    assert plain.scenario_hash is None
+    assert cfg == plain and hash(cfg) == hash(plain)
+    assert dataclasses.replace(cfg, scenario_hash="0" * 64) == plain
 
 
 def test_scenario_validation():
