@@ -10,7 +10,8 @@ metrics solves it after the islands' flows, per component if split. Every
 artifact is JSON or CSV; a run manifest ties the outputs of one
 invocation together. Exit codes: 0 success, 2 input error, 3 numerical
 failure, 4 validation failure. Verbosity follows the GRID_ISLANDER_LOG
-environment variable (error, warn, info, debug).
+environment variable (error, warn, info, debug). The oscillator, growth
+and scoring stages are bound on first use, so parse loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,22 +24,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import __version__, metrics
-from .centralized import centralized_partition
-from .decentralized import run_decentralized
+from . import __version__
 from .errors import (ConfigError, DegenerateBranch, DegenerateEstimate,
                      EmptyLayer, GridIslanderError, InitialIslandsOverlap,
                      MissingSection, NoGenerator, NotConverged, NotFound,
                      NumericalDivergence, ParseError, SchemaError,
                      SingularSystem, Stalled, UndefinedSize)
-# ensemble_integrate and sync_times, the stored-trajectory pair, are no
-# stage here; they stay importable from this module for tracers that wrap
-# its names (perfbench/spans.py).
-from .kuramoto import (_Kernel, build_layer, derivative, ensemble_integrate,
-                       ensemble_sync_times, integrate,
-                       sample_initial_conditions, sync_times)
 from .matpower import build_network, load_case
-from .metrics import compute_metrics, metrics_to_dict
 from .network import (Island, Partition, PowerNetwork, apply_fault,
                       check_initial_islands, island_imbalance,
                       validate_partition)
@@ -46,6 +38,33 @@ from .scenario import ScenarioConfig, load_scenario
 from .serialize import (network_to_dict, partition_from_dict,
                         partition_to_dict, save_csv, save_json,
                         sync_table_from_dict, sync_table_to_dict)
+
+# Stage names, bound on first use through the package ("metrics" is the
+# module). ensemble_integrate and sync_times, the stored-trajectory pair,
+# are no stage here; they stay reachable from this module for tracers
+# that wrap its names (perfbench/spans.py).
+_STAGES = ("metrics", "centralized_partition", "run_decentralized",
+           "_Kernel", "build_layer", "derivative", "ensemble_integrate",
+           "ensemble_sync_times", "integrate", "sample_initial_conditions",
+           "sync_times", "compute_metrics", "metrics_to_dict")
+
+
+def _bind_stages() -> None:
+    """Bind every stage name not bound yet; a wrapper that a tracer or a
+    test set before stays."""
+    package = sys.modules[__package__]
+    for name in _STAGES:
+        if name not in globals():
+            source = package.kuramoto if name == "_Kernel" else package
+            globals()[name] = getattr(source, name)
+
+
+def __getattr__(name: str):
+    if name not in _STAGES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_stages()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -398,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.func is not cmd_parse:
+        _bind_stages()
     try:
         return args.func(args)
     except _VALIDATION_ERRORS as exc:

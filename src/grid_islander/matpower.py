@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .errors import (ConfigError, MissingSection, ParseError, SchemaError,
                      integer)
 from .network import Branch, Bus, PowerNetwork
@@ -39,24 +37,25 @@ _ID_COLUMNS = ("BUS_I", "GEN_BUS", "F_BUS", "T_BUS")
 
 @dataclass(frozen=True)
 class RawCase:
-    """Verbatim numeric tables of one case, row order preserved."""
+    """Verbatim numeric tables of one case, row order preserved: each
+    table is a tuple of rows, each row a tuple of floats."""
 
     base_mva: float
-    bus_table: np.ndarray
-    gen_table: np.ndarray
-    branch_table: np.ndarray
+    bus_table: tuple[tuple[float, ...], ...]
+    gen_table: tuple[tuple[float, ...], ...]
+    branch_table: tuple[tuple[float, ...], ...]
 
     @property
     def n_buses(self) -> int:
-        return self.bus_table.shape[0]
+        return len(self.bus_table)
 
     @property
     def n_gens(self) -> int:
-        return self.gen_table.shape[0]
+        return len(self.gen_table)
 
     @property
     def n_branches(self) -> int:
-        return self.branch_table.shape[0]
+        return len(self.branch_table)
 
 
 def _parse_row(segment: str, lineno: int, offset: int) -> list[float]:
@@ -124,7 +123,6 @@ def parse_case(text: str) -> RawCase:
 
     if base_mva is None:
         raise MissingSection("baseMVA")
-    arrays: dict[str, np.ndarray] = {}
     for name in ("bus", "gen", "branch"):
         if name not in tables or not tables[name]:
             raise MissingSection(name)
@@ -137,9 +135,8 @@ def parse_case(text: str) -> RawCase:
         if width < _MIN_COLUMNS[name]:
             raise SchemaError(f"{name} table has {width} columns, "
                               f"needs at least {_MIN_COLUMNS[name]}")
-        arrays[name] = np.array(rows, dtype=float)
-    return RawCase(base_mva=base_mva, bus_table=arrays["bus"],
-                   gen_table=arrays["gen"], branch_table=arrays["branch"])
+    return RawCase(base_mva, *(tuple(map(tuple, tables[name]))
+                               for name in ("bus", "gen", "branch")))
 
 
 def load_case(path) -> RawCase:
@@ -157,15 +154,14 @@ def _check_read_columns(case: RawCase) -> None:
               "branch": case.branch_table}
     for name, columns in _READ_COLUMNS.items():
         for column, index in columns.items():
-            values = tables[name][:, index]
-            bad = ~np.isfinite(values)
-            if column in _ID_COLUMNS:
-                bad |= values != np.trunc(values)
-            if bad.any():
-                row = int(np.argmax(bad))
-                where = f"{name} table row {row + 1} column {column}"
-                value = float(values[row])
-                if column in _ID_COLUMNS:
+            ids = column in _ID_COLUMNS
+            for row, values in enumerate(tables[name], start=1):
+                value = values[index]
+                # is_integer() is False on inf and nan too
+                if math.isfinite(value) and (not ids or value.is_integer()):
+                    continue
+                where = f"{name} table row {row} column {column}"
+                if ids:
                     integer(where, value, SchemaError)
                 raise SchemaError(f"{where} must be finite, got {value!r}")
 

@@ -3,6 +3,7 @@
 import csv
 import errno
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -898,7 +899,8 @@ def test_pipeline_stage_calls(workspace, monkeypatch, argv, calls,
                               .read_text(encoding="utf-8"))
         assert list(manifest["artifacts"]) == artifacts
 
-def _run_cli(args, env_extra=None, before_exit="pass", stdin=None):
+def _run_cli(args, env_extra=None, before_exit="pass", stdin=None,
+             before_main="pass"):
     # the child imports the same package this test imported
     package_root = str(Path(grid_islander.__file__).parents[1])
     env = dict(os.environ)
@@ -906,8 +908,8 @@ def _run_cli(args, env_extra=None, before_exit="pass", stdin=None):
         filter(None, [package_root, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    code = ("import sys; from grid_islander.cli import main; "
-            f"rc = main(sys.argv[1:]); {before_exit}; sys.exit(rc)")
+    code = (f"import sys\nfrom grid_islander.cli import main\n{before_main}\n"
+            f"rc = main(sys.argv[1:])\n{before_exit}\nsys.exit(rc)")
     return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
                           capture_output=True, text=True, env=env)
 
@@ -939,9 +941,15 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
     # numpy.random (the phases are drawn in the package), numpy.ma
     # (np.unique imports it, about 1 MB of RSS) or _hashlib, nor maps
     # OpenSSL (the manifest's scenario hash is CPython's built-in sha256).
+    # parse loads neither numpy nor the oscillator, flow, scoring and
+    # growth modules.
     tmp_path, cfg = workspace
+    heavy = ("numpy", "grid_islander.kuramoto", "grid_islander._forked",
+             "grid_islander.powerflow", "grid_islander.metrics",
+             "grid_islander.centralized", "grid_islander.decentralized")
     lazy = ("grid_islander._certificate", "grid_islander._pcg64",
-            "multiprocessing", "_hashlib", "numpy.ma", "numpy.random")
+            "multiprocessing", "_hashlib", "numpy.ma", "numpy.random",
+            *heavy)
     never = {"multiprocessing", "_hashlib", "numpy.ma", "numpy.random"}
     maps = Path("/proc/self/maps")
     probe = (f"print(*(m for m in {lazy!r} if m in sys.modules)); "
@@ -958,6 +966,9 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
         return set(modules.split())
 
     assert loaded(["parse", str(case118_path)]) == set()
+    assert loaded(["parse", str(case118_path),
+                   "--out", str(tmp_path / "network.json")]) == set()
+    assert (tmp_path / "network.json").is_file()
     decentralized = loaded(
         ["run-all", "--config", str(scenario118_path), "--algorithm",
          "decentralized", "--out-dir", str(tmp_path / "decentralized")])
@@ -980,6 +991,62 @@ def test_parse_and_decentralized_runs_skip_lazy_imports(
     assert "grid_islander._pcg64" in table
     if not maps.exists():
         pytest.skip("no /proc/self/maps: OpenSSL mappings not checked")
+
+
+def test_first_binding_keeps_wrappers_set_before_it(workspace):
+    # A fresh process: cli binds its stage names for the first time in
+    # main, after the wrappers are set, and must keep them. One wrapper
+    # is set without a lookup through cli, one after a tracer's getattr.
+    tmp_path, cfg = workspace
+    setup = """
+import json
+import grid_islander.cli as cli
+from grid_islander.metrics import compute_metrics
+counts = {"compute_metrics": 0, "ensemble_sync_times": 0}
+assert not counts.keys() & vars(cli).keys()
+def counted(name, func):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return func(*args, **kwargs)
+    return wrapper
+cli.compute_metrics = counted("compute_metrics", compute_metrics)
+cli.ensemble_sync_times = counted("ensemble_sync_times",
+                                  getattr(cli, "ensemble_sync_times"))
+"""
+    argv = ["run-all", "--config", str(cfg), "--out-dir"]
+    proc = _run_cli([*argv, str(tmp_path / "wrapped")], before_main=setup,
+                    before_exit="print(json.dumps(counts))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "compute_metrics": 1, "ensemble_sync_times": 1}
+    assert main([*argv, str(tmp_path / "plain")]) == 0
+    for path in (tmp_path / "plain").iterdir():
+        if path.name != "run_manifest.json":
+            assert (tmp_path / "wrapped" / path.name).read_bytes() \
+                == path.read_bytes(), path.name
+
+
+def test_package_names_resolve_lazily():
+    # every public name is its submodule's object, on first use
+    for module, names in grid_islander._EXPORTS.items():
+        source = importlib.import_module(f"grid_islander.{module}")
+        assert getattr(grid_islander, module) is source
+        for name in names:
+            assert getattr(grid_islander, name) is getattr(source, name)
+    assert len(set(grid_islander.__all__)) == len(grid_islander.__all__)
+    assert set(grid_islander.__all__) <= set(dir(grid_islander))
+    namespace = {}
+    exec("from grid_islander import *", namespace)
+    del namespace["__builtins__"]
+    assert namespace.keys() == set(grid_islander.__all__)
+
+
+@pytest.mark.parametrize("module", [grid_islander, cli_module],
+                         ids=["grid_islander", "cli"])
+def test_unknown_attribute_raises_attribute_error(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(module, "no_such_name")
+    assert not hasattr(module, "no_such_name")
 
 
 @pytest.mark.skipif(usable_cpus() < 2,

@@ -1,8 +1,8 @@
 """Case-file parsing and network construction."""
 
 import logging
+import math
 
-import numpy as np
 import pytest
 
 from grid_islander import (ConfigError, MissingSection, ParseError,
@@ -37,10 +37,10 @@ def test_parse_minimal_case():
     assert case.n_buses == 2
     assert case.n_gens == 1
     assert case.n_branches == 1
-    assert case.bus_table[1, 0] == 2.0
-    assert case.bus_table[1, 2] == 50.0
-    assert case.gen_table[0, 1] == 80.0
-    assert case.branch_table[0, 3] == 0.05
+    assert case.bus_table[1][0] == 2.0
+    assert case.bus_table[1][2] == 50.0
+    assert case.gen_table[0][1] == 80.0
+    assert case.branch_table[0][3] == 0.05
 
 
 def test_comments_and_blank_lines_ignored():
@@ -155,9 +155,9 @@ def test_ieee118_case_counts(case118_path):
     case = load_case(case118_path)
     assert case.base_mva == 100.0
     assert (case.n_buses, case.n_gens, case.n_branches) == (118, 54, 186)
-    assert case.bus_table.shape[0] == 118
+    assert len(case.bus_table) == 118
     # bus ids are 1..118 in order
-    assert np.array_equal(case.bus_table[:, 0], np.arange(1, 119))
+    assert [row[0] for row in case.bus_table] == list(range(1, 119))
 
 
 def test_ieee118_default_generator_set(case118_path, net118):
@@ -187,7 +187,7 @@ def test_unread_columns_may_hold_any_number():
     # build_network never reads QMAX (gen column 4), so an Inf there loads
     text = MINIMAL_CASE.replace("\t1\t80\t20\t100\t", "\t1\t80\t20\tInf\t")
     case = parse_case(text)
-    assert case.gen_table[0, 3] == np.inf
+    assert case.gen_table[0][3] == math.inf
     assert build_network(case).bus(1).p_gen_scheduled == 80.0
 
 
@@ -200,7 +200,11 @@ def test_unread_columns_may_hold_any_number():
      "branch table row 1 column T_BUS must be an integer, got nan"),
     ("\t0\t0\t1\t-360", "\tnan\t0\t1\t-360",
      "branch table row 1 column TAP must be finite, got nan"),
-], ids=["inf-pg", "fractional-gen-bus", "nan-t-bus", "nan-tap"])
+    # an infinite id is refused as a non-integer, not truncated
+    ("\t2\t1\t50\t", "\tinf\t1\t50\t",
+     "bus table row 2 column BUS_I must be an integer, got inf"),
+], ids=["inf-pg", "fractional-gen-bus", "nan-t-bus", "nan-tap",
+        "inf-bus-id"])
 def test_read_columns_must_be_finite_with_integer_ids(old, new, message):
     assert MINIMAL_CASE.count(old) == 1
     with pytest.raises(SchemaError) as err:
